@@ -420,7 +420,7 @@ def export_csv(dataset: Dataset, path, provenance: dict | None = None) -> None:
             fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
         fh.write(header + "\n")
         for i in range(len(dataset)):
-            feats = ",".join(repr(float(v)) for v in dataset.features[i])
+            feats = ",".join(map(repr, dataset.features[i].tolist()))
             fh.write(f"{int(dataset.ids[i])},{int(dataset.domains[i])},"
                      f"{int(dataset.labels[i])},{feats}\n")
 

@@ -340,6 +340,6 @@ def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
         fh.write(f"id,domain,label,group,{cols}\n")
         for i in range(len(dataset)):
             group = "linked" if int(dataset.labels[i]) in linked else "shared"
-            feats = ",".join(repr(float(v)) for v in h[i])
+            feats = ",".join(map(repr, h[i].tolist()))
             fh.write(f"{int(dataset.ids[i])},{int(dataset.domains[i])},"
                      f"{int(dataset.labels[i])},{group},{feats}\n")

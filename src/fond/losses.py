@@ -39,6 +39,14 @@ UNIT_NORM_TOL = 1e-4
 
 PROB_ROW_TOL = 1e-9
 
+# Rows of the B x B similarity matrix that xdom_loss processes at once.
+# At B = 1024 a 64-row float64 block is 512 KiB, so the block and its
+# scratch stay in a core's L2 cache (2 MiB) across the dozen elementwise
+# passes. On a 2-vCPU Xeon with single-threaded OpenBLAS, 32 to 128 rows
+# all ran a B = 1024 call in about 32 ms (68 ms unblocked); 16 and 256
+# were about 5% slower.
+XDOM_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -143,6 +151,18 @@ def _onehot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
+def _true_label_ce(probs, labels) -> np.ndarray:
+    """Per-sample cross-entropy -log p[i, y_i].
+
+    A true-label probability that underflowed to 0 (diverging logits)
+    gives +inf, not an error: the loss is then non-finite, which the
+    trainer reports together with the step it happened at.
+    """
+    picked = probs[np.arange(len(labels)), labels]
+    with np.errstate(divide="ignore"):
+        return -np.log(picked)
+
+
 def task_loss(probabilities, labels):
     """Mean cross-entropy; gradient is taken wrt the logits behind the
     probabilities, i.e. (p - onehot) / N."""
@@ -150,10 +170,7 @@ def task_loss(probabilities, labels):
     n = probs.shape[0]
     if n == 0:
         raise ContractError("empty batch")
-    picked = probs[np.arange(n), labels]
-    if picked.min() <= 0.0:
-        raise ContractError("zero probability assigned to a true label")
-    loss = float(-np.log(picked).mean())
+    loss = float(_true_label_ce(probs, labels).mean())
     grad_logits = (probs - _onehot(labels, probs.shape[1])) / n
     return loss, grad_logits
 
@@ -170,6 +187,14 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     domains, else 1; beta_ia = cfg.b when a shares the anchor's domain
     but not its class, else 1. Anchors with no positives are skipped
     (an all-skipped batch scores 0). Returns (loss, grad_z).
+
+    Memory is one B x B buffer (the Gram matrix, overwritten row block
+    by row block with d loss / d Gram) plus scratch for one block of
+    ``XDOM_BLOCK_ROWS`` rows. Blocks split rows only, so every row
+    reduction still runs over one whole contiguous row, and each
+    element sees the same float operations in the same order as the
+    plain full-matrix formula: the result does not depend on the block
+    height, bit for bit.
     """
     z = ndcore.as_matrix(z, "z")
     n = z.shape[0]
@@ -183,45 +208,75 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
         raise ContractError(f"z row {worst} has norm {norms[worst]!r}, expected 1")
 
     labels, domains = ann.labels, ann.domains
-    same_class = labels[:, None] == labels[None, :]
-    same_domain = domains[:, None] == domains[None, :]
-    off_diag = ~np.eye(n, dtype=bool)
-
-    pos = same_class & off_diag
-    n_pos = pos.sum(axis=1)
+    sorted_labels = np.sort(labels)
+    first = np.searchsorted(sorted_labels, labels, "left")
+    n_pos = np.searchsorted(sorted_labels, labels, "right") - first - 1
     valid = n_pos > 0
     if not valid.any():
         return 0.0, np.zeros_like(z)
-
-    cross_domain_pos = pos & ~same_domain
-    beta = np.where(same_domain & ~same_class, cfg.b, 1.0)
-
-    st = (z @ z.T) / cfg.temperature
-    # row-max shift over the denominator's index set keeps exp bounded
-    shift = np.where(off_diag, st, -np.inf).max(axis=1)
-    expd = beta * np.exp(st - shift[:, None])
-    expd[np.diag_indices(n)] = 0.0
-    denom = expd.sum(axis=1)
-    log_denom = shift + np.log(denom)
-
     safe_npos = np.where(valid, n_pos, 1)
-    if cfg.alpha_mode == "numerator_scale":
-        log_alpha_sum = np.where(cross_domain_pos, np.log(cfg.a), 0.0).sum(axis=1)
-        num_term = (st * pos).sum(axis=1) + log_alpha_sum
-        dnum = np.where(pos, 1.0, 0.0)
-    else:
-        alpha = np.where(cross_domain_pos, cfg.a, 1.0)
-        num_term = (alpha * st * pos).sum(axis=1)
-        dnum = np.where(pos, alpha, 0.0)
+    neg_npos = -safe_npos[:, None].astype(np.float64)
+    # equal codes <=> equal ids; int32 codes compare twice as fast as int64 ids
+    class_code = first.astype(np.int32)
+    domain_code = np.searchsorted(np.sort(domains), domains).astype(np.int32)
+    numerator_mode = cfg.alpha_mode == "numerator_scale"
+
+    buf = z @ z.T
+    num_term = np.empty(n)
+    log_denom = np.empty(n)
+    h = min(XDOM_BLOCK_ROWS, n)
+    expd_s, tmp_s = np.empty((h, n)), np.empty((h, n))
+    pos_s, same_domain_s, mask_s = (np.empty((h, n), dtype=bool) for _ in range(3))
+    for r0 in range(0, n, h):
+        rows = slice(r0, min(r0 + h, n))
+        m = rows.stop - r0
+        st, expd, tmp = buf[rows], expd_s[:m], tmp_s[:m]
+        pos, same_domain, mask = pos_s[:m], same_domain_s[:m], mask_s[:m]
+        diag = (np.arange(m), np.arange(r0, rows.stop))
+
+        np.divide(st, cfg.temperature, out=st)
+        np.equal(class_code[rows, None], class_code[None, :], out=pos)
+        np.equal(domain_code[rows, None], domain_code[None, :], out=same_domain)
+
+        # row-max shift over the denominator's index set (a != i) keeps
+        # exp bounded; the -inf diagonal also makes exp give its 0 there
+        st_diag = st[diag]
+        st[diag] = -np.inf
+        shift = st.max(axis=1)
+        np.subtract(st, shift[:, None], out=expd)
+        np.exp(expd, out=expd)
+        st[diag] = st_diag
+        np.greater(same_domain, pos, out=mask)       # same domain, other class
+        np.multiply(np.where(mask, cfg.b, 1.0), expd, out=expd)
+        denom = expd.sum(axis=1)
+        log_denom[rows] = shift + np.log(denom)
+
+        pos[diag] = False
+        np.greater(pos, same_domain, out=mask)        # cross-domain positives
+        if numerator_mode:
+            np.multiply(st, pos, out=tmp)
+            st_pos_sum = tmp.sum(axis=1)
+            np.multiply(mask, np.log(cfg.a), out=tmp)
+            num_term[rows] = st_pos_sum + tmp.sum(axis=1)
+            dnum = pos
+        else:
+            alpha = np.where(mask, cfg.a, 1.0)
+            np.multiply(alpha, st, out=tmp)
+            np.multiply(tmp, pos, out=tmp)
+            num_term[rows] = tmp.sum(axis=1)
+            dnum = np.where(pos, alpha, 0.0)
+
+        # d loss / d st, rows zeroed for skipped anchors, written over st;
+        # dnum / -|P(i)| has the same bits as -dnum / |P(i)|
+        np.divide(dnum, neg_npos[rows], out=tmp)
+        np.divide(expd, denom[:, None], out=expd)
+        np.add(tmp, expd, out=expd)
+        expd[~valid[rows]] = 0.0
+        np.divide(expd, cfg.temperature, out=st)
 
     per_anchor = -num_term / safe_npos + log_denom
     loss = float(per_anchor[valid].sum())
-
-    # d loss / d st, rows zeroed for skipped anchors
-    g_st = (-dnum / safe_npos[:, None] + expd / denom[:, None])
-    g_st[~valid, :] = 0.0
-    g_s = g_st / cfg.temperature
-    grad_z = g_s @ z + g_s.T @ z
+    grad_z = buf @ z + buf.T @ z
     return loss, grad_z
 
 
@@ -242,11 +297,9 @@ def fair_loss(probabilities, labels, linked_mask):
     n_s = int((~linked).sum())
     if n_l == 0 or n_s == 0:
         return 0.0, np.zeros_like(probs)
-    picked = probs[np.arange(len(labels)), labels]
-    if picked.min() <= 0.0:
-        raise ContractError("zero probability assigned to a true label")
-    ce = -np.log(picked)
-    gap = float(ce[linked].mean() - ce[~linked].mean())
+    ce = _true_label_ce(probs, labels)
+    # Python floats: inf - inf after a diverged step is nan without a warning
+    gap = float(ce[linked].mean()) - float(ce[~linked].mean())
     sign = float(np.sign(gap))
     loss = abs(gap)
 

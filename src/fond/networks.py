@@ -190,23 +190,27 @@ class ForwardPass:
     """Activations and caches of one training-mode forward evaluation."""
 
     h: np.ndarray            # post-dropout features fed to both heads
-    z: np.ndarray            # unit-norm projections
+    z: np.ndarray | None     # unit-norm projections; None when P was skipped
     logits: np.ndarray
     probs: np.ndarray
     _f_caches: list
-    _p_caches: list
-    _norm_cache: tuple
+    _p_caches: list | None
+    _norm_cache: tuple | None
     _g_cache: tuple
     _dropout_mask: np.ndarray | None
     _params: ModelParams
 
 
 def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
-                 dropout_rng: np.random.Generator | None = None) -> ForwardPass:
+                 dropout_rng: np.random.Generator | None = None,
+                 project: bool = True) -> ForwardPass:
     """Full forward through F, dropout on h, then both heads.
 
     Inverted dropout: kept units are scaled by 1/(1-rate) so evaluation
     needs no rescaling. rate 0.0 draws nothing from the rng.
+    ``project=False`` skips the projection head P (``z`` is None), for
+    objectives without a contrastive term; the mask is drawn before P,
+    so every other output is unchanged.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ConfigError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
@@ -224,8 +228,10 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
         mask = (dropout_rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
         h = h * mask
 
-    pre, p_caches = _mlp_forward(h, params._layers("p"))
-    z, norm_cache = ndcore.l2_normalize_rows(pre)
+    z = p_caches = norm_cache = None
+    if project:
+        pre, p_caches = _mlp_forward(h, params._layers("p"))
+        z, norm_cache = ndcore.l2_normalize_rows(pre)
 
     w, b = params.tensors()["g.w"], params.tensors()["g.b"]
     logits, g_cache = ndcore.affine_forward(h, w, b)
@@ -249,6 +255,8 @@ def backward_pass(fp: ForwardPass, grad_logits, grad_z) -> dict[str, np.ndarray]
     contributions = []
 
     if grad_z is not None:
+        if fp.z is None:
+            raise ContractError("grad_z given, but the forward pass skipped the projection head")
         grad_z = ndcore.as_matrix(grad_z, "grad_z")
         if grad_z.shape != fp.z.shape:
             raise ShapeError(f"grad_z{grad_z.shape} vs z{fp.z.shape}")

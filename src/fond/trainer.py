@@ -195,6 +195,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
         train_set = source_pool
 
     linked_lookup = np.isin(train_set.labels, sorted(plan.linked_classes))
+    project = loss_cfg.lambda_xdom > 0   # z feeds nothing but the contrastive term
     sampler = datagen.BatchSampler(train_set, trainer_cfg.batch_size,
                                    subseed(trainer_cfg.seed, SEED_TAG_BATCHES),
                                    stratified=trainer_cfg.stratified_batches)
@@ -235,7 +236,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
             drng = (rng_for(trainer_cfg.seed, SEED_TAG_DROPOUT, step)
                     if trainer_cfg.dropout > 0.0 else None)
             fp = networks.forward_pass(params, x, dropout_rate=trainer_cfg.dropout,
-                                       dropout_rng=drng)
+                                       dropout_rng=drng, project=project)
             fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg)
             if not math.isfinite(fl.total):
                 raise NonFiniteLossError(step, {"task": fl.task, "xdom": fl.xdom,

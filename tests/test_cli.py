@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +212,16 @@ class TestErrorExits:
                        "--out", str(out), "--checkpoint", str(ckpt))
         assert code == cli.EXIT_NUMERIC
         assert self.read_error(capsys)["error"] == "numerical"
+
+    def test_divergence_exit_3_names_step(self, tmp_path, capsys):
+        tiny = Path(__file__).resolve().parents[1] / "configs" / "tiny_benchmark.json"
+        code = run_cli("train", "--config", str(tiny), "--out", str(tmp_path / "div"),
+                       "--set", "trainer.optimizer=sgd",
+                       "--set", "trainer.learning_rate=1e6")
+        assert code == cli.EXIT_NUMERIC
+        payload = self.read_error(capsys)
+        assert payload["type"] == "NonFiniteLossError"
+        assert "non-finite loss at step" in payload["message"]
 
     def test_missing_checkpoint_flag_exit_2(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "emb"

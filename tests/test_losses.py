@@ -15,6 +15,7 @@ from oracles import (
     supcon_reference,
     xdom_reference,
 )
+from xdom_frozen import ref_xdom_loss
 
 
 def random_batch(seed, n=None, d=None, n_classes=3, n_domains=3):
@@ -223,6 +224,16 @@ class TestXdomLoss:
         assert abs(loss - loss_p) < 1e-12
         assert np.abs(grad[perm] - grad_p).max() < 1e-12
 
+    def test_log_alpha_row_sums_keep_their_order(self):
+        # one class, every sample in its own domain: each row sums 127
+        # log(a) terms, and that row sum often differs from 127 * log(a)
+        labels, domains = np.zeros(128, dtype=np.int64), np.arange(128)
+        ann = losses.BatchAnnotations(labels, domains, np.zeros(128, dtype=bool))
+        cfg = losses.LossConfig(temperature=3.7, a=2.7)
+        for seed in range(20):
+            z = random_unit_rows(np.random.default_rng(seed), 128, 8)
+            assert losses.xdom_loss(z, ann, cfg)[0] == ref_xdom_loss(z, ann, cfg)[0]
+
 
 class TestFairLoss:
     def test_symmetric_batch_zero(self):
@@ -374,3 +385,28 @@ def test_scalar_losses_permutation_invariant_property(seed):
         cfg)
     assert abs(out.total - out_p.total) < 1e-12
     assert np.abs(out.grad_logits[perm] - out_p.grad_logits).max() < 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.one_of(st.integers(2, 300), st.sampled_from([63, 64, 65, 129, 1000, 1024])),
+       d=st.integers(2, 33), seed=st.integers(0, 2**31),
+       n_classes=st.integers(1, 40), n_domains=st.integers(1, 6),
+       all_skipped=st.booleans(),
+       temperature=st.sampled_from([0.05, 0.1, 0.23, 1.0, 3.7]),
+       a=st.sampled_from([1.0, 1.5, 2.7]), b=st.sampled_from([1.0, 1.9, 4.0]),
+       mode=st.sampled_from(losses.ALPHA_MODES))
+def test_xdom_loss_bit_identical_to_frozen_full_matrix(n, d, seed, n_classes, n_domains,
+                                                      all_skipped, temperature, a, b,
+                                                      mode):
+    # batches up to 1024 span several row blocks, often with a partial
+    # last block; many classes leave anchors without positives
+    rng = np.random.default_rng(seed)
+    z = random_unit_rows(rng, n, d)
+    labels = rng.permutation(n) if all_skipped else rng.integers(0, n_classes, size=n)
+    ann = losses.BatchAnnotations(labels, rng.integers(0, n_domains, size=n),
+                                  np.zeros(n, dtype=bool))
+    cfg = losses.LossConfig(temperature=temperature, a=a, b=b, alpha_mode=mode)
+    loss, grad = losses.xdom_loss(z, ann, cfg)
+    ref_loss, ref_grad = ref_xdom_loss(z, ann, cfg)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()

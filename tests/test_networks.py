@@ -207,6 +207,20 @@ class TestGradients:
         assert set(grads) == set(params.tensors())
         assert all(not g.any() for g in grads.values())
 
+    def test_skipped_projection_leaves_classifier_path_unchanged(self):
+        params = networks.init_params(SMALL, 11)
+        x = np.random.default_rng(9).normal(size=(3, 5))
+        full = networks.forward_pass(params, x, 0.5, np.random.default_rng(4))
+        bare = networks.forward_pass(params, x, 0.5, np.random.default_rng(4),
+                                     project=False)
+        assert bare.z is None
+        assert np.array_equal(bare.h, full.h) and np.array_equal(bare.probs, full.probs)
+        grad_logits = np.ones_like(bare.logits)
+        for name, g in networks.backward_pass(bare, grad_logits, None).items():
+            assert np.array_equal(g, networks.backward_pass(full, grad_logits, None)[name])
+        with pytest.raises(ContractError):
+            networks.backward_pass(bare, grad_logits, np.ones_like(full.z))
+
 
 class TestDropout:
     def test_rate_zero_needs_no_rng_and_changes_nothing(self):

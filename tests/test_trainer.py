@@ -196,6 +196,38 @@ class TestTrainLoop:
             trainer.train(params, pool, plan, default_loss(), cfg)
         assert err.value.step == 1
 
+    def test_divergence_raises_nonfinite_with_step(self):
+        # at this rate the logits blow up until a true-label probability
+        # underflows to 0; that cross-entropy is +inf, a numeric failure
+        pool, _, plan, net_cfg = make_setup()
+        params = networks.init_params(net_cfg, 1)
+        cfg = trainer.TrainerConfig(optimizer="sgd", learning_rate=1e6, max_steps=20,
+                                    eval_every=20, batch_size=16, seed=0)
+        with pytest.raises(NonFiniteLossError) as err:
+            trainer.train(params, pool, plan, default_loss(), cfg)
+        assert err.value.step > 1
+        assert not math.isfinite(err.value.components["total"])
+
+    def test_erm_never_runs_the_projection_head(self, tmp_path):
+        # all-zero P maps every sample to a zero-norm projection, which
+        # cannot be normalized; ERM must not care and must log the same bytes
+        pool, _, plan, net_cfg = make_setup()
+        loss_cfg = losses.LossConfig(variant="erm", lambda_xdom=1.0, lambda_fair=1.0)
+        cfg = trainer.TrainerConfig(max_steps=10, eval_every=5, batch_size=16,
+                                    seed=2, learning_rate=0.01, dropout=0.2)
+        logs = []
+        for zero_p in (False, True):
+            params = networks.init_params(net_cfg, 4)
+            if zero_p:
+                for name, tensor in params.tensors().items():
+                    if name.startswith("p."):
+                        tensor[...] = 0.0
+            _, _, log = trainer.train(params, pool, plan, loss_cfg, cfg)
+            path = tmp_path / f"trainlog_{zero_p}.jsonl"
+            log.write_jsonl(path)
+            logs.append(path.read_bytes())
+        assert logs[0] == logs[1]
+
     def test_eval_schedule_with_forced_final(self):
         pool, target, plan, net_cfg = make_setup()
         params = networks.init_params(net_cfg, 1)
