@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -187,6 +188,12 @@ def run_benchmark_cell(doc_json: str, setting, variant: str, rep: int) -> dict:
     }
 
 
+def worker_count(jobs: int, cells: int, cpus: int | None) -> int:
+    """Processes for the benchmark cells: ``--jobs`` capped by the number
+    of cells and of CPUs (one when the CPU count is unknown)."""
+    return max(1, min(jobs, cells, cpus or 1))
+
+
 def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
     doc_json = json.dumps(to_provenance(cfg))
     cells = [(setting, variant, rep)
@@ -194,8 +201,9 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
              for variant in cfg.benchmark.variants
              for rep in range(cfg.benchmark.reps)]
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(cells), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_benchmark_cell, doc_json, *cell) for cell in cells]
             outcomes = [f.result() for f in futures]   # submission order, not completion
     else:

@@ -76,6 +76,8 @@ class BenchmarkConfig:
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ConfigError(f"unknown variants {sorted(unknown)}")
+        if isinstance(self.reps, bool) or not isinstance(self.reps, int):
+            raise ConfigError(f"reps must be an integer, got {self.reps!r}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         for s in self.settings:

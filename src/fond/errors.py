@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -19,6 +21,17 @@ class BatchTooSmallError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
+
+
+def require_finite(**values) -> None:
+    """Raise ConfigError naming the first value that is NaN or infinite.
+
+    Range checks such as ``x < 0`` are false for NaN, so config classes
+    call this before them.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 class PlanMismatchError(ValueError):

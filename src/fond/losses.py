@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ndcore
-from .errors import BatchTooSmallError, ConfigError, ContractError
+from .errors import BatchTooSmallError, ConfigError, ContractError, ShapeError, require_finite
 
 ALPHA_MODES = ("numerator_scale", "similarity_scale")
 
@@ -59,6 +59,8 @@ class LossConfig:
     variant: str = "fond"
 
     def __post_init__(self):
+        require_finite(temperature=self.temperature, a=self.a, b=self.b,
+                       lambda_xdom=self.lambda_xdom, lambda_fair=self.lambda_fair)
         if not self.temperature > 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.a < 1:
@@ -163,10 +165,15 @@ def _true_label_ce(probs, labels) -> np.ndarray:
         return -np.log(picked)
 
 
-def task_loss(probabilities, labels):
+def task_loss(probabilities, labels, *, validate: bool = True):
     """Mean cross-entropy; gradient is taken wrt the logits behind the
-    probabilities, i.e. (p - onehot) / N."""
-    probs, labels = _check_probabilities(probabilities, labels)
+    probabilities, i.e. (p - onehot) / N.
+
+    ``validate=False`` skips the input checks, for a caller that has run
+    ``_check_probabilities`` on these same arrays.
+    """
+    probs, labels = (_check_probabilities(probabilities, labels) if validate
+                     else (probabilities, labels))
     n = probs.shape[0]
     if n == 0:
         raise ContractError("empty batch")
@@ -280,14 +287,16 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     return loss, grad_z
 
 
-def fair_loss(probabilities, labels, linked_mask):
+def fair_loss(probabilities, labels, linked_mask, *, validate: bool = True):
     """Absolute gap between the two groups' mean cross-entropies.
 
     Groups are the linked-class samples and the rest. A batch missing
     either group scores 0 with zero gradient; at an exact tie the
-    subgradient 0 is used. Gradient is wrt logits.
+    subgradient 0 is used. Gradient is wrt logits. ``validate`` is as
+    in ``task_loss``.
     """
-    probs, labels = _check_probabilities(probabilities, labels)
+    probs, labels = (_check_probabilities(probabilities, labels) if validate
+                     else (probabilities, labels))
     linked = np.asarray(linked_mask, dtype=bool)
     if linked.shape != labels.shape:
         raise ContractError(
@@ -328,7 +337,8 @@ class FondLoss:
     config: LossConfig
 
 
-def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
+def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig,
+              probs=None) -> FondLoss:
     """total = task + lambda_xdom * xdom + lambda_fair * fair.
 
     Components with zero weight are not evaluated (their value is
@@ -336,14 +346,23 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
     disabling both terms reproduces plain cross-entropy training
     bit-for-bit). A single-sample batch has no pairs, so the contrastive
     component is the empty sum 0 there.
+
+    ``probs`` is ``softmax_forward(logits)`` when the caller already has
+    it (``networks.forward_pass`` does); otherwise it is computed here.
+    Either way it is checked once and shared by the task and fairness
+    terms.
     """
     cfg = cfg.resolved()
     logits = ndcore.as_matrix(logits, "logits")
     if len(ann) != logits.shape[0]:
         raise ContractError(f"annotations cover {len(ann)} samples, logits have {logits.shape[0]}")
-    probs = ndcore.softmax_forward(logits)
+    if probs is None:
+        probs = ndcore.softmax_forward(logits)
+    elif np.shape(probs) != logits.shape:
+        raise ShapeError(f"probs{np.shape(probs)} vs logits{logits.shape}")
+    probs, labels = _check_probabilities(probs, ann.labels)
 
-    task, grad_logits = task_loss(probs, ann.labels)
+    task, grad_logits = task_loss(probs, labels, validate=False)
     total = task
 
     xdom = 0.0
@@ -358,7 +377,7 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
 
     fair = 0.0
     if cfg.lambda_fair > 0:
-        fair, g_fair = fair_loss(probs, ann.labels, ann.linked_mask)
+        fair, g_fair = fair_loss(probs, labels, ann.linked_mask, validate=False)
         grad_logits = grad_logits + cfg.lambda_fair * g_fair
         total = total + cfg.lambda_fair * fair
 

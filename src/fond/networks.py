@@ -10,15 +10,19 @@ The classification path is G(F(x)) and never consumes z; the contrastive
 path is P(F(x)) and never consumes logits. Dropout, when enabled, is
 applied to h once and both heads read the dropped h.
 
-Parameters live in a flat name -> array dict so the optimizer and the
-checkpoint format can treat them uniformly.
+Parameters live in one flat float64 vector with named views into it
+(``f.w0``, ``p.b1``, ``g.w``, ...), so the optimizer updates the whole
+model in one pass and the checkpoint format stores the named tensors.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,28 +86,65 @@ class NetworkConfig:
         return list(zip(widths[:-1], widths[1:]))
 
 
-@dataclass
+def param_layout(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter tensor in storage order: the
+    layers of F, then of P, each weight before its bias, then G."""
+    layout = []
+    for prefix, dims in (("f", config.f_layer_dims()), ("p", config.p_layer_dims())):
+        for i, (fan_in, fan_out) in enumerate(dims):
+            layout += [(f"{prefix}.w{i}", (fan_in, fan_out)), (f"{prefix}.b{i}", (fan_out,))]
+    layout += [("g.w", (config.feature_dim, config.num_classes)), ("g.b", (config.num_classes,))]
+    return layout
+
+
+@dataclass(eq=False)
 class ModelParams:
-    """Flat parameter store; keys look like ``f.w0``, ``f.b0``, ``g.w``."""
+    """All parameters of one model in one contiguous float64 vector.
+
+    ``flat`` owns the storage (zeros when not given). ``tensors()`` maps
+    names like ``f.w0``, ``f.b0``, ``g.w`` to reshaped views of it in
+    ``param_layout`` order, so writing through a view writes ``flat``,
+    and the optimizer updates the whole model in one elementwise pass.
+    ``segments`` maps each name to its slice of ``flat``.
+    """
 
     config: NetworkConfig
     seed: int
-    _tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    flat: np.ndarray | None = None
+    segments: dict[str, slice] = field(init=False, repr=False)
+    _views: MappingProxyType = field(init=False, repr=False)
+    _heads: dict[str, list] = field(init=False, repr=False)
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return self._tensors
+    def __post_init__(self):
+        layout = param_layout(self.config)
+        size = sum(math.prod(shape) for _, shape in layout)
+        if self.flat is None:
+            self.flat = np.zeros(size)
+        if (self.flat.dtype != np.float64 or self.flat.shape != (size,)
+                or not self.flat.flags.c_contiguous):
+            raise ShapeError(f"flat parameters must be a contiguous float64 vector of "
+                             f"{size} values, got {self.flat.dtype} {self.flat.shape}")
+        self.segments, views, start = {}, {}, 0
+        for name, shape in layout:
+            stop = start + math.prod(shape)
+            self.segments[name] = slice(start, stop)
+            views[name] = self.flat[start:stop].reshape(shape)
+            start = stop
+        self._views = MappingProxyType(views)
+        self._heads = {prefix: [(views[f"{prefix}.w{i}"], views[f"{prefix}.b{i}"])
+                                for i in range(len(dims))]
+                       for prefix, dims in (("f", self.config.f_layer_dims()),
+                                            ("p", self.config.p_layer_dims()))}
+
+    def tensors(self) -> Mapping[str, np.ndarray]:
+        """Read-only name -> view mapping; write values in place."""
+        return self._views
 
     def clone(self) -> "ModelParams":
-        copies = {k: v.copy() for k, v in self._tensors.items()}
-        return ModelParams(config=self.config, seed=self.seed, _tensors=copies)
+        return ModelParams(config=self.config, seed=self.seed, flat=self.flat.copy())
 
     def _layers(self, prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
-        out = []
-        i = 0
-        while f"{prefix}.w{i}" in self._tensors:
-            out.append((self._tensors[f"{prefix}.w{i}"], self._tensors[f"{prefix}.b{i}"]))
-            i += 1
-        return out
+        return self._heads[prefix]
 
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
@@ -113,16 +154,12 @@ def glorot_limit(fan_in: int, fan_out: int) -> float:
 def init_params(config: NetworkConfig, seed: int) -> ModelParams:
     """Uniform Glorot-bounded weights, zero biases, deterministic in seed."""
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for prefix, dims in (("f", config.f_layer_dims()), ("p", config.p_layer_dims())):
-        for i, (fan_in, fan_out) in enumerate(dims):
-            lim = glorot_limit(fan_in, fan_out)
-            tensors[f"{prefix}.w{i}"] = rng.uniform(-lim, lim, size=(fan_in, fan_out))
-            tensors[f"{prefix}.b{i}"] = np.zeros(fan_out)
-    lim = glorot_limit(config.feature_dim, config.num_classes)
-    tensors["g.w"] = rng.uniform(-lim, lim, size=(config.feature_dim, config.num_classes))
-    tensors["g.b"] = np.zeros(config.num_classes)
-    return ModelParams(config=config, seed=int(seed), _tensors=tensors)
+    params = ModelParams(config=config, seed=int(seed))
+    for w in params.tensors().values():
+        if w.ndim == 2:
+            lim = glorot_limit(*w.shape)
+            w[...] = rng.uniform(-lim, lim, size=w.shape)
+    return params
 
 
 def _mlp_forward(x, layers, final_relu: bool = False):
@@ -333,6 +370,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Inverse of ``save_checkpoint``. The archive must hold exactly the
+    tensors that its stored config lays out, each with its layout shape."""
     with np.load(path) as archive:
         raw = {k: archive[k] for k in archive.files}
     if _META_KEY not in raw:
@@ -343,5 +382,16 @@ def load_checkpoint(path) -> ModelParams:
     cfg_d = dict(meta["config"])
     cfg_d["f_hidden"] = tuple(cfg_d["f_hidden"])
     cfg_d["p_hidden"] = tuple(cfg_d["p_hidden"])
-    config = NetworkConfig(**cfg_d)
-    return ModelParams(config=config, seed=int(meta["seed"]), _tensors=raw)
+    params = ModelParams(config=NetworkConfig(**cfg_d), seed=int(meta["seed"]))
+    views = params.tensors()
+    for name, view in views.items():
+        if name not in raw:
+            raise ContractError(f"{path} lacks tensor {name!r} of its config")
+        if raw[name].shape != view.shape:
+            raise ContractError(f"{path} tensor {name!r} has shape {raw[name].shape}, "
+                                f"its config gives {view.shape}")
+        view[...] = raw[name]
+    extra = [name for name in raw if name not in views]
+    if extra:
+        raise ContractError(f"{path} has tensor {extra[0]!r}, which its config lacks")
+    return params

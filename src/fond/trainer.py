@@ -13,6 +13,9 @@ Optimizer recurrences (eta = learning rate, g = gradient):
              mhat = m/(1-b1^t);  vhat = v/(1-b2^t);
              theta <- theta - eta * mhat / (sqrt(vhat) + eps)    (t from 1)
 
+Each recurrence runs once per step over the model's whole flat parameter
+vector (``ModelParams.flat``), not tensor by tensor.
+
 All randomness (batch order, dropout masks, validation split) derives
 from the trainer seed through tagged subseeds, so identical configs give
 bit-identical runs.
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen, losses, networks
-from .errors import ConfigError, NonFiniteLossError, ShapeError
+from .errors import ConfigError, ContractError, NonFiniteLossError, ShapeError, require_finite
 from .seeding import rng_for, subseed
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
@@ -55,6 +58,9 @@ class TrainerConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
+        require_finite(learning_rate=self.learning_rate, momentum=self.momentum,
+                       adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2,
+                       adam_eps=self.adam_eps)
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not self.max_steps >= self.eval_every >= 1:
@@ -72,42 +78,88 @@ class TrainerConfig:
 
 @dataclass
 class OptState:
-    """Slot variables for the optimizer; keys mirror the parameter dict."""
+    """Optimizer state over the flat parameter vector.
+
+    ``grad`` holds the packed gradient of the latest step and ``grad_sq``
+    its squares. ``m``/``v`` are the slot vectors (momentum keeps its
+    velocity in ``v``; sgd has none). Every vector is allocated on the
+    first step, sized to the model, and reused after.
+    """
 
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    grad: np.ndarray | None = None
+    grad_sq: np.ndarray | None = None
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def optimizer_step(params: networks.ModelParams, grads: dict, state: OptState,
                    cfg: TrainerConfig) -> OptState:
-    """In-place parameter update; returns the advanced state."""
-    tensors = params.tensors()
+    """In-place update of ``params.flat``; returns the advanced state.
+
+    ``grads`` names every parameter tensor. It is packed into one flat
+    gradient and the update runs once over the whole vector; each element
+    sees the same float operations, in the same order, as the recurrences
+    in the module docstring applied tensor by tensor.
+    """
+    theta, segments = params.flat, params.segments
+    if state.grad is None:
+        state.grad, state.grad_sq = np.empty_like(theta), np.empty_like(theta)
+        state.scratch = (np.empty_like(theta), np.empty_like(theta))
+    g, tmp, delta = state.grad, *state.scratch
+    views = params.tensors()
+    for name, grad in grads.items():
+        if name not in segments:
+            raise ContractError(f"gradient {name!r} names no parameter")
+        if grad.shape != views[name].shape:
+            raise ShapeError(f"gradient {name} shape {grad.shape} != parameter "
+                             f"{views[name].shape}")
+        g[segments[name]] = grad.reshape(-1)
+    if len(grads) != len(segments):
+        missing = next(name for name in segments if name not in grads)
+        raise ContractError(f"no gradient for parameter {missing!r}")
+    np.multiply(g, g, out=state.grad_sq)
+
     state.step += 1
     t = state.step
-    for name in sorted(grads):
-        g = grads[name]
-        theta = tensors[name]
-        if g.shape != theta.shape:
-            raise ShapeError(f"gradient {name} shape {g.shape} != parameter {theta.shape}")
-        if cfg.optimizer == "sgd":
-            theta -= cfg.learning_rate * g
-        elif cfg.optimizer == "momentum":
-            v = state.v.setdefault(name, np.zeros_like(theta))
-            v *= cfg.momentum
-            v += g
-            theta -= cfg.learning_rate * v
-        else:
-            m = state.m.setdefault(name, np.zeros_like(theta))
-            v = state.v.setdefault(name, np.zeros_like(theta))
-            m *= cfg.adam_beta1
-            m += (1.0 - cfg.adam_beta1) * g
-            v *= cfg.adam_beta2
-            v += (1.0 - cfg.adam_beta2) * (g * g)
-            mhat = m / (1.0 - cfg.adam_beta1 ** t)
-            vhat = v / (1.0 - cfg.adam_beta2 ** t)
-            theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+    lr = cfg.learning_rate
+    if cfg.optimizer == "sgd":
+        np.multiply(g, lr, out=delta)
+    elif cfg.optimizer == "momentum":
+        if state.v is None:
+            state.v = np.zeros_like(theta)
+        v = state.v
+        v *= cfg.momentum
+        v += g
+        np.multiply(v, lr, out=delta)
+    else:
+        if state.m is None:
+            state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
+        m, v = state.m, state.v
+        m *= cfg.adam_beta1
+        m += np.multiply(g, 1.0 - cfg.adam_beta1, out=tmp)
+        v *= cfg.adam_beta2
+        v += np.multiply(state.grad_sq, 1.0 - cfg.adam_beta2, out=tmp)
+        np.divide(v, 1.0 - cfg.adam_beta2 ** t, out=tmp)          # vhat
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.adam_eps
+        np.divide(m, 1.0 - cfg.adam_beta1 ** t, out=delta)      # mhat
+        delta *= lr
+        delta /= tmp
+    theta -= delta
     return state
+
+
+def grad_norm(params: networks.ModelParams, grads: dict, state: OptState) -> float:
+    """Euclidean norm of the gradient the latest ``optimizer_step`` applied.
+
+    Each tensor's segment of ``state.grad_sq`` is summed on its own and
+    the sums are added in ``grads`` order, which gives the same bits as
+    ``sqrt(sum((g * g).sum() for g in grads.values()))``.
+    """
+    sq, segments = state.grad_sq, params.segments
+    return math.sqrt(sum(float(sq[segments[name]].sum()) for name in grads))
 
 
 @dataclass
@@ -237,18 +289,17 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
                     if trainer_cfg.dropout > 0.0 else None)
             fp = networks.forward_pass(params, x, dropout_rate=trainer_cfg.dropout,
                                        dropout_rng=drng, project=project)
-            fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg)
+            fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg, probs=fp.probs)
             if not math.isfinite(fl.total):
                 raise NonFiniteLossError(step, {"task": fl.task, "xdom": fl.xdom,
                                                 "fair": fl.fair, "total": fl.total})
             grads = networks.backward_pass(fp, fl.grad_logits, fl.grad_z)
-            grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            optimizer_step(params, grads, state, trainer_cfg)
             log.steps.append(StepRecord(
                 step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
-                grad_norm=grad_norm,
+                grad_norm=grad_norm(params, grads, state),
                 linked_ce=_group_ce(fp.probs, ann.labels, ann.linked_mask),
                 shared_ce=_group_ce(fp.probs, ann.labels, ~ann.linked_mask)))
-            optimizer_step(params, grads, state, trainer_cfg)
             if step % trainer_cfg.eval_every == 0:
                 run_eval(step)
             if step >= trainer_cfg.max_steps:

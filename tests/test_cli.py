@@ -97,6 +97,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config.config_from_dict({"benchmark": {"reps": 0}})
 
+    def test_benchmark_reps_rejects_bool(self):
+        # bool is an int subclass, so `true` passed the `reps >= 1` check
+        with pytest.raises(ConfigError, match="reps"):
+            config.config_from_dict({"benchmark": {"reps": True}})
+
 
 class TestGenerateSplit:
     def test_generate_writes_deterministic_csv(self, cfg_path, tmp_path, capsys):
@@ -223,6 +228,22 @@ class TestErrorExits:
         assert payload["type"] == "NonFiniteLossError"
         assert "non-finite loss at step" in payload["message"]
 
+    @pytest.mark.parametrize("override", [
+        "loss.lambda_xdom=NaN", "loss.lambda_fair=NaN", "loss.a=NaN",
+        "loss.b=Infinity", "loss.temperature=Infinity",
+        "trainer.learning_rate=NaN", "trainer.momentum=-Infinity",
+        "trainer.adam_beta1=NaN", "trainer.adam_beta2=Infinity",
+        "trainer.adam_eps=NaN"])
+    def test_non_finite_config_value_exit_2(self, tmp_path, capsys, override):
+        # NaN slips past `x < 0`-style range checks; it must fail as config
+        tiny = Path(__file__).resolve().parents[1] / "configs" / "tiny_benchmark.json"
+        code = run_cli("train", "--config", str(tiny), "--out", str(tmp_path / "nan"),
+                       "--set", override)
+        assert code == cli.EXIT_CONFIG
+        payload = self.read_error(capsys)
+        assert payload["type"] == "ConfigError"
+        assert override.split("=")[0].split(".")[1] in payload["message"]
+
     def test_missing_checkpoint_flag_exit_2(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "emb"
         code = run_cli("dump-embeddings", "--config", str(cfg_path), "--out", str(out))
@@ -265,6 +286,13 @@ class TestBenchmark:
                 "--set", "search.n_trials=0")
         doc = json.loads((out / "benchmark.json").read_text())
         assert all(c["winner"] is None for c in doc["cells"])
+
+
+@pytest.mark.parametrize("jobs, cells, cpus, want", [
+    (1, 10, 4, 1), (8, 10, 4, 4), (8, 3, 4, 3), (3, 10, None, 1),
+    (0, 10, 4, 1), (-2, 5, 4, 1), (10**6, 2, 64, 2), (5, 0, 4, 1)])
+def test_worker_count_clamps_jobs(jobs, cells, cpus, want):
+    assert cli.worker_count(jobs, cells, cpus) == want
 
 
 class TestDumpEmbeddings:

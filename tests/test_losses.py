@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fond import losses, ndcore
-from fond.errors import BatchTooSmallError, ConfigError, ContractError
+from fond import losses, ndcore, networks
+from fond.errors import BatchTooSmallError, ConfigError, ContractError, ShapeError
 
 from oracles import (
     central_difference,
@@ -44,6 +44,13 @@ class TestLossConfig:
             losses.LossConfig(alpha_mode="inside")
         with pytest.raises(ConfigError):
             losses.LossConfig(variant="mystery")
+
+    def test_nonfinite_values_rejected(self):
+        # NaN fails no `<` range check, so each needs its own finite check
+        for name in ("temperature", "a", "b", "lambda_xdom", "lambda_fair"):
+            for bad in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ConfigError, match=name):
+                    losses.LossConfig(**{name: bad})
 
     def test_variant_forcing(self):
         base = dict(a=3.0, b=2.0, lambda_xdom=1.0, lambda_fair=1.0)
@@ -290,6 +297,51 @@ class TestFairLoss:
 
 
 class TestFondLoss:
+    @pytest.mark.parametrize("variant", losses.VARIANTS)
+    def test_forward_probs_match_logits_path_bytes(self, variant):
+        # the trainer hands forward_pass's probabilities to fond_loss; the
+        # result must equal the logits-only path and the pre-pass-through
+        # composition of the three terms, byte for byte
+        net = networks.NetworkConfig(input_dim=5, num_classes=4, feature_dim=6,
+                                     projection_dim=3, f_hidden=(7,), p_hidden=(8,))
+        rng = np.random.default_rng(35)
+        fp = networks.forward_pass(networks.init_params(net, 3), rng.normal(size=(16, 5)),
+                                   dropout_rate=0.2, dropout_rng=rng)
+        ann = losses.BatchAnnotations(rng.integers(0, 4, size=16),
+                                      rng.integers(0, 3, size=16), rng.random(16) < 0.5)
+        cfg = losses.LossConfig(temperature=0.2, a=2.0, b=1.5, lambda_xdom=0.4,
+                                lambda_fair=0.7, variant=variant)
+        passed = losses.fond_loss(fp.logits, fp.z, ann, cfg, probs=fp.probs)
+        computed = losses.fond_loss(fp.logits, fp.z, ann, cfg)
+
+        r = cfg.resolved()
+        probs = ndcore.softmax_forward(fp.logits)
+        task, grad_logits = losses.task_loss(probs, ann.labels)
+        total, xdom, fair, grad_z = task, 0.0, 0.0, None
+        if r.lambda_xdom > 0:
+            xdom, g_z = losses.xdom_loss(fp.z, ann, r)
+            grad_z = r.lambda_xdom * g_z
+            total = total + r.lambda_xdom * xdom
+        if r.lambda_fair > 0:
+            fair, g_fair = losses.fair_loss(probs, ann.labels, ann.linked_mask)
+            grad_logits = grad_logits + r.lambda_fair * g_fair
+            total = total + r.lambda_fair * fair
+
+        for out in (passed, computed):
+            assert (out.total, out.task, out.xdom, out.fair) == (total, task, xdom, fair)
+            assert out.grad_logits.tobytes() == grad_logits.tobytes()
+            assert (out.grad_z is None) == (grad_z is None)
+            if grad_z is not None:
+                assert out.grad_z.tobytes() == grad_z.tobytes()
+            assert out.config == r
+
+    def test_forward_probs_shape_checked(self):
+        z, ann = random_batch(36, n=6)
+        logits = np.random.default_rng(6).normal(size=(6, 3))
+        with pytest.raises(ShapeError):
+            losses.fond_loss(logits, z, ann, losses.LossConfig(),
+                             probs=ndcore.softmax_forward(logits)[:, :2])
+
     def test_erm_reduction_exact(self):
         z, ann = random_batch(31, n=6)
         logits = np.random.default_rng(1).normal(size=(6, 3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fond import losses, ndcore, networks
+from fond import cli, losses, ndcore, networks
 from fond.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 
 from oracles import central_difference, rel_error
@@ -257,6 +257,44 @@ class TestDropout:
             networks.forward_pass(params, np.ones((2, 5)), dropout_rate=1.0)
 
 
+class TestFlatStorage:
+    def test_views_share_one_vector_in_layout_order(self):
+        params = networks.init_params(SMALL, 30)
+        layout = networks.param_layout(SMALL)
+        assert [(k, v.shape) for k, v in params.tensors().items()] == layout
+        assert params.flat.size == sum(v.size for v in params.tensors().values())
+        for name, view in params.tensors().items():
+            assert np.shares_memory(view, params.flat)
+            assert np.array_equal(view.ravel(), params.flat[params.segments[name]])
+
+    def test_tensors_cannot_be_rebound(self):
+        params = networks.init_params(SMALL, 31)
+        with pytest.raises(TypeError):
+            params.tensors()["g.w"] = np.zeros((6, 4))
+
+    def test_clone_has_independent_storage(self):
+        params = networks.init_params(SMALL, 32)
+        before = params.flat.copy()
+        other = params.clone()
+        assert not np.shares_memory(other.flat, params.flat)
+        other.tensors()["f.w0"][...] = 7.0
+        assert np.array_equal(params.flat, before)
+        assert np.all(other.flat[other.segments["f.w0"]] == 7.0)
+
+    def test_loaded_checkpoints_have_independent_storage(self, tmp_path):
+        path = tmp_path / "model.npz"
+        networks.save_checkpoint(networks.init_params(SMALL, 33), path)
+        a, b = networks.load_checkpoint(path), networks.load_checkpoint(path)
+        assert not np.shares_memory(a.flat, b.flat)
+        a.tensors()["g.b"][...] = 3.0
+        assert np.all(a.flat[a.segments["g.b"]] == 3.0)
+        assert not b.tensors()["g.b"].any()
+
+    def test_rejects_wrong_flat_vector(self):
+        with pytest.raises(ShapeError):
+            networks.ModelParams(config=SMALL, seed=0, flat=np.zeros(3))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = networks.init_params(SMALL, 21)
@@ -278,6 +316,40 @@ class TestCheckpoint:
         networks.save_checkpoint(params, p1)
         networks.save_checkpoint(params, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def edited_checkpoint(self, tmp_path, edit):
+        path = tmp_path / "model.npz"
+        networks.save_checkpoint(networks.init_params(SMALL, 23), path)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        edit(arrays)
+        edited = tmp_path / "edited.npz"
+        np.savez(edited, **arrays)
+        return edited
+
+    def test_rejects_missing_tensor(self, tmp_path):
+        path = self.edited_checkpoint(tmp_path, lambda a: a.pop("p.b0"))
+        with pytest.raises(ContractError, match=r"lacks tensor 'p\.b0'"):
+            networks.load_checkpoint(path)
+
+    def test_rejects_extra_tensor(self, tmp_path):
+        path = self.edited_checkpoint(tmp_path, lambda a: a.update({"p.w9": np.ones((2, 2))}))
+        with pytest.raises(ContractError, match=r"has tensor 'p\.w9'"):
+            networks.load_checkpoint(path)
+
+    def test_rejects_wrong_shape(self, tmp_path):
+        path = self.edited_checkpoint(tmp_path, lambda a: a.update({"g.w": a["g.w"].T}))
+        with pytest.raises(ContractError, match=r"'g\.w' has shape \(4, 6\)"):
+            networks.load_checkpoint(path)
+
+    def test_missing_tensor_exits_2(self, tmp_path, capsys):
+        ckpt = self.edited_checkpoint(tmp_path, lambda a: a.pop("f.w0"))
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"dataset": {"synthetic": {"num_classes": 4, "input_dim": 5}}}')
+        code = cli.main(["dump-embeddings", "--config", str(cfg), "--out",
+                         str(tmp_path / "emb"), "--checkpoint", str(ckpt)])
+        assert code == cli.EXIT_CONFIG
+        assert "f.w0" in capsys.readouterr().err
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"

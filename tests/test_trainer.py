@@ -4,10 +4,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fond import datagen, losses, networks, trainer
-from fond.errors import ConfigError, NonFiniteLossError, ShapeError
+from fond.errors import ConfigError, ContractError, NonFiniteLossError, ShapeError
 from fond.seeding import subseed
+
+from optim_frozen import RefOptState, ref_grad_norm, ref_optimizer_step
 
 
 def make_setup(seed=0, num_classes=4, num_domains=4, input_dim=8,
@@ -45,6 +49,13 @@ class TestTrainerConfig:
             trainer.TrainerConfig(optimizer="rmsprop")
         with pytest.raises(ConfigError):
             trainer.TrainerConfig(selection_metric="loss")
+
+    def test_nonfinite_hyperparameters_rejected(self):
+        for field_name in ("learning_rate", "momentum", "adam_beta1", "adam_beta2",
+                           "adam_eps"):
+            for bad in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ConfigError, match=field_name):
+                    trainer.TrainerConfig(**{field_name: bad})
 
 
 class TestOptimizerStep:
@@ -106,6 +117,60 @@ class TestOptimizerStep:
         with pytest.raises(ShapeError):
             trainer.optimizer_step(params, grads, trainer.OptState(),
                                    trainer.TrainerConfig())
+
+    def test_gradient_key_set_must_match_parameters(self):
+        params = self.params()
+        grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+        del grads["p.b0"]
+        with pytest.raises(ContractError, match="p.b0"):
+            trainer.optimizer_step(params, grads, trainer.OptState(),
+                                   trainer.TrainerConfig())
+        grads["p.b0"] = np.zeros(2)
+        grads["q.w"] = np.zeros(1)
+        with pytest.raises(ContractError, match="q.w"):
+            trainer.optimizer_step(params, grads, trainer.OptState(),
+                                   trainer.TrainerConfig())
+
+
+@settings(max_examples=80, deadline=None)
+@given(optimizer=st.sampled_from(trainer.OPTIMIZERS), steps=st.integers(1, 5),
+       projection_dim=st.integers(1, 9), extra_feature=st.integers(0, 30),
+       f_hidden=st.lists(st.integers(1, 40), max_size=3),
+       p_hidden=st.lists(st.integers(1, 40), max_size=2),
+       input_dim=st.integers(1, 20), num_classes=st.integers(2, 9),
+       zero_p_head=st.booleans(), seed=st.integers(0, 2**31))
+def test_optimizer_step_bit_identical_to_frozen_per_tensor(
+        optimizer, steps, projection_dim, extra_feature, f_hidden, p_hidden,
+        input_dim, num_classes, zero_p_head, seed):
+    # random widths shift every segment boundary of the flat vector;
+    # gradients span many magnitudes and arrive in backward_pass's
+    # dict order (P, G, F), which is not the storage order
+    net_cfg = networks.NetworkConfig(
+        input_dim=input_dim, num_classes=num_classes,
+        feature_dim=projection_dim + extra_feature, projection_dim=projection_dim,
+        f_hidden=tuple(f_hidden), p_hidden=tuple(p_hidden))
+    params = networks.init_params(net_cfg, seed)
+    ref = {k: v.copy() for k, v in params.tensors().items()}
+    tcfg = trainer.TrainerConfig(optimizer=optimizer, learning_rate=0.003,
+                                 momentum=0.8, adam_beta1=0.85, adam_beta2=0.995)
+    state, ref_state = trainer.OptState(), RefOptState()
+    names = sorted(ref, key=lambda k: ("pgf".index(k[0]), k))
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        grads = {k: rng.normal(size=ref[k].shape) * 10.0 ** rng.uniform(-6, 3)
+                 for k in names}
+        if zero_p_head:   # what the ERM path feeds the projection head
+            grads.update({k: np.zeros_like(g) for k, g in grads.items() if k[0] == "p"})
+        trainer.optimizer_step(params, grads, state, tcfg)
+        ref_optimizer_step(ref, grads, ref_state, tcfg)
+        assert trainer.grad_norm(params, grads, state) == ref_grad_norm(grads)
+    assert state.step == ref_state.step == steps
+    for k, v in params.tensors().items():
+        assert v.tobytes() == ref[k].tobytes(), k
+    for flat, slots in ((state.m, ref_state.m), (state.v, ref_state.v)):
+        assert (flat is None) == (not slots)
+        for k, slot in slots.items():
+            assert flat[params.segments[k]].tobytes() == slot.tobytes(), k
 
 
 class TestTrainLoop:
@@ -184,7 +249,7 @@ class TestTrainLoop:
         pool, _, plan, net_cfg = make_setup()
         params = networks.init_params(net_cfg, 1)
 
-        def bad_loss(logits, z, ann, cfg):
+        def bad_loss(logits, z, ann, cfg, probs=None):
             n, c = logits.shape
             return losses.FondLoss(total=float("nan"), task=float("nan"), xdom=0.0,
                                    fair=0.0, grad_logits=np.zeros((n, c)),
