@@ -47,8 +47,7 @@ def build_dataset(cfg: RunConfig) -> datagen.Dataset:
 def build_plan(cfg: RunConfig, dataset: datagen.Dataset, setting) -> datagen.SplitPlan:
     if cfg.split.plan_path is not None:
         return datagen.SplitPlan.load(cfg.split.plan_path)
-    num_domains = max(dataset.domain_set()) + 1
-    return datagen.make_split_plan(dataset.class_set(), num_domains,
+    return datagen.make_split_plan(dataset.class_set(), dataset.domain_set(),
                                    cfg.split.target_domain, setting,
                                    subseed(cfg.seed, "plan", setting))
 

@@ -40,14 +40,6 @@ TRANSFORM_FAMILIES = ("rotation", "affine", "channel_bias")
 _SHARED_PRESETS = {5: (2, 4), 7: (3, 5), 65: (25, 50)}
 
 
-@dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    label: int
-    domain: int
-    id: int
-
-
 @dataclass
 class Dataset:
     """Columnar sample store. ids are stable across subsetting."""
@@ -86,10 +78,6 @@ class Dataset:
 
     def domain_set(self) -> set[int]:
         return set(int(s) for s in np.unique(self.domains))
-
-    def sample(self, i: int) -> Sample:
-        return Sample(features=self.features[i].copy(), label=int(self.labels[i]),
-                      domain=int(self.domains[i]), id=int(self.ids[i]))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
@@ -320,8 +308,12 @@ def shared_class_count(num_classes: int, setting) -> int:
     return n_s
 
 
-def make_split_plan(classes, num_domains: int, target_domain: int, setting, seed) -> SplitPlan:
+def make_split_plan(classes, domains, target_domain: int, setting, seed) -> SplitPlan:
     """Seeded draw of a linked/shared split and its domain assignment.
+
+    ``domains`` is the collection of domain ids, or a count k for the
+    ids 0..k-1. The draw depends on the ids only through their sorted
+    order, so an order-preserving relabelling relabels the plan.
 
     The class list is shuffled once to pick the shared group, and the
     source-domain order is shuffled once. Linked class j lands on source
@@ -336,17 +328,18 @@ def make_split_plan(classes, num_domains: int, target_domain: int, setting, seed
     n = len(classes)
     if n < 3:
         raise ConfigError(f"need at least 3 classes, got {n}")
-    if num_domains < 3:
-        raise ConfigError(f"need at least 3 domains (2 sources), got {num_domains}")
-    if not 0 <= target_domain < num_domains:
-        raise ConfigError(f"target_domain {target_domain} outside [0, {num_domains})")
+    domains = sorted({int(s) for s in (range(domains) if isinstance(domains, int) else domains)})
+    if len(domains) < 3:
+        raise ConfigError(f"need at least 3 domains (2 sources), got {len(domains)}")
+    if target_domain not in domains:
+        raise ConfigError(f"target_domain {target_domain} is not one of the domains {domains}")
     n_s = shared_class_count(n, setting)
 
     rng = rng_for(seed, "split")
     order = list(np.array(classes)[rng.permutation(n)])
     shared = [int(c) for c in order[:n_s]]
     linked = [int(c) for c in order[n_s:]]
-    sources = [s for s in range(num_domains) if s != target_domain]
+    sources = [s for s in domains if s != target_domain]
     dom_order = list(np.array(sources)[rng.permutation(len(sources))])
     k = len(sources)
 

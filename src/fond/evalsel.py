@@ -41,9 +41,7 @@ class MetricsReport:
 
 def predict(params: networks.ModelParams, features) -> np.ndarray:
     """Class predictions; argmax ties resolve to the lowest class id."""
-    h = networks.forward_features(params, features)
-    logits, _ = networks.forward_classifier(params, h)
-    return np.argmax(logits, axis=1)
+    return np.argmax(networks.forward_pass(params, features, project=False).logits, axis=1)
 
 
 def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
@@ -333,7 +331,7 @@ def write_aggregate_csv(rows: list[AggregateRow], path,
 def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
                     plan: datagen.SplitPlan, path) -> None:
     """CSV of feature vectors: id, domain, label, group, h_0..h_{d-1}."""
-    h = networks.forward_features(params, dataset.features)
+    h = networks.forward_pass(params, dataset.features, project=False).h
     linked = set(plan.linked_classes)
     with open(path, "w", encoding="utf-8") as fh:
         cols = ",".join(f"h_{j}" for j in range(h.shape[1]))

@@ -71,16 +71,20 @@ def affine_backward(upstream: Tensor2, cache):
 
 
 def relu_forward(x: Tensor2):
+    """max(x, 0); the cache is the output itself, since ``out > 0``
+    exactly where ``x > 0`` (NaN and -0.0 included) and the next layer
+    holds ``out`` anyway, so no copy of the input is kept."""
     x = as_matrix(x, "x")
-    return np.maximum(x, 0.0), x
+    out = np.maximum(x, 0.0)
+    return out, out
 
 
 def relu_backward(upstream: Tensor2, cache) -> Tensor2:
-    x = cache
+    out = cache
     upstream = as_matrix(upstream, "upstream")
-    if upstream.shape != x.shape:
-        raise ShapeError(f"upstream{upstream.shape} does not match input{x.shape}")
-    return upstream * (x > 0.0)
+    if upstream.shape != out.shape:
+        raise ShapeError(f"upstream{upstream.shape} does not match output{out.shape}")
+    return upstream * (out > 0.0)
 
 
 def softmax_forward(logits: Tensor2) -> Tensor2:

@@ -1,4 +1,4 @@
-"""Three-headed MLP model: feature extractor, projection head, classifier.
+"""MLP model: one feature trunk with a classifier head and a projection head.
 
 The model factors as
 
@@ -9,6 +9,11 @@ The model factors as
 The classification path is G(F(x)) and never consumes z; the contrastive
 path is P(F(x)) and never consumes logits. Dropout, when enabled, is
 applied to h once and both heads read the dropped h.
+
+``forward_pass`` is the only forward. Training runs it with dropout and,
+when the objective has a contrastive term, with P; prediction and
+embedding dumps run it with ``project=False`` and no dropout, reading
+``logits`` or ``h``. ``backward_pass`` consumes its caches.
 
 Parameters live in one flat float64 vector with named views into it
 (``f.w0``, ``p.b1``, ``g.w``, ...), so the optimizer updates the whole
@@ -143,9 +148,6 @@ class ModelParams:
     def clone(self) -> "ModelParams":
         return ModelParams(config=self.config, seed=self.seed, flat=self.flat.copy())
 
-    def _layers(self, prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
-        return self._heads[prefix]
-
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
@@ -162,13 +164,13 @@ def init_params(config: NetworkConfig, seed: int) -> ModelParams:
     return params
 
 
-def _mlp_forward(x, layers, final_relu: bool = False):
+def _mlp_forward(x, layers):
     """Affine stack with ReLU between layers; returns (out, caches)."""
     caches = []
     out = x
     for i, (w, b) in enumerate(layers):
         out, aff_cache = ndcore.affine_forward(out, w, b)
-        if final_relu or i < len(layers) - 1:
+        if i < len(layers) - 1:
             out, relu_cache = ndcore.relu_forward(out)
         else:
             relu_cache = None
@@ -189,42 +191,9 @@ def _mlp_backward(upstream, caches):
     return g, grads
 
 
-def forward_features(params: ModelParams, x_batch) -> np.ndarray:
-    x = ndcore.as_matrix(x_batch, "x_batch")
-    if x.shape[1] != params.config.input_dim:
-        raise ShapeError(
-            f"x_batch has {x.shape[1]} columns, config expects {params.config.input_dim}"
-        )
-    h, _ = _mlp_forward(x, params._layers("f"))
-    return h
-
-
-def forward_projection(params: ModelParams, h_batch) -> np.ndarray:
-    h = ndcore.as_matrix(h_batch, "h_batch")
-    if h.shape[1] != params.config.feature_dim:
-        raise ShapeError(
-            f"h_batch has {h.shape[1]} columns, config expects {params.config.feature_dim}"
-        )
-    pre, _ = _mlp_forward(h, params._layers("p"))
-    z, _ = ndcore.l2_normalize_rows(pre)
-    return z
-
-
-def forward_classifier(params: ModelParams, h_batch):
-    """Returns (logits, probabilities)."""
-    h = ndcore.as_matrix(h_batch, "h_batch")
-    if h.shape[1] != params.config.feature_dim:
-        raise ShapeError(
-            f"h_batch has {h.shape[1]} columns, config expects {params.config.feature_dim}"
-        )
-    w, b = params.tensors()["g.w"], params.tensors()["g.b"]
-    logits, _ = ndcore.affine_forward(h, w, b)
-    return logits, ndcore.softmax_forward(logits)
-
-
 @dataclass
 class ForwardPass:
-    """Activations and caches of one training-mode forward evaluation."""
+    """Activations and caches of one forward evaluation."""
 
     h: np.ndarray            # post-dropout features fed to both heads
     z: np.ndarray | None     # unit-norm projections; None when P was skipped
@@ -256,7 +225,7 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
         raise ShapeError(
             f"x_batch has {x.shape[1]} columns, config expects {params.config.input_dim}"
         )
-    h, f_caches = _mlp_forward(x, params._layers("f"))
+    h, f_caches = _mlp_forward(x, params._heads["f"])
 
     mask = None
     if dropout_rate > 0.0:
@@ -267,7 +236,7 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
 
     z = p_caches = norm_cache = None
     if project:
-        pre, p_caches = _mlp_forward(h, params._layers("p"))
+        pre, p_caches = _mlp_forward(h, params._heads["p"])
         z, norm_cache = ndcore.l2_normalize_rows(pre)
 
     w, b = params.tensors()["g.w"], params.tensors()["g.b"]
@@ -282,15 +251,15 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
 def backward_pass(fp: ForwardPass, grad_logits, grad_z) -> dict[str, np.ndarray]:
     """Parameter gradients given upstream grads at the two heads.
 
-    Either upstream may be None: that head contributes nothing (its own
-    parameters get explicit zero grads so the key set is stable, and the
-    feature gradient is exactly the other head's contribution, with no
-    zero-tensor additions).
+    ``grad_logits`` is required, since every objective has the task term.
+    ``grad_z`` may be None: P then contributes nothing, its parameters
+    get explicit zero grads so the key set is stable, and the feature
+    gradient is exactly G's. Keys come in the order P, G, F, which is
+    the order ``trainer.grad_norm`` sums in.
     """
     params = fp._params
     grads: dict[str, np.ndarray] = {}
-    contributions = []
-
+    grad_h_from_p = None
     if grad_z is not None:
         if fp.z is None:
             raise ContractError("grad_z given, but the forward pass skipped the projection head")
@@ -302,41 +271,23 @@ def backward_pass(fp: ForwardPass, grad_logits, grad_z) -> dict[str, np.ndarray]
         for i, (gw, gb) in enumerate(p_layer_grads):
             grads[f"p.w{i}"] = gw
             grads[f"p.b{i}"] = gb
-        contributions.append(grad_h_from_p)
     else:
         for i in range(len(params.config.p_layer_dims())):
             grads[f"p.w{i}"] = np.zeros_like(params.tensors()[f"p.w{i}"])
             grads[f"p.b{i}"] = np.zeros_like(params.tensors()[f"p.b{i}"])
 
-    if grad_logits is not None:
-        grad_logits = ndcore.as_matrix(grad_logits, "grad_logits")
-        if grad_logits.shape != fp.logits.shape:
-            raise ShapeError(f"grad_logits{grad_logits.shape} vs logits{fp.logits.shape}")
-        grad_h_from_g, gw, gb = ndcore.affine_backward(grad_logits, fp._g_cache)
-        grads["g.w"] = gw
-        grads["g.b"] = gb
-        contributions.append(grad_h_from_g)
-    else:
-        grads["g.w"] = np.zeros_like(params.tensors()["g.w"])
-        grads["g.b"] = np.zeros_like(params.tensors()["g.b"])
-
-    if contributions:
-        grad_h = contributions[0]
-        for extra in contributions[1:]:
-            grad_h = grad_h + extra
-    else:
-        grad_h = np.zeros_like(fp.h)
+    grad_logits = ndcore.as_matrix(grad_logits, "grad_logits")
+    if grad_logits.shape != fp.logits.shape:
+        raise ShapeError(f"grad_logits{grad_logits.shape} vs logits{fp.logits.shape}")
+    grad_h, grads["g.w"], grads["g.b"] = ndcore.affine_backward(grad_logits, fp._g_cache)
+    if grad_h_from_p is not None:
+        grad_h = grad_h_from_p + grad_h
     if fp._dropout_mask is not None:
         grad_h = grad_h * fp._dropout_mask
     _, f_layer_grads = _mlp_backward(grad_h, fp._f_caches)
     for i, (gw_f, gb_f) in enumerate(f_layer_grads):
         grads[f"f.w{i}"] = gw_f
         grads[f"f.b{i}"] = gb_f
-
-    for name, g in grads.items():
-        want = params.tensors()[name].shape
-        if g.shape != want:
-            raise ShapeError(f"gradient {name} has shape {g.shape}, parameter has {want}")
     return grads
 
 

@@ -1,8 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fond import cli, config, datagen, networks
 from fond.errors import ConfigError
@@ -103,6 +106,14 @@ class TestConfig:
             config.config_from_dict({"benchmark": {"reps": True}})
 
 
+    def test_readme_json_examples_load(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert blocks
+        for block in blocks:
+            config.config_from_dict(json.loads(block))
+
+
 class TestGenerateSplit:
     def test_generate_writes_deterministic_csv(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "g1"
@@ -136,6 +147,53 @@ class TestGenerateSplit:
         assert plan.target_domain == 2
         assert (out / "plan_provenance.json").exists()
         plan.validate()
+
+    def test_split_uses_the_dataset_domain_ids(self, tmp_path):
+        # ids {0, 3, 7, 9} once gave source domains 1..9, and a linked
+        # class placed on a missing domain got no training samples
+        ds = datagen.generate_synthetic(datagen.SyntheticSpec(
+            num_classes=6, input_dim=3, num_domains=4, samples_per_cell=3), 1)
+        ds.domains = np.array([0, 3, 7, 9])[ds.domains]
+        datagen.export_csv(ds, tmp_path / "data.csv")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_doc(
+            dataset={"csv_path": str(tmp_path / "data.csv")},
+            split={"setting": "low", "target_domain": 0})))
+        for seed in range(5):
+            out = tmp_path / f"sp{seed}"
+            assert run_cli("split", "--config", str(cfg), "--out", str(out),
+                           "--seed", str(seed)) == 0
+            plan = datagen.SplitPlan.load(out / "plan.json")
+            assert plan.source_domains == (3, 7, 9)
+            pool, _ = datagen.apply_split(datagen.ingest_csv(tmp_path / "data.csv"), plan)
+            assert pool.class_set() == set(range(6))
+        assert run_cli("split", "--config", str(cfg), "--out", str(tmp_path / "bad"),
+                       "--set", "split.target_domain=5") == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=3, max_size=6, unique=True),
+           st.integers(0, 5), st.sampled_from(["low", "high"]), st.integers(0, 2**20))
+    def test_order_preserving_domain_relabel_keeps_the_plan(self, ids, t, setting, seed):
+        ids = sorted(ids)
+        t %= len(ids)
+        k, n_classes = len(ids), 5
+
+        def plan_for(domain_ids, target):
+            ds = datagen.Dataset(features=np.zeros((k * n_classes, 2)),
+                                 labels=np.tile(np.arange(n_classes), k),
+                                 domains=np.repeat(domain_ids, n_classes),
+                                 ids=np.arange(k * n_classes))
+            doc = base_doc(seed=seed, split={"setting": setting, "target_domain": target})
+            return cli.build_plan(config.config_from_dict(doc), ds, setting)
+
+        plan = plan_for(np.arange(k), t)
+        moved = plan_for(ids, ids[t])
+        assert moved.target_domain == ids[t]
+        assert moved.source_domains == tuple(ids[s] for s in plan.source_domains)
+        assert moved.shared_classes == plan.shared_classes
+        assert moved.linked_classes == plan.linked_classes
+        assert moved.assignment == {c: frozenset(ids[s] for s in doms)
+                                    for c, doms in plan.assignment.items()}
 
 
 class TestTrain:

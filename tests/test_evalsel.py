@@ -403,7 +403,10 @@ class TestDumpEmbeddings:
         lines = path.read_text().splitlines()
         assert len(lines) == len(ds) + 1
         assert lines[0].startswith("id,domain,label,group,h_0")
-        h = networks.forward_features(params, ds.features)
+        t = params.tensors()
+        h = ds.features
+        for i in range(len(net_cfg.f_layer_dims())):
+            h = (np.maximum(h, 0.0) if i else h) @ t[f"f.w{i}"] + t[f"f.b{i}"]
         linked = plan.linked_classes
         for i in (0, len(ds) // 2, len(ds) - 1):
             cells = lines[i + 1].split(",")

@@ -83,6 +83,13 @@ class TestReluSoftmax:
 
         assert rel_error(central_difference(scalar, x.copy()), grad) < 1e-6
 
+        # at the kink: exact zeros, -0.0 and NaN pass no gradient, bit for bit
+        x = np.array([[0.0, -0.0, np.nan, 5e-324, -5e-324, 2.0]])
+        upstream = np.array([[1.5, -2.0, 3.0, -4.0, 5.0, -6.0]])
+        _, cache = ndcore.relu_forward(x)
+        want = upstream * (x > 0.0)
+        assert ndcore.relu_backward(upstream, cache).tobytes() == want.tobytes()
+
     def test_softmax_symmetry(self):
         out = ndcore.softmax_forward([[0.0, 0.0, 0.0]])
         assert np.allclose(out, 1.0 / 3.0, atol=1e-15)

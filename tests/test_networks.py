@@ -77,59 +77,67 @@ class TestForward:
                                      projection_dim=3, identity_features=True)
         params = networks.init_params(cfg, 0)
         x = np.random.default_rng(0).normal(size=(5, 4))
-        assert np.array_equal(networks.forward_features(params, x), x)
+        assert np.array_equal(networks.forward_pass(params, x, project=False).h, x)
 
     def test_identity_projection_is_pure_normalization(self):
         cfg = networks.NetworkConfig(input_dim=4, num_classes=3, feature_dim=4,
-                                     projection_dim=4, identity_projection=True)
+                                     projection_dim=4, identity_features=True,
+                                     identity_projection=True)
         params = networks.init_params(cfg, 0)
         h = np.random.default_rng(1).normal(size=(5, 4))
         unit, _ = ndcore.l2_normalize_rows(h)
-        assert np.abs(networks.forward_projection(params, unit) - unit).max() <= 1e-15
+        assert np.abs(networks.forward_pass(params, unit).z - unit).max() <= 1e-15
 
     def test_projection_rows_unit_norm(self):
         params = networks.init_params(SMALL, 3)
-        h = networks.forward_features(params, np.random.default_rng(2).normal(size=(6, 5)))
-        z = networks.forward_projection(params, h)
+        z = networks.forward_pass(params, np.random.default_rng(2).normal(size=(6, 5))).z
         assert z.shape == (6, SMALL.projection_dim)
         assert np.abs(np.sqrt((z * z).sum(axis=1)) - 1.0).max() <= 1e-12
 
     def test_zero_projection_row_raises(self):
         cfg = networks.NetworkConfig(input_dim=3, num_classes=3, feature_dim=3,
-                                     projection_dim=3, identity_projection=True)
+                                     projection_dim=3, identity_features=True,
+                                     identity_projection=True)
         params = networks.init_params(cfg, 0)
         with pytest.raises(DegenerateInputError):
-            networks.forward_projection(params, np.zeros((2, 3)))
+            networks.forward_pass(params, np.zeros((2, 3)))
 
     def test_classifier_uniform_at_zero_weights(self):
         params = networks.init_params(SMALL, 5)
         params.tensors()["g.w"][:] = 0.0
-        logits, probs = networks.forward_classifier(params, np.ones((3, 6)))
-        assert np.allclose(probs, 1.0 / SMALL.num_classes, atol=1e-15)
-        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
-        assert logits.shape == (3, SMALL.num_classes)
+        fp = networks.forward_pass(params, np.ones((3, 5)), project=False)
+        assert np.allclose(fp.probs, 1.0 / SMALL.num_classes, atol=1e-15)
+        assert np.abs(fp.probs.sum(axis=1) - 1.0).max() <= 1e-12
+        assert fp.logits.shape == (3, SMALL.num_classes)
 
     def test_argmax_agrees_between_logits_and_probs(self):
         params = networks.init_params(SMALL, 6)
-        rng = np.random.default_rng(3)
-        h = rng.normal(size=(10, 6))
-        logits, probs = networks.forward_classifier(params, h)
-        assert np.array_equal(np.argmax(logits, axis=1), np.argmax(probs, axis=1))
+        fp = networks.forward_pass(params, np.random.default_rng(3).normal(size=(10, 5)))
+        assert np.array_equal(np.argmax(fp.logits, axis=1), np.argmax(fp.probs, axis=1))
 
     def test_input_width_checked(self):
         params = networks.init_params(SMALL, 6)
-        with pytest.raises(ShapeError):
-            networks.forward_features(params, np.ones((2, 9)))
-        with pytest.raises(ShapeError):
-            networks.forward_projection(params, np.ones((2, 9)))
-        with pytest.raises(ShapeError):
-            networks.forward_classifier(params, np.ones((2, 9)))
+        for project in (True, False):
+            with pytest.raises(ShapeError):
+                networks.forward_pass(params, np.ones((2, 9)), project=project)
 
     def test_fixed_seed_twice_bit_identical(self):
         x = np.random.default_rng(4).normal(size=(4, 5))
-        h1 = networks.forward_features(networks.init_params(SMALL, 11), x)
-        h2 = networks.forward_features(networks.init_params(SMALL, 11), x)
-        assert np.array_equal(h1, h2)
+        a = networks.forward_pass(networks.init_params(SMALL, 11), x)
+        b = networks.forward_pass(networks.init_params(SMALL, 11), x)
+        for name in ("h", "z", "logits", "probs"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_relu_cache_is_next_layer_input(self):
+        # the ReLU output is the next affine layer's input; caching it
+        # instead of the pre-activation keeps no extra copy per layer
+        cfg = networks.NetworkConfig(input_dim=5, num_classes=4, feature_dim=6,
+                                     projection_dim=3, f_hidden=(7, 8), p_hidden=(9,))
+        fp = networks.forward_pass(networks.init_params(cfg, 1),
+                                   np.random.default_rng(5).normal(size=(4, 5)))
+        assert fp._f_caches[0][1] is fp._f_caches[1][0][0]
+        assert fp._f_caches[1][1] is fp._f_caches[2][0][0]
+        assert fp._p_caches[0][1] is fp._p_caches[1][0][0]
 
 
 class TestGradients:
@@ -142,7 +150,7 @@ class TestGradients:
         def scalar(theta, name):
             saved = params.tensors()[name].copy()
             params.tensors()[name][:] = theta
-            h = networks.forward_features(params, x)
+            h = networks.forward_pass(params, x, project=False).h
             params.tensors()[name][:] = saved
             return float((h * upstream_h).sum())
 
@@ -167,6 +175,10 @@ class TestGradients:
         fp = networks.forward_pass(params, x)
         _, grad_logits = losses.task_loss(fp.probs, labels)
         grads = networks.backward_pass(fp, grad_logits, None)
+        # stable key set, in the P, G, F order that trainer.grad_norm sums in
+        assert list(grads) == ["p.w0", "p.b0", "p.w1", "p.b1", "g.w", "g.b",
+                               "f.w0", "f.b0", "f.w1", "f.b1"]
+        assert not any(grads[name].any() for name in grads if name.startswith("p."))
 
         for name, theta in params.tensors().items():
             def scalar(v, nm=name):
@@ -195,17 +207,10 @@ class TestGradients:
             return scalar
 
         fp = networks.forward_pass(params, x)
-        grads = networks.backward_pass(fp, None, w)
+        grads = networks.backward_pass(fp, np.zeros_like(fp.logits), w)
         for name in ("p.w0", "p.w1", "p.b0", "f.w0"):
             fd = central_difference(scalar_for(name), params.tensors()[name].copy())
             assert rel_error(grads[name], fd, floor=1e-7) < 1e-4, name
-
-    def test_none_upstreams_give_zero_grads_with_stable_keys(self):
-        params = networks.init_params(SMALL, 11)
-        fp = networks.forward_pass(params, np.random.default_rng(9).normal(size=(3, 5)))
-        grads = networks.backward_pass(fp, None, None)
-        assert set(grads) == set(params.tensors())
-        assert all(not g.any() for g in grads.values())
 
     def test_skipped_projection_leaves_classifier_path_unchanged(self):
         params = networks.init_params(SMALL, 11)
@@ -227,7 +232,11 @@ class TestDropout:
         params = networks.init_params(SMALL, 12)
         x = np.random.default_rng(10).normal(size=(4, 5))
         fp = networks.forward_pass(params, x, dropout_rate=0.0, dropout_rng=None)
-        assert np.array_equal(fp.h, networks.forward_features(params, x))
+        rng = np.random.default_rng(5)
+        with_rng = networks.forward_pass(params, x, dropout_rate=0.0, dropout_rng=rng)
+        assert fp._dropout_mask is None
+        assert np.array_equal(fp.h, with_rng.h)
+        assert rng.random() == np.random.default_rng(5).random()
 
     def test_rate_positive_requires_rng(self):
         params = networks.init_params(SMALL, 12)
@@ -240,7 +249,7 @@ class TestDropout:
         a = networks.forward_pass(params, x, 0.5, np.random.default_rng(77))
         b = networks.forward_pass(params, x, 0.5, np.random.default_rng(77))
         assert np.array_equal(a.h, b.h)
-        h_clean = networks.forward_features(params, x)
+        h_clean = networks.forward_pass(params, x).h
         kept = a.h != 0.0
         assert np.allclose(a.h[kept], h_clean[kept] / 0.5, atol=1e-12)
 
@@ -248,7 +257,8 @@ class TestDropout:
         params = networks.init_params(SMALL, 12)
         x = np.random.default_rng(12).normal(size=(4, 5))
         fp = networks.forward_pass(params, x, 0.5, np.random.default_rng(3))
-        logits, _ = networks.forward_classifier(params, fp.h)
+        logits, _ = ndcore.affine_forward(fp.h, params.tensors()["g.w"],
+                                          params.tensors()["g.b"])
         assert np.array_equal(logits, fp.logits)
 
     def test_invalid_rate_rejected(self):
