@@ -19,6 +19,7 @@ full class set.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,6 +39,9 @@ TRANSFORM_FAMILIES = ("rotation", "affine", "channel_bias")
 # preset shared-class counts (low, high) for benchmark class-set sizes
 # whose published splits do not follow the 1/3 and 2/3 rounding rule
 _SHARED_PRESETS = {5: (2, 4), 7: (3, 5), 65: (25, 50)}
+
+# Rows that ``ingest_csv`` allocates first; the matrices double when full.
+_INGEST_ROWS = 64
 
 
 @dataclass
@@ -420,17 +424,21 @@ def export_csv(dataset: Dataset, path, provenance: dict | None = None) -> None:
 
 def ingest_csv(path) -> Dataset:
     """Parse a dataset CSV; '#' lines are comments. Errors carry the
-    1-based line number. Warns when per-class counts differ by > 10x."""
-    rows: list[tuple[int, int, int, np.ndarray]] = []
-    d = None
-    header_seen = False
+    1-based line number. Warns when per-class counts differ by > 10x.
+
+    Rows go straight into two growing matrices, float64 features and
+    int64 (id, domain, label), so no per-row objects outlive their line.
+    Floats are parsed by ``float``, which rounds each decimal exactly as
+    ``export_csv``'s ``repr`` expects."""
+    feats = ints = None
+    n = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split(",")
-            if not header_seen:
+            if feats is None:
                 if len(parts) < 4 or parts[:3] != ["id", "domain", "label"]:
                     raise CsvFormatError(
                         "header must start with id,domain,label,f0,...", line=lineno)
@@ -439,34 +447,37 @@ def ingest_csv(path) -> Dataset:
                     raise CsvFormatError(
                         f"feature columns must be f0..f{len(parts) - 4}", line=lineno)
                 d = len(parts) - 3
-                if d < 1:
-                    raise CsvFormatError("no feature columns", line=lineno)
-                header_seen = True
+                feats, ints = np.empty((_INGEST_ROWS, d)), np.empty((_INGEST_ROWS, 3), np.int64)
                 continue
             if len(parts) != d + 3:
                 raise CsvFormatError(
                     f"expected {d + 3} fields, found {len(parts)}", line=lineno)
+            if n == len(feats):
+                # in-place growth; refcheck is off because no view of
+                # either matrix exists yet
+                feats.resize((2 * n, d), refcheck=False)
+                ints.resize((2 * n, 3), refcheck=False)
             try:
-                sid, dom, lab = int(parts[0]), int(parts[1]), int(parts[2])
-                feats = np.array([float(v) for v in parts[3:]])
-            except ValueError as exc:
+                ints[n] = int(parts[0]), int(parts[1]), int(parts[2])
+                values = [float(v) for v in parts[3:]]
+            except (ValueError, OverflowError) as exc:   # overflow: beyond int64
                 raise CsvFormatError(f"unparsable value ({exc})", line=lineno) from None
-            if not np.isfinite(feats).all():
+            if not all(map(math.isfinite, values)):
                 raise CsvFormatError("non-finite feature value", line=lineno)
-            if dom < 0 or lab < 0:
+            if ints[n, 1] < 0 or ints[n, 2] < 0:
                 raise CsvFormatError("domain and label must be non-negative", line=lineno)
-            rows.append((sid, dom, lab, feats))
-    if not header_seen:
+            feats[n] = values
+            n += 1
+    if feats is None:
         raise CsvFormatError("missing header")
-    if not rows:
+    if n == 0:
         raise CsvFormatError("no data rows")
-    ids = np.array([r[0] for r in rows], dtype=np.int64)
-    if len(np.unique(ids)) != len(ids):
+    feats.resize((n, d), refcheck=False)
+    ints.resize((n, 3), refcheck=False)
+    ids = ints[:, 0]
+    if len(np.unique(ids)) != n:
         raise CsvFormatError("duplicate sample ids")
-    dataset = Dataset(features=np.stack([r[3] for r in rows]),
-                      labels=np.array([r[2] for r in rows], dtype=np.int64),
-                      domains=np.array([r[1] for r in rows], dtype=np.int64),
-                      ids=ids)
+    dataset = Dataset(features=feats, labels=ints[:, 2], domains=ints[:, 1], ids=ids)
     counts = np.unique(dataset.labels, return_counts=True)[1]
     if len(counts) > 1 and counts.max() > 10 * counts.min():
         warnings.warn(

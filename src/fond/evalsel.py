@@ -1,6 +1,11 @@
 """Evaluation metrics, model selection, hyperparameter search, and
 cross-repetition aggregation.
 
+Prediction and the embedding dump run ``networks.forward_pass`` without
+the projection head on blocks of ``INFER_ROWS`` rows, so they hold one
+block of activations whatever the row count, and they never compute a
+softmax. Their outputs are bit-identical to one pass over every row.
+
 Accuracies are class-averaged: each class contributes its own accuracy,
 and a group score (linked vs shared classes) is the unweighted mean over
 its member classes, so class-count imbalance cannot mask a weak group.
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import datagen, losses, networks, trainer
+from . import datagen, losses, ndcore, networks, trainer
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .seeding import rng_for, subseed
 
@@ -39,9 +44,42 @@ class MetricsReport:
     excluded_classes: tuple[int, ...]   # planned classes absent from the set
 
 
+# Rows per inference forward pass (``predict``, ``dump_embeddings``), so
+# their memory holds one block of activations whatever the row count.
+# Blocks of 2 to 4096 rows gave the same bytes as one whole-matrix forward
+# (tests/test_evalsel.py compares them). On 14,000 rows at the widths of
+# the wide CSV benchmark (2-vCPU Xeon, single-threaded OpenBLAS), 256 to
+# 2048 rows ran predict in 14-19 ms and the embedding dump in 0.71-0.77 s;
+# 64 rows was slower (24 ms, 1.24 s), and whole-matrix predict took 28 ms
+# with a 29 MB peak against 3.9 MB at 1024 rows.
+INFER_ROWS = 1024
+
+
+def _row_blocks(params: networks.ModelParams, features, output: str):
+    """``(rows, out)`` per block of at most ``INFER_ROWS`` rows
+    (``INFER_ROWS + 1`` for the last one), in row order, where ``out`` is
+    the ``output`` field ("h" or "logits") of
+    ``forward_pass(params, features[rows], project=False)``. Only that
+    array outlives its block's forward pass. An empty input is one empty
+    block."""
+    x = ndcore.as_matrix(features, "x_batch")
+    n = len(x)
+    starts = list(range(0, max(n, 1), INFER_ROWS))
+    # A 1-row matmul takes BLAS's matrix-vector path, whose sums can round
+    # differently from the matrix-matrix path that every other block (and
+    # the whole-matrix forward) takes; so a 1-row tail joins the block
+    # before it, and only N == 1 runs a 1-row block.
+    if n > 1 and n % INFER_ROWS == 1:
+        starts.pop()
+    for r0, r1 in zip(starts, starts[1:] + [n]):
+        yield slice(r0, r1), getattr(
+            networks.forward_pass(params, x[r0:r1], project=False), output)
+
+
 def predict(params: networks.ModelParams, features) -> np.ndarray:
     """Class predictions; argmax ties resolve to the lowest class id."""
-    return np.argmax(networks.forward_pass(params, features, project=False).logits, axis=1)
+    return np.concatenate([np.argmax(logits, axis=1)
+                           for _, logits in _row_blocks(params, features, "logits")])
 
 
 def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
@@ -330,14 +368,16 @@ def write_aggregate_csv(rows: list[AggregateRow], path,
 
 def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
                     plan: datagen.SplitPlan, path) -> None:
-    """CSV of feature vectors: id, domain, label, group, h_0..h_{d-1}."""
-    h = networks.forward_pass(params, dataset.features, project=False).h
+    """CSV of feature vectors: id, domain, label, group, h_0..h_{d-1}.
+
+    Each block of rows is written before the next is computed."""
     linked = set(plan.linked_classes)
     with open(path, "w", encoding="utf-8") as fh:
-        cols = ",".join(f"h_{j}" for j in range(h.shape[1]))
+        cols = ",".join(f"h_{j}" for j in range(params.config.feature_dim))
         fh.write(f"id,domain,label,group,{cols}\n")
-        for i in range(len(dataset)):
-            group = "linked" if int(dataset.labels[i]) in linked else "shared"
-            feats = ",".join(map(repr, h[i].tolist()))
-            fh.write(f"{int(dataset.ids[i])},{int(dataset.domains[i])},"
-                     f"{int(dataset.labels[i])},{group},{feats}\n")
+        for rows, block in _row_blocks(params, dataset.features, "h"):
+            for i, h in zip(range(rows.start, rows.stop), block):
+                group = "linked" if int(dataset.labels[i]) in linked else "shared"
+                feats = ",".join(map(repr, h.tolist()))
+                fh.write(f"{int(dataset.ids[i])},{int(dataset.domains[i])},"
+                         f"{int(dataset.labels[i])},{group},{feats}\n")

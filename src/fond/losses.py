@@ -47,6 +47,15 @@ PROB_ROW_TOL = 1e-9
 # were about 5% slower.
 XDOM_BLOCK_ROWS = 64
 
+# The values each variant forces on its config (``LossConfig.resolved``).
+_FORCED = {
+    "erm": {"lambda_xdom": 0.0, "lambda_fair": 0.0},
+    "supcon": {"a": 1.0, "b": 1.0, "lambda_fair": 0.0},
+    "fond_fba": {"a": 1.0, "b": 1.0, "lambda_fair": 0.0},
+    "fond_fb": {"b": 1.0, "lambda_fair": 0.0},
+    "fond_f": {"lambda_fair": 0.0},
+}
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -79,18 +88,14 @@ class LossConfig:
 
         erm drops both auxiliary terms; supcon and fond_fba disable the
         pair weightings; fond_fb disables beta only; every variant other
-        than fond drops the fairness term. Idempotent.
+        than fond drops the fairness term. Idempotent, and a config whose
+        values already obey its rules is returned as is, so the per-step
+        call in ``fond_loss`` builds nothing.
         """
-        cfg = self
-        if cfg.variant == "erm":
-            cfg = replace(cfg, lambda_xdom=0.0, lambda_fair=0.0)
-        elif cfg.variant in ("supcon", "fond_fba"):
-            cfg = replace(cfg, a=1.0, b=1.0, lambda_fair=0.0)
-        elif cfg.variant == "fond_fb":
-            cfg = replace(cfg, b=1.0, lambda_fair=0.0)
-        elif cfg.variant == "fond_f":
-            cfg = replace(cfg, lambda_fair=0.0)
-        return cfg
+        forced = _FORCED.get(self.variant, {})
+        if all(getattr(self, key) == value for key, value in forced.items()):
+            return self
+        return replace(self, **forced)
 
 
 @dataclass(frozen=True)
@@ -165,19 +170,29 @@ def _true_label_ce(probs, labels) -> np.ndarray:
         return -np.log(picked)
 
 
-def task_loss(probabilities, labels, *, validate: bool = True):
+def _checked_with_ce(probabilities, labels, ce):
+    """``(probs, labels, ce)``: the inputs checked and their per-sample
+    cross-entropy computed, or passed through as given with ``ce``."""
+    if ce is not None:
+        return probabilities, labels, ce
+    probs, labels = _check_probabilities(probabilities, labels)
+    return probs, labels, _true_label_ce(probs, labels)
+
+
+def task_loss(probabilities, labels, *, ce: np.ndarray | None = None):
     """Mean cross-entropy; gradient is taken wrt the logits behind the
     probabilities, i.e. (p - onehot) / N.
 
-    ``validate=False`` skips the input checks, for a caller that has run
-    ``_check_probabilities`` on these same arrays.
+    ``ce`` is ``_true_label_ce`` of these same arrays from a caller that
+    has run ``_check_probabilities`` on them (``fond_loss`` does); the
+    checks are then skipped and the cross-entropies reused. None checks
+    the inputs and computes them here.
     """
-    probs, labels = (_check_probabilities(probabilities, labels) if validate
-                     else (probabilities, labels))
+    probs, labels, ce = _checked_with_ce(probabilities, labels, ce)
     n = probs.shape[0]
     if n == 0:
         raise ContractError("empty batch")
-    loss = float(_true_label_ce(probs, labels).mean())
+    loss = float(ce.mean())
     grad_logits = (probs - _onehot(labels, probs.shape[1])) / n
     return loss, grad_logits
 
@@ -287,16 +302,15 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     return loss, grad_z
 
 
-def fair_loss(probabilities, labels, linked_mask, *, validate: bool = True):
+def fair_loss(probabilities, labels, linked_mask, *, ce: np.ndarray | None = None):
     """Absolute gap between the two groups' mean cross-entropies.
 
     Groups are the linked-class samples and the rest. A batch missing
     either group scores 0 with zero gradient; at an exact tie the
-    subgradient 0 is used. Gradient is wrt logits. ``validate`` is as
-    in ``task_loss``.
+    subgradient 0 is used. Gradient is wrt logits. ``ce`` is as in
+    ``task_loss``.
     """
-    probs, labels = (_check_probabilities(probabilities, labels) if validate
-                     else (probabilities, labels))
+    probs, labels, ce = _checked_with_ce(probabilities, labels, ce)
     linked = np.asarray(linked_mask, dtype=bool)
     if linked.shape != labels.shape:
         raise ContractError(
@@ -306,7 +320,6 @@ def fair_loss(probabilities, labels, linked_mask, *, validate: bool = True):
     n_s = int((~linked).sum())
     if n_l == 0 or n_s == 0:
         return 0.0, np.zeros_like(probs)
-    ce = _true_label_ce(probs, labels)
     # Python floats: inf - inf after a diverged step is nan without a warning
     gap = float(ce[linked].mean()) - float(ce[~linked].mean())
     sign = float(np.sign(gap))
@@ -325,7 +338,9 @@ class FondLoss:
     """Combined objective value with per-component breakdown.
 
     grad_z is None when the contrastive term is inactive, so downstream
-    backprop can skip the projection path entirely.
+    backprop can skip the projection path entirely. ``ce`` holds the
+    per-sample cross-entropies -log p[i, y_i] that the task term
+    averages.
     """
 
     total: float
@@ -335,6 +350,7 @@ class FondLoss:
     grad_logits: np.ndarray
     grad_z: np.ndarray | None
     config: LossConfig
+    ce: np.ndarray
 
 
 def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig,
@@ -349,8 +365,8 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig,
 
     ``probs`` is ``softmax_forward(logits)`` when the caller already has
     it (``networks.forward_pass`` does); otherwise it is computed here.
-    Either way it is checked once and shared by the task and fairness
-    terms.
+    Either way it is checked once, and it and its per-sample
+    cross-entropies are shared by the task and fairness terms.
     """
     cfg = cfg.resolved()
     logits = ndcore.as_matrix(logits, "logits")
@@ -361,8 +377,9 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig,
     elif np.shape(probs) != logits.shape:
         raise ShapeError(f"probs{np.shape(probs)} vs logits{logits.shape}")
     probs, labels = _check_probabilities(probs, ann.labels)
+    ce = _true_label_ce(probs, labels)
 
-    task, grad_logits = task_loss(probs, labels, validate=False)
+    task, grad_logits = task_loss(probs, labels, ce=ce)
     total = task
 
     xdom = 0.0
@@ -377,9 +394,9 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig,
 
     fair = 0.0
     if cfg.lambda_fair > 0:
-        fair, g_fair = fair_loss(probs, labels, ann.linked_mask, validate=False)
+        fair, g_fair = fair_loss(probs, labels, ann.linked_mask, ce=ce)
         grad_logits = grad_logits + cfg.lambda_fair * g_fair
         total = total + cfg.lambda_fair * fair
 
     return FondLoss(total=float(total), task=task, xdom=xdom, fair=fair,
-                    grad_logits=grad_logits, grad_z=grad_z, config=cfg)
+                    grad_logits=grad_logits, grad_z=grad_z, config=cfg, ce=ce)

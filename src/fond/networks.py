@@ -12,8 +12,10 @@ applied to h once and both heads read the dropped h.
 
 ``forward_pass`` is the only forward. Training runs it with dropout and,
 when the objective has a contrastive term, with P; prediction and
-embedding dumps run it with ``project=False`` and no dropout, reading
-``logits`` or ``h``. ``backward_pass`` consumes its caches.
+embedding dumps run it with ``project=False`` and no dropout on one row
+block at a time (``evalsel``), reading ``logits`` or ``h``. The softmax
+of the logits (``ForwardPass.probs``) is computed only when read, which
+only training does. ``backward_pass`` consumes its caches.
 
 Parameters live in one flat float64 vector with named views into it
 (``f.w0``, ``p.b1``, ``g.w``, ...), so the optimizer updates the whole
@@ -27,6 +29,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -110,13 +113,18 @@ class ModelParams:
     names like ``f.w0``, ``f.b0``, ``g.w`` to reshaped views of it in
     ``param_layout`` order, so writing through a view writes ``flat``,
     and the optimizer updates the whole model in one elementwise pass.
-    ``segments`` maps each name to its slice of ``flat``.
+    ``segments`` maps each name to its slice of ``flat``, also in
+    ``param_layout`` order. The storage itself holds F and G first and P
+    last: F and G fill ``flat[:fg_size]``, so a step that does not train
+    P (names in ``p_names``) updates one contiguous prefix.
     """
 
     config: NetworkConfig
     seed: int
     flat: np.ndarray | None = None
     segments: dict[str, slice] = field(init=False, repr=False)
+    p_names: tuple[str, ...] = field(init=False, repr=False)
+    fg_size: int = field(init=False, repr=False)
     _views: MappingProxyType = field(init=False, repr=False)
     _heads: dict[str, list] = field(init=False, repr=False)
 
@@ -129,12 +137,17 @@ class ModelParams:
                 or not self.flat.flags.c_contiguous):
             raise ShapeError(f"flat parameters must be a contiguous float64 vector of "
                              f"{size} values, got {self.flat.dtype} {self.flat.shape}")
-        self.segments, views, start = {}, {}, 0
+        self.p_names = tuple(name for name, _ in layout if name.startswith("p."))
+        self.fg_size = size - sum(math.prod(shape) for name, shape in layout
+                                  if name in self.p_names)
+        starts = {"fg": 0, "p": self.fg_size}
+        self.segments, views = {}, {}
         for name, shape in layout:
-            stop = start + math.prod(shape)
+            part = "p" if name in self.p_names else "fg"
+            start, stop = starts[part], starts[part] + math.prod(shape)
             self.segments[name] = slice(start, stop)
             views[name] = self.flat[start:stop].reshape(shape)
-            start = stop
+            starts[part] = stop
         self._views = MappingProxyType(views)
         self._heads = {prefix: [(views[f"{prefix}.w{i}"], views[f"{prefix}.b{i}"])
                                 for i in range(len(dims))]
@@ -193,18 +206,26 @@ def _mlp_backward(upstream, caches):
 
 @dataclass
 class ForwardPass:
-    """Activations and caches of one forward evaluation."""
+    """Activations and caches of one forward evaluation.
+
+    ``probs``, the softmax of ``logits``, is computed on first access and
+    kept: the trainer's loss reads it, while prediction (``logits``) and
+    embedding dumps (``h``) never pay for it.
+    """
 
     h: np.ndarray            # post-dropout features fed to both heads
     z: np.ndarray | None     # unit-norm projections; None when P was skipped
     logits: np.ndarray
-    probs: np.ndarray
     _f_caches: list
     _p_caches: list | None
     _norm_cache: tuple | None
     _g_cache: tuple
     _dropout_mask: np.ndarray | None
     _params: ModelParams
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        return ndcore.softmax_forward(self.logits)
 
 
 def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
@@ -241,8 +262,7 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
 
     w, b = params.tensors()["g.w"], params.tensors()["g.b"]
     logits, g_cache = ndcore.affine_forward(h, w, b)
-    probs = ndcore.softmax_forward(logits)
-    return ForwardPass(h=h, z=z, logits=logits, probs=probs,
+    return ForwardPass(h=h, z=z, logits=logits,
                        _f_caches=f_caches, _p_caches=p_caches,
                        _norm_cache=norm_cache, _g_cache=g_cache,
                        _dropout_mask=mask, _params=params)
@@ -252,12 +272,11 @@ def backward_pass(fp: ForwardPass, grad_logits, grad_z) -> dict[str, np.ndarray]
     """Parameter gradients given upstream grads at the two heads.
 
     ``grad_logits`` is required, since every objective has the task term.
-    ``grad_z`` may be None: P then contributes nothing, its parameters
-    get explicit zero grads so the key set is stable, and the feature
-    gradient is exactly G's. Keys come in the order P, G, F, which is
-    the order ``trainer.grad_norm`` sums in.
+    ``grad_z`` may be None: P then contributes nothing, the result has
+    no P keys (``trainer.optimizer_step`` then leaves P and its slots
+    alone), and the feature gradient is exactly G's. Keys come in the
+    order P, G, F, which is the order ``trainer.grad_norm`` sums in.
     """
-    params = fp._params
     grads: dict[str, np.ndarray] = {}
     grad_h_from_p = None
     if grad_z is not None:
@@ -271,10 +290,6 @@ def backward_pass(fp: ForwardPass, grad_logits, grad_z) -> dict[str, np.ndarray]
         for i, (gw, gb) in enumerate(p_layer_grads):
             grads[f"p.w{i}"] = gw
             grads[f"p.b{i}"] = gb
-    else:
-        for i in range(len(params.config.p_layer_dims())):
-            grads[f"p.w{i}"] = np.zeros_like(params.tensors()[f"p.w{i}"])
-            grads[f"p.b{i}"] = np.zeros_like(params.tensors()[f"p.b{i}"])
 
     grad_logits = ndcore.as_matrix(grad_logits, "grad_logits")
     if grad_logits.shape != fp.logits.shape:

@@ -98,16 +98,22 @@ def optimizer_step(params: networks.ModelParams, grads: dict, state: OptState,
                    cfg: TrainerConfig) -> OptState:
     """In-place update of ``params.flat``; returns the advanced state.
 
-    ``grads`` names every parameter tensor. It is packed into one flat
-    gradient and the update runs once over the whole vector; each element
-    sees the same float operations, in the same order, as the recurrences
-    in the module docstring applied tensor by tensor.
+    ``grads`` names every parameter tensor, or every one but the
+    projection head's (``params.p_names``), as ``networks.backward_pass``
+    gives when P was skipped. It is packed into one flat gradient and the
+    update runs once over the whole vector, or over the F and G prefix
+    ``flat[:params.fg_size]`` when P's gradients are absent: P and its
+    slots are then left as they are. Each updated element sees the same
+    float operations, in the same order, as the recurrences in the module
+    docstring applied tensor by tensor. Where P's gradients are zero from
+    the first step on, as under ERM, leaving P alone gives the same bits
+    as updating it with those zeros: its slots stay 0 and its update is
+    +0.0.
     """
-    theta, segments = params.flat, params.segments
+    segments = params.segments
     if state.grad is None:
-        state.grad, state.grad_sq = np.empty_like(theta), np.empty_like(theta)
-        state.scratch = (np.empty_like(theta), np.empty_like(theta))
-    g, tmp, delta = state.grad, *state.scratch
+        state.grad, state.grad_sq = np.empty_like(params.flat), np.empty_like(params.flat)
+        state.scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
     views = params.tensors()
     for name, grad in grads.items():
         if name not in segments:
@@ -115,11 +121,16 @@ def optimizer_step(params: networks.ModelParams, grads: dict, state: OptState,
         if grad.shape != views[name].shape:
             raise ShapeError(f"gradient {name} shape {grad.shape} != parameter "
                              f"{views[name].shape}")
-        g[segments[name]] = grad.reshape(-1)
+        state.grad[segments[name]] = grad.reshape(-1)
+    size = params.flat.size
     if len(grads) != len(segments):
-        missing = next(name for name in segments if name not in grads)
-        raise ContractError(f"no gradient for parameter {missing!r}")
-    np.multiply(g, g, out=state.grad_sq)
+        missing = tuple(name for name in segments if name not in grads)
+        if missing != params.p_names:
+            raise ContractError(f"no gradient for parameter {missing[0]!r}")
+        size = params.fg_size
+    theta, g, grad_sq = params.flat[:size], state.grad[:size], state.grad_sq[:size]
+    tmp, delta = (buf[:size] for buf in state.scratch)
+    np.multiply(g, g, out=grad_sq)
 
     state.step += 1
     t = state.step
@@ -128,19 +139,19 @@ def optimizer_step(params: networks.ModelParams, grads: dict, state: OptState,
         np.multiply(g, lr, out=delta)
     elif cfg.optimizer == "momentum":
         if state.v is None:
-            state.v = np.zeros_like(theta)
-        v = state.v
+            state.v = np.zeros_like(params.flat)
+        v = state.v[:size]
         v *= cfg.momentum
         v += g
         np.multiply(v, lr, out=delta)
     else:
         if state.m is None:
-            state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
-        m, v = state.m, state.v
+            state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        m, v = state.m[:size], state.v[:size]
         m *= cfg.adam_beta1
         m += np.multiply(g, 1.0 - cfg.adam_beta1, out=tmp)
         v *= cfg.adam_beta2
-        v += np.multiply(state.grad_sq, 1.0 - cfg.adam_beta2, out=tmp)
+        v += np.multiply(grad_sq, 1.0 - cfg.adam_beta2, out=tmp)
         np.divide(v, 1.0 - cfg.adam_beta2 ** t, out=tmp)          # vhat
         np.sqrt(tmp, out=tmp)
         tmp += cfg.adam_eps
@@ -218,11 +229,11 @@ class TrainLog:
                 writer.writerow(row)
 
 
-def _group_ce(probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float | None:
+def _group_ce(ce: np.ndarray, mask: np.ndarray) -> float | None:
+    """Mean of the per-sample cross-entropies ``ce`` over ``mask``."""
     if not mask.any():
         return None
-    picked = probs[np.flatnonzero(mask), labels[mask]]
-    return float(-np.log(picked).mean())
+    return float(ce[mask].mean())
 
 
 def train(params: networks.ModelParams, source_pool: datagen.Dataset,
@@ -298,8 +309,8 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
             log.steps.append(StepRecord(
                 step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
                 grad_norm=grad_norm(params, grads, state),
-                linked_ce=_group_ce(fp.probs, ann.labels, ann.linked_mask),
-                shared_ce=_group_ce(fp.probs, ann.labels, ~ann.linked_mask)))
+                linked_ce=_group_ce(fl.ce, ann.linked_mask),
+                shared_ce=_group_ce(fl.ce, ~ann.linked_mask)))
             if step % trainer_cfg.eval_every == 0:
                 run_eval(step)
             if step >= trainer_cfg.max_steps:

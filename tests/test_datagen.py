@@ -267,23 +267,46 @@ class TestCsv:
         path.write_text("id,domain,label,f0,f1\n")
         with pytest.raises(CsvFormatError, match="no data rows"):
             datagen.ingest_csv(path)
+        path.write_text("# provenance: {}\n\n# only comments\n")
+        with pytest.raises(CsvFormatError, match="missing header"):
+            datagen.ingest_csv(path)
 
     def test_nan_feature_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("id,domain,label,f0\n0,0,0,1.5\n1,0,1,NaN\n")
-        with pytest.raises(CsvFormatError, match="line 3"):
-            datagen.ingest_csv(path)
+        for value in ("NaN", "inf", "-Infinity", "1e999"):
+            path.write_text(f"id,domain,label,f0\n0,0,0,1.5\n1,0,1,{value}\n")
+            with pytest.raises(CsvFormatError, match="line 3: non-finite"):
+                datagen.ingest_csv(path)
+
+    def test_unparsable_or_negative_value_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        negative = "domain and label must be non-negative"
+        for row, message in (("1,0,1,1.5x", "unparsable"), ("1,0,1,", "unparsable"),
+                             ("1.0,0,1,2.0", "unparsable"), (f"{2**63},0,1,2.0", "unparsable"),
+                             ("1,-1,1,2.0", negative), ("1,0,-3,2.0", negative)):
+            path.write_text(f"# c\nid,domain,label,f0\n0,0,0,1.5\n{row}\n5,0,0,1.0\n")
+            with pytest.raises(CsvFormatError, match=f"line 4: {message}"):
+                datagen.ingest_csv(path)
 
     def test_arity_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("id,domain,label,f0,f1\n0,0,0,1.0\n")
-        with pytest.raises(CsvFormatError, match="line 2"):
-            datagen.ingest_csv(path)
+        for row in ("0,0,0,1.0", "0,0,0,1.0,2.0,3.0"):
+            path.write_text(f"id,domain,label,f0,f1\n{row}\n")
+            with pytest.raises(CsvFormatError, match="line 2: expected 5 fields"):
+                datagen.ingest_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("idx,domain,label,f0\n")
-        with pytest.raises(CsvFormatError, match="line 1"):
+        for header, message in (("idx,domain,label,f0", "header must start"),
+                                ("id,domain,label", "header must start"),
+                                ("id,domain,label,x0", "feature columns must be f0..f0"),
+                                ("id,domain,label,f0,f2", "feature columns must be f0..f1"),
+                                ("id,domain,label,f1", "feature columns must be f0..f0")):
+            path.write_text(f"{header}\n0,0,0,1.0\n")
+            with pytest.raises(CsvFormatError, match=f"line 1: {message}"):
+                datagen.ingest_csv(path)
+        path.write_text("# provenance: {}\nid,domain,label,g0\n")
+        with pytest.raises(CsvFormatError, match="line 2: feature columns"):
             datagen.ingest_csv(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fond import datagen, evalsel, losses, networks, trainer
+from fond import datagen, evalsel, losses, ndcore, networks, trainer
 from fond.errors import ConfigError, ContractError, DegenerateInputError
 from fond.seeding import rng_for
 
@@ -421,3 +422,70 @@ class TestDumpEmbeddings:
         evalsel.dump_embeddings(params, ds, plan, a)
         evalsel.dump_embeddings(params, ds, plan, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def block_problem(n, seed=0):
+    """n random rows, five classes, and a model with a hidden F layer."""
+    rng = np.random.default_rng(seed)
+    ds = datagen.Dataset(features=rng.normal(size=(n, 12)), labels=rng.integers(0, 5, n),
+                         domains=rng.integers(0, 4, n), ids=np.arange(n) * 3 + 1)
+    plan = datagen.make_split_plan(range(5), 4, 0, "low", seed)
+    net_cfg = networks.NetworkConfig(input_dim=12, num_classes=5, feature_dim=16,
+                                     projection_dim=4, f_hidden=(32,), p_hidden=(8,))
+    return networks.init_params(net_cfg, seed + 1), ds, plan
+
+
+def whole_matrix_embeddings(params, ds, plan) -> bytes:
+    """embeddings.csv as written from one forward pass over every row."""
+    h = networks.forward_pass(params, ds.features, project=False).h
+    lines = ["id,domain,label,group," + ",".join(f"h_{j}" for j in range(h.shape[1]))]
+    for i in range(len(ds)):
+        group = "linked" if ds.labels[i] in plan.linked_classes else "shared"
+        lines.append(f"{ds.ids[i]},{ds.domains[i]},{ds.labels[i]},{group},"
+                     + ",".join(repr(float(v)) for v in h[i]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [1, 2, evalsel.INFER_ROWS - 1, evalsel.INFER_ROWS,
+                                   evalsel.INFER_ROWS + 1, 2 * evalsel.INFER_ROWS + 1])
+    def test_blocked_inference_matches_whole_matrix_bytes(self, n, tmp_path):
+        # a 1-row block would take BLAS's matrix-vector path and change
+        # the bits of h and logits, so the INFER_ROWS + 1 cases catch a
+        # 1-row tail that is not folded into the block before it
+        params, ds, plan = block_problem(n)
+        whole = networks.forward_pass(params, ds.features, project=False)
+        blocks = list(evalsel._row_blocks(params, ds.features, "logits"))
+        sizes = [rows.stop - rows.start for rows, _ in blocks]
+        assert sum(sizes) == n and max(sizes) <= evalsel.INFER_ROWS + 1
+        assert n == 1 or min(sizes) > 1
+        logits = np.concatenate([block for _, block in blocks])
+        assert logits.tobytes() == whole.logits.tobytes()
+        assert np.array_equal(evalsel.predict(params, ds.features),
+                              np.argmax(whole.logits, axis=1))
+        path = tmp_path / "emb.csv"
+        evalsel.dump_embeddings(params, ds, plan, path)
+        assert path.read_bytes() == whole_matrix_embeddings(params, ds, plan)
+
+    def test_dump_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        peaks = []
+        for n in (evalsel.INFER_ROWS, 8 * evalsel.INFER_ROWS):
+            params, ds, plan = block_problem(n)
+            tracemalloc.start()
+            try:
+                evalsel.dump_embeddings(params, ds, plan, tmp_path / f"{n}.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_inference_runs_no_softmax(self, monkeypatch, tmp_path):
+        params, ds, plan = block_problem(50)
+
+        def no_softmax(logits):
+            raise AssertionError("inference computed a softmax")
+
+        monkeypatch.setattr(ndcore, "softmax_forward", no_softmax)
+        report = evalsel.evaluate(params, ds, plan)
+        assert 0.0 <= report.overall_accuracy <= 1.0
+        evalsel.dump_embeddings(params, ds, plan, tmp_path / "emb.csv")

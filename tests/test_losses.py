@@ -70,6 +70,13 @@ class TestLossConfig:
     def test_resolved_idempotent(self):
         cfg = losses.LossConfig(variant="supcon", a=2.0, lambda_fair=0.7).resolved()
         assert cfg.resolved() == cfg
+        # a resolved config is returned as is, so per-step calls build nothing
+        for variant in losses.VARIANTS:
+            raw = losses.LossConfig(variant=variant, a=2.0, b=3.0, lambda_xdom=0.5,
+                                    lambda_fair=0.7)
+            cfg = raw.resolved()
+            assert cfg.resolved() is cfg
+            assert (cfg is raw) == (variant == "fond")
 
 
 class TestAnnotations:
@@ -327,8 +334,10 @@ class TestFondLoss:
             grad_logits = grad_logits + r.lambda_fair * g_fair
             total = total + r.lambda_fair * fair
 
+        ce = -np.log(probs[np.arange(16), ann.labels])
         for out in (passed, computed):
             assert (out.total, out.task, out.xdom, out.fair) == (total, task, xdom, fair)
+            assert out.ce.tobytes() == ce.tobytes()
             assert out.grad_logits.tobytes() == grad_logits.tobytes()
             assert (out.grad_z is None) == (grad_z is None)
             if grad_z is not None:

@@ -175,10 +175,8 @@ class TestGradients:
         fp = networks.forward_pass(params, x)
         _, grad_logits = losses.task_loss(fp.probs, labels)
         grads = networks.backward_pass(fp, grad_logits, None)
-        # stable key set, in the P, G, F order that trainer.grad_norm sums in
-        assert list(grads) == ["p.w0", "p.b0", "p.w1", "p.b1", "g.w", "g.b",
-                               "f.w0", "f.b0", "f.w1", "f.b1"]
-        assert not any(grads[name].any() for name in grads if name.startswith("p."))
+        # no P keys without grad_z; G before F, the order trainer.grad_norm sums in
+        assert list(grads) == ["g.w", "g.b", "f.w0", "f.b0", "f.w1", "f.b1"]
 
         for name, theta in params.tensors().items():
             def scalar(v, nm=name):
@@ -189,7 +187,9 @@ class TestGradients:
                 return out
 
             fd = central_difference(scalar, theta.copy())
-            assert rel_error(grads[name], fd, floor=1e-7) < 1e-4, name
+            # an absent P gradient stands for zero: the task loss ignores z
+            grad = grads.get(name, np.zeros_like(theta))
+            assert rel_error(grad, fd, floor=1e-7) < 1e-4, name
 
     def test_projection_gradient_through_normalization(self):
         params = networks.init_params(SMALL, 10)
@@ -276,6 +276,13 @@ class TestFlatStorage:
         for name, view in params.tensors().items():
             assert np.shares_memory(view, params.flat)
             assert np.array_equal(view.ravel(), params.flat[params.segments[name]])
+        # storage order is F, G, then P, so F and G form the prefix
+        assert params.p_names == tuple(k for k, _ in layout if k.startswith("p."))
+        starts = sorted((s.start, s.stop, k) for k, s in params.segments.items())
+        assert [k for *_, k in starts] == ([k for k, _ in layout if k[0] != "p"]
+                                           + list(params.p_names))
+        assert all(a[1] == b[0] for a, b in zip(starts, starts[1:]))
+        assert params.segments[params.p_names[0]].start == params.fg_size
 
     def test_tensors_cannot_be_rebound(self):
         params = networks.init_params(SMALL, 31)

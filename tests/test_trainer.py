@@ -130,6 +130,21 @@ class TestOptimizerStep:
         with pytest.raises(ContractError, match="q.w"):
             trainer.optimizer_step(params, grads, trainer.OptState(),
                                    trainer.TrainerConfig())
+        # all of P's gradients may be absent together, and nothing else
+        grads = {k: np.ones_like(v) for k, v in params.tensors().items()
+                 if not k.startswith("p.")}
+        del grads["f.b0"]
+        with pytest.raises(ContractError, match="f.b0"):
+            trainer.optimizer_step(params, grads, trainer.OptState(),
+                                   trainer.TrainerConfig())
+        grads["f.b0"] = np.ones(2)
+        before = params.flat.copy()
+        state = trainer.optimizer_step(params, grads, trainer.OptState(),
+                                       trainer.TrainerConfig())
+        p_part = slice(params.fg_size, None)
+        assert params.flat[p_part].tobytes() == before[p_part].tobytes()
+        assert not state.m[p_part].any() and not state.v[p_part].any()
+        assert (params.flat[:params.fg_size] != before[:params.fg_size]).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -138,10 +153,10 @@ class TestOptimizerStep:
        f_hidden=st.lists(st.integers(1, 40), max_size=3),
        p_hidden=st.lists(st.integers(1, 40), max_size=2),
        input_dim=st.integers(1, 20), num_classes=st.integers(2, 9),
-       zero_p_head=st.booleans(), seed=st.integers(0, 2**31))
+       p_head=st.sampled_from(("given", "zero", "absent")), seed=st.integers(0, 2**31))
 def test_optimizer_step_bit_identical_to_frozen_per_tensor(
         optimizer, steps, projection_dim, extra_feature, f_hidden, p_hidden,
-        input_dim, num_classes, zero_p_head, seed):
+        input_dim, num_classes, p_head, seed):
     # random widths shift every segment boundary of the flat vector;
     # gradients span many magnitudes and arrive in backward_pass's
     # dict order (P, G, F), which is not the storage order
@@ -159,11 +174,14 @@ def test_optimizer_step_bit_identical_to_frozen_per_tensor(
     for _ in range(steps):
         grads = {k: rng.normal(size=ref[k].shape) * 10.0 ** rng.uniform(-6, 3)
                  for k in names}
-        if zero_p_head:   # what the ERM path feeds the projection head
+        if p_head != "given":   # zero: the reference's view of an ERM step
             grads.update({k: np.zeros_like(g) for k, g in grads.items() if k[0] == "p"})
-        trainer.optimizer_step(params, grads, state, tcfg)
+        # absent: what backward_pass gives without grad_z, i.e. on ERM steps
+        step_grads = ({k: g for k, g in grads.items() if k[0] != "p"}
+                      if p_head == "absent" else grads)
+        trainer.optimizer_step(params, step_grads, state, tcfg)
         ref_optimizer_step(ref, grads, ref_state, tcfg)
-        assert trainer.grad_norm(params, grads, state) == ref_grad_norm(grads)
+        assert trainer.grad_norm(params, step_grads, state) == ref_grad_norm(grads)
     assert state.step == ref_state.step == steps
     for k, v in params.tensors().items():
         assert v.tobytes() == ref[k].tobytes(), k
@@ -253,7 +271,8 @@ class TestTrainLoop:
             n, c = logits.shape
             return losses.FondLoss(total=float("nan"), task=float("nan"), xdom=0.0,
                                    fair=0.0, grad_logits=np.zeros((n, c)),
-                                   grad_z=None, config=cfg.resolved())
+                                   grad_z=None, config=cfg.resolved(),
+                                   ce=np.full(n, np.nan))
 
         monkeypatch.setattr(losses, "fond_loss", bad_loss)
         cfg = trainer.TrainerConfig(max_steps=5, eval_every=5, batch_size=8, seed=0)
