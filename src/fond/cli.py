@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import datagen, evalsel, networks, trainer
-from .config import RunConfig, config_from_dict, load_config, to_provenance
+from .config import RunConfig, load_config, to_provenance
 from .errors import (
     BatchTooSmallError,
     ConfigError,
@@ -149,7 +149,7 @@ def cmd_search(cfg: RunConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def run_benchmark_cell(doc_json: str, setting, variant: str, rep: int) -> dict:
+def run_benchmark_cell(cfg: RunConfig, setting, variant: str, rep: int) -> dict:
     """One (setting, variant, repetition) cell; pure function of its
     arguments so cells can run in any process in any order.
 
@@ -157,7 +157,6 @@ def run_benchmark_cell(doc_json: str, setting, variant: str, rep: int) -> dict:
     every variant trains from the same initialization on the same batch
     sequence, so per-repetition comparisons isolate the objective.
     """
-    cfg = config_from_dict(json.loads(doc_json))
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset, setting)
     net_cfg = _network_config(cfg, dataset, plan)
@@ -194,7 +193,6 @@ def worker_count(jobs: int, cells: int, cpus: int | None) -> int:
 
 
 def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
-    doc_json = json.dumps(to_provenance(cfg))
     cells = [(setting, variant, rep)
              for setting in cfg.benchmark.settings
              for variant in cfg.benchmark.variants
@@ -203,10 +201,10 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
     workers = worker_count(jobs, len(cells), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_benchmark_cell, doc_json, *cell) for cell in cells]
+            futures = [pool.submit(run_benchmark_cell, cfg, *cell) for cell in cells]
             outcomes = [f.result() for f in futures]   # submission order, not completion
     else:
-        outcomes = [run_benchmark_cell(doc_json, *cell) for cell in cells]
+        outcomes = [run_benchmark_cell(cfg, *cell) for cell in cells]
 
     rows = [evalsel.ResultRow(dataset=cfg.dataset.name, setting=o["setting"],
                               variant=o["variant"], rep=o["rep"],

@@ -9,6 +9,7 @@ can be reproduced from the file alone.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .datagen import SyntheticSpec
@@ -29,11 +30,7 @@ class NetworkSettings:
     p_hidden: tuple[int, ...] = (64,)
 
     def to_network_config(self, input_dim: int, num_classes: int) -> NetworkConfig:
-        return NetworkConfig(input_dim=input_dim, num_classes=num_classes,
-                             feature_dim=self.feature_dim,
-                             projection_dim=self.projection_dim,
-                             f_hidden=tuple(self.f_hidden),
-                             p_hidden=tuple(self.p_hidden))
+        return NetworkConfig(input_dim=input_dim, num_classes=num_classes, **asdict(self))
 
 
 @dataclass(frozen=True)
@@ -98,27 +95,36 @@ class RunConfig:
     search: SearchConfig = field(default_factory=SearchConfig)
     benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
 
-
-_TUPLE_FIELDS = {"f_hidden", "p_hidden", "variants", "settings",
-                 "learning_rate", "lambda_xdom", "lambda_fair", "temperature",
-                 "a", "b", "dropout"}
+    def __post_init__(self):
+        # every command trains with subseed(seed, "train"); a trainer.seed
+        # of its own would be recorded in the outputs but never used
+        if self.trainer.seed != 0:
+            raise ConfigError(f"trainer.seed is derived from 'seed' and must stay 0, "
+                              f"got {self.trainer.seed!r}; set 'seed' instead")
 
 
 def _build(cls, doc: dict, path: str):
-    """Construct dataclass ``cls`` from ``doc`` rejecting unknown keys."""
+    """Construct dataclass ``cls`` from ``doc`` rejecting unknown keys.
+
+    Field annotations drive the conversion: a field whose type (or a
+    union arm of it) is a dataclass is built recursively, null only where
+    the annotation admits None, and a JSON list becomes a tuple exactly
+    where the field is a ``tuple[...]``.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'} must be an object, got {type(doc).__name__}")
-    spec = {f.name: f for f in fields(cls)}
-    unknown = set(doc) - set(spec)
+    hints = typing.get_type_hints(cls)
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key {path}{sorted(unknown)[0]!r}")
     kwargs = {}
     for name, value in doc.items():
-        f = spec[name]
-        sub = _NESTED.get((cls, name))
-        if sub is not None and value is not None:
+        hint = hints[name]
+        arms = typing.get_args(hint) or (hint,)
+        sub = next((arm for arm in arms if is_dataclass(arm)), None)
+        if sub is not None and not (value is None and type(None) in arms):
             kwargs[name] = _build(sub, value, f"{path}{name}.")
-        elif isinstance(value, list) and (name in _TUPLE_FIELDS or cls is HyperSpace):
+        elif isinstance(value, list) and typing.get_origin(hint) is tuple:
             kwargs[name] = tuple(value)
         else:
             kwargs[name] = value
@@ -126,19 +132,6 @@ def _build(cls, doc: dict, path: str):
         return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad {path or 'config'} section: {exc}") from None
-
-
-_NESTED = {
-    (RunConfig, "dataset"): DatasetConfig,
-    (RunConfig, "split"): SplitConfig,
-    (RunConfig, "network"): NetworkSettings,
-    (RunConfig, "loss"): LossConfig,
-    (RunConfig, "trainer"): TrainerConfig,
-    (RunConfig, "search"): SearchConfig,
-    (RunConfig, "benchmark"): BenchmarkConfig,
-    (DatasetConfig, "synthetic"): SyntheticSpec,
-    (SearchConfig, "space"): HyperSpace,
-}
 
 
 def parse_override(text: str):
@@ -183,22 +176,12 @@ def load_config(path, overrides=None) -> RunConfig:
     return config_from_dict(apply_overrides(doc, overrides))
 
 
-def _plain(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        return {k: _plain(v) for k, v in asdict(value).items()}
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
 def to_provenance(cfg: RunConfig) -> dict:
     """JSON-safe resolved copy of the config for embedding in outputs.
 
     out_dir is dropped so identical experiments produce identical bytes
     no matter where they are written.
     """
-    doc = _plain(cfg)
-    doc.pop("out_dir", None)
+    doc = asdict(cfg)
+    del doc["out_dir"]
     return doc

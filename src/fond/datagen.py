@@ -406,6 +406,21 @@ def split_train_val(dataset: Dataset, seed, train_fraction: float = 0.8):
         dataset.subset(np.array(sorted(val_idx), dtype=np.int64))
 
 
+def csv_cell(value) -> str:
+    """One CSV cell: empty for None, ``repr`` for a float (so reading it
+    back gives the same bits), ``str`` otherwise."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def write_provenance(fh, provenance: dict | None) -> None:
+    """Write the ``# provenance:`` comment line that leads an output CSV,
+    when there is a provenance record."""
+    if provenance is not None:
+        fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
+
+
 def export_csv(dataset: Dataset, path, provenance: dict | None = None) -> None:
     """Write `id,domain,label,f0..f{d-1}` rows; floats via repr so the
     ingest round trip is bit-exact. Optional provenance JSON rides along
@@ -413,8 +428,7 @@ def export_csv(dataset: Dataset, path, provenance: dict | None = None) -> None:
     d = dataset.input_dim
     header = "id,domain,label," + ",".join(f"f{j}" for j in range(d))
     with open(path, "w", encoding="utf-8") as fh:
-        if provenance is not None:
-            fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
+        write_provenance(fh, provenance)
         fh.write(header + "\n")
         for i in range(len(dataset)):
             feats = ",".join(map(repr, dataset.features[i].tolist()))

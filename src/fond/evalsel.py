@@ -21,9 +21,8 @@ i.i.d. settings and keeps the earliest argmax.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -325,45 +324,32 @@ def aggregate(rows: list[ResultRow]) -> list[AggregateRow]:
     return out
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_results_csv(rows: list[ResultRow], path, provenance: dict | None = None) -> None:
     classes = sorted({c for row in rows for c in row.per_class})
     header = ["dataset", "setting", "variant", "rep", "y_l_acc", "y_s_acc"]
     header += [f"acc_class_{c}" for c in classes]
     ordered = sorted(rows, key=lambda r: (r.dataset, r.setting, r.variant, r.rep))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if provenance is not None:
-            fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
+        datagen.write_provenance(fh, provenance)
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in ordered:
             record = [row.dataset, row.setting, row.variant, row.rep,
-                      _fmt(row.y_l_accuracy), _fmt(row.y_s_accuracy)]
-            record += [_fmt(row.per_class.get(c)) for c in classes]
-            writer.writerow(record)
+                      row.y_l_accuracy, row.y_s_accuracy]
+            record += [row.per_class.get(c) for c in classes]
+            writer.writerow(map(datagen.csv_cell, record))
 
 
 def write_aggregate_csv(rows: list[AggregateRow], path,
                         provenance: dict | None = None) -> None:
-    header = ["dataset", "setting", "variant", "reps",
-              "y_l_mean", "y_l_se", "y_s_mean", "y_s_se"]
+    header = [f.name for f in fields(AggregateRow)]
     ordered = sorted(rows, key=lambda r: (r.dataset, r.setting, r.variant))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if provenance is not None:
-            fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
+        datagen.write_provenance(fh, provenance)
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in ordered:
-            writer.writerow([row.dataset, row.setting, row.variant, row.reps,
-                             _fmt(row.y_l_mean), _fmt(row.y_l_se),
-                             _fmt(row.y_s_mean), _fmt(row.y_s_se)])
+            writer.writerow(datagen.csv_cell(getattr(row, name)) for name in header)
 
 
 def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,

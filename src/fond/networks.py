@@ -28,7 +28,7 @@ import io
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -221,7 +221,6 @@ class ForwardPass:
     _norm_cache: tuple | None
     _g_cache: tuple
     _dropout_mask: np.ndarray | None
-    _params: ModelParams
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -265,7 +264,7 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
     return ForwardPass(h=h, z=z, logits=logits,
                        _f_caches=f_caches, _p_caches=p_caches,
                        _norm_cache=norm_cache, _g_cache=g_cache,
-                       _dropout_mask=mask, _params=params)
+                       _dropout_mask=mask)
 
 
 def backward_pass(fp: ForwardPass, grad_logits, grad_z) -> dict[str, np.ndarray]:
@@ -282,18 +281,12 @@ def backward_pass(fp: ForwardPass, grad_logits, grad_z) -> dict[str, np.ndarray]
     if grad_z is not None:
         if fp.z is None:
             raise ContractError("grad_z given, but the forward pass skipped the projection head")
-        grad_z = ndcore.as_matrix(grad_z, "grad_z")
-        if grad_z.shape != fp.z.shape:
-            raise ShapeError(f"grad_z{grad_z.shape} vs z{fp.z.shape}")
         grad_pre = ndcore.l2_normalize_backward(grad_z, fp._norm_cache)
         grad_h_from_p, p_layer_grads = _mlp_backward(grad_pre, fp._p_caches)
         for i, (gw, gb) in enumerate(p_layer_grads):
             grads[f"p.w{i}"] = gw
             grads[f"p.b{i}"] = gb
 
-    grad_logits = ndcore.as_matrix(grad_logits, "grad_logits")
-    if grad_logits.shape != fp.logits.shape:
-        raise ShapeError(f"grad_logits{grad_logits.shape} vs logits{fp.logits.shape}")
     grad_h, grads["g.w"], grads["g.b"] = ndcore.affine_backward(grad_logits, fp._g_cache)
     if grad_h_from_p is not None:
         grad_h = grad_h_from_p + grad_h
@@ -312,21 +305,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
     Round trip is bit-exact: arrays are stored in their native binary
     layout, never through a decimal representation.
     """
-    cfg = params.config
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "seed": params.seed,
-        "config": {
-            "input_dim": cfg.input_dim,
-            "num_classes": cfg.num_classes,
-            "feature_dim": cfg.feature_dim,
-            "projection_dim": cfg.projection_dim,
-            "f_hidden": list(cfg.f_hidden),
-            "p_hidden": list(cfg.p_hidden),
-            "identity_features": cfg.identity_features,
-            "identity_projection": cfg.identity_projection,
-        },
-    }
+    meta = {"version": CHECKPOINT_VERSION, "seed": params.seed,
+            "config": asdict(params.config)}
     arrays = dict(params.tensors())
     arrays[_META_KEY] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     buf = io.BytesIO()
@@ -342,13 +322,18 @@ def load_checkpoint(path) -> ModelParams:
         raw = {k: archive[k] for k in archive.files}
     if _META_KEY not in raw:
         raise ContractError(f"{path} is not a model checkpoint (missing metadata)")
-    meta = json.loads(raw.pop(_META_KEY).tobytes().decode("utf-8"))
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise ContractError(f"unsupported checkpoint version {meta.get('version')}")
-    cfg_d = dict(meta["config"])
-    cfg_d["f_hidden"] = tuple(cfg_d["f_hidden"])
-    cfg_d["p_hidden"] = tuple(cfg_d["p_hidden"])
-    params = ModelParams(config=NetworkConfig(**cfg_d), seed=int(meta["seed"]))
+    try:
+        meta = json.loads(raw.pop(_META_KEY).tobytes().decode("utf-8"))
+        version = meta.get("version")
+    except (ValueError, AttributeError) as exc:
+        raise ContractError(f"{path} metadata is not a JSON object: {exc}") from None
+    if version != CHECKPOINT_VERSION:
+        raise ContractError(f"unsupported checkpoint version {version}")
+    try:
+        params = ModelParams(config=NetworkConfig(**meta["config"]), seed=int(meta["seed"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"{path} has malformed metadata: {type(exc).__name__}: "
+                            f"{exc}") from None
     views = params.tensors()
     for name, view in views.items():
         if name not in raw:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -209,24 +209,16 @@ class TrainLog:
 
     def write_summary_csv(self, path) -> None:
         evals_by_step = {e.step: e for e in self.evals}
-        cols = ["step", "task", "xdom", "fair", "total", "grad_norm",
-                "linked_ce", "shared_ce", "val_y_l", "val_y_s", "val_overall"]
+        step_cols = [f.name for f in fields(StepRecord)]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(cols)
+            writer.writerow(step_cols + ["val_y_l", "val_y_s", "val_overall"])
             for rec in self.steps:
                 ev = evals_by_step.get(rec.step)
-                row = [rec.step, repr(rec.task), repr(rec.xdom), repr(rec.fair),
-                       repr(rec.total), repr(rec.grad_norm),
-                       "" if rec.linked_ce is None else repr(rec.linked_ce),
-                       "" if rec.shared_ce is None else repr(rec.shared_ce)]
-                if ev is None:
-                    row += ["", "", ""]
-                else:
-                    row += ["" if ev.y_l_accuracy is None else repr(ev.y_l_accuracy),
-                            "" if ev.y_s_accuracy is None else repr(ev.y_s_accuracy),
-                            repr(ev.overall_accuracy)]
-                writer.writerow(row)
+                row = [getattr(rec, name) for name in step_cols]
+                row += ([None] * 3 if ev is None else
+                        [ev.y_l_accuracy, ev.y_s_accuracy, ev.overall_accuracy])
+                writer.writerow(map(datagen.csv_cell, row))
 
 
 def _group_ce(ce: np.ndarray, mask: np.ndarray) -> float | None:

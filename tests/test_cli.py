@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fond import cli, config, datagen, networks
+from fond import cli, config, datagen, evalsel, networks
 from fond.errors import ConfigError
 
 
@@ -53,6 +53,16 @@ class TestConfig:
             config.config_from_dict({"trainer": {"lr": 0.1}})
         with pytest.raises(ConfigError, match=r"'stepz'"):
             config.config_from_dict({"stepz": 1})
+        with pytest.raises(ConfigError, match=r"search\.space\.'zz'"):
+            config.config_from_dict({"search": {"space": {"zz": [1.0, 2.0]}}})
+
+    def test_null_section_rejected_unless_optional(self):
+        for doc, where in (({"trainer": None}, "trainer"), ({"network": None}, "network"),
+                           ({"search": {"space": None}}, "search.space")):
+            with pytest.raises(ConfigError, match=rf"{where}\. must be an object"):
+                config.config_from_dict(doc)
+        cfg = config.config_from_dict({"dataset": {"csv_path": "d.csv", "synthetic": None}})
+        assert cfg.dataset.synthetic is None
 
     def test_dataset_needs_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -63,10 +73,14 @@ class TestConfig:
                 "synthetic": {"num_classes": 4, "input_dim": 3}}})
 
     def test_list_fields_become_tuples(self):
+        space = {name: [0.1, 0.2] for name in evalsel.HyperSpace._ORDER}
         cfg = config.config_from_dict({"network": {"f_hidden": [8, 4]},
-                                       "search": {"space": {"a": [1.0, 2.0]}}})
+                                       "benchmark": {"settings": ["low", 2]},
+                                       "search": {"space": space}})
         assert cfg.network.f_hidden == (8, 4)
-        assert cfg.search.space.a == (1.0, 2.0)
+        assert cfg.benchmark.settings == ("low", 2)
+        for name in evalsel.HyperSpace._ORDER:
+            assert getattr(cfg.search.space, name) == (0.1, 0.2), name
 
     def test_overrides_parse_json_values(self):
         doc = config.apply_overrides(base_doc(), [
@@ -251,6 +265,23 @@ class TestErrorExits:
         assert run_cli("train", "--config", str(path)) == cli.EXIT_CONFIG
         payload = self.read_error(capsys)
         assert payload["error"] == "config" and "lr" in payload["message"]
+        # a list for a scalar field is a config error too, not a crash
+        path.write_text(json.dumps({"loss": {"a": [1.0, 2.0]}}))
+        assert run_cli("train", "--config", str(path)) == cli.EXIT_CONFIG
+        payload = self.read_error(capsys)
+        assert payload["error"] == "config" and "loss" in payload["message"]
+
+    def test_trainer_seed_exit_2(self, tmp_path, capsys):
+        # every command derives the trainer seed from `seed`; a set value
+        # would be recorded in run.json but never used
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_doc()))
+        code = run_cli("train", "--config", str(path), "--out", str(tmp_path / "run"),
+                       "--set", "trainer.seed=5")
+        assert code == cli.EXIT_CONFIG
+        payload = self.read_error(capsys)
+        assert payload["type"] == "ConfigError"
+        assert "trainer.seed" in payload["message"] and "'seed'" in payload["message"]
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

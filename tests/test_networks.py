@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,15 @@ class TestGradients:
         with pytest.raises(ContractError):
             networks.backward_pass(bare, grad_logits, np.ones_like(full.z))
 
+    def test_wrong_shape_upstream_gradients_raise(self):
+        params = networks.init_params(SMALL, 12)
+        fp = networks.forward_pass(params, np.random.default_rng(10).normal(size=(3, 5)))
+        with pytest.raises(ShapeError):
+            networks.backward_pass(fp, np.ones((3, SMALL.num_classes + 1)), None)
+        with pytest.raises(ShapeError):
+            networks.backward_pass(fp, np.ones_like(fp.logits),
+                                   np.ones((2, SMALL.projection_dim)))
+
 
 class TestDropout:
     def test_rate_zero_needs_no_rng_and_changes_nothing(self):
@@ -327,6 +338,17 @@ class TestCheckpoint:
         for k in params.tensors():
             assert np.array_equal(loaded.tensors()[k], params.tensors()[k])
 
+    def test_metadata_bytes_pinned(self, tmp_path):
+        # a new NetworkConfig field must not change the format unnoticed
+        path = tmp_path / "model.npz"
+        networks.save_checkpoint(networks.init_params(SMALL, 23), path)
+        with np.load(path) as archive:
+            meta = archive["__meta__"].tobytes()
+        assert meta == (
+            b'{"version": 1, "seed": 23, "config": {"input_dim": 5, "num_classes": 4, '
+            b'"feature_dim": 6, "projection_dim": 3, "f_hidden": [7], "p_hidden": [16], '
+            b'"identity_features": false, "identity_projection": false}}')
+
     def test_same_params_same_bytes(self, tmp_path):
         params = networks.init_params(SMALL, 22)
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
@@ -367,6 +389,41 @@ class TestCheckpoint:
                          str(tmp_path / "emb"), "--checkpoint", str(ckpt)])
         assert code == cli.EXIT_CONFIG
         assert "f.w0" in capsys.readouterr().err
+
+    @staticmethod
+    def set_meta(edit):
+        def apply(arrays):
+            raw = arrays["__meta__"].tobytes().decode("utf-8")
+            arrays["__meta__"] = np.frombuffer(edit(raw).encode("utf-8"), dtype=np.uint8)
+        return apply
+
+    @staticmethod
+    def json_edit(change):
+        def edit(raw):
+            meta = json.loads(raw)
+            change(meta)
+            return json.dumps(meta)
+        return edit
+
+    @pytest.mark.parametrize("edit, words", [
+        (json_edit(lambda m: m.pop("seed")), "KeyError: 'seed'"),
+        (json_edit(lambda m: m["config"].update(bogus=1)), "'bogus'"),
+        (json_edit(lambda m: m["config"].update(f_hidden=7)), "TypeError"),
+        (json_edit(lambda m: m.update(config=list(m["config"].values()))), "mapping"),
+        (lambda raw: raw[:-1], "not a JSON object"),
+        (lambda raw: "[1]", "not a JSON object"),
+    ], ids=["no-seed", "unknown-config-key", "scalar-width", "config-not-object",
+            "not-json", "meta-not-object"])
+    def test_malformed_metadata_exits_2(self, tmp_path, capsys, edit, words):
+        ckpt = self.edited_checkpoint(tmp_path, self.set_meta(edit))
+        with pytest.raises(ContractError) as info:
+            networks.load_checkpoint(ckpt)
+        assert words in str(info.value).replace(str(ckpt), "")
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"dataset": {"synthetic": {"num_classes": 4, "input_dim": 5}}}')
+        code = cli.main(["dump-embeddings", "--config", str(cfg), "--out",
+                         str(tmp_path / "emb"), "--checkpoint", str(ckpt)])
+        assert code == cli.EXIT_CONFIG
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"
