@@ -66,15 +66,13 @@ class SearchConfig:
 @dataclass(frozen=True)
 class BenchmarkConfig:
     variants: tuple[str, ...] = VARIANTS
-    settings: tuple[str, ...] = ("low", "high")
+    settings: tuple[str | int, ...] = ("low", "high")
     reps: int = 3
 
     def __post_init__(self):
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ConfigError(f"unknown variants {sorted(unknown)}")
-        if isinstance(self.reps, bool) or not isinstance(self.reps, int):
-            raise ConfigError(f"reps must be an integer, got {self.reps!r}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         for s in self.settings:
@@ -103,13 +101,31 @@ class RunConfig:
                               f"got {self.trainer.seed!r}; set 'seed' instead")
 
 
+def _admits(hint, value) -> bool:
+    """Whether ``value`` fits annotation ``hint`` as it is: a union when
+    one arm does, a tuple item by item, a float also as an int, and an
+    int or a float never as a bool."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        items = args[:1] * len(value) if args[-1:] == (...,) else args
+        return len(items) == len(value) and all(map(_admits, items, value))
+    if args:
+        return any(_admits(arm, value) for arm in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _build(cls, doc: dict, path: str):
     """Construct dataclass ``cls`` from ``doc`` rejecting unknown keys.
 
     Field annotations drive the conversion: a field whose type (or a
-    union arm of it) is a dataclass is built recursively, null only where
-    the annotation admits None, and a JSON list becomes a tuple exactly
-    where the field is a ``tuple[...]``.
+    union arm of it) is a dataclass is built recursively, any other value
+    must fit the annotation as it is (``_admits``; nothing is coerced, so
+    the provenance records what was given), and a JSON list becomes a
+    tuple exactly where the field is a ``tuple[...]``.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'} must be an object, got {type(doc).__name__}")
@@ -124,10 +140,11 @@ def _build(cls, doc: dict, path: str):
         sub = next((arm for arm in arms if is_dataclass(arm)), None)
         if sub is not None and not (value is None and type(None) in arms):
             kwargs[name] = _build(sub, value, f"{path}{name}.")
-        elif isinstance(value, list) and typing.get_origin(hint) is tuple:
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
+            continue
+        if not _admits(hint, value):
+            kind = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{path}{name} must be {kind}, got {value!r}")
+        kwargs[name] = tuple(value) if typing.get_origin(hint) is tuple else value
     try:
         return cls(**kwargs)
     except TypeError as exc:

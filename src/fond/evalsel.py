@@ -60,7 +60,8 @@ def _row_blocks(params: networks.ModelParams, features, output: str):
     the ``output`` field ("h" or "logits") of
     ``forward_pass(params, features[rows], project=False)``. Only that
     array outlives its block's forward pass. An empty input is one empty
-    block."""
+    block. ``out`` is checked finite: finite parameters can still
+    overflow, and no loss checks an inference pass."""
     x = ndcore.as_matrix(features, "x_batch")
     n = len(x)
     starts = list(range(0, max(n, 1), INFER_ROWS))
@@ -71,8 +72,9 @@ def _row_blocks(params: networks.ModelParams, features, output: str):
     if n > 1 and n % INFER_ROWS == 1:
         starts.pop()
     for r0, r1 in zip(starts, starts[1:] + [n]):
-        yield slice(r0, r1), getattr(
-            networks.forward_pass(params, x[r0:r1], project=False), output)
+        out = getattr(networks.forward_pass(params, x[r0:r1], project=False), output)
+        ndcore.check_finite(out, f"inference {output}")
+        yield slice(r0, r1), out
 
 
 def predict(params: networks.ModelParams, features) -> np.ndarray:

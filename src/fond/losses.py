@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ndcore
-from .errors import BatchTooSmallError, ConfigError, ContractError, ShapeError, require_finite
+from .errors import BatchTooSmallError, ConfigError, ContractError, require_finite
 
 ALPHA_MODES = ("numerator_scale", "similarity_scale")
 
@@ -124,32 +124,20 @@ class BatchAnnotations:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @classmethod
-    def from_plan(cls, labels, domains, plan) -> "BatchAnnotations":
-        labels = np.asarray(labels, dtype=np.int64)
-        linked = np.isin(labels, np.asarray(sorted(plan.linked_classes), dtype=np.int64))
-        return cls(labels=labels, domains=domains, linked_mask=linked)
 
-
-def _check_probabilities(probabilities, labels):
-    probs = ndcore.as_matrix(probabilities, "probabilities")
+def _check_labels(labels, probs_shape) -> np.ndarray:
+    """Labels as int64: 1-D, one per row of an (N, G) matrix, in [0, G)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or len(labels) != probs.shape[0]:
+    if labels.ndim != 1 or len(labels) != probs_shape[0]:
         raise ContractError(
-            f"labels shape {labels.shape} does not match probabilities {probs.shape}"
+            f"labels shape {labels.shape} does not match probabilities {probs_shape}"
         )
-    if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
+    if labels.size and (labels.min() < 0 or labels.max() >= probs_shape[1]):
         raise ContractError(
-            f"labels must lie in [0, {probs.shape[1]}), got range "
+            f"labels must lie in [0, {probs_shape[1]}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    row_sums = probs.sum(axis=1)
-    if np.abs(row_sums - 1.0).max() > PROB_ROW_TOL:
-        worst = int(np.abs(row_sums - 1.0).argmax())
-        raise ContractError(
-            f"probability row {worst} sums to {row_sums[worst]!r}, not 1"
-        )
-    return probs, labels
+    return labels
 
 
 def _onehot(labels, num_classes: int) -> np.ndarray:
@@ -171,11 +159,19 @@ def _true_label_ce(probs, labels) -> np.ndarray:
 
 
 def _checked_with_ce(probabilities, labels, ce):
-    """``(probs, labels, ce)``: the inputs checked and their per-sample
+    """``(probs, labels, ce)``: the inputs checked (labels as in
+    ``_check_labels``, rows summing to 1) and their per-sample
     cross-entropy computed, or passed through as given with ``ce``."""
     if ce is not None:
         return probabilities, labels, ce
-    probs, labels = _check_probabilities(probabilities, labels)
+    probs = ndcore.as_matrix(probabilities, "probabilities")
+    labels = _check_labels(labels, probs.shape)
+    row_sums = probs.sum(axis=1)
+    if np.abs(row_sums - 1.0).max() > PROB_ROW_TOL:
+        worst = int(np.abs(row_sums - 1.0).argmax())
+        raise ContractError(
+            f"probability row {worst} sums to {row_sums[worst]!r}, not 1"
+        )
     return probs, labels, _true_label_ce(probs, labels)
 
 
@@ -184,9 +180,9 @@ def task_loss(probabilities, labels, *, ce: np.ndarray | None = None):
     probabilities, i.e. (p - onehot) / N.
 
     ``ce`` is ``_true_label_ce`` of these same arrays from a caller that
-    has run ``_check_probabilities`` on them (``fond_loss`` does); the
-    checks are then skipped and the cross-entropies reused. None checks
-    the inputs and computes them here.
+    made the probabilities with ``softmax_forward`` and checked the labels
+    (``fond_loss`` does); the checks are then skipped and the
+    cross-entropies reused. None checks the inputs and computes them here.
     """
     probs, labels, ce = _checked_with_ce(probabilities, labels, ce)
     n = probs.shape[0]
@@ -349,12 +345,10 @@ class FondLoss:
     fair: float
     grad_logits: np.ndarray
     grad_z: np.ndarray | None
-    config: LossConfig
     ce: np.ndarray
 
 
-def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig,
-              probs=None) -> FondLoss:
+def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
     """total = task + lambda_xdom * xdom + lambda_fair * fair.
 
     Components with zero weight are not evaluated (their value is
@@ -363,20 +357,14 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig,
     bit-for-bit). A single-sample batch has no pairs, so the contrastive
     component is the empty sum 0 there.
 
-    ``probs`` is ``softmax_forward(logits)`` when the caller already has
-    it (``networks.forward_pass`` does); otherwise it is computed here.
-    Either way it is checked once, and it and its per-sample
-    cross-entropies are shared by the task and fairness terms.
+    The softmax of ``logits`` is computed here, once, and it and its
+    per-sample cross-entropies are shared by the task and fairness terms.
+    Being ``softmax_forward``'s output, it skips the row-sum check; only
+    the labels are checked (one per row, in [0, G)).
     """
     cfg = cfg.resolved()
-    logits = ndcore.as_matrix(logits, "logits")
-    if len(ann) != logits.shape[0]:
-        raise ContractError(f"annotations cover {len(ann)} samples, logits have {logits.shape[0]}")
-    if probs is None:
-        probs = ndcore.softmax_forward(logits)
-    elif np.shape(probs) != logits.shape:
-        raise ShapeError(f"probs{np.shape(probs)} vs logits{logits.shape}")
-    probs, labels = _check_probabilities(probs, ann.labels)
+    probs = ndcore.softmax_forward(logits)
+    labels = _check_labels(ann.labels, probs.shape)
     ce = _true_label_ce(probs, labels)
 
     task, grad_logits = task_loss(probs, labels, ce=ce)
@@ -385,7 +373,7 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig,
     xdom = 0.0
     grad_z = None
     if cfg.lambda_xdom > 0:
-        if logits.shape[0] >= 2:
+        if len(labels) >= 2:
             xdom, g_z = xdom_loss(z, ann, cfg)
             grad_z = cfg.lambda_xdom * g_z
             total = total + cfg.lambda_xdom * xdom
@@ -399,4 +387,4 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig,
         total = total + cfg.lambda_fair * fair
 
     return FondLoss(total=float(total), task=task, xdom=xdom, fair=fair,
-                    grad_logits=grad_logits, grad_z=grad_z, config=cfg, ce=ce)
+                    grad_logits=grad_logits, grad_z=grad_z, ce=ce)

@@ -13,9 +13,9 @@ applied to h once and both heads read the dropped h.
 ``forward_pass`` is the only forward. Training runs it with dropout and,
 when the objective has a contrastive term, with P; prediction and
 embedding dumps run it with ``project=False`` and no dropout on one row
-block at a time (``evalsel``), reading ``logits`` or ``h``. The softmax
-of the logits (``ForwardPass.probs``) is computed only when read, which
-only training does. ``backward_pass`` consumes its caches.
+block at a time (``evalsel``), reading ``logits`` or ``h``. It computes
+no softmax: the training loss (``losses.fond_loss``) takes the logits.
+``backward_pass`` consumes its caches.
 
 Parameters live in one flat float64 vector with named views into it
 (``f.w0``, ``p.b1``, ``g.w``, ...), so the optimizer updates the whole
@@ -29,7 +29,6 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -206,12 +205,7 @@ def _mlp_backward(upstream, caches):
 
 @dataclass
 class ForwardPass:
-    """Activations and caches of one forward evaluation.
-
-    ``probs``, the softmax of ``logits``, is computed on first access and
-    kept: the trainer's loss reads it, while prediction (``logits``) and
-    embedding dumps (``h``) never pay for it.
-    """
+    """Activations and caches of one forward evaluation."""
 
     h: np.ndarray            # post-dropout features fed to both heads
     z: np.ndarray | None     # unit-norm projections; None when P was skipped
@@ -221,10 +215,6 @@ class ForwardPass:
     _norm_cache: tuple | None
     _g_cache: tuple
     _dropout_mask: np.ndarray | None
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        return ndcore.softmax_forward(self.logits)
 
 
 def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
@@ -317,7 +307,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Inverse of ``save_checkpoint``. The archive must hold exactly the
-    tensors that its stored config lays out, each with its layout shape."""
+    tensors that its stored config lays out, each with its layout shape,
+    and only finite values (``DegenerateInputError`` otherwise)."""
     with np.load(path) as archive:
         raw = {k: archive[k] for k in archive.files}
     if _META_KEY not in raw:
@@ -345,4 +336,5 @@ def load_checkpoint(path) -> ModelParams:
     extra = [name for name in raw if name not in views]
     if extra:
         raise ContractError(f"{path} has tensor {extra[0]!r}, which its config lacks")
+    ndcore.check_finite(params.flat, f"checkpoint {path}")
     return params

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import datagen, losses, networks
+from . import datagen, losses, ndcore, networks
 from .errors import ConfigError, ContractError, NonFiniteLossError, ShapeError, require_finite
 from .seeding import rng_for, subseed
 
@@ -292,12 +292,13 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
                     if trainer_cfg.dropout > 0.0 else None)
             fp = networks.forward_pass(params, x, dropout_rate=trainer_cfg.dropout,
                                        dropout_rng=drng, project=project)
-            fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg, probs=fp.probs)
+            fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg)
             if not math.isfinite(fl.total):
                 raise NonFiniteLossError(step, {"task": fl.task, "xdom": fl.xdom,
                                                 "fair": fl.fair, "total": fl.total})
             grads = networks.backward_pass(fp, fl.grad_logits, fl.grad_z)
             optimizer_step(params, grads, state, trainer_cfg)
+            ndcore.check_finite(params.flat, f"parameters after step {step}")
             log.steps.append(StepRecord(
                 step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
                 grad_norm=grad_norm(params, grads, state),

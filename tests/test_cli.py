@@ -82,6 +82,16 @@ class TestConfig:
         for name in evalsel.HyperSpace._ORDER:
             assert getattr(cfg.search.space, name) == (0.1, 0.2), name
 
+    def test_float_field_takes_int_as_given(self):
+        # nothing is coerced, so the provenance records the value as written
+        cfg = config.config_from_dict({"loss": {"a": 2}})
+        assert type(cfg.loss.a) is int and cfg.loss.a == 2
+        assert config.to_provenance(cfg)["loss"]["a"] == 2
+        with pytest.raises(ConfigError, match=r"loss\.a must be float"):
+            config.config_from_dict({"loss": {"a": True}})
+        with pytest.raises(ConfigError, match=r"search\.space\.a must be"):
+            config.config_from_dict({"search": {"space": {"a": [1.0, 2.0, 3.0]}}})
+
     def test_overrides_parse_json_values(self):
         doc = config.apply_overrides(base_doc(), [
             "trainer.learning_rate=0.05",
@@ -270,6 +280,22 @@ class TestErrorExits:
         assert run_cli("train", "--config", str(path)) == cli.EXIT_CONFIG
         payload = self.read_error(capsys)
         assert payload["error"] == "config" and "loss" in payload["message"]
+        # a value of the wrong type is named by its dotted path; an int
+        # field or tuple item takes neither a float nor a bool
+        path.write_text(json.dumps(base_doc()))
+        for override, where in (("network.feature_dim=abc", "network.feature_dim"),
+                                ("dataset.synthetic.num_classes=5.5",
+                                 "dataset.synthetic.num_classes"),
+                                ("trainer.batch_size=2.5", "trainer.batch_size"),
+                                ("seed=abc", "seed"),
+                                ("trainer.max_steps=true", "trainer.max_steps"),
+                                ("network.f_hidden=[2.5]", "network.f_hidden")):
+            code = run_cli("train", "--config", str(path), "--out",
+                           str(tmp_path / "run"), "--set", override)
+            assert code == cli.EXIT_CONFIG, override
+            payload = self.read_error(capsys)
+            assert payload["error"] == "config", override
+            assert payload["message"].startswith(f"{where} must be"), override
 
     def test_trainer_seed_exit_2(self, tmp_path, capsys):
         # every command derives the trainer seed from `seed`; a set value
@@ -282,6 +308,18 @@ class TestErrorExits:
         payload = self.read_error(capsys)
         assert payload["type"] == "ConfigError"
         assert "trainer.seed" in payload["message"] and "'seed'" in payload["message"]
+
+    def test_overflow_after_last_step_exit_3(self, tmp_path, capsys):
+        # one finite but enormous update: no later loss sees the new
+        # parameters, so the final evaluation must report the overflow
+        tiny = Path(__file__).resolve().parents[1] / "configs" / "tiny_benchmark.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("train", "--config", str(tiny), "--out", str(tmp_path / "run"),
+                           "--set", "trainer.optimizer=sgd",
+                           "--set", "trainer.learning_rate=1e200",
+                           "--set", "trainer.max_steps=1", "--set", "trainer.eval_every=1")
+        assert code == cli.EXIT_NUMERIC
+        assert self.read_error(capsys)["type"] == "DegenerateInputError"
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -479,6 +479,17 @@ class TestRowBlocks:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
+    def test_overflowing_activations_raise(self, tmp_path):
+        # every parameter is finite, but h and the logits overflow; no
+        # loss sees an inference pass, so it must not report a class
+        params, ds, plan = block_problem(5)
+        params.flat *= 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match="inference logits"):
+                evalsel.predict(params, ds.features)
+            with pytest.raises(DegenerateInputError, match="inference h"):
+                evalsel.dump_embeddings(params, ds, plan, tmp_path / "emb.csv")
+
     def test_inference_runs_no_softmax(self, monkeypatch, tmp_path):
         params, ds, plan = block_problem(50)
 

@@ -160,10 +160,6 @@ class TestDeterminismAndValidation:
         with pytest.raises(ShapeError):
             ndcore.as_vector(np.ones((2, 2)), "b")
 
-    def test_non_finite_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(DegenerateInputError):
-            ndcore.affine_forward([[1e308, 1e308]], [[2.0], [2.0]], [0.0])
-
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.integers(0, 10_000))

@@ -108,14 +108,16 @@ class TestForward:
         params = networks.init_params(SMALL, 5)
         params.tensors()["g.w"][:] = 0.0
         fp = networks.forward_pass(params, np.ones((3, 5)), project=False)
-        assert np.allclose(fp.probs, 1.0 / SMALL.num_classes, atol=1e-15)
-        assert np.abs(fp.probs.sum(axis=1) - 1.0).max() <= 1e-12
+        probs = ndcore.softmax_forward(fp.logits)
+        assert np.allclose(probs, 1.0 / SMALL.num_classes, atol=1e-15)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
         assert fp.logits.shape == (3, SMALL.num_classes)
 
     def test_argmax_agrees_between_logits_and_probs(self):
         params = networks.init_params(SMALL, 6)
         fp = networks.forward_pass(params, np.random.default_rng(3).normal(size=(10, 5)))
-        assert np.array_equal(np.argmax(fp.logits, axis=1), np.argmax(fp.probs, axis=1))
+        assert np.array_equal(np.argmax(fp.logits, axis=1),
+                              np.argmax(ndcore.softmax_forward(fp.logits), axis=1))
 
     def test_input_width_checked(self):
         params = networks.init_params(SMALL, 6)
@@ -127,8 +129,10 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=(4, 5))
         a = networks.forward_pass(networks.init_params(SMALL, 11), x)
         b = networks.forward_pass(networks.init_params(SMALL, 11), x)
-        for name in ("h", "z", "logits", "probs"):
+        for name in ("h", "z", "logits"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(ndcore.softmax_forward(a.logits),
+                              ndcore.softmax_forward(b.logits))
 
     def test_relu_cache_is_next_layer_input(self):
         # the ReLU output is the next affine layer's input; caching it
@@ -172,10 +176,10 @@ class TestGradients:
 
         def loss_value():
             fp = networks.forward_pass(params, x)
-            return losses.task_loss(fp.probs, labels)[0]
+            return losses.task_loss(ndcore.softmax_forward(fp.logits), labels)[0]
 
         fp = networks.forward_pass(params, x)
-        _, grad_logits = losses.task_loss(fp.probs, labels)
+        _, grad_logits = losses.task_loss(ndcore.softmax_forward(fp.logits), labels)
         grads = networks.backward_pass(fp, grad_logits, None)
         # no P keys without grad_z; G before F, the order trainer.grad_norm sums in
         assert list(grads) == ["g.w", "g.b", "f.w0", "f.b0", "f.w1", "f.b1"]
@@ -221,7 +225,9 @@ class TestGradients:
         bare = networks.forward_pass(params, x, 0.5, np.random.default_rng(4),
                                      project=False)
         assert bare.z is None
-        assert np.array_equal(bare.h, full.h) and np.array_equal(bare.probs, full.probs)
+        assert np.array_equal(bare.h, full.h)
+        assert np.array_equal(ndcore.softmax_forward(bare.logits),
+                              ndcore.softmax_forward(full.logits))
         grad_logits = np.ones_like(bare.logits)
         for name, g in networks.backward_pass(bare, grad_logits, None).items():
             assert np.array_equal(g, networks.backward_pass(full, grad_logits, None)[name])
@@ -380,6 +386,28 @@ class TestCheckpoint:
         path = self.edited_checkpoint(tmp_path, lambda a: a.update({"g.w": a["g.w"].T}))
         with pytest.raises(ContractError, match=r"'g\.w' has shape \(4, 6\)"):
             networks.load_checkpoint(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        for bad in (np.nan, np.inf):
+            def edit(arrays, bad=bad):
+                arrays["p.w0"][1, 2] = bad
+            path = self.edited_checkpoint(tmp_path, edit)
+            with pytest.raises(DegenerateInputError, match="non-finite"):
+                networks.load_checkpoint(path)
+
+    def test_non_finite_value_exits_3(self, tmp_path, capsys):
+        # the dump runs F only, so a NaN in P would pass through unseen
+        # unless the load itself rejects it
+        def edit(arrays):
+            arrays["p.b0"][0] = np.nan
+        ckpt = self.edited_checkpoint(tmp_path, edit)
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"dataset": {"synthetic": {"num_classes": 4, "input_dim": 5}}}')
+        code = cli.main(["dump-embeddings", "--config", str(cfg), "--out",
+                         str(tmp_path / "emb"), "--checkpoint", str(ckpt)])
+        assert code == cli.EXIT_NUMERIC
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["type"] == "DegenerateInputError"
 
     def test_missing_tensor_exits_2(self, tmp_path, capsys):
         ckpt = self.edited_checkpoint(tmp_path, lambda a: a.pop("f.w0"))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fond import datagen, losses, networks, trainer
-from fond.errors import ConfigError, ContractError, NonFiniteLossError, ShapeError
+from fond.errors import (ConfigError, ContractError, DegenerateInputError, NonFiniteLossError,
+                         ShapeError)
 from fond.seeding import subseed
 
 from optim_frozen import RefOptState, ref_grad_norm, ref_optimizer_step
@@ -267,18 +268,35 @@ class TestTrainLoop:
         pool, _, plan, net_cfg = make_setup()
         params = networks.init_params(net_cfg, 1)
 
-        def bad_loss(logits, z, ann, cfg, probs=None):
+        def bad_loss(logits, z, ann, cfg):
             n, c = logits.shape
             return losses.FondLoss(total=float("nan"), task=float("nan"), xdom=0.0,
                                    fair=0.0, grad_logits=np.zeros((n, c)),
-                                   grad_z=None, config=cfg.resolved(),
-                                   ce=np.full(n, np.nan))
+                                   grad_z=None, ce=np.full(n, np.nan))
 
         monkeypatch.setattr(losses, "fond_loss", bad_loss)
         cfg = trainer.TrainerConfig(max_steps=5, eval_every=5, batch_size=8, seed=0)
         with pytest.raises(NonFiniteLossError) as err:
             trainer.train(params, pool, plan, default_loss(), cfg)
         assert err.value.step == 1
+
+    def test_nonfinite_update_names_step(self, monkeypatch):
+        # parameters are checked where an update writes them, so the error
+        # names the step whose update went wrong, not a later forward pass
+        pool, _, plan, net_cfg = make_setup()
+        params = networks.init_params(net_cfg, 1)
+        real_step = trainer.optimizer_step
+
+        def bad_step(params, grads, state, cfg):
+            state = real_step(params, grads, state, cfg)
+            if state.step == 3:
+                params.flat[0] = np.nan
+            return state
+
+        monkeypatch.setattr(trainer, "optimizer_step", bad_step)
+        cfg = trainer.TrainerConfig(max_steps=6, eval_every=6, batch_size=8, seed=0)
+        with pytest.raises(DegenerateInputError, match=r"parameters after step 3\b"):
+            trainer.train(params, pool, plan, default_loss(), cfg)
 
     def test_divergence_raises_nonfinite_with_step(self):
         # at this rate the logits blow up until a true-label probability
