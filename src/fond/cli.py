@@ -4,6 +4,8 @@ Subcommands: generate, split, train, search, benchmark, dump-embeddings.
 Every command takes --config PATH plus optional --set overrides, --out,
 --seed, and (for benchmark) --jobs. Failures print one machine-parsable
 JSON line to stderr and exit with 2 (config), 3 (numerical), or 4 (I/O).
+numpy's floating-point warnings are off: the checks at the module
+boundaries report every non-finite value as exit 3 instead.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import datagen, evalsel, networks, trainer
 from .config import RunConfig, load_config, to_provenance
@@ -99,9 +102,13 @@ def cmd_train(cfg: RunConfig, out: Path, jobs: int) -> int:
     plan = build_plan(cfg, dataset, cfg.split.setting)
     net_cfg = _network_config(cfg, dataset, plan)
     pool, target = datagen.apply_split(dataset, plan)
+    del dataset                  # the loop holds only its split and the target
     params = networks.init_params(net_cfg, subseed(cfg.seed, "init"))
     trainer_cfg = replace(cfg.trainer, seed=subseed(cfg.seed, "train"))
-    final, best, log = trainer.train(params, pool, plan, cfg.loss, trainer_cfg)
+    train_set, val_set = trainer.train_val_split(pool, trainer_cfg)
+    del pool
+    final, best, log = trainer.train(params, train_set, plan, cfg.loss, trainer_cfg,
+                                     val_set=val_set)
     report = evalsel.evaluate(best, target, plan)
 
     networks.save_checkpoint(best, out / "checkpoint_best.npz")
@@ -174,9 +181,13 @@ def run_benchmark_cell(cfg: RunConfig, setting, variant: str, rep: int) -> dict:
                                                     result.best_hyper)
 
     pool, target = datagen.apply_split(dataset, plan)
+    del dataset                  # the loop holds only its split and the target
     params = networks.init_params(net_cfg, subseed(cell_seed, "final-init"))
     final_cfg = replace(trainer_cfg, seed=subseed(cell_seed, "final-train"))
-    _, best, _ = trainer.train(params, pool, plan, loss_cfg, final_cfg)
+    train_set, val_set = trainer.train_val_split(pool, final_cfg)
+    del pool
+    _, best, _ = trainer.train(params, train_set, plan, loss_cfg, final_cfg,
+                               val_set=val_set)
     report = evalsel.evaluate(best, target, plan)
     return {
         "setting": str(setting), "variant": variant, "rep": rep,
@@ -200,7 +211,12 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
 
     workers = worker_count(jobs, len(cells), os.cpu_count())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
+
+        # warnings off in each worker too: a forked one inherits main's
+        # floating-point state, a spawned one does not
+        with ProcessPoolExecutor(max_workers=workers, initializer=np.seterr,
+                                 initargs=("ignore",)) as pool:
             futures = [pool.submit(run_benchmark_cell, cfg, *cell) for cell in cells]
             outcomes = [f.result() for f in futures]   # submission order, not completion
     else:
@@ -293,9 +309,11 @@ def main(argv=None) -> int:
             cfg = replace(cfg, out_dir=args.out)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "dump-embeddings":
-            return cmd_dump_embeddings(cfg, out, args.jobs, args.checkpoint, args.plan)
-        return _COMMANDS[args.command](cfg, out, args.jobs)
+        with np.errstate(all="ignore"):   # see the module docstring
+            if args.command == "dump-embeddings":
+                return cmd_dump_embeddings(cfg, out, args.jobs, args.checkpoint,
+                                           args.plan)
+            return _COMMANDS[args.command](cfg, out, args.jobs)
     except _NUMERIC_ERRORS as exc:
         return _fail("numerical", exc, EXIT_NUMERIC)
     except _CONFIG_ERRORS as exc:

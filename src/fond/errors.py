@@ -55,3 +55,8 @@ class NonFiniteLossError(RuntimeError):
         super().__init__(f"non-finite loss at step {step}: {components}")
         self.step = step
         self.components = components
+
+    def __reduce__(self):
+        # ``args`` holds only the message; a ``--jobs`` worker's error
+        # reaches the parent through pickle, which calls ``__init__`` again
+        return type(self), (self.step, self.components)

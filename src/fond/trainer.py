@@ -228,14 +228,20 @@ def _group_ce(ce: np.ndarray, mask: np.ndarray) -> float | None:
     return float(ce[mask].mean())
 
 
+def train_val_split(pool: datagen.Dataset, trainer_cfg: TrainerConfig):
+    """(train set, validation set): the 80/20 per-domain split that ``train``
+    draws from ``pool`` when it is given no ``val_set``. A caller that splits
+    first can free the pool before the loop."""
+    return datagen.split_train_val(pool, subseed(trainer_cfg.seed, SEED_TAG_VAL_SPLIT))
+
+
 def train(params: networks.ModelParams, source_pool: datagen.Dataset,
           plan: datagen.SplitPlan, loss_cfg: losses.LossConfig,
           trainer_cfg: TrainerConfig, val_set: datagen.Dataset | None = None):
     """Run the loop; returns (final params, best-validation params, log).
 
-    When ``val_set`` is None the pool is split 80/20 per source domain
-    with a seed derived from the trainer seed; otherwise the pool is
-    used for training as given. The best snapshot maximizes validation
+    When ``val_set`` is None the pool is split by ``train_val_split``;
+    otherwise the pool is used for training as given. The best snapshot maximizes validation
     accuracy over linked classes (strict improvement, earliest wins),
     falling back to overall accuracy when the validation split contains
     no linked-class samples.
@@ -244,8 +250,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
 
     loss_cfg = loss_cfg.resolved()
     if val_set is None:
-        train_set, val_set = datagen.split_train_val(
-            source_pool, subseed(trainer_cfg.seed, SEED_TAG_VAL_SPLIT))
+        train_set, val_set = train_val_split(source_pool, trainer_cfg)
     else:
         train_set = source_pool
 

@@ -1,5 +1,11 @@
+import gc
 import json
+import os
+import pickle
 import re
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fond import cli, config, datagen, evalsel, networks
-from fond.errors import ConfigError
+from fond import cli, config, datagen, evalsel, networks, trainer
+from fond.errors import ConfigError, NonFiniteLossError
 
 
 def base_doc(**extra):
@@ -39,6 +45,19 @@ def cfg_path(tmp_path):
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+TINY = Path(__file__).resolve().parents[1] / "configs" / "tiny_benchmark.json"
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's ``fond``; its stderr
+    is captured whole, worker processes included."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
 
 
 class TestConfig:
@@ -311,13 +330,12 @@ class TestErrorExits:
 
     def test_overflow_after_last_step_exit_3(self, tmp_path, capsys):
         # one finite but enormous update: no later loss sees the new
-        # parameters, so the final evaluation must report the overflow
-        tiny = Path(__file__).resolve().parents[1] / "configs" / "tiny_benchmark.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli("train", "--config", str(tiny), "--out", str(tmp_path / "run"),
-                           "--set", "trainer.optimizer=sgd",
-                           "--set", "trainer.learning_rate=1e200",
-                           "--set", "trainer.max_steps=1", "--set", "trainer.eval_every=1")
+        # parameters, so the final evaluation must report the overflow (and
+        # numpy must not warn about it: the suite turns warnings into errors)
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       "--set", "trainer.optimizer=sgd",
+                       "--set", "trainer.learning_rate=1e200",
+                       "--set", "trainer.max_steps=1", "--set", "trainer.eval_every=1")
         assert code == cli.EXIT_NUMERIC
         assert self.read_error(capsys)["type"] == "DegenerateInputError"
 
@@ -346,8 +364,7 @@ class TestErrorExits:
         assert self.read_error(capsys)["error"] == "numerical"
 
     def test_divergence_exit_3_names_step(self, tmp_path, capsys):
-        tiny = Path(__file__).resolve().parents[1] / "configs" / "tiny_benchmark.json"
-        code = run_cli("train", "--config", str(tiny), "--out", str(tmp_path / "div"),
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "div"),
                        "--set", "trainer.optimizer=sgd",
                        "--set", "trainer.learning_rate=1e6")
         assert code == cli.EXIT_NUMERIC
@@ -363,13 +380,47 @@ class TestErrorExits:
         "trainer.adam_eps=NaN"])
     def test_non_finite_config_value_exit_2(self, tmp_path, capsys, override):
         # NaN slips past `x < 0`-style range checks; it must fail as config
-        tiny = Path(__file__).resolve().parents[1] / "configs" / "tiny_benchmark.json"
-        code = run_cli("train", "--config", str(tiny), "--out", str(tmp_path / "nan"),
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "nan"),
                        "--set", override)
         assert code == cli.EXIT_CONFIG
         payload = self.read_error(capsys)
         assert payload["type"] == "ConfigError"
         assert override.split("=")[0].split(".")[1] in payload["message"]
+
+    def test_nonfinite_loss_error_pickles(self):
+        # a --jobs worker's exception reaches the parent through pickle
+        err = NonFiniteLossError(7, {"task": float("inf"), "total": float("inf")})
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is NonFiniteLossError
+        assert (str(back), back.step, back.components) == (str(err), 7, err.components)
+
+    def test_diverging_parallel_benchmark_exit_3(self, tmp_path):
+        proc = run_python("-m", "fond.cli", "benchmark", "--config", str(TINY),
+                          "--out", str(tmp_path / "div"),
+                          "--set", "trainer.optimizer=sgd",
+                          "--set", "trainer.learning_rate=1e6",
+                          "--set", "search.n_trials=0", "--set", "benchmark.reps=1",
+                          "--jobs", "2")
+        assert proc.returncode == cli.EXIT_NUMERIC, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["type"] == "NonFiniteLossError"
+
+    def test_numeric_failure_prints_only_its_json_line(self, cfg_path, tmp_path):
+        # finite parameters that overflow in the forward pass: numpy's
+        # warnings must not precede the inference check's error line
+        train_out = tmp_path / "tr"
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(train_out)) == 0
+        params = networks.load_checkpoint(train_out / "checkpoint_best.npz")
+        params.flat *= 1e200
+        huge = tmp_path / "huge.npz"
+        networks.save_checkpoint(params, huge)
+        proc = run_python("-m", "fond.cli", "dump-embeddings", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "emb"), "--checkpoint", str(huge))
+        assert proc.returncode == cli.EXIT_NUMERIC, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "numerical"
 
     def test_missing_checkpoint_flag_exit_2(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "emb"
@@ -407,12 +458,64 @@ class TestBenchmark:
         assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
         assert (serial / "aggregate.csv").read_bytes() == (parallel / "aggregate.csv").read_bytes()
 
+    def test_import_leaves_out_the_process_pool(self):
+        proc = run_python("-c", "import json, sys, fond.cli; print(json.dumps(list(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "fond.cli" in loaded
+        assert not loaded & {"concurrent.futures", "multiprocessing"}
+
     def test_skipping_search_leaves_winner_empty(self, cfg_path, tmp_path):
         out = tmp_path / "nosearch"
         run_cli("benchmark", "--config", str(cfg_path), "--out", str(out),
                 "--set", "search.n_trials=0")
         doc = json.loads((out / "benchmark.json").read_text())
         assert all(c["winner"] is None for c in doc["cells"])
+
+
+class TestReleasedData:
+    """Training commands free the dataset and the source pool before the loop."""
+
+    @pytest.fixture
+    def reachable_at_train(self, monkeypatch):
+        """Per ``trainer.train`` call, whether each dataset and source pool
+        built so far is still reachable."""
+        refs, seen = [], []
+        build, split, train = cli.build_dataset, datagen.apply_split, trainer.train
+
+        def watched_build(cfg):
+            dataset = build(cfg)
+            refs.append(weakref.ref(dataset))
+            return dataset
+
+        def watched_split(dataset, plan):
+            pool, target = split(dataset, plan)
+            refs.append(weakref.ref(pool))
+            return pool, target
+
+        def watched_train(*args, **kwargs):
+            gc.collect()
+            seen.append([ref() is not None for ref in refs])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_dataset", watched_build)
+        monkeypatch.setattr(datagen, "apply_split", watched_split)
+        monkeypatch.setattr(trainer, "train", watched_train)
+        return seen
+
+    def test_train(self, cfg_path, tmp_path, reachable_at_train):
+        assert run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "t")) == 0
+        assert reachable_at_train == [[False, False]]
+
+    def test_benchmark_cell(self, cfg_path, tmp_path, reachable_at_train):
+        code = run_cli("benchmark", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
+                       "--set", 'benchmark.variants=["fond"]', "--set", "benchmark.reps=1")
+        assert code == 0
+        # 3 search folds train from the dataset and the search's own pool,
+        # then the final training runs after both and the cell's pool are freed
+        assert len(reachable_at_train) == 4
+        assert reachable_at_train[0] == [True, True]
+        assert reachable_at_train[-1] == [False, False, False]
 
 
 @pytest.mark.parametrize("jobs, cells, cpus, want", [

@@ -330,6 +330,26 @@ class TestTrainLoop:
             logs.append(path.read_bytes())
         assert logs[0] == logs[1]
 
+    def test_given_split_matches_the_default_split(self, tmp_path):
+        # callers that free the pool before the loop pass train_val_split's
+        # halves; the run must be the one train draws from the pool itself
+        pool, _, plan, net_cfg = make_setup()
+        cfg = trainer.TrainerConfig(max_steps=12, eval_every=5, batch_size=16,
+                                    seed=4, learning_rate=0.01, dropout=0.2)
+        train_set, val_set = trainer.train_val_split(pool, cfg)
+        runs = [trainer.train(networks.init_params(net_cfg, 3), pool, plan,
+                              default_loss(), cfg),
+                trainer.train(networks.init_params(net_cfg, 3), train_set, plan,
+                              default_loss(), cfg, val_set=val_set)]
+        outputs = []
+        for i, (final, best, log) in enumerate(runs):
+            log.write_jsonl(tmp_path / f"log{i}.jsonl")
+            log.write_summary_csv(tmp_path / f"log{i}.csv")
+            outputs.append((final.flat.tobytes(), best.flat.tobytes(), log.best_step,
+                            (tmp_path / f"log{i}.jsonl").read_bytes(),
+                            (tmp_path / f"log{i}.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_eval_schedule_with_forced_final(self):
         pool, target, plan, net_cfg = make_setup()
         params = networks.init_params(net_cfg, 1)
