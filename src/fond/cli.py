@@ -124,6 +124,20 @@ def cmd_train(cfg: RunConfig, out: Path, jobs: int) -> int:
     return 0
 
 
+def train_fold(held_out_domain: int, train_set: datagen.Dataset,
+               val_set: datagen.Dataset, eval_set: datagen.Dataset,
+               plan: datagen.SplitPlan, net_cfg: networks.NetworkConfig,
+               loss_cfg, trainer_cfg: trainer.TrainerConfig,
+               fold_seed: int) -> evalsel.MetricsReport:
+    """The search's fold runner: train one fold model and evaluate its
+    best snapshot on the held-out domain."""
+    params = networks.init_params(net_cfg, subseed(fold_seed, "init"))
+    fold_trainer_cfg = replace(trainer_cfg, seed=subseed(fold_seed, "train"))
+    _, best, _ = trainer.train(params, train_set, plan, loss_cfg, fold_trainer_cfg,
+                               val_set=val_set)
+    return evalsel.evaluate(best, eval_set, plan)
+
+
 def _search_one(cfg: RunConfig, dataset, plan, net_cfg, seed_root):
     """Random search scored by leave-one-source-domain-out validation."""
     val_seed = subseed(seed_root, "validation")
@@ -131,7 +145,7 @@ def _search_one(cfg: RunConfig, dataset, plan, net_cfg, seed_root):
     def score_fn(hyper):
         loss_cfg, trainer_cfg = evalsel.apply_hyper(cfg.loss, cfg.trainer, hyper)
         result = evalsel.training_domain_validation(
-            dataset, plan, net_cfg, loss_cfg, trainer_cfg, val_seed)
+            dataset, plan, net_cfg, loss_cfg, trainer_cfg, val_seed, train_fold)
         return result.score
 
     return evalsel.random_search(cfg.search.space, cfg.search.n_trials,
@@ -218,7 +232,11 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
         with ProcessPoolExecutor(max_workers=workers, initializer=np.seterr,
                                  initargs=("ignore",)) as pool:
             futures = [pool.submit(run_benchmark_cell, cfg, *cell) for cell in cells]
-            outcomes = [f.result() for f in futures]   # submission order, not completion
+            try:
+                outcomes = [f.result() for f in futures]   # submission order, not completion
+            except BaseException:
+                pool.shutdown(cancel_futures=True)   # the run has failed: start no more cells
+                raise
     else:
         outcomes = [run_benchmark_cell(cfg, *cell) for cell in cells]
 

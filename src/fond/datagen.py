@@ -385,11 +385,9 @@ def apply_split(dataset: Dataset, plan: SplitPlan):
     return source_pool, target_set
 
 
-def split_train_val(dataset: Dataset, seed, train_fraction: float = 0.8):
-    """Per-domain shuffled split; each domain keeps >= 1 sample per side
-    whenever it has >= 2 samples."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
+def split_train_val(dataset: Dataset, seed):
+    """Per-domain shuffled 80/20 split; each domain keeps >= 1 sample per
+    side whenever it has >= 2 samples."""
     train_idx: list[int] = []
     val_idx: list[int] = []
     for s in sorted(dataset.domain_set()):
@@ -398,7 +396,7 @@ def split_train_val(dataset: Dataset, seed, train_fraction: float = 0.8):
         if len(perm) < 2:
             train_idx.extend(perm.tolist())
             continue
-        n_train = int(round(train_fraction * len(perm)))
+        n_train = int(round(0.8 * len(perm)))
         n_train = min(max(n_train, 1), len(perm) - 1)
         train_idx.extend(perm[:n_train].tolist())
         val_idx.extend(perm[n_train:].tolist())
@@ -501,15 +499,10 @@ def ingest_csv(path) -> Dataset:
 
 
 class BatchSampler:
-    """Deterministic epoch batching over a source pool.
+    """Deterministic epoch batching over a source pool: each epoch shuffles
+    all indices and chunks them (last short chunk kept)."""
 
-    Pooled mode shuffles all indices per epoch and chunks them (last
-    short chunk kept). Stratified mode shuffles within each domain and
-    deals indices into the epoch sequence proportionally to domain
-    sizes, so each batch approximates the pool's domain mix.
-    """
-
-    def __init__(self, dataset: Dataset, batch_size: int, seed, stratified: bool = False):
+    def __init__(self, dataset: Dataset, batch_size: int, seed):
         if len(dataset) == 0:
             raise DegenerateInputError("cannot sample batches from an empty pool")
         if batch_size < 2:
@@ -517,32 +510,7 @@ class BatchSampler:
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.seed = seed
-        self.stratified = bool(stratified)
-
-    def _epoch_order(self, epoch: int) -> np.ndarray:
-        rng = rng_for(self.seed, "epoch", epoch)
-        n = len(self.dataset)
-        if not self.stratified:
-            return rng.permutation(n)
-        queues = []
-        for s in sorted(self.dataset.domain_set()):
-            idx = np.flatnonzero(self.dataset.domains == s)
-            queues.append(idx[rng.permutation(len(idx))].tolist())
-        sizes = np.array([len(q) for q in queues], dtype=np.float64)
-        taken = np.zeros(len(queues))
-        order = np.empty(n, dtype=np.int64)
-        for t in range(n):
-            # largest remaining fraction, ties to the lowest domain index
-            deficit = sizes / sizes.sum() * (t + 1) - taken
-            pick = -1
-            for q in np.argsort(-deficit, kind="stable"):
-                if queues[q]:
-                    pick = int(q)
-                    break
-            order[t] = queues[pick].pop(0)
-            taken[pick] += 1
-        return order
 
     def epoch_batches(self, epoch: int) -> list[np.ndarray]:
-        order = self._epoch_order(epoch)
+        order = rng_for(self.seed, "epoch", epoch).permutation(len(self.dataset))
         return [order[i:i + self.batch_size] for i in range(0, len(order), self.batch_size)]

@@ -10,12 +10,13 @@ Accuracies are class-averaged: each class contributes its own accuracy,
 and a group score (linked vs shared classes) is the unweighted mean over
 its member classes, so class-count imbalance cannot mask a weak group.
 
-Model selection follows the source-domains-only protocol: K models are
-trained, each with one source domain held out and an 80/20 train/val
-split of the rest; each model's best snapshot is evaluated on its
-held-out domain, and a hyperparameter setting is scored by the mean
-linked-class accuracy over contributing folds. Random search draws
-i.i.d. settings and keeps the earliest argmax.
+Model selection follows the source-domains-only protocol: K folds each
+hold one source domain out and split the rest 80/20 into train/val; a
+caller-supplied runner trains each fold's model and evaluates its best
+snapshot on the held-out domain, and a hyperparameter setting is scored
+by the mean linked-class accuracy over contributing folds. This module
+never trains. Random search draws i.i.d. settings and keeps the earliest
+argmax.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import datagen, losses, ndcore, networks, trainer
+from . import datagen, losses, ndcore, networks
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .seeding import rng_for, subseed
 
@@ -156,8 +157,7 @@ class HyperSpace:
         return out
 
 
-def apply_hyper(loss_cfg: losses.LossConfig, trainer_cfg: trainer.TrainerConfig,
-                hyper: dict):
+def apply_hyper(loss_cfg: losses.LossConfig, trainer_cfg, hyper: dict):
     """Route sampled values into the two configs they parameterize."""
     loss_keys = {"lambda_xdom", "lambda_fair", "temperature", "a", "b"}
     trainer_keys = {"learning_rate", "dropout"}
@@ -174,7 +174,6 @@ class FoldRecord:
     held_out_domain: int
     score: float | None
     included: bool
-    report: MetricsReport | None = None
 
 
 @dataclass
@@ -183,24 +182,10 @@ class ValidationResult:
     folds: list[FoldRecord]
 
 
-def default_fold_runner(held_out_domain: int, train_set: datagen.Dataset,
-                        val_set: datagen.Dataset, eval_set: datagen.Dataset,
-                        plan: datagen.SplitPlan, net_cfg: networks.NetworkConfig,
-                        loss_cfg: losses.LossConfig, trainer_cfg: trainer.TrainerConfig,
-                        fold_seed: int) -> MetricsReport:
-    """Train one fold model and evaluate it on its held-out domain."""
-    params = networks.init_params(net_cfg, subseed(fold_seed, "init"))
-    fold_trainer_cfg = replace(trainer_cfg, seed=subseed(fold_seed, "train"))
-    _, best, _ = trainer.train(params, train_set, plan, loss_cfg, fold_trainer_cfg,
-                               val_set=val_set)
-    return evaluate(best, eval_set, plan)
-
-
 def training_domain_validation(dataset: datagen.Dataset, plan: datagen.SplitPlan,
                                net_cfg: networks.NetworkConfig,
-                               loss_cfg: losses.LossConfig,
-                               trainer_cfg: trainer.TrainerConfig,
-                               seed, fold_runner=None) -> ValidationResult:
+                               loss_cfg: losses.LossConfig, trainer_cfg,
+                               seed, fold_runner) -> ValidationResult:
     """Leave-one-source-domain-out score for one hyperparameter setting.
 
     Each fold holds out one source domain entirely, splits the remaining
@@ -209,11 +194,13 @@ def training_domain_validation(dataset: datagen.Dataset, plan: datagen.SplitPlan
     and evaluates the selected snapshot on every sample of the held-out
     domain. A fold whose held-out domain has no linked-class samples is
     flagged and excluded from the returned mean.
+
+    ``fold_runner(held_out_domain, train_set, val_set, eval_set, plan,
+    net_cfg, loss_cfg, trainer_cfg, fold_seed) -> MetricsReport`` does the
+    training and the evaluation of one fold.
     """
     if len(plan.source_domains) < 2:
         raise ConfigError("need at least 2 source domains to hold one out")
-    if fold_runner is None:
-        fold_runner = default_fold_runner
     source_pool, _ = datagen.apply_split(dataset, plan)
 
     folds: list[FoldRecord] = []
@@ -229,7 +216,7 @@ def training_domain_validation(dataset: datagen.Dataset, plan: datagen.SplitPlan
                              loss_cfg, trainer_cfg, fold_seed)
         score = report.y_l_accuracy
         folds.append(FoldRecord(held_out_domain=s_star, score=score,
-                                included=score is not None, report=report))
+                                included=score is not None))
 
     included = [f.score for f in folds if f.included]
     score = float(np.mean(included)) if included else None

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import datagen, losses, ndcore, networks
+from . import datagen, evalsel, losses, ndcore, networks
 from .errors import ConfigError, ContractError, NonFiniteLossError, ShapeError, require_finite
 from .seeding import rng_for, subseed
 
@@ -50,7 +50,7 @@ class TrainerConfig:
     eval_every: int = 50
     seed: int = 0
     dropout: float = 0.0
-    stratified_batches: bool = False
+    stratified_batches: bool = False   # must stay False; the provenance names it
     selection_metric: str = "y_l"   # snapshot criterion: "y_l" or "overall"
     momentum: float = 0.9
     adam_beta1: float = 0.9
@@ -74,6 +74,9 @@ class TrainerConfig:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.selection_metric not in ("y_l", "overall"):
             raise ConfigError(f"selection_metric must be 'y_l' or 'overall'")
+        if self.stratified_batches:
+            raise ConfigError("stratified_batches must stay false: batches are always "
+                              "drawn from the shuffled pool")
 
 
 @dataclass
@@ -246,8 +249,6 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     falling back to overall accuracy when the validation split contains
     no linked-class samples.
     """
-    from . import evalsel  # deferred: evalsel imports this module
-
     loss_cfg = loss_cfg.resolved()
     if val_set is None:
         train_set, val_set = train_val_split(source_pool, trainer_cfg)
@@ -257,8 +258,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     linked_lookup = np.isin(train_set.labels, sorted(plan.linked_classes))
     project = loss_cfg.lambda_xdom > 0   # z feeds nothing but the contrastive term
     sampler = datagen.BatchSampler(train_set, trainer_cfg.batch_size,
-                                   subseed(trainer_cfg.seed, SEED_TAG_BATCHES),
-                                   stratified=trainer_cfg.stratified_batches)
+                                   subseed(trainer_cfg.seed, SEED_TAG_BATCHES))
     state = OptState()
     log = TrainLog()
     best_params = params.clone()

@@ -5,6 +5,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -328,6 +329,19 @@ class TestErrorExits:
         assert payload["type"] == "ConfigError"
         assert "trainer.seed" in payload["message"] and "'seed'" in payload["message"]
 
+    def test_stratified_batches_exit_2(self, tmp_path, capsys):
+        # batches are always pooled; the key stays false in the provenance
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_doc()))
+        code = run_cli("train", "--config", str(path), "--out", str(tmp_path / "run"),
+                       "--set", "trainer.stratified_batches=true")
+        assert code == cli.EXIT_CONFIG
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["type"] == "ConfigError"
+        assert "stratified_batches" in payload["message"]
+
     def test_overflow_after_last_step_exit_3(self, tmp_path, capsys):
         # one finite but enormous update: no later loss sees the new
         # parameters, so the final evaluation must report the overflow (and
@@ -428,6 +442,17 @@ class TestErrorExits:
         assert code == cli.EXIT_CONFIG
 
 
+def _fail_first_cell(cfg, setting, variant, rep):
+    """Stand-in benchmark cell: the first raises, every other leaves a
+    marker file in the output directory and takes a moment, as a real
+    training would."""
+    if (variant, rep) == (cfg.benchmark.variants[0], 0):
+        raise ConfigError("first cell fails")
+    (Path(cfg.out_dir) / f"started-{setting}-{variant}-{rep}").touch()
+    time.sleep(0.1)
+    return {}
+
+
 class TestBenchmark:
     def test_cells_complete_and_rerun_identical(self, cfg_path, tmp_path):
         out = tmp_path / "b1"
@@ -457,6 +482,18 @@ class TestBenchmark:
                 "--set", "search.n_trials=0", "--jobs", "2")
         assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
         assert (serial / "aggregate.csv").read_bytes() == (parallel / "aggregate.csv").read_bytes()
+
+    def test_failed_cell_cancels_pending_cells(self, cfg_path, tmp_path, monkeypatch):
+        # forked workers inherit the fake cell
+        monkeypatch.setattr(cli, "run_benchmark_cell", _fail_first_cell)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        out = tmp_path / "b"
+        code = run_cli("benchmark", "--config", str(cfg_path), "--out", str(out),
+                       "--set", "search.n_trials=0", "--set", "benchmark.reps=8",
+                       "--jobs", "2")
+        assert code == cli.EXIT_CONFIG
+        pending = 2 * 8 - 1
+        assert len(list(out.glob("started-*"))) < pending
 
     def test_import_leaves_out_the_process_pool(self):
         proc = run_python("-c", "import json, sys, fond.cli; print(json.dumps(list(sys.modules)))")

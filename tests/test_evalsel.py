@@ -1,10 +1,12 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fond import datagen, evalsel, losses, ndcore, networks, trainer
+from fond import cli, datagen, evalsel, losses, ndcore, networks, trainer
 from fond.errors import ConfigError, ContractError, DegenerateInputError
 from fond.seeding import rng_for
 
@@ -282,10 +284,36 @@ class TestTrainingDomainValidation:
         cfg = trainer.TrainerConfig(max_steps=6, eval_every=3, batch_size=8,
                                     seed=0, learning_rate=0.01)
         result = evalsel.training_domain_validation(
-            ds, plan, net_cfg, losses.LossConfig(lambda_xdom=0.1), cfg, seed=0)
+            ds, plan, net_cfg, losses.LossConfig(lambda_xdom=0.1), cfg, seed=0,
+            fold_runner=cli.train_fold)
         assert len(result.folds) == len(plan.source_domains)
         if result.score is not None:
             assert 0.0 <= result.score <= 1.0
+
+
+class TestModuleLayers:
+    """evalsel scores models but never trains them, so the package imports
+    run one way: evalsel below trainer, and trainer below cli."""
+
+    SRC = Path(evalsel.__file__).resolve().parent
+
+    def imports(self, node):
+        return [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+    def test_evalsel_imports_nothing_from_trainer(self):
+        tree = ast.parse((self.SRC / "evalsel.py").read_text())
+        for node in self.imports(tree):
+            names = [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            assert not any(name.split(".")[-1] == "trainer" for name in names), \
+                ast.unparse(node)
+
+    def test_trainer_imports_only_at_module_level(self):
+        tree = ast.parse((self.SRC / "trainer.py").read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not self.imports(fn), fn.name
 
 
 class TestRandomSearch:

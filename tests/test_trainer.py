@@ -51,6 +51,11 @@ class TestTrainerConfig:
         with pytest.raises(ConfigError):
             trainer.TrainerConfig(selection_metric="loss")
 
+    def test_stratified_batches_rejected(self):
+        # batches are always pooled; the key stays only for the provenance line
+        with pytest.raises(ConfigError, match="stratified_batches"):
+            trainer.TrainerConfig(stratified_batches=True)
+
     def test_nonfinite_hyperparameters_rejected(self):
         for field_name in ("learning_rate", "momentum", "adam_beta1", "adam_beta2",
                            "adam_eps"):
