@@ -281,7 +281,11 @@ class SplitPlan:
     @classmethod
     def load(cls, path) -> "SplitPlan":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                return cls.from_json(fh.read())
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ContractError(f"{path} is not a valid split plan: "
+                                    f"{type(exc).__name__}: {exc}") from None
 
 
 def shared_class_count(num_classes: int, setting) -> int:

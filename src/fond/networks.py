@@ -20,6 +20,8 @@ no softmax: the training loss (``losses.fond_loss``) takes the logits.
 Parameters live in one flat float64 vector with named views into it
 (``f.w0``, ``p.b1``, ``g.w``, ...), so the optimizer updates the whole
 model in one pass and the checkpoint format stores the named tensors.
+Gradients use the same layout: ``backward_pass`` writes each layer's
+gradient into a ``ModelParams`` buffer and returns its flat vector.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import zipfile
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
@@ -115,14 +118,13 @@ class ModelParams:
     ``segments`` maps each name to its slice of ``flat``, also in
     ``param_layout`` order. The storage itself holds F and G first and P
     last: F and G fill ``flat[:fg_size]``, so a step that does not train
-    P (names in ``p_names``) updates one contiguous prefix.
+    P (the ``p.*`` tensors) updates one contiguous prefix.
     """
 
     config: NetworkConfig
     seed: int
     flat: np.ndarray | None = None
     segments: dict[str, slice] = field(init=False, repr=False)
-    p_names: tuple[str, ...] = field(init=False, repr=False)
     fg_size: int = field(init=False, repr=False)
     _views: MappingProxyType = field(init=False, repr=False)
     _heads: dict[str, list] = field(init=False, repr=False)
@@ -136,13 +138,12 @@ class ModelParams:
                 or not self.flat.flags.c_contiguous):
             raise ShapeError(f"flat parameters must be a contiguous float64 vector of "
                              f"{size} values, got {self.flat.dtype} {self.flat.shape}")
-        self.p_names = tuple(name for name, _ in layout if name.startswith("p."))
         self.fg_size = size - sum(math.prod(shape) for name, shape in layout
-                                  if name in self.p_names)
+                                  if name.startswith("p."))
         starts = {"fg": 0, "p": self.fg_size}
         self.segments, views = {}, {}
         for name, shape in layout:
-            part = "p" if name in self.p_names else "fg"
+            part = "p" if name.startswith("p.") else "fg"
             start, stop = starts[part], starts[part] + math.prod(shape)
             self.segments[name] = slice(start, stop)
             views[name] = self.flat[start:stop].reshape(shape)
@@ -152,6 +153,7 @@ class ModelParams:
                                 for i in range(len(dims))]
                        for prefix, dims in (("f", self.config.f_layer_dims()),
                                             ("p", self.config.p_layer_dims()))}
+        self._heads["g"] = [(views["g.w"], views["g.b"])]
 
     def tensors(self) -> Mapping[str, np.ndarray]:
         """Read-only name -> view mapping; write values in place."""
@@ -190,17 +192,15 @@ def _mlp_forward(x, layers):
     return out, caches
 
 
-def _mlp_backward(upstream, caches):
-    """Returns (grad_input, [(grad_w, grad_b), ...] per layer)."""
-    grads = [None] * len(caches)
+def _mlp_backward(upstream, caches, grads):
+    """Writes each layer's gradients into its ``(grad_w, grad_b)`` views in
+    ``grads``; returns the gradient at the stack's input."""
     g = upstream
-    for i in range(len(caches) - 1, -1, -1):
-        aff_cache, relu_cache = caches[i]
+    for (aff_cache, relu_cache), (gw, gb) in zip(reversed(caches), reversed(grads)):
         if relu_cache is not None:
             g = ndcore.relu_backward(g, relu_cache)
-        g, gw, gb = ndcore.affine_backward(g, aff_cache)
-        grads[i] = (gw, gb)
-    return g, grads
+        g, gw[...], gb[...] = ndcore.affine_backward(g, aff_cache)
+    return g
 
 
 @dataclass
@@ -213,7 +213,7 @@ class ForwardPass:
     _f_caches: list
     _p_caches: list | None
     _norm_cache: tuple | None
-    _g_cache: tuple
+    _g_caches: list
     _dropout_mask: np.ndarray | None
 
 
@@ -249,44 +249,38 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
         pre, p_caches = _mlp_forward(h, params._heads["p"])
         z, norm_cache = ndcore.l2_normalize_rows(pre)
 
-    w, b = params.tensors()["g.w"], params.tensors()["g.b"]
-    logits, g_cache = ndcore.affine_forward(h, w, b)
+    logits, g_caches = _mlp_forward(h, params._heads["g"])
     return ForwardPass(h=h, z=z, logits=logits,
                        _f_caches=f_caches, _p_caches=p_caches,
-                       _norm_cache=norm_cache, _g_cache=g_cache,
+                       _norm_cache=norm_cache, _g_caches=g_caches,
                        _dropout_mask=mask)
 
 
-def backward_pass(fp: ForwardPass, grad_logits, grad_z) -> dict[str, np.ndarray]:
-    """Parameter gradients given upstream grads at the two heads.
+def backward_pass(fp: ForwardPass, grad_logits, grad_z, out: ModelParams) -> np.ndarray:
+    """Parameter gradients given upstream grads at the two heads, written
+    into ``out`` (a gradient buffer: a ``ModelParams`` for the same config);
+    returns ``out.flat``.
 
     ``grad_logits`` is required, since every objective has the task term.
-    ``grad_z`` may be None: P then contributes nothing, the result has
-    no P keys (``trainer.optimizer_step`` then leaves P and its slots
-    alone), and the feature gradient is exactly G's. Keys come in the
-    order P, G, F, which is the order ``trainer.grad_norm`` sums in.
+    ``grad_z`` may be None: P then contributes nothing, its part of ``out``
+    is left as it was, the result is the F and G prefix
+    ``out.flat[:out.fg_size]`` (which ``trainer.optimizer_step`` takes to
+    leave P alone), and the feature gradient is exactly G's.
     """
-    grads: dict[str, np.ndarray] = {}
     grad_h_from_p = None
     if grad_z is not None:
         if fp.z is None:
             raise ContractError("grad_z given, but the forward pass skipped the projection head")
         grad_pre = ndcore.l2_normalize_backward(grad_z, fp._norm_cache)
-        grad_h_from_p, p_layer_grads = _mlp_backward(grad_pre, fp._p_caches)
-        for i, (gw, gb) in enumerate(p_layer_grads):
-            grads[f"p.w{i}"] = gw
-            grads[f"p.b{i}"] = gb
+        grad_h_from_p = _mlp_backward(grad_pre, fp._p_caches, out._heads["p"])
 
-    grad_h, grads["g.w"], grads["g.b"] = ndcore.affine_backward(grad_logits, fp._g_cache)
+    grad_h = _mlp_backward(grad_logits, fp._g_caches, out._heads["g"])
     if grad_h_from_p is not None:
         grad_h = grad_h_from_p + grad_h
     if fp._dropout_mask is not None:
         grad_h = grad_h * fp._dropout_mask
-    _, f_layer_grads = _mlp_backward(grad_h, fp._f_caches)
-    for i, (gw_f, gb_f) in enumerate(f_layer_grads):
-        grads[f"f.w{i}"] = gw_f
-        grads[f"f.b{i}"] = gb_f
-    return grads
+    _mlp_backward(grad_h, fp._f_caches, out._heads["f"])
+    return out.flat if grad_z is not None else out.flat[:out.fg_size]
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -309,8 +303,14 @@ def load_checkpoint(path) -> ModelParams:
     """Inverse of ``save_checkpoint``. The archive must hold exactly the
     tensors that its stored config lays out, each with its layout shape,
     and only finite values (``DegenerateInputError`` otherwise)."""
-    with np.load(path) as archive:
-        raw = {k: archive[k] for k in archive.files}
+    try:
+        archive = np.load(path)   # an .npy file gives a bare array
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with archive:
+            raw = {k: archive[k] for k in archive.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ContractError(f"{path} is not a model checkpoint: {exc}") from None
     if _META_KEY not in raw:
         raise ContractError(f"{path} is not a model checkpoint (missing metadata)")
     try:

@@ -14,7 +14,7 @@ Optimizer recurrences (eta = learning rate, g = gradient):
              theta <- theta - eta * mhat / (sqrt(vhat) + eps)    (t from 1)
 
 Each recurrence runs once per step over the model's whole flat parameter
-vector (``ModelParams.flat``), not tensor by tensor.
+vector (``ModelParams.flat``) and the flat gradient ``backward_pass`` returns.
 
 All randomness (batch order, dropout masks, validation split) derives
 from the trainer seed through tagged subseeds, so identical configs give
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import datagen, evalsel, losses, ndcore, networks
-from .errors import ConfigError, ContractError, NonFiniteLossError, ShapeError, require_finite
+from .errors import ConfigError, ContractError, NonFiniteLossError, require_finite
 from .seeding import rng_for, subseed
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
@@ -73,7 +73,8 @@ class TrainerConfig:
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.selection_metric not in ("y_l", "overall"):
-            raise ConfigError(f"selection_metric must be 'y_l' or 'overall'")
+            raise ConfigError(f"selection_metric must be 'y_l' or 'overall', "
+                              f"got {self.selection_metric!r}")
         if self.stratified_batches:
             raise ConfigError("stratified_batches must stay false: batches are always "
                               "drawn from the shuffled pool")
@@ -83,76 +84,62 @@ class TrainerConfig:
 class OptState:
     """Optimizer state over the flat parameter vector.
 
-    ``grad`` holds the packed gradient of the latest step and ``grad_sq``
-    its squares. ``m``/``v`` are the slot vectors (momentum keeps its
-    velocity in ``v``; sgd has none). Every vector is allocated on the
-    first step, sized to the model, and reused after.
+    ``grad_sq`` holds the squares of the latest step's gradient. ``m``/``v``
+    are the slot vectors (momentum keeps its velocity in ``v``; sgd has
+    none). Every vector is allocated on the first step, sized to the
+    model, and reused after.
     """
 
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    grad: np.ndarray | None = None
     grad_sq: np.ndarray | None = None
     scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def optimizer_step(params: networks.ModelParams, grads: dict, state: OptState,
+def optimizer_step(params: networks.ModelParams, grad: np.ndarray, state: OptState,
                    cfg: TrainerConfig) -> OptState:
     """In-place update of ``params.flat``; returns the advanced state.
 
-    ``grads`` names every parameter tensor, or every one but the
-    projection head's (``params.p_names``), as ``networks.backward_pass``
-    gives when P was skipped. It is packed into one flat gradient and the
-    update runs once over the whole vector, or over the F and G prefix
-    ``flat[:params.fg_size]`` when P's gradients are absent: P and its
-    slots are then left as they are. Each updated element sees the same
+    ``grad`` is what ``networks.backward_pass`` returns: the whole flat
+    gradient, or its F and G prefix (``params.fg_size`` values) when P was
+    skipped. The update runs once over ``flat[:len(grad)]``, so a prefix
+    leaves P and its slots as they are. Each updated element sees the same
     float operations, in the same order, as the recurrences in the module
     docstring applied tensor by tensor. Where P's gradients are zero from
     the first step on, as under ERM, leaving P alone gives the same bits
     as updating it with those zeros: its slots stay 0 and its update is
     +0.0.
     """
-    segments = params.segments
-    if state.grad is None:
-        state.grad, state.grad_sq = np.empty_like(params.flat), np.empty_like(params.flat)
+    if grad.shape not in ((params.fg_size,), (params.flat.size,)):
+        raise ContractError(f"gradient has shape {grad.shape}; the model takes "
+                            f"{params.flat.size} values, or {params.fg_size} without P")
+    if state.grad_sq is None:
+        state.grad_sq = np.empty_like(params.flat)
         state.scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
-    views = params.tensors()
-    for name, grad in grads.items():
-        if name not in segments:
-            raise ContractError(f"gradient {name!r} names no parameter")
-        if grad.shape != views[name].shape:
-            raise ShapeError(f"gradient {name} shape {grad.shape} != parameter "
-                             f"{views[name].shape}")
-        state.grad[segments[name]] = grad.reshape(-1)
-    size = params.flat.size
-    if len(grads) != len(segments):
-        missing = tuple(name for name in segments if name not in grads)
-        if missing != params.p_names:
-            raise ContractError(f"no gradient for parameter {missing[0]!r}")
-        size = params.fg_size
-    theta, g, grad_sq = params.flat[:size], state.grad[:size], state.grad_sq[:size]
+    size = len(grad)
+    theta, grad_sq = params.flat[:size], state.grad_sq[:size]
     tmp, delta = (buf[:size] for buf in state.scratch)
-    np.multiply(g, g, out=grad_sq)
+    np.multiply(grad, grad, out=grad_sq)
 
     state.step += 1
     t = state.step
     lr = cfg.learning_rate
     if cfg.optimizer == "sgd":
-        np.multiply(g, lr, out=delta)
+        np.multiply(grad, lr, out=delta)
     elif cfg.optimizer == "momentum":
         if state.v is None:
             state.v = np.zeros_like(params.flat)
         v = state.v[:size]
         v *= cfg.momentum
-        v += g
+        v += grad
         np.multiply(v, lr, out=delta)
     else:
         if state.m is None:
             state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
         m, v = state.m[:size], state.v[:size]
         m *= cfg.adam_beta1
-        m += np.multiply(g, 1.0 - cfg.adam_beta1, out=tmp)
+        m += np.multiply(grad, 1.0 - cfg.adam_beta1, out=tmp)
         v *= cfg.adam_beta2
         v += np.multiply(grad_sq, 1.0 - cfg.adam_beta2, out=tmp)
         np.divide(v, 1.0 - cfg.adam_beta2 ** t, out=tmp)          # vhat
@@ -165,15 +152,19 @@ def optimizer_step(params: networks.ModelParams, grads: dict, state: OptState,
     return state
 
 
-def grad_norm(params: networks.ModelParams, grads: dict, state: OptState) -> float:
+def grad_norm(params: networks.ModelParams, grad: np.ndarray, state: OptState) -> float:
     """Euclidean norm of the gradient the latest ``optimizer_step`` applied.
 
-    Each tensor's segment of ``state.grad_sq`` is summed on its own and
-    the sums are added in ``grads`` order, which gives the same bits as
-    ``sqrt(sum((g * g).sum() for g in grads.values()))``.
+    Each tensor's segment of ``state.grad_sq`` is summed on its own, and
+    the sums are added P (when ``grad`` covers it), G, F, in layout order
+    within each head. That order, kept for the logged bits, is the only
+    thing left of the name-keyed gradient dict ``backward_pass`` once
+    returned; ROADMAP item 6 replaces it with one reduction on purpose.
     """
     sq, segments = state.grad_sq, params.segments
-    return math.sqrt(sum(float(sq[segments[name]].sum()) for name in grads))
+    heads = "pgf" if len(grad) == params.flat.size else "gf"
+    return math.sqrt(sum(float(sq[segment].sum()) for head in heads
+                         for name, segment in segments.items() if name[0] == head))
 
 
 @dataclass
@@ -260,6 +251,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     sampler = datagen.BatchSampler(train_set, trainer_cfg.batch_size,
                                    subseed(trainer_cfg.seed, SEED_TAG_BATCHES))
     state = OptState()
+    grad_buffer = networks.ModelParams(config=params.config, seed=params.seed)
     log = TrainLog()
     best_params = params.clone()
     best_score = -math.inf
@@ -301,12 +293,12 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
             if not math.isfinite(fl.total):
                 raise NonFiniteLossError(step, {"task": fl.task, "xdom": fl.xdom,
                                                 "fair": fl.fair, "total": fl.total})
-            grads = networks.backward_pass(fp, fl.grad_logits, fl.grad_z)
-            optimizer_step(params, grads, state, trainer_cfg)
+            grad = networks.backward_pass(fp, fl.grad_logits, fl.grad_z, grad_buffer)
+            optimizer_step(params, grad, state, trainer_cfg)
             ndcore.check_finite(params.flat, f"parameters after step {step}")
             log.steps.append(StepRecord(
                 step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
-                grad_norm=grad_norm(params, grads, state),
+                grad_norm=grad_norm(params, grad, state),
                 linked_ce=_group_ce(fl.ce, ann.linked_mask),
                 shared_ce=_group_ce(fl.ce, ~ann.linked_mask)))
             if step % trainer_cfg.eval_every == 0:

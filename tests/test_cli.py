@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import pickle
@@ -273,6 +274,41 @@ class TestTrain:
         # the config sidecar is the one file allowed to differ
         assert (erm_out / "run.json").read_bytes() != (off_out / "run.json").read_bytes()
 
+    # sha256 of every deterministic output of `fond train` on the tiny
+    # config, for an objective that trains P ("fond") and one that skips it
+    # ("erm"). Any drift in a loss, gradient, optimizer or log byte shows
+    # here. Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, like
+    # perfbench/digests.json; another BLAS build may round differently.
+    GOLDEN = {
+        "fond": {
+            "trainlog.jsonl": "328d8d6e27aaac9bdb9f6bc3b5de350d2530b97b46b8ec513ff481f018cc43f8",
+            "trainlog.csv": "5f613165353af126b7761d734af62f568d1a5f6d66ac96280b371aed5cc634a0",
+            "checkpoint_best.npz":
+                "4bb3d348d6d357b5cd5ad3d54b2d5572a8f255fba27254c05fbcda16a19d1a07",
+            "checkpoint_final.npz":
+                "a3c452a485ad2176c747b0f76ee6fd21247764fa423876a825d00133557d39d0",
+            "metrics.json": "0ac57a0ba8c0de6267735ba62b709ae66a3607b0ec4d2233aaf0c898e1191982",
+        },
+        "erm": {
+            "trainlog.jsonl": "e837fffa1dff3800f950790613ceb6d53bbeb34512d07765a2bf32e5929e3a07",
+            "trainlog.csv": "a44a034d6b2a16d14f891bea081ba88b32b219c79d3fb7d44ba9b511e57ba582",
+            "checkpoint_best.npz":
+                "22fc77ae21f5293c0cd8134f8a2efd5973f8b6d73ec27a12cfdeaf01f431a617",
+            "checkpoint_final.npz":
+                "8e0380640a82c4aeb0d111ba40a0b4edc1a8959027e74d86d6f0a8c0b52a5779",
+            "metrics.json": "3389234abd115fd4515f8e2e66620aab78c51963496e762e41c318b1c7fd40cb",
+        },
+    }
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_tiny_train_outputs_match_recorded_digests(self, tmp_path, variant):
+        out = tmp_path / variant
+        assert run_cli("train", "--config", str(TINY), "--out", str(out),
+                       "--set", f"loss.variant={variant}") == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN[variant]}
+        assert digests == self.GOLDEN[variant]
+
     def test_train_from_ingested_csv(self, cfg_path, tmp_path):
         gen_out = tmp_path / "gen"
         run_cli("generate", "--config", str(cfg_path), "--out", str(gen_out))
@@ -440,6 +476,24 @@ class TestErrorExits:
         out = tmp_path / "emb"
         code = run_cli("dump-embeddings", "--config", str(cfg_path), "--out", str(out))
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("text", ["not json", '{"target_domain": 0}', "[0, 1]"])
+    @pytest.mark.parametrize("command", ["train", "dump-embeddings"])
+    def test_malformed_plan_file_exit_2(self, cfg_path, tmp_path, capsys, text, command):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        argv = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
+        if command == "train":
+            argv += ["--set", f"split.plan_path={json.dumps(str(plan))}"]
+        else:
+            ckpt = tmp_path / "model.npz"
+            net_cfg = networks.NetworkConfig(input_dim=6, num_classes=4)
+            networks.save_checkpoint(networks.init_params(net_cfg, 0), ckpt)
+            argv += ["--checkpoint", str(ckpt), "--plan", str(plan)]
+        assert run_cli(command, *argv) == cli.EXIT_CONFIG
+        payload = self.read_error(capsys)
+        assert payload["type"] == "ContractError"
+        assert f"{plan} is not a valid split plan" in payload["message"]
 
 
 def _fail_first_cell(cfg, setting, variant, rep):

@@ -162,11 +162,12 @@ class TestGradients:
 
         fp = networks.forward_pass(params, x)
         from fond.networks import _mlp_backward
-        _, f_grads = _mlp_backward(upstream_h, fp._f_caches)
-        for i, name in enumerate(["f.w0", "f.w1"]):
+        grads = networks.ModelParams(config=SMALL, seed=0)
+        _mlp_backward(upstream_h, fp._f_caches, grads._heads["f"])
+        for name in ("f.w0", "f.w1"):
             fd = central_difference(
                 lambda th, nm=name: scalar(th, nm), params.tensors()[name].copy())
-            assert rel_error(f_grads[i][0], fd) < 1e-4
+            assert rel_error(grads.tensors()[name], fd) < 1e-4
 
     def test_end_to_end_task_gradient_every_parameter(self):
         params = networks.init_params(SMALL, 9)
@@ -180,9 +181,9 @@ class TestGradients:
 
         fp = networks.forward_pass(params, x)
         _, grad_logits = losses.task_loss(ndcore.softmax_forward(fp.logits), labels)
-        grads = networks.backward_pass(fp, grad_logits, None)
-        # no P keys without grad_z; G before F, the order trainer.grad_norm sums in
-        assert list(grads) == ["g.w", "g.b", "f.w0", "f.b0", "f.w1", "f.b1"]
+        grads = networks.ModelParams(config=SMALL, seed=0)
+        flat = networks.backward_pass(fp, grad_logits, None, grads)
+        assert len(flat) == grads.fg_size   # P's part is not written without grad_z
 
         for name, theta in params.tensors().items():
             def scalar(v, nm=name):
@@ -193,9 +194,8 @@ class TestGradients:
                 return out
 
             fd = central_difference(scalar, theta.copy())
-            # an absent P gradient stands for zero: the task loss ignores z
-            grad = grads.get(name, np.zeros_like(theta))
-            assert rel_error(grad, fd, floor=1e-7) < 1e-4, name
+            # P's unwritten (zero) part is right: the task loss ignores z
+            assert rel_error(grads.tensors()[name], fd, floor=1e-7) < 1e-4, name
 
     def test_projection_gradient_through_normalization(self):
         params = networks.init_params(SMALL, 10)
@@ -213,10 +213,28 @@ class TestGradients:
             return scalar
 
         fp = networks.forward_pass(params, x)
-        grads = networks.backward_pass(fp, np.zeros_like(fp.logits), w)
+        grads = networks.ModelParams(config=SMALL, seed=0)
+        networks.backward_pass(fp, np.zeros_like(fp.logits), w, grads)
         for name in ("p.w0", "p.w1", "p.b0", "f.w0"):
             fd = central_difference(scalar_for(name), params.tensors()[name].copy())
-            assert rel_error(grads[name], fd, floor=1e-7) < 1e-4, name
+            assert rel_error(grads.tensors()[name], fd, floor=1e-7) < 1e-4, name
+
+    def test_writes_the_gradient_buffer_in_place(self):
+        # without grad_z only the F and G prefix is written and returned;
+        # with it, every element of the buffer
+        params = networks.init_params(SMALL, 14)
+        x = np.random.default_rng(15).normal(size=(4, 5))
+        fp = networks.forward_pass(params, x)
+        nans = np.full(params.flat.size, np.nan)
+        grads = networks.ModelParams(config=SMALL, seed=0, flat=nans)
+        prefix = networks.backward_pass(fp, np.ones_like(fp.logits), None, grads)
+        assert prefix.base is grads.flat
+        assert prefix.shape == (grads.fg_size,) and np.isfinite(prefix).all()
+        assert np.isnan(grads.flat[grads.fg_size:]).all()
+        grads.flat[:] = np.nan
+        whole = networks.backward_pass(fp, np.ones_like(fp.logits), np.ones_like(fp.z),
+                                       grads)
+        assert whole is grads.flat and np.isfinite(whole).all()
 
     def test_skipped_projection_leaves_classifier_path_unchanged(self):
         params = networks.init_params(SMALL, 11)
@@ -229,19 +247,21 @@ class TestGradients:
         assert np.array_equal(ndcore.softmax_forward(bare.logits),
                               ndcore.softmax_forward(full.logits))
         grad_logits = np.ones_like(bare.logits)
-        for name, g in networks.backward_pass(bare, grad_logits, None).items():
-            assert np.array_equal(g, networks.backward_pass(full, grad_logits, None)[name])
+        grads = networks.ModelParams(config=SMALL, seed=0)
+        bare_grad = networks.backward_pass(bare, grad_logits, None, grads).copy()
+        assert np.array_equal(bare_grad, networks.backward_pass(full, grad_logits, None, grads))
         with pytest.raises(ContractError):
-            networks.backward_pass(bare, grad_logits, np.ones_like(full.z))
+            networks.backward_pass(bare, grad_logits, np.ones_like(full.z), grads)
 
     def test_wrong_shape_upstream_gradients_raise(self):
         params = networks.init_params(SMALL, 12)
         fp = networks.forward_pass(params, np.random.default_rng(10).normal(size=(3, 5)))
+        grads = networks.ModelParams(config=SMALL, seed=0)
         with pytest.raises(ShapeError):
-            networks.backward_pass(fp, np.ones((3, SMALL.num_classes + 1)), None)
+            networks.backward_pass(fp, np.ones((3, SMALL.num_classes + 1)), None, grads)
         with pytest.raises(ShapeError):
             networks.backward_pass(fp, np.ones_like(fp.logits),
-                                   np.ones((2, SMALL.projection_dim)))
+                                   np.ones((2, SMALL.projection_dim)), grads)
 
 
 class TestDropout:
@@ -294,12 +314,11 @@ class TestFlatStorage:
             assert np.shares_memory(view, params.flat)
             assert np.array_equal(view.ravel(), params.flat[params.segments[name]])
         # storage order is F, G, then P, so F and G form the prefix
-        assert params.p_names == tuple(k for k, _ in layout if k.startswith("p."))
+        p_names = [k for k, _ in layout if k.startswith("p.")]
         starts = sorted((s.start, s.stop, k) for k, s in params.segments.items())
-        assert [k for *_, k in starts] == ([k for k, _ in layout if k[0] != "p"]
-                                           + list(params.p_names))
+        assert [k for *_, k in starts] == [k for k, _ in layout if k[0] != "p"] + p_names
         assert all(a[1] == b[0] for a, b in zip(starts, starts[1:]))
-        assert params.segments[params.p_names[0]].start == params.fg_size
+        assert params.segments[p_names[0]].start == params.fg_size
 
     def test_tensors_cannot_be_rebound(self):
         params = networks.init_params(SMALL, 31)
@@ -408,6 +427,24 @@ class TestCheckpoint:
         assert code == cli.EXIT_NUMERIC
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["type"] == "DegenerateInputError"
+
+    @pytest.mark.parametrize("name", ["model.txt", "model.npy"])
+    def test_non_archive_file_exits_2(self, tmp_path, capsys, name):
+        ckpt = tmp_path / name
+        if name.endswith(".npy"):
+            np.save(ckpt, np.zeros(3))
+        else:
+            ckpt.write_text("not a checkpoint\n")
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"dataset": {"synthetic": {"num_classes": 4, "input_dim": 5}}}')
+        code = cli.main(["dump-embeddings", "--config", str(cfg), "--out",
+                         str(tmp_path / "emb"), "--checkpoint", str(ckpt)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["type"] == "ContractError"
+        assert f"{name} is not a model checkpoint" in payload["message"]
 
     def test_missing_tensor_exits_2(self, tmp_path, capsys):
         ckpt = self.edited_checkpoint(tmp_path, lambda a: a.pop("f.w0"))

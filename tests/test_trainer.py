@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fond import datagen, losses, networks, trainer
-from fond.errors import (ConfigError, ContractError, DegenerateInputError, NonFiniteLossError,
-                         ShapeError)
+from fond.errors import ConfigError, ContractError, DegenerateInputError, NonFiniteLossError
 from fond.seeding import subseed
 
 from optim_frozen import RefOptState, ref_grad_norm, ref_optimizer_step
@@ -48,7 +47,7 @@ class TestTrainerConfig:
             trainer.TrainerConfig(dropout=1.0)
         with pytest.raises(ConfigError):
             trainer.TrainerConfig(optimizer="rmsprop")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="got 'loss'"):
             trainer.TrainerConfig(selection_metric="loss")
 
     def test_stratified_batches_rejected(self):
@@ -64,6 +63,18 @@ class TestTrainerConfig:
                     trainer.TrainerConfig(**{field_name: bad})
 
 
+def flat_grad(params, grads):
+    """The flat gradient that ``networks.backward_pass`` writes for the
+    name -> array dict ``grads``: the whole vector, or only its F and G
+    prefix when ``grads`` has no P tensors."""
+    buffer = networks.ModelParams(config=params.config, seed=0)
+    for name, grad in grads.items():
+        buffer.tensors()[name][...] = grad
+    if any(name.startswith("p.") for name in grads):
+        return buffer.flat
+    return buffer.flat[:buffer.fg_size]
+
+
 class TestOptimizerStep:
     def params(self):
         cfg = networks.NetworkConfig(input_dim=2, num_classes=3, feature_dim=2,
@@ -73,79 +84,58 @@ class TestOptimizerStep:
     def test_zero_gradient_is_noop(self):
         for opt in trainer.OPTIMIZERS:
             params = self.params()
-            before = {k: v.copy() for k, v in params.tensors().items()}
-            grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-            trainer.optimizer_step(params, grads, trainer.OptState(),
+            before = params.flat.copy()
+            trainer.optimizer_step(params, np.zeros_like(params.flat), trainer.OptState(),
                                    trainer.TrainerConfig(optimizer=opt))
-            for k, v in params.tensors().items():
-                assert np.array_equal(v, before[k]), (opt, k)
+            assert np.array_equal(params.flat, before), opt
 
     def test_sgd_unit_rate_with_self_gradient_zeroes(self):
         params = self.params()
-        grads = {k: v.copy() for k, v in params.tensors().items()}
         cfg = trainer.TrainerConfig(optimizer="sgd", learning_rate=1.0)
-        trainer.optimizer_step(params, grads, trainer.OptState(), cfg)
-        for v in params.tensors().values():
-            assert not v.any()
+        trainer.optimizer_step(params, params.flat.copy(), trainer.OptState(), cfg)
+        assert not params.flat.any()
 
     def test_adam_first_step_closed_form(self):
         # after one step: mhat = g, vhat = g^2, so delta = -lr*g/(|g|+eps)
         params = self.params()
-        rng = np.random.default_rng(3)
-        before = {k: v.copy() for k, v in params.tensors().items()}
-        grads = {k: rng.normal(size=v.shape) for k, v in params.tensors().items()}
+        before = params.flat.copy()
+        grad = np.random.default_rng(3).normal(size=params.flat.size)
         cfg = trainer.TrainerConfig(optimizer="adam", learning_rate=0.01)
-        trainer.optimizer_step(params, grads, trainer.OptState(), cfg)
-        for k, v in params.tensors().items():
-            g = grads[k]
-            expected = before[k] - 0.01 * g / (np.abs(g) + cfg.adam_eps)
-            assert np.abs(v - expected).max() < 1e-12, k
+        trainer.optimizer_step(params, grad, trainer.OptState(), cfg)
+        expected = before - 0.01 * grad / (np.abs(grad) + cfg.adam_eps)
+        assert np.abs(params.flat - expected).max() < 1e-12
 
     def test_momentum_two_steps_hand_computed(self):
         params = self.params()
-        before = {k: v.copy() for k, v in params.tensors().items()}
+        before = params.flat.copy()
         rng = np.random.default_rng(4)
-        g1 = {k: rng.normal(size=v.shape) for k, v in params.tensors().items()}
-        g2 = {k: rng.normal(size=v.shape) for k, v in params.tensors().items()}
+        g1, g2 = rng.normal(size=(2, params.flat.size))
         cfg = trainer.TrainerConfig(optimizer="momentum", learning_rate=0.1,
                                     momentum=0.5)
         state = trainer.OptState()
         trainer.optimizer_step(params, g1, state, cfg)
         trainer.optimizer_step(params, g2, state, cfg)
         assert state.step == 2
-        for k, v in params.tensors().items():
-            expected = before[k] - 0.1 * g1[k] - 0.1 * (0.5 * g1[k] + g2[k])
-            assert np.abs(v - expected).max() < 1e-12, k
+        expected = before - 0.1 * g1 - 0.1 * (0.5 * g1 + g2)
+        assert np.abs(params.flat - expected).max() < 1e-12
 
-    def test_shape_mismatch_raises(self):
+    def test_wrong_length_gradient_raises(self):
+        # a flat gradient spans the whole model or its F and G prefix
         params = self.params()
-        grads = {"g.b": np.zeros(5)}
-        with pytest.raises(ShapeError):
-            trainer.optimizer_step(params, grads, trainer.OptState(),
-                                   trainer.TrainerConfig())
-
-    def test_gradient_key_set_must_match_parameters(self):
-        params = self.params()
-        grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-        del grads["p.b0"]
-        with pytest.raises(ContractError, match="p.b0"):
-            trainer.optimizer_step(params, grads, trainer.OptState(),
-                                   trainer.TrainerConfig())
-        grads["p.b0"] = np.zeros(2)
-        grads["q.w"] = np.zeros(1)
-        with pytest.raises(ContractError, match="q.w"):
-            trainer.optimizer_step(params, grads, trainer.OptState(),
-                                   trainer.TrainerConfig())
-        # all of P's gradients may be absent together, and nothing else
-        grads = {k: np.ones_like(v) for k, v in params.tensors().items()
-                 if not k.startswith("p.")}
-        del grads["f.b0"]
-        with pytest.raises(ContractError, match="f.b0"):
-            trainer.optimizer_step(params, grads, trainer.OptState(),
-                                   trainer.TrainerConfig())
-        grads["f.b0"] = np.ones(2)
         before = params.flat.copy()
-        state = trainer.optimizer_step(params, grads, trainer.OptState(),
+        n, fg = params.flat.size, params.fg_size
+        for grad in (np.zeros(fg - 1), np.zeros(fg + 1), np.zeros(n + 1),
+                     np.zeros((1, n)), np.zeros((n, 1))):
+            state = trainer.OptState()
+            with pytest.raises(ContractError, match="gradient has shape"):
+                trainer.optimizer_step(params, grad, state, trainer.TrainerConfig())
+            assert state.step == 0
+        assert params.flat.tobytes() == before.tobytes()
+
+    def test_prefix_gradient_leaves_projection_alone(self):
+        params = self.params()
+        before = params.flat.copy()
+        state = trainer.optimizer_step(params, np.ones(params.fg_size), trainer.OptState(),
                                        trainer.TrainerConfig())
         p_part = slice(params.fg_size, None)
         assert params.flat[p_part].tobytes() == before[p_part].tobytes()
@@ -164,8 +154,9 @@ def test_optimizer_step_bit_identical_to_frozen_per_tensor(
         optimizer, steps, projection_dim, extra_feature, f_hidden, p_hidden,
         input_dim, num_classes, p_head, seed):
     # random widths shift every segment boundary of the flat vector;
-    # gradients span many magnitudes and arrive in backward_pass's
-    # dict order (P, G, F), which is not the storage order
+    # gradients span many magnitudes. The reference's dict lists them in
+    # the order P, G, F (layout order within each head), the order
+    # trainer.grad_norm adds the per-tensor sums in
     net_cfg = networks.NetworkConfig(
         input_dim=input_dim, num_classes=num_classes,
         feature_dim=projection_dim + extra_feature, projection_dim=projection_dim,
@@ -175,19 +166,19 @@ def test_optimizer_step_bit_identical_to_frozen_per_tensor(
     tcfg = trainer.TrainerConfig(optimizer=optimizer, learning_rate=0.003,
                                  momentum=0.8, adam_beta1=0.85, adam_beta2=0.995)
     state, ref_state = trainer.OptState(), RefOptState()
-    names = sorted(ref, key=lambda k: ("pgf".index(k[0]), k))
+    names = sorted(ref, key=lambda k: "pgf".index(k[0]))
     rng = np.random.default_rng(seed)
     for _ in range(steps):
         grads = {k: rng.normal(size=ref[k].shape) * 10.0 ** rng.uniform(-6, 3)
                  for k in names}
         if p_head != "given":   # zero: the reference's view of an ERM step
             grads.update({k: np.zeros_like(g) for k, g in grads.items() if k[0] == "p"})
-        # absent: what backward_pass gives without grad_z, i.e. on ERM steps
-        step_grads = ({k: g for k, g in grads.items() if k[0] != "p"}
-                      if p_head == "absent" else grads)
-        trainer.optimizer_step(params, step_grads, state, tcfg)
+        # absent: the F and G prefix backward_pass gives without grad_z, as on ERM steps
+        grad = flat_grad(params, {k: g for k, g in grads.items()
+                                  if p_head != "absent" or k[0] != "p"})
+        trainer.optimizer_step(params, grad, state, tcfg)
         ref_optimizer_step(ref, grads, ref_state, tcfg)
-        assert trainer.grad_norm(params, step_grads, state) == ref_grad_norm(grads)
+        assert trainer.grad_norm(params, grad, state) == ref_grad_norm(grads)
     assert state.step == ref_state.step == steps
     for k, v in params.tensors().items():
         assert v.tobytes() == ref[k].tobytes(), k
@@ -252,10 +243,9 @@ class TestTrainLoop:
                                       linked_mask=linked[batch])
         fp = networks.forward_pass(manual, pool.features[batch])
         fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg)
-        grads = networks.backward_pass(fp, fl.grad_logits, fl.grad_z)
-        for k, g in grads.items():
-            expected = manual.tensors()[k] - 0.1 * g
-            assert np.array_equal(params.tensors()[k], expected), k
+        grad = networks.backward_pass(fp, fl.grad_logits, fl.grad_z,
+                                      networks.ModelParams(config=net_cfg, seed=0))
+        assert np.array_equal(params.flat, manual.flat - 0.1 * grad)
 
     def test_erm_fits_separable_data(self):
         pool, _, plan, net_cfg = make_setup(seed=8, samples_per_cell=10)
