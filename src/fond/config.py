@@ -70,6 +70,9 @@ class BenchmarkConfig:
     reps: int = 3
 
     def __post_init__(self):
+        for key in ("variants", "settings"):
+            if not getattr(self, key):
+                raise ConfigError(f"benchmark.{key} must not be empty")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ConfigError(f"unknown variants {sorted(unknown)}")
@@ -188,7 +191,7 @@ def load_config(path, overrides=None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return config_from_dict(apply_overrides(doc, overrides))
 

@@ -445,11 +445,17 @@ def ingest_csv(path) -> Dataset:
     Rows go straight into two growing matrices, float64 features and
     int64 (id, domain, label), so no per-row objects outlive their line.
     Floats are parsed by ``float``, which rounds each decimal exactly as
-    ``export_csv``'s ``repr`` expects."""
+    ``export_csv``'s ``repr`` expects. Bytes that are not UTF-8 are read as
+    lone surrogates and reported with their line."""
     feats = ints = None
     n = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CsvFormatError("not UTF-8 text", line=lineno) from None
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -504,13 +510,12 @@ def ingest_csv(path) -> Dataset:
 
 class BatchSampler:
     """Deterministic epoch batching over a source pool: each epoch shuffles
-    all indices and chunks them (last short chunk kept)."""
+    all indices and chunks them (last short chunk kept). ``batch_size`` is
+    ``TrainerConfig.batch_size``, which that config checks (>= 2)."""
 
     def __init__(self, dataset: Dataset, batch_size: int, seed):
         if len(dataset) == 0:
             raise DegenerateInputError("cannot sample batches from an empty pool")
-        if batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.seed = seed

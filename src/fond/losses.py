@@ -15,6 +15,13 @@ two scalars:
 the numerator term (so it shifts the loss by a constant and leaves the
 gradient untouched), ``similarity_scale`` multiplies the similarity
 inside the exponential (so it reshapes the gradient too).
+
+Inputs are checked where they enter the objective: ``BatchAnnotations``
+checks its arrays' ranks and lengths, ``fond_loss`` checks the labels
+against the logits, and ``xdom_loss`` checks that z has unit rows and one
+annotation per row. ``task_loss`` and ``fair_loss`` check nothing; they
+take the probabilities and labels that ``fond_loss`` checked. Only this
+module calls ``ndcore.softmax_forward``.
 """
 
 from __future__ import annotations
@@ -36,8 +43,6 @@ VARIANTS = ("fond", "fond_f", "fond_fb", "fond_fba", "erm", "supcon")
 # Unit-norm check tolerance. Loose enough that finite-difference probes
 # (h ~ 1e-5) of a normalized batch still pass the precondition.
 UNIT_NORM_TOL = 1e-4
-
-PROB_ROW_TOL = 1e-9
 
 # Rows of the B x B similarity matrix that xdom_loss processes at once.
 # At B = 1024 a 64-row float64 block is 512 KiB, so the block and its
@@ -126,13 +131,16 @@ class BatchAnnotations:
 
 
 def _check_labels(labels, probs_shape) -> np.ndarray:
-    """Labels as int64: 1-D, one per row of an (N, G) matrix, in [0, G)."""
+    """Labels as int64: 1-D, one per row of an (N, G) matrix with N >= 1,
+    in [0, G)."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or len(labels) != probs_shape[0]:
         raise ContractError(
             f"labels shape {labels.shape} does not match probabilities {probs_shape}"
         )
-    if labels.size and (labels.min() < 0 or labels.max() >= probs_shape[1]):
+    if not labels.size:
+        raise ContractError("empty batch")
+    if labels.min() < 0 or labels.max() >= probs_shape[1]:
         raise ContractError(
             f"labels must lie in [0, {probs_shape[1]}), got range "
             f"[{labels.min()}, {labels.max()}]"
@@ -158,38 +166,19 @@ def _true_label_ce(probs, labels) -> np.ndarray:
         return -np.log(picked)
 
 
-def _checked_with_ce(probabilities, labels, ce):
-    """``(probs, labels, ce)``: the inputs checked (labels as in
-    ``_check_labels``, rows summing to 1) and their per-sample
-    cross-entropy computed, or passed through as given with ``ce``."""
-    if ce is not None:
-        return probabilities, labels, ce
-    probs = ndcore.as_matrix(probabilities, "probabilities")
-    labels = _check_labels(labels, probs.shape)
-    row_sums = probs.sum(axis=1)
-    if np.abs(row_sums - 1.0).max() > PROB_ROW_TOL:
-        worst = int(np.abs(row_sums - 1.0).argmax())
-        raise ContractError(
-            f"probability row {worst} sums to {row_sums[worst]!r}, not 1"
-        )
-    return probs, labels, _true_label_ce(probs, labels)
-
-
-def task_loss(probabilities, labels, *, ce: np.ndarray | None = None):
+def task_loss(probs, labels, *, ce: np.ndarray | None = None):
     """Mean cross-entropy; gradient is taken wrt the logits behind the
     probabilities, i.e. (p - onehot) / N.
 
-    ``ce`` is ``_true_label_ce`` of these same arrays from a caller that
-    made the probabilities with ``softmax_forward`` and checked the labels
-    (``fond_loss`` does); the checks are then skipped and the
-    cross-entropies reused. None checks the inputs and computes them here.
+    ``probs`` is a row-stochastic (N, G) float64 array with N >= 1 and
+    ``labels`` one class id in [0, G) per row; neither is checked here
+    (``fond_loss`` checks the labels). ``ce`` is ``_true_label_ce`` of
+    these same arrays when the caller has it; None computes it here.
     """
-    probs, labels, ce = _checked_with_ce(probabilities, labels, ce)
-    n = probs.shape[0]
-    if n == 0:
-        raise ContractError("empty batch")
+    if ce is None:
+        ce = _true_label_ce(probs, labels)
     loss = float(ce.mean())
-    grad_logits = (probs - _onehot(labels, probs.shape[1])) / n
+    grad_logits = (probs - _onehot(labels, probs.shape[1])) / probs.shape[0]
     return loss, grad_logits
 
 
@@ -298,20 +287,17 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     return loss, grad_z
 
 
-def fair_loss(probabilities, labels, linked_mask, *, ce: np.ndarray | None = None):
+def fair_loss(probs, labels, linked_mask, *, ce: np.ndarray | None = None):
     """Absolute gap between the two groups' mean cross-entropies.
 
-    Groups are the linked-class samples and the rest. A batch missing
-    either group scores 0 with zero gradient; at an exact tie the
-    subgradient 0 is used. Gradient is wrt logits. ``ce`` is as in
-    ``task_loss``.
+    Groups are the linked-class samples and the rest (``linked_mask``, one
+    flag per row). A batch missing either group scores 0 with zero
+    gradient; at an exact tie the subgradient 0 is used. Gradient is wrt
+    logits. The inputs and ``ce`` are as in ``task_loss``.
     """
-    probs, labels, ce = _checked_with_ce(probabilities, labels, ce)
+    if ce is None:
+        ce = _true_label_ce(probs, labels)
     linked = np.asarray(linked_mask, dtype=bool)
-    if linked.shape != labels.shape:
-        raise ContractError(
-            f"linked_mask shape {linked.shape} does not match labels {labels.shape}"
-        )
     n_l = int(linked.sum())
     n_s = int((~linked).sum())
     if n_l == 0 or n_s == 0:
@@ -357,10 +343,10 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
     bit-for-bit). A single-sample batch has no pairs, so the contrastive
     component is the empty sum 0 there.
 
-    The softmax of ``logits`` is computed here, once, and it and its
-    per-sample cross-entropies are shared by the task and fairness terms.
-    Being ``softmax_forward``'s output, it skips the row-sum check; only
-    the labels are checked (one per row, in [0, G)).
+    The softmax of ``logits`` (an (N, G) float64 array) is computed here,
+    once, and it and its per-sample cross-entropies are shared by the task
+    and fairness terms. The labels are the one input checked (one per row,
+    N >= 1, in [0, G)).
     """
     cfg = cfg.resolved()
     probs = ndcore.softmax_forward(logits)
@@ -378,7 +364,7 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
             grad_z = cfg.lambda_xdom * g_z
             total = total + cfg.lambda_xdom * xdom
         else:
-            grad_z = np.zeros_like(ndcore.as_matrix(z, "z"))
+            grad_z = np.zeros_like(z)
 
     fair = 0.0
     if cfg.lambda_fair > 0:

@@ -223,13 +223,13 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
     """Full forward through F, dropout on h, then both heads.
 
     Inverted dropout: kept units are scaled by 1/(1-rate) so evaluation
-    needs no rescaling. rate 0.0 draws nothing from the rng.
-    ``project=False`` skips the projection head P (``z`` is None), for
-    objectives without a contrastive term; the mask is drawn before P,
-    so every other output is unchanged.
+    needs no rescaling. rate 0.0 draws nothing from the rng, and
+    ``TrainerConfig`` keeps the rate in [0, 1). ``project=False`` skips the
+    projection head P (``z`` is None), for objectives without a
+    contrastive term; the mask is drawn before P, so every other output
+    is unchanged. ``x_batch`` is the input checked here, for the ``ndcore``
+    kernels: 2-D with ``input_dim`` columns (``ShapeError``), made float64.
     """
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ConfigError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
     x = ndcore.as_matrix(x_batch, "x_batch")
     if x.shape[1] != params.config.input_dim:
         raise ShapeError(
@@ -256,6 +256,11 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
                        _dropout_mask=mask)
 
 
+def _check_upstream(name: str, grad: np.ndarray, output: np.ndarray) -> None:
+    if grad.shape != output.shape:
+        raise ShapeError(f"{name}{grad.shape} does not match the forward output{output.shape}")
+
+
 def backward_pass(fp: ForwardPass, grad_logits, grad_z, out: ModelParams) -> np.ndarray:
     """Parameter gradients given upstream grads at the two heads, written
     into ``out`` (a gradient buffer: a ``ModelParams`` for the same config);
@@ -266,11 +271,15 @@ def backward_pass(fp: ForwardPass, grad_logits, grad_z, out: ModelParams) -> np.
     is left as it was, the result is the F and G prefix
     ``out.flat[:out.fg_size]`` (which ``trainer.optimizer_step`` takes to
     leave P alone), and the feature gradient is exactly G's.
+    Checked here, for the whole pass: each upstream gradient (a float64
+    array from the losses) has the shape of its output (``ShapeError``).
     """
+    _check_upstream("grad_logits", grad_logits, fp.logits)
     grad_h_from_p = None
     if grad_z is not None:
         if fp.z is None:
             raise ContractError("grad_z given, but the forward pass skipped the projection head")
+        _check_upstream("grad_z", grad_z, fp.z)
         grad_pre = ndcore.l2_normalize_backward(grad_z, fp._norm_cache)
         grad_h_from_p = _mlp_backward(grad_pre, fp._p_caches, out._heads["p"])
 

@@ -395,6 +395,44 @@ class TestErrorExits:
         assert run_cli("train", "--config", str(path)) == cli.EXIT_CONFIG
         assert self.read_error(capsys)["error"] == "config"
 
+    def only_error_line(self, capsys):
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        return json.loads(lines[0])
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"seed": 1, "out_dir": "\xff\xfe"}')
+        assert run_cli("train", "--config", str(path)) == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError" and "utf-8" in payload["message"]
+
+    @pytest.mark.parametrize("body, where", [
+        (b"a,b\n\xff\xfe,1\n", "line 1: "),
+        (b"id,domain,label,f0\n0,0,0,1.0\n\xff\xfe,0,1,2.0\n", "line 3: not UTF-8"),
+        (b"id,domain,label,f0\n# caf\xe9\n0,0,0,1.0\n", "line 2: not UTF-8")])
+    def test_non_utf8_csv_exit_2(self, tmp_path, capsys, body, where):
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(body)
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       "--set", "dataset.synthetic=null",
+                       "--set", f"dataset.csv_path={json.dumps(str(csv))}")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "CsvFormatError"
+        assert payload["message"].startswith(where)
+
+    @pytest.mark.parametrize("override", ["benchmark.variants=[]", "benchmark.settings=[]"])
+    def test_empty_benchmark_grid_exit_2(self, cfg_path, tmp_path, capsys, override):
+        out = tmp_path / "bench"
+        code = run_cli("benchmark", "--config", str(cfg_path), "--out", str(out),
+                       "--set", override)
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        assert override.split("=")[0] in payload["message"]
+        assert not (out / "results.csv").exists()
+
     def test_missing_config_exit_4(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         assert run_cli("train", "--config", str(missing)) == cli.EXIT_IO

@@ -351,8 +351,6 @@ class TestBatchSampler:
 
     def test_errors(self):
         ds = datagen.generate_synthetic(small_spec(), 25)
-        with pytest.raises(ConfigError):
-            datagen.BatchSampler(ds, 1, 0)
         empty = ds.subset(np.array([], dtype=np.int64))
         with pytest.raises(DegenerateInputError):
             datagen.BatchSampler(empty, 4, 0)

@@ -315,6 +315,23 @@ class TestModuleLayers:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert not self.imports(fn), fn.name
 
+    # ndcore's kernels check nothing: each may be named only in ndcore and
+    # in the one module that checks its inputs where they enter
+    KERNEL_USERS = {"affine_forward": "networks", "affine_backward": "networks",
+                    "relu_forward": "networks", "relu_backward": "networks",
+                    "l2_normalize_backward": "networks", "softmax_forward": "losses"}
+
+    def test_unchecked_kernels_stay_behind_their_boundary(self):
+        for path in sorted(self.SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else node.name.split(".")[-1] if isinstance(node, ast.alias)
+                        else None)
+                if name in self.KERNEL_USERS:
+                    assert path.stem in ("ndcore", self.KERNEL_USERS[name]), \
+                        f"{path.name} names ndcore.{name}"
+
 
 class TestRandomSearch:
     def test_scripted_argmax_earliest_tie(self):

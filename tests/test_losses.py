@@ -117,14 +117,6 @@ class TestTaskLoss:
 
         assert rel_error(central_difference(scalar, logits.copy()), grad) < 1e-6
 
-    def test_label_out_of_range(self):
-        with pytest.raises(ContractError):
-            losses.task_loss(np.full((2, 3), 1 / 3), [0, 3])
-
-    def test_unnormalized_rows_rejected(self):
-        with pytest.raises(ContractError):
-            losses.task_loss([[0.5, 0.4], [0.5, 0.5]], [0, 1])
-
 
 class TestXdomLoss:
     def test_two_identical_samples_zero(self):
@@ -400,6 +392,11 @@ class TestFondLoss:
         out = losses.fond_loss(logits, z, ann, cfg)
         assert out.xdom == 0.0
         assert out.grad_z is not None and not out.grad_z.any()
+
+    def test_label_out_of_range(self):
+        ann = losses.BatchAnnotations([0, 3], [0, 0], [True, False])
+        with pytest.raises(ContractError):
+            losses.fond_loss(np.zeros((2, 3)), None, ann, losses.LossConfig())
 
 
 @settings(max_examples=60, deadline=None)

@@ -298,11 +298,6 @@ class TestDropout:
                                           params.tensors()["g.b"])
         assert np.array_equal(logits, fp.logits)
 
-    def test_invalid_rate_rejected(self):
-        params = networks.init_params(SMALL, 12)
-        with pytest.raises(ConfigError):
-            networks.forward_pass(params, np.ones((2, 5)), dropout_rate=1.0)
-
 
 class TestFlatStorage:
     def test_views_share_one_vector_in_layout_order(self):

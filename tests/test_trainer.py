@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fond import datagen, losses, networks, trainer
+from fond import datagen, evalsel, losses, ndcore, networks, trainer
 from fond.errors import ConfigError, ContractError, DegenerateInputError, NonFiniteLossError
 from fond.seeding import subseed
 
@@ -365,6 +365,48 @@ class TestTrainLoop:
         assert log.evals == [] and log.best_step == 10
         for k in final.tensors():
             assert np.array_equal(final.tensors()[k], best.tensors()[k])
+
+
+class TestKernelInputs:
+    """The ndcore kernels check nothing: every array the package hands them
+    must already be float64 with the rank the kernel documents (a tuple
+    entry is a cache, checked item by item)."""
+
+    RANKS = {"affine_forward": (2, 2, 1), "affine_backward": (2, (2, 2)),
+             "relu_forward": (2,), "relu_backward": (2, 2),
+             "softmax_forward": (2,), "l2_normalize_rows": (2,),
+             "l2_normalize_backward": (2, (2, 1))}
+
+    def check(self, value, rank, where):
+        if isinstance(rank, tuple):
+            assert isinstance(value, tuple) and len(value) == len(rank), where
+            for item, item_rank in zip(value, rank):
+                self.check(item, item_rank, where)
+        else:
+            assert type(value) is np.ndarray, (where, type(value))
+            assert (value.dtype, value.ndim) == (np.float64, rank), (where, value.dtype,
+                                                                     value.shape)
+
+    def test_training_and_predict_pass_float64_arrays(self, monkeypatch):
+        calls = dict.fromkeys(self.RANKS, 0)
+        for name, ranks in self.RANKS.items():
+            def checked(*args, _kernel=getattr(ndcore, name), _name=name, _ranks=ranks):
+                self.check(args, _ranks, _name)
+                calls[_name] += 1
+                return _kernel(*args)
+            monkeypatch.setattr(ndcore, name, checked)
+
+        pool, target, plan, net_cfg = make_setup()
+        cfg = trainer.TrainerConfig(max_steps=6, eval_every=3, batch_size=16, seed=4,
+                                    learning_rate=0.01, dropout=0.2)
+        _, best, log = trainer.train(networks.init_params(net_cfg, 1), pool, plan,
+                                     default_loss(), cfg)
+        assert all(rec.xdom > 0 for rec in log.steps)     # P ran at every step
+        assert all(calls.values()), calls
+        before = dict(calls)
+        # a list enters predict; forward_pass makes it float64 before any kernel
+        evalsel.predict(best, target.features.tolist())
+        assert calls["affine_forward"] > before["affine_forward"]
 
 
 class TestSnapshotSelection:
