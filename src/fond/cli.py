@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: generate, split, train, search, benchmark, dump-embeddings.
-Every command takes --config PATH plus optional --set overrides, --out,
---seed, and (for benchmark) --jobs. Failures print one machine-parsable
+Every command takes --config PATH plus optional --set overrides, --out
+(default runs/out) and --seed; benchmark also takes --jobs, and
+dump-embeddings --checkpoint. Failures print one machine-parsable
 JSON line to stderr and exit with 2 (config), 3 (numerical), or 4 (I/O).
 numpy's floating-point warnings are off: the checks at the module
 boundaries report every non-finite value as exit 3 instead.
@@ -77,7 +78,7 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def cmd_generate(cfg: RunConfig, out: Path, jobs: int) -> int:
+def cmd_generate(cfg: RunConfig, out: Path) -> int:
     if cfg.dataset.synthetic is None:
         raise ConfigError("generate needs a dataset.synthetic section")
     dataset = build_dataset(cfg)
@@ -87,7 +88,7 @@ def cmd_generate(cfg: RunConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_split(cfg: RunConfig, out: Path, jobs: int) -> int:
+def cmd_split(cfg: RunConfig, out: Path) -> int:
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset, cfg.split.setting)
     plan.save(out / "plan.json")
@@ -97,7 +98,7 @@ def cmd_split(cfg: RunConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig, out: Path, jobs: int) -> int:
+def cmd_train(cfg: RunConfig, out: Path) -> int:
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset, cfg.split.setting)
     net_cfg = _network_config(cfg, dataset, plan)
@@ -152,7 +153,7 @@ def _search_one(cfg: RunConfig, dataset, plan, net_cfg, seed_root):
                                  subseed(seed_root, "hyper"), score_fn)
 
 
-def cmd_search(cfg: RunConfig, out: Path, jobs: int) -> int:
+def cmd_search(cfg: RunConfig, out: Path) -> int:
     if cfg.search.n_trials < 1:
         raise ConfigError("search needs search.n_trials >= 1")
     dataset = build_dataset(cfg)
@@ -264,16 +265,12 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_dump_embeddings(cfg: RunConfig, out: Path, jobs: int,
-                        checkpoint: str, plan_path: str | None) -> int:
+def cmd_dump_embeddings(cfg: RunConfig, out: Path, checkpoint: str | None) -> int:
     if checkpoint is None:
         raise ConfigError("dump-embeddings needs --checkpoint")
     params = networks.load_checkpoint(checkpoint)
     dataset = build_dataset(cfg)
-    if plan_path is not None:
-        plan = datagen.SplitPlan.load(plan_path)
-    else:
-        plan = build_plan(cfg, dataset, cfg.split.setting)
+    plan = build_plan(cfg, dataset, cfg.split.setting)
     evalsel.dump_embeddings(params, dataset, plan, out / "embeddings.csv")
     print(f"wrote {out / 'embeddings.csv'} ({len(dataset)} rows)")
     return 0
@@ -289,16 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted-path config override")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default="runs/out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+        return p
 
-    for name in ("generate", "split", "train", "search", "benchmark"):
+    for name in ("generate", "split", "train", "search"):
         common(sub.add_parser(name))
-    dump = sub.add_parser("dump-embeddings")
-    common(dump)
-    dump.add_argument("--checkpoint", default=None, help="model checkpoint file")
-    dump.add_argument("--plan", default=None, help="split plan file")
+    common(sub.add_parser("benchmark")).add_argument(
+        "--jobs", type=int, default=1, help="parallel worker count")
+    common(sub.add_parser("dump-embeddings")).add_argument(
+        "--checkpoint", default=None, help="model checkpoint file")
     return parser
 
 
@@ -307,7 +304,6 @@ _COMMANDS = {
     "split": cmd_split,
     "train": cmd_train,
     "search": cmd_search,
-    "benchmark": cmd_benchmark,
 }
 
 
@@ -323,15 +319,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.overrides)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = replace(cfg, out_dir=args.out)
-        out = Path(cfg.out_dir)
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with np.errstate(all="ignore"):   # see the module docstring
+            if args.command == "benchmark":
+                return cmd_benchmark(cfg, out, args.jobs)
             if args.command == "dump-embeddings":
-                return cmd_dump_embeddings(cfg, out, args.jobs, args.checkpoint,
-                                           args.plan)
-            return _COMMANDS[args.command](cfg, out, args.jobs)
+                return cmd_dump_embeddings(cfg, out, args.checkpoint)
+            return _COMMANDS[args.command](cfg, out)
     except _NUMERIC_ERRORS as exc:
         return _fail("numerical", exc, EXIT_NUMERIC)
     except _CONFIG_ERRORS as exc:

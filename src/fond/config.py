@@ -70,23 +70,26 @@ class BenchmarkConfig:
     reps: int = 3
 
     def __post_init__(self):
+        # a repeated entry would run its cells twice and count them as reps
         for key in ("variants", "settings"):
-            if not getattr(self, key):
+            entries = getattr(self, key)
+            if not entries:
                 raise ConfigError(f"benchmark.{key} must not be empty")
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"benchmark.{key} repeats an entry: {list(entries)}")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ConfigError(f"unknown variants {sorted(unknown)}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         for s in self.settings:
-            if str(s).lower() not in ("low", "high") and not isinstance(s, int):
+            if s not in ("low", "high") and not isinstance(s, int):
                 raise ConfigError(f"setting {s!r} must be 'low', 'high', or an integer")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    out_dir: str = "runs/out"
     dataset: DatasetConfig = field(default_factory=lambda: DatasetConfig(
         synthetic=SyntheticSpec(num_classes=6, input_dim=16)))
     split: SplitConfig = field(default_factory=SplitConfig)
@@ -97,6 +100,10 @@ class RunConfig:
     benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
 
     def __post_init__(self):
+        # seeding keeps the low 32 bits of an integer, so a seed outside
+        # this range would train the same models as another one
+        if not 0 <= self.seed < 2**32:
+            raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
         # every command trains with subseed(seed, "train"); a trainer.seed
         # of its own would be recorded in the outputs but never used
         if self.trainer.seed != 0:
@@ -198,10 +205,6 @@ def load_config(path, overrides=None) -> RunConfig:
 
 def to_provenance(cfg: RunConfig) -> dict:
     """JSON-safe resolved copy of the config for embedding in outputs.
-
-    out_dir is dropped so identical experiments produce identical bytes
-    no matter where they are written.
-    """
-    doc = asdict(cfg)
-    del doc["out_dir"]
-    return doc
+    It holds no output directory, so identical experiments produce
+    identical bytes no matter where they are written."""
+    return asdict(cfg)

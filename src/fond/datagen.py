@@ -131,17 +131,6 @@ class SyntheticSpec:
             raise ConfigError("samples_per_cell must be >= 1")
 
 
-@dataclass
-class SyntheticDataset(Dataset):
-    """Generated dataset plus the latent quantities it was built from."""
-
-    spec: SyntheticSpec = None
-    seed: int = 0
-    prototypes: np.ndarray = None    # (num_classes, d)
-    transforms: np.ndarray = None    # (num_domains, d, d)
-    offsets: np.ndarray = None       # (num_domains, d)
-
-
 def _domain_transform(family: str, d: int, shift: float, rng: np.random.Generator):
     """One (matrix, offset) pair; both reduce to (I, 0) at shift 0."""
     if family == "rotation":
@@ -165,7 +154,7 @@ def _domain_transform(family: str, d: int, shift: float, rng: np.random.Generato
     return np.eye(d), shift * rng.normal(size=d)
 
 
-def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticDataset:
+def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Class-balanced multi-domain mixture; deterministic given seed.
 
     x = A_s @ mu_c + offset_s + eps with eps ~ N(0, noise_std^2 I);
@@ -202,9 +191,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticDataset:
         deltas = flip_rng.integers(1, c_n, size=n)
         labels = np.where(flips, (labels + deltas) % c_n, labels)
 
-    return SyntheticDataset(features=features, labels=labels, domains=domains,
-                            ids=np.arange(n, dtype=np.int64), spec=spec, seed=int(seed),
-                            prototypes=prototypes, transforms=transforms, offsets=offsets)
+    return Dataset(features=features, labels=labels, domains=domains,
+                   ids=np.arange(n, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -300,13 +288,14 @@ def shared_class_count(num_classes: int, setting) -> int:
     if isinstance(setting, (int, np.integer)):
         n_s = int(setting)
     else:
-        name = str(setting).lower()
-        if name not in ("low", "high"):
+        # the exact name only: the plan seed hashes the raw string, so
+        # "HIGH" would draw another plan than "high"
+        if setting not in ("low", "high"):
             raise ConfigError(f"setting must be 'low', 'high', or an integer, got {setting!r}")
         if num_classes in _SHARED_PRESETS:
-            n_s = _SHARED_PRESETS[num_classes][0 if name == "low" else 1]
+            n_s = _SHARED_PRESETS[num_classes][0 if setting == "low" else 1]
         else:
-            frac = 1.0 / 3.0 if name == "low" else 2.0 / 3.0
+            frac = 1.0 / 3.0 if setting == "low" else 2.0 / 3.0
             n_s = int(round(frac * num_classes))
             n_s = min(max(n_s, 1), num_classes - 1)
     if n_s < 1 or n_s >= num_classes:

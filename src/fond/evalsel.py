@@ -84,13 +84,17 @@ def predict(params: networks.ModelParams, features) -> np.ndarray:
                            for _, logits in _row_blocks(params, features, "logits")])
 
 
+def _check_labels_in_plan(dataset: datagen.Dataset, plan: datagen.SplitPlan) -> None:
+    extra = dataset.class_set() - set(plan.classes)
+    if extra:
+        raise ContractError(f"evaluation labels {sorted(extra)} are not in the plan")
+
+
 def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
              plan: datagen.SplitPlan) -> MetricsReport:
     if len(test_set) == 0:
         raise DegenerateInputError("cannot evaluate on an empty set")
-    extra = test_set.class_set() - set(plan.classes)
-    if extra:
-        raise ContractError(f"evaluation labels {sorted(extra)} are not in the plan")
+    _check_labels_in_plan(test_set, plan)
     preds = predict(params, test_set.features)
     correct = preds == test_set.labels
 
@@ -123,7 +127,8 @@ class HyperSpace:
 
     learning_rate and temperature are drawn log-uniformly, the rest
     uniformly. Draw order is fixed so a seed pins the whole trial
-    sequence.
+    sequence. Every range must lie where its target config accepts each
+    value, so no draw can fail that config's checks.
     """
 
     learning_rate: tuple[float, float] = (1e-5, 1e-2)
@@ -135,16 +140,22 @@ class HyperSpace:
     dropout: tuple[float, float] = (0.0, 0.5)
 
     _LOG_FIELDS = ("learning_rate", "temperature")
+    # the lowest value LossConfig/TrainerConfig accept; dropout also stays below 1
+    _MIN_LO = {"lambda_xdom": 0.0, "lambda_fair": 0.0, "a": 1.0, "b": 1.0, "dropout": 0.0}
     _ORDER = ("learning_rate", "lambda_xdom", "lambda_fair", "temperature",
               "a", "b", "dropout")
 
     def __post_init__(self):
         for name in self._ORDER:
             lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ConfigError(f"{name} range ({lo}, {hi}) is inverted")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ConfigError(f"{name} range ({lo}, {hi}) is inverted or not finite")
             if name in self._LOG_FIELDS and lo <= 0:
                 raise ConfigError(f"{name} is drawn log-uniformly and needs lo > 0")
+            if lo < self._MIN_LO.get(name, -math.inf):
+                raise ConfigError(f"{name} range ({lo}, {hi}) starts below {self._MIN_LO[name]}")
+        if self.dropout[1] >= 1.0:
+            raise ConfigError(f"dropout range {self.dropout} must stay below 1")
 
     def sample(self, rng: np.random.Generator) -> dict[str, float]:
         out = {}
@@ -170,16 +181,8 @@ def apply_hyper(loss_cfg: losses.LossConfig, trainer_cfg, hyper: dict):
 
 
 @dataclass
-class FoldRecord:
-    held_out_domain: int
-    score: float | None
-    included: bool
-
-
-@dataclass
 class ValidationResult:
     score: float | None
-    folds: list[FoldRecord]
 
 
 def training_domain_validation(dataset: datagen.Dataset, plan: datagen.SplitPlan,
@@ -193,7 +196,7 @@ def training_domain_validation(dataset: datagen.Dataset, plan: datagen.SplitPlan
     hyperparameters, so competing settings see identical data), trains,
     and evaluates the selected snapshot on every sample of the held-out
     domain. A fold whose held-out domain has no linked-class samples is
-    flagged and excluded from the returned mean.
+    excluded from the returned mean.
 
     ``fold_runner(held_out_domain, train_set, val_set, eval_set, plan,
     net_cfg, loss_cfg, trainer_cfg, fold_seed) -> MetricsReport`` does the
@@ -203,7 +206,7 @@ def training_domain_validation(dataset: datagen.Dataset, plan: datagen.SplitPlan
         raise ConfigError("need at least 2 source domains to hold one out")
     source_pool, _ = datagen.apply_split(dataset, plan)
 
-    folds: list[FoldRecord] = []
+    scores = []
     for s_star in sorted(plan.source_domains):
         keep = source_pool.domains != s_star
         fold_pool = source_pool.subset(np.flatnonzero(keep))
@@ -214,13 +217,9 @@ def training_domain_validation(dataset: datagen.Dataset, plan: datagen.SplitPlan
         tr_set, va_set = datagen.split_train_val(fold_pool, subseed(fold_seed, "val"))
         report = fold_runner(s_star, tr_set, va_set, eval_set, plan, net_cfg,
                              loss_cfg, trainer_cfg, fold_seed)
-        score = report.y_l_accuracy
-        folds.append(FoldRecord(held_out_domain=s_star, score=score,
-                                included=score is not None))
-
-    included = [f.score for f in folds if f.included]
-    score = float(np.mean(included)) if included else None
-    return ValidationResult(score=score, folds=folds)
+        if report.y_l_accuracy is not None:
+            scores.append(report.y_l_accuracy)
+    return ValidationResult(score=float(np.mean(scores)) if scores else None)
 
 
 @dataclass
@@ -346,6 +345,7 @@ def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
     """CSV of feature vectors: id, domain, label, group, h_0..h_{d-1}.
 
     Each block of rows is written before the next is computed."""
+    _check_labels_in_plan(dataset, plan)
     linked = set(plan.linked_classes)
     with open(path, "w", encoding="utf-8") as fh:
         cols = ",".join(f"h_{j}" for j in range(params.config.feature_dim))

@@ -1,3 +1,5 @@
+import argparse
+import functools
 import gc
 import hashlib
 import json
@@ -95,13 +97,14 @@ class TestConfig:
 
     def test_list_fields_become_tuples(self):
         space = {name: [0.1, 0.2] for name in evalsel.HyperSpace._ORDER}
+        space.update(a=[1.1, 1.2], b=[1.1, 1.2])   # a and b start at 1
         cfg = config.config_from_dict({"network": {"f_hidden": [8, 4]},
                                        "benchmark": {"settings": ["low", 2]},
                                        "search": {"space": space}})
         assert cfg.network.f_hidden == (8, 4)
         assert cfg.benchmark.settings == ("low", 2)
         for name in evalsel.HyperSpace._ORDER:
-            assert getattr(cfg.search.space, name) == (0.1, 0.2), name
+            assert getattr(cfg.search.space, name) == tuple(space[name]), name
 
     def test_float_field_takes_int_as_given(self):
         # nothing is coerced, so the provenance records the value as written
@@ -149,6 +152,27 @@ class TestConfig:
         # bool is an int subclass, so `true` passed the `reps >= 1` check
         with pytest.raises(ConfigError, match="reps"):
             config.config_from_dict({"benchmark": {"reps": True}})
+
+    @pytest.mark.parametrize("key, entries", [
+        ("settings", ["high", "high"]), ("settings", [2, 2]), ("variants", ["erm", "erm"])])
+    def test_benchmark_grid_repeats_rejected(self, key, entries):
+        # a repeated entry ran its cells twice and aggregated them as extra reps
+        with pytest.raises(ConfigError, match=rf"benchmark\.{key} repeats"):
+            config.config_from_dict({"benchmark": {key: entries}})
+
+    def test_setting_names_are_exact(self):
+        # "HIGH" passed the checks but seeded another plan than "high"
+        with pytest.raises(ConfigError, match="'HIGH'"):
+            config.config_from_dict({"benchmark": {"settings": ["high", "HIGH"]}})
+        with pytest.raises(ConfigError, match="'Low'"):
+            datagen.shared_class_count(6, "Low")
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 7])
+    def test_seed_outside_32_bits_rejected(self, seed):
+        # seeding keeps the low 32 bits, so 2**32 + 7 trained seed 7's models
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*32\)"):
+            config.config_from_dict({"seed": seed})
+        assert config.config_from_dict({"seed": 2**32 - 1}).seed == 2**32 - 1
 
 
     def test_readme_json_examples_load(self):
@@ -402,7 +426,7 @@ class TestErrorExits:
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_bytes(b'{"seed": 1, "out_dir": "\xff\xfe"}')
+        path.write_bytes(b'{"seed": 1, "dataset": {"name": "\xff\xfe"}}')
         assert run_cli("train", "--config", str(path)) == cli.EXIT_CONFIG
         payload = self.only_error_line(capsys)
         assert payload["type"] == "ConfigError" and "utf-8" in payload["message"]
@@ -432,6 +456,58 @@ class TestErrorExits:
         assert payload["type"] == "ConfigError"
         assert override.split("=")[0] in payload["message"]
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("override", [
+        'benchmark.settings=["low","low"]', 'benchmark.variants=["erm","erm"]',
+        'benchmark.settings=["low","LOW"]'])
+    def test_repeated_or_misspelled_grid_entry_exit_2(self, cfg_path, tmp_path, capsys,
+                                                      override):
+        # each ran at exit 0: a repeat doubled its rows and its reps in
+        # aggregate.csv, and "LOW" trained a plan of its own
+        out = tmp_path / "bench"
+        code = run_cli("benchmark", "--config", str(cfg_path), "--out", str(out),
+                       "--set", "search.n_trials=0", "--set", override)
+        assert code == cli.EXIT_CONFIG
+        assert self.only_error_line(capsys)["type"] == "ConfigError"
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["4294967303", "-1"])
+    def test_seed_outside_32_bits_exit_2(self, cfg_path, tmp_path, capsys, seed):
+        # 4294967303 wrote seed 7's checkpoints; -1 trained as 4294967295
+        out = tmp_path / "run"
+        code = run_cli("train", "--config", str(cfg_path), "--out", str(out),
+                       "--seed", seed)
+        assert code == cli.EXIT_CONFIG
+        assert "seed must be in" in self.only_error_line(capsys)["message"]
+        assert not (out / "checkpoint_best.npz").exists()
+
+    def test_search_range_outside_its_config_exit_2(self, tmp_path, capsys):
+        # a draw of a < 1 failed only on some seeds, after the earlier trials trained
+        out = tmp_path / "search"
+        code = run_cli("search", "--config", str(TINY), "--out", str(out), "--seed", "1",
+                       "--set", "search.n_trials=3", "--set", "search.space.a=[0.8, 1.6]")
+        assert code == cli.EXIT_CONFIG
+        assert "a range (0.8, 1.6)" in self.only_error_line(capsys)["message"]
+        assert not (out / "search.json").exists()
+
+    def test_dump_with_classes_the_plan_lacks_exit_2(self, cfg_path, tmp_path, capsys):
+        # the dump wrote the plan-less class's rows with group "shared"
+        assert run_cli("split", "--config", str(cfg_path), "--out", str(tmp_path / "sp")) == 0
+        plan = tmp_path / "sp" / "plan.json"
+        ckpt = tmp_path / "model.npz"
+        networks.save_checkpoint(networks.init_params(
+            networks.NetworkConfig(input_dim=6, num_classes=4), 0), ckpt)
+        capsys.readouterr()
+        out = tmp_path / "emb"
+        code = run_cli("dump-embeddings", "--config", str(cfg_path), "--out", str(out),
+                       "--checkpoint", str(ckpt),
+                       "--set", "dataset.synthetic.num_classes=6",
+                       "--set", f"split.plan_path={json.dumps(str(plan))}")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ContractError"
+        assert "labels [4, 5] are not in the plan" in payload["message"]
+        assert not (out / "embeddings.csv").exists()
 
     def test_missing_config_exit_4(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
@@ -521,26 +597,25 @@ class TestErrorExits:
         plan = tmp_path / "plan.json"
         plan.write_text(text)
         argv = ["--config", str(cfg_path), "--out", str(tmp_path / "run")]
-        if command == "train":
-            argv += ["--set", f"split.plan_path={json.dumps(str(plan))}"]
-        else:
+        if command == "dump-embeddings":
             ckpt = tmp_path / "model.npz"
             net_cfg = networks.NetworkConfig(input_dim=6, num_classes=4)
             networks.save_checkpoint(networks.init_params(net_cfg, 0), ckpt)
-            argv += ["--checkpoint", str(ckpt), "--plan", str(plan)]
+            argv += ["--checkpoint", str(ckpt)]
+        argv += ["--set", f"split.plan_path={json.dumps(str(plan))}"]
         assert run_cli(command, *argv) == cli.EXIT_CONFIG
         payload = self.read_error(capsys)
         assert payload["type"] == "ContractError"
         assert f"{plan} is not a valid split plan" in payload["message"]
 
 
-def _fail_first_cell(cfg, setting, variant, rep):
+def _fail_first_cell(marker_dir, cfg, setting, variant, rep):
     """Stand-in benchmark cell: the first raises, every other leaves a
-    marker file in the output directory and takes a moment, as a real
-    training would."""
+    marker file in ``marker_dir`` and takes a moment, as a real training
+    would."""
     if (variant, rep) == (cfg.benchmark.variants[0], 0):
         raise ConfigError("first cell fails")
-    (Path(cfg.out_dir) / f"started-{setting}-{variant}-{rep}").touch()
+    (Path(marker_dir) / f"started-{setting}-{variant}-{rep}").touch()
     time.sleep(0.1)
     return {}
 
@@ -577,15 +652,18 @@ class TestBenchmark:
 
     def test_failed_cell_cancels_pending_cells(self, cfg_path, tmp_path, monkeypatch):
         # forked workers inherit the fake cell
-        monkeypatch.setattr(cli, "run_benchmark_cell", _fail_first_cell)
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        monkeypatch.setattr(cli, "run_benchmark_cell",
+                            functools.partial(_fail_first_cell, markers))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        out = tmp_path / "b"
-        code = run_cli("benchmark", "--config", str(cfg_path), "--out", str(out),
+        code = run_cli("benchmark", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
                        "--set", "search.n_trials=0", "--set", "benchmark.reps=8",
                        "--jobs", "2")
         assert code == cli.EXIT_CONFIG
         pending = 2 * 8 - 1
-        assert len(list(out.glob("started-*"))) < pending
+        # cells already handed to a worker still run, so some markers appear
+        assert 0 < len(list(markers.glob("started-*"))) < pending
 
     def test_import_leaves_out_the_process_pool(self):
         proc = run_python("-c", "import json, sys, fond.cli; print(json.dumps(list(sys.modules)))")
@@ -652,6 +730,43 @@ class TestReleasedData:
     (0, 10, 4, 1), (-2, 5, 4, 1), (10**6, 2, 64, 2), (5, 0, 4, 1)])
 def test_worker_count_clamps_jobs(jobs, cells, cpus, want):
     assert cli.worker_count(jobs, cells, cpus) == want
+
+
+class TestParser:
+    """One way to give each input: every command takes the same four
+    options, and only the command that reads a fifth one takes it."""
+
+    COMMON = {"config", "overrides", "out", "seed"}
+    EXTRA = {"benchmark": {"jobs"}, "dump-embeddings": {"checkpoint"}}
+
+    def test_option_sets(self):
+        action = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        assert set(action.choices) == {"generate", "split", "train", "search",
+                                       "benchmark", "dump-embeddings"}
+        for name, sub in action.choices.items():
+            dests = {a.dest for a in sub._actions if a.dest != "help"}
+            assert dests == self.COMMON | self.EXTRA.get(name, set()), name
+
+    def test_out_defaults_to_runs_out(self):
+        assert cli.build_parser().parse_args(["train", "--config", "c.json"]).out == "runs/out"
+
+    @pytest.mark.parametrize("argv", [
+        *[[name, "--jobs", "2"] for name in ("generate", "split", "train", "search",
+                                             "dump-embeddings")],
+        ["dump-embeddings", "--plan", "p"]])
+    def test_removed_flags_exit_2(self, cfg_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv[0], "--config", str(cfg_path), *argv[1:])
+        assert exc.value.code == cli.EXIT_CONFIG
+
+    def test_out_dir_config_key_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_doc(out_dir=str(tmp_path / "elsewhere"))))
+        assert run_cli("train", "--config", str(path), "--out", str(tmp_path / "run")) \
+            == cli.EXIT_CONFIG
+        assert "unknown key 'out_dir'" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "elsewhere").exists()
 
 
 class TestDumpEmbeddings:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fond import datagen
+from fond.seeding import rng_for
 from fond.errors import (
     ConfigError,
     ContractError,
@@ -32,6 +33,16 @@ class TestSyntheticSpec:
             small_spec(label_noise=1.0)
         with pytest.raises(ConfigError):
             small_spec(transform_family="warp")
+
+
+def latents(spec, seed):
+    """The prototypes, transforms and offsets ``generate_synthetic`` draws
+    for ``spec`` and ``seed``, from the same streams."""
+    prototypes = rng_for(seed, "prototypes").normal(size=(spec.num_classes, spec.input_dim))
+    pairs = [datagen._domain_transform(spec.transform_family, spec.input_dim, spec.shift,
+                                       rng_for(seed, "domain", s))
+             for s in range(spec.num_domains)]
+    return prototypes, np.array([m for m, _ in pairs]), np.array([o for _, o in pairs])
 
 
 class TestGenerate:
@@ -67,25 +78,25 @@ class TestGenerate:
                                      transform_family="rotation", shift=1.2,
                                      noise_std=0.2, samples_per_cell=400)
         ds = datagen.generate_synthetic(spec, 5)
+        prototypes, transforms, offsets = latents(spec, 5)
         for s in range(spec.num_domains):
             for c in range(spec.num_classes):
                 cell = ds.features[(ds.domains == s) & (ds.labels == c)]
-                expected = ds.transforms[s] @ ds.prototypes[c] + ds.offsets[s]
+                expected = transforms[s] @ prototypes[c] + offsets[s]
                 tol = 3.0 * spec.noise_std / np.sqrt(len(cell))
                 assert np.abs(cell.mean(axis=0) - expected).max() < 4 * tol
 
     def test_rotation_transforms_are_orthogonal(self):
         spec = small_spec(transform_family="rotation", input_dim=4)
-        ds = datagen.generate_synthetic(spec, 6)
-        for mat in ds.transforms:
+        for mat in latents(spec, 6)[1]:
             assert np.allclose(mat @ mat.T, np.eye(4), atol=1e-12)
 
     def test_zero_shift_transforms_are_identity(self):
         for family in datagen.TRANSFORM_FAMILIES:
             spec = small_spec(transform_family=family, shift=0.0)
-            ds = datagen.generate_synthetic(spec, 7)
-            assert np.allclose(ds.transforms, np.eye(3)[None], atol=0)
-            assert not ds.offsets.any()
+            _, transforms, offsets = latents(spec, 7)
+            assert np.allclose(transforms, np.eye(3)[None], atol=0)
+            assert not offsets.any()
 
     def test_label_noise_rate(self):
         spec = small_spec(label_noise=0.25, samples_per_cell=500)

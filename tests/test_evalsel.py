@@ -118,6 +118,15 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evalsel.evaluate(self.params, ds, self.plan)
 
+    def test_dump_rejects_label_outside_plan(self, tmp_path):
+        # a class the plan lacks was written with group "shared"
+        ds = datagen.Dataset(features=np.zeros((2, 4)), labels=np.array([0, 7]),
+                             domains=np.zeros(2, dtype=np.int64), ids=np.arange(2))
+        path = tmp_path / "emb.csv"
+        with pytest.raises(ContractError, match=r"labels \[7\] are not in the plan"):
+            evalsel.dump_embeddings(self.params, ds, self.plan, path)
+        assert not path.exists()
+
 
 class TestHyperSpace:
     def test_samples_respect_bounds(self):
@@ -149,6 +158,25 @@ class TestHyperSpace:
             evalsel.HyperSpace(a=(3.0, 1.0))
         with pytest.raises(ConfigError):
             evalsel.HyperSpace(temperature=(0.0, 0.5))
+
+    @pytest.mark.parametrize("name, bad", [
+        ("lambda_xdom", (-0.1, 1.0)), ("lambda_fair", (-1.0, -0.5)),
+        ("a", (0.8, 1.6)), ("b", (0.0, 2.0)),
+        ("dropout", (-0.1, 0.2)), ("dropout", (0.2, 1.0)),
+        ("lambda_xdom", (0.0, float("inf"))), ("a", (float("nan"), 2.0))])
+    def test_range_its_config_rejects_fails_at_load(self, name, bad):
+        # such a range failed only when a draw landed outside the config's
+        # bounds, so whether a search ran depended on its seed
+        with pytest.raises(ConfigError, match=name):
+            evalsel.HyperSpace(**{name: bad})
+
+    def test_edge_ranges_draw_values_their_configs_accept(self):
+        space = evalsel.HyperSpace(lambda_xdom=(0.0, 0.0), lambda_fair=(0.0, 1.0),
+                                   a=(1.0, 1.0), b=(1.0, 1.5), dropout=(0.0, 0.99))
+        rng = rng_for(3)
+        for _ in range(50):
+            evalsel.apply_hyper(losses.LossConfig(), trainer.TrainerConfig(),
+                                space.sample(rng))
 
     def test_point_range_is_constant(self):
         space = evalsel.HyperSpace(b=(2.5, 2.5))
@@ -211,22 +239,24 @@ class TestTrainingDomainValidation:
         ds, plan, net_cfg = tiny_problem()
         sources = sorted(plan.source_domains)
         scores = dict(zip(sources, [0.2, 0.4, 0.6]))
+        trace = []
         result = evalsel.training_domain_validation(
             ds, plan, net_cfg, losses.LossConfig(), trainer.TrainerConfig(),
-            seed=0, fold_runner=self.scripted_runner(scores))
+            seed=0, fold_runner=self.scripted_runner(scores, trace))
         assert result.score == pytest.approx(0.4, abs=1e-15)
-        assert [f.held_out_domain for f in result.folds] == sources
-        assert all(f.included for f in result.folds)
+        assert [rec["domain"] for rec in trace] == sources
 
     def test_none_folds_are_excluded(self):
         ds, plan, net_cfg = tiny_problem()
         sources = sorted(plan.source_domains)
         scores = dict(zip(sources, [None, 0.4, 0.8]))
+        trace = []
         result = evalsel.training_domain_validation(
             ds, plan, net_cfg, losses.LossConfig(), trainer.TrainerConfig(),
-            seed=0, fold_runner=self.scripted_runner(scores))
+            seed=0, fold_runner=self.scripted_runner(scores, trace))
+        # the None fold still trains, but its score is left out of the mean
+        assert [rec["domain"] for rec in trace] == sources
         assert result.score == pytest.approx(0.6, abs=1e-15)
-        assert not result.folds[0].included
 
     def test_all_folds_excluded_gives_none(self):
         ds, plan, net_cfg = tiny_problem()
@@ -283,10 +313,16 @@ class TestTrainingDomainValidation:
         ds, plan, net_cfg = tiny_problem()
         cfg = trainer.TrainerConfig(max_steps=6, eval_every=3, batch_size=8,
                                     seed=0, learning_rate=0.01)
+        held_out = []
+
+        def runner(held_out_domain, *args):
+            held_out.append(held_out_domain)
+            return cli.train_fold(held_out_domain, *args)
+
         result = evalsel.training_domain_validation(
             ds, plan, net_cfg, losses.LossConfig(lambda_xdom=0.1), cfg, seed=0,
-            fold_runner=cli.train_fold)
-        assert len(result.folds) == len(plan.source_domains)
+            fold_runner=runner)
+        assert held_out == sorted(plan.source_domains)
         if result.score is not None:
             assert 0.0 <= result.score <= 1.0
 
