@@ -219,6 +219,11 @@ def worker_count(jobs: int, cells: int, cpus: int | None) -> int:
 
 
 def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
+    if cfg.split.plan_path is None:
+        # every setting's shared-class count, before the first cell trains
+        num_classes = len(build_dataset(cfg).class_set())
+        for setting in cfg.benchmark.settings:
+            datagen.shared_class_count(num_classes, setting)
     cells = [(setting, variant, rep)
              for setting in cfg.benchmark.settings
              for variant in cfg.benchmark.variants

@@ -148,10 +148,21 @@ def _check_labels(labels, probs_shape) -> np.ndarray:
     return labels
 
 
-def _onehot(labels, num_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), num_classes))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
+def _residual(probs, labels) -> np.ndarray:
+    """probs - onehot(labels), the logit gradient of each sample's
+    cross-entropy; only the true-label entries are computed (p - 1.0)."""
+    resid = probs.copy()
+    resid[np.arange(len(labels)), labels] -= 1.0
+    return resid
+
+
+def _group_means(ce, linked) -> tuple[float | None, float | None]:
+    """Mean of ``ce`` over the linked samples and over the rest, None for
+    an empty group. Each is float(sum) / count, which has np.mean's bits."""
+    n_l = int(np.count_nonzero(linked))
+    n_s = len(linked) - n_l
+    return (float(ce[linked].sum()) / n_l if n_l else None,
+            float(ce[~linked].sum()) / n_s if n_s else None)
 
 
 def _true_label_ce(probs, labels) -> np.ndarray:
@@ -166,20 +177,22 @@ def _true_label_ce(probs, labels) -> np.ndarray:
         return -np.log(picked)
 
 
-def task_loss(probs, labels, *, ce: np.ndarray | None = None):
+def task_loss(probs, labels, *, ce: np.ndarray | None = None,
+              resid: np.ndarray | None = None):
     """Mean cross-entropy; gradient is taken wrt the logits behind the
     probabilities, i.e. (p - onehot) / N.
 
     ``probs`` is a row-stochastic (N, G) float64 array with N >= 1 and
     ``labels`` one class id in [0, G) per row; neither is checked here
-    (``fond_loss`` checks the labels). ``ce`` is ``_true_label_ce`` of
-    these same arrays when the caller has it; None computes it here.
+    (``fond_loss`` checks the labels). ``ce`` (``_true_label_ce``) and
+    ``resid`` (``_residual``) are of these same arrays when the caller
+    has them; None computes them here.
     """
     if ce is None:
         ce = _true_label_ce(probs, labels)
-    loss = float(ce.mean())
-    grad_logits = (probs - _onehot(labels, probs.shape[1])) / probs.shape[0]
-    return loss, grad_logits
+    if resid is None:
+        resid = _residual(probs, labels)
+    return float(ce.sum()) / len(ce), resid / probs.shape[0]   # np.mean's bits
 
 
 def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
@@ -287,31 +300,39 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     return loss, grad_z
 
 
-def fair_loss(probs, labels, linked_mask, *, ce: np.ndarray | None = None):
+def fair_loss(probs, labels, linked_mask, *, ce: np.ndarray | None = None,
+              resid: np.ndarray | None = None,
+              group_ce: tuple[float | None, float | None] | None = None):
     """Absolute gap between the two groups' mean cross-entropies.
 
     Groups are the linked-class samples and the rest (``linked_mask``, one
     flag per row). A batch missing either group scores 0 with zero
     gradient; at an exact tie the subgradient 0 is used. Gradient is wrt
-    logits. The inputs and ``ce`` are as in ``task_loss``.
+    logits. The inputs, ``ce`` and ``resid`` are as in ``task_loss``;
+    ``group_ce`` is ``_group_means(ce, linked_mask)`` when the caller has
+    it.
     """
-    if ce is None:
-        ce = _true_label_ce(probs, labels)
     linked = np.asarray(linked_mask, dtype=bool)
-    n_l = int(linked.sum())
-    n_s = int((~linked).sum())
-    if n_l == 0 or n_s == 0:
+    if group_ce is None:
+        if ce is None:
+            ce = _true_label_ce(probs, labels)
+        group_ce = _group_means(ce, linked)
+    ce_l, ce_s = group_ce
+    if ce_l is None or ce_s is None:
         return 0.0, np.zeros_like(probs)
     # Python floats: inf - inf after a diverged step is nan without a warning
-    gap = float(ce[linked].mean()) - float(ce[~linked].mean())
+    gap = ce_l - ce_s
     sign = float(np.sign(gap))
     loss = abs(gap)
 
     grad = np.zeros_like(probs)
     if sign != 0.0:
-        resid = probs - _onehot(labels, probs.shape[1])
+        if resid is None:
+            resid = _residual(probs, labels)
+        shared = ~linked
+        n_l = int(np.count_nonzero(linked))
         grad[linked] = sign * resid[linked] / n_l
-        grad[~linked] = -sign * resid[~linked] / n_s
+        grad[shared] = -sign * resid[shared] / (len(linked) - n_l)
     return loss, grad
 
 
@@ -322,7 +343,9 @@ class FondLoss:
     grad_z is None when the contrastive term is inactive, so downstream
     backprop can skip the projection path entirely. ``ce`` holds the
     per-sample cross-entropies -log p[i, y_i] that the task term
-    averages.
+    averages; ``linked_ce`` and ``shared_ce`` are their means over the
+    linked-class samples and over the rest (None for an empty group),
+    the values the fairness gap compares.
     """
 
     total: float
@@ -332,6 +355,8 @@ class FondLoss:
     grad_logits: np.ndarray
     grad_z: np.ndarray | None
     ce: np.ndarray
+    linked_ce: float | None
+    shared_ce: float | None
 
 
 def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
@@ -344,16 +369,18 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
     component is the empty sum 0 there.
 
     The softmax of ``logits`` (an (N, G) float64 array) is computed here,
-    once, and it and its per-sample cross-entropies are shared by the task
-    and fairness terms. The labels are the one input checked (one per row,
-    N >= 1, in [0, G)).
+    once, and it, its per-sample cross-entropies, their two group means
+    and the residual p - onehot are shared by the task and fairness terms.
+    The labels are the one input checked (one per row, N >= 1, in [0, G)).
     """
     cfg = cfg.resolved()
     probs = ndcore.softmax_forward(logits)
     labels = _check_labels(ann.labels, probs.shape)
     ce = _true_label_ce(probs, labels)
+    resid = _residual(probs, labels)
+    group_ce = _group_means(ce, ann.linked_mask)
 
-    task, grad_logits = task_loss(probs, labels, ce=ce)
+    task, grad_logits = task_loss(probs, labels, ce=ce, resid=resid)
     total = task
 
     xdom = 0.0
@@ -368,9 +395,11 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
 
     fair = 0.0
     if cfg.lambda_fair > 0:
-        fair, g_fair = fair_loss(probs, labels, ann.linked_mask, ce=ce)
+        fair, g_fair = fair_loss(probs, labels, ann.linked_mask, ce=ce, resid=resid,
+                                 group_ce=group_ce)
         grad_logits = grad_logits + cfg.lambda_fair * g_fair
         total = total + cfg.lambda_fair * fair
 
     return FondLoss(total=float(total), task=task, xdom=xdom, fair=fair,
-                    grad_logits=grad_logits, grad_z=grad_z, ce=ce)
+                    grad_logits=grad_logits, grad_z=grad_z, ce=ce,
+                    linked_ce=group_ce[0], shared_ce=group_ce[1])

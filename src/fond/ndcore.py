@@ -47,11 +47,14 @@ def affine_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray):
 
 def affine_backward(upstream: np.ndarray, cache):
     """Gradients of the affine map: (grad_x, grad_w, grad_bias)."""
-    x, w = cache
-    grad_x = upstream @ w.T
-    grad_w = x.T @ upstream
-    grad_bias = upstream.sum(axis=0)
-    return grad_x, grad_w, grad_bias
+    return (upstream @ cache[1].T, *affine_param_backward(upstream, cache))
+
+
+def affine_param_backward(upstream: np.ndarray, cache):
+    """The parameter half of ``affine_backward``: (grad_w, grad_bias), for
+    a layer whose input needs no gradient."""
+    x, _ = cache
+    return x.T @ upstream, upstream.sum(axis=0)
 
 
 def relu_forward(x: np.ndarray):

@@ -116,15 +116,18 @@ class ModelParams:
     ``param_layout`` order, so writing through a view writes ``flat``,
     and the optimizer updates the whole model in one elementwise pass.
     ``segments`` maps each name to its slice of ``flat``, also in
-    ``param_layout`` order. The storage itself holds F and G first and P
-    last: F and G fill ``flat[:fg_size]``, so a step that does not train
-    P (the ``p.*`` tensors) updates one contiguous prefix.
+    ``param_layout`` order, and ``head_segments`` maps each head ("f",
+    "p", "g") to its tensors' slices in that order. The storage itself
+    holds F and G first and P last: F and G fill ``flat[:fg_size]``, so a
+    step that does not train P (the ``p.*`` tensors) updates one
+    contiguous prefix.
     """
 
     config: NetworkConfig
     seed: int
     flat: np.ndarray | None = None
     segments: dict[str, slice] = field(init=False, repr=False)
+    head_segments: dict[str, tuple[slice, ...]] = field(init=False, repr=False)
     fg_size: int = field(init=False, repr=False)
     _views: MappingProxyType = field(init=False, repr=False)
     _heads: dict[str, list] = field(init=False, repr=False)
@@ -148,6 +151,8 @@ class ModelParams:
             self.segments[name] = slice(start, stop)
             views[name] = self.flat[start:stop].reshape(shape)
             starts[part] = stop
+        self.head_segments = {head: tuple(segment for name, segment in self.segments.items()
+                                          if name[0] == head) for head in "fpg"}
         self._views = MappingProxyType(views)
         self._heads = {prefix: [(views[f"{prefix}.w{i}"], views[f"{prefix}.b{i}"])
                                 for i in range(len(dims))]
@@ -192,15 +197,20 @@ def _mlp_forward(x, layers):
     return out, caches
 
 
-def _mlp_backward(upstream, caches, grads):
+def _mlp_backward(upstream, caches, grads, input_grad: bool = True):
     """Writes each layer's gradients into its ``(grad_w, grad_b)`` views in
-    ``grads``; returns the gradient at the stack's input."""
+    ``grads``; returns the gradient at the stack's input, or None with
+    ``input_grad=False``, which leaves it uncomputed."""
     g = upstream
-    for (aff_cache, relu_cache), (gw, gb) in zip(reversed(caches), reversed(grads)):
+    for i in reversed(range(len(caches))):      # layer 0 reads the input
+        (aff_cache, relu_cache), (gw, gb) = caches[i], grads[i]
         if relu_cache is not None:
             g = ndcore.relu_backward(g, relu_cache)
-        g, gw[...], gb[...] = ndcore.affine_backward(g, aff_cache)
-    return g
+        if i > 0 or input_grad:
+            g, gw[...], gb[...] = ndcore.affine_backward(g, aff_cache)
+        else:
+            gw[...], gb[...] = ndcore.affine_param_backward(g, aff_cache)
+    return g if input_grad else None
 
 
 @dataclass
@@ -271,6 +281,7 @@ def backward_pass(fp: ForwardPass, grad_logits, grad_z, out: ModelParams) -> np.
     is left as it was, the result is the F and G prefix
     ``out.flat[:out.fg_size]`` (which ``trainer.optimizer_step`` takes to
     leave P alone), and the feature gradient is exactly G's.
+    The gradient at F's input is not computed.
     Checked here, for the whole pass: each upstream gradient (a float64
     array from the losses) has the shape of its output (``ShapeError``).
     """
@@ -288,7 +299,7 @@ def backward_pass(fp: ForwardPass, grad_logits, grad_z, out: ModelParams) -> np.
         grad_h = grad_h_from_p + grad_h
     if fp._dropout_mask is not None:
         grad_h = grad_h * fp._dropout_mask
-    _mlp_backward(grad_h, fp._f_caches, out._heads["f"])
+    _mlp_backward(grad_h, fp._f_caches, out._heads["f"], input_grad=False)
     return out.flat if grad_z is not None else out.flat[:out.fg_size]
 
 

@@ -18,7 +18,11 @@ vector (``ModelParams.flat``) and the flat gradient ``backward_pass`` returns.
 
 All randomness (batch order, dropout masks, validation split) derives
 from the trainer seed through tagged subseeds, so identical configs give
-bit-identical runs.
+bit-identical runs. Step k's dropout masks come from the stream
+``rng_for(seed, "dropout", k)``. ``dropout_streams`` builds step 1's
+generator with ``rng_for`` and derives every later step's starting state
+in one pass (``seeding.rng_states``); each step reseeds the same
+generator with its state, so it draws the bits ``rng_for`` would give.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import datagen, evalsel, losses, ndcore, networks
 from .errors import ConfigError, ContractError, NonFiniteLossError, require_finite
-from .seeding import rng_for, subseed
+from .seeding import rng_for, rng_states, subseed
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
 
@@ -157,14 +161,16 @@ def grad_norm(params: networks.ModelParams, grad: np.ndarray, state: OptState) -
 
     Each tensor's segment of ``state.grad_sq`` is summed on its own, and
     the sums are added P (when ``grad`` covers it), G, F, in layout order
-    within each head. That order, kept for the logged bits, is the only
+    within each head (``params.head_segments``, worked out once per
+    model). That order, kept for the logged bits, is the only
     thing left of the name-keyed gradient dict ``backward_pass`` once
     returned; ROADMAP item 6 replaces it with one reduction on purpose.
     """
-    sq, segments = state.grad_sq, params.segments
-    heads = "pgf" if len(grad) == params.flat.size else "gf"
-    return math.sqrt(sum(float(sq[segment].sum()) for head in heads
-                         for name, segment in segments.items() if name[0] == head))
+    sq, segments = state.grad_sq, params.head_segments
+    order = segments["g"] + segments["f"]
+    if len(grad) == params.flat.size:
+        order = segments["p"] + order
+    return math.sqrt(sum(float(sq[segment].sum()) for segment in order))
 
 
 @dataclass
@@ -215,11 +221,15 @@ class TrainLog:
                 writer.writerow(map(datagen.csv_cell, row))
 
 
-def _group_ce(ce: np.ndarray, mask: np.ndarray) -> float | None:
-    """Mean of the per-sample cross-entropies ``ce`` over ``mask``."""
-    if not mask.any():
-        return None
-    return float(ce[mask].mean())
+def dropout_streams(seed: int, steps: int):
+    """Yield step k's dropout generator for k = 1..``steps``: one
+    generator, reseeded each step, whose draws equal those of
+    ``rng_for(seed, "dropout", k)`` bit for bit."""
+    gen = rng_for(seed, SEED_TAG_DROPOUT, 1)
+    yield gen
+    for state in rng_states(seed, SEED_TAG_DROPOUT, range(2, steps + 1)):
+        gen.bit_generator.state = state
+        yield gen
 
 
 def train_val_split(pool: datagen.Dataset, trainer_cfg: TrainerConfig):
@@ -250,6 +260,8 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     project = loss_cfg.lambda_xdom > 0   # z feeds nothing but the contrastive term
     sampler = datagen.BatchSampler(train_set, trainer_cfg.batch_size,
                                    subseed(trainer_cfg.seed, SEED_TAG_BATCHES))
+    streams = (dropout_streams(trainer_cfg.seed, trainer_cfg.max_steps)
+               if trainer_cfg.dropout > 0.0 else None)
     state = OptState()
     grad_buffer = networks.ModelParams(config=params.config, seed=params.seed)
     log = TrainLog()
@@ -285,8 +297,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
             ann = losses.BatchAnnotations(labels=train_set.labels[batch_idx],
                                           domains=train_set.domains[batch_idx],
                                           linked_mask=linked_lookup[batch_idx])
-            drng = (rng_for(trainer_cfg.seed, SEED_TAG_DROPOUT, step)
-                    if trainer_cfg.dropout > 0.0 else None)
+            drng = next(streams) if streams is not None else None
             fp = networks.forward_pass(params, x, dropout_rate=trainer_cfg.dropout,
                                        dropout_rng=drng, project=project)
             fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg)
@@ -299,8 +310,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
             log.steps.append(StepRecord(
                 step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
                 grad_norm=grad_norm(params, grad, state),
-                linked_ce=_group_ce(fl.ce, ann.linked_mask),
-                shared_ce=_group_ce(fl.ce, ~ann.linked_mask)))
+                linked_ce=fl.linked_ce, shared_ce=fl.shared_ce))
             if step % trainer_cfg.eval_every == 0:
                 run_eval(step)
             if step >= trainer_cfg.max_steps:

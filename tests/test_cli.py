@@ -333,6 +333,39 @@ class TestTrain:
                    for name in self.GOLDEN[variant]}
         assert digests == self.GOLDEN[variant]
 
+    # The same outputs with dropout on h, so each step's mask and its
+    # stream (``rng_for(seed, "dropout", step)``) are covered as well.
+    GOLDEN_DROPOUT = {
+        "fond": {
+            "trainlog.jsonl": "42747402a6a7dae85622fab031fad80b802a0f72b4dd1b6f23472389e181e559",
+            "trainlog.csv": "3d18616396456a1840c8aef77ca72cbb3c660fc7983bd39edde000b9e90f6297",
+            "checkpoint_best.npz":
+                "e48e26b9742aef00cee1f100528cc9a3c6fe21b7e8505ef86b3ead50e8032df0",
+            "checkpoint_final.npz":
+                "6a29df91c768c0a85791ca53b30e841a92c509597530973426a13c7dc82ce392",
+            "metrics.json": "0804ee3ecb06cf027de0a35728b572fe2cd538e6cd295451e9ebc1f55d96aa29",
+        },
+        "erm": {
+            "trainlog.jsonl": "839b3d82cbf24cbe963acaf7604d8bb69ae85b4fd2e5037c1a97bd5ac24763c9",
+            "trainlog.csv": "9aa09419de1c3bfd36f47d4e332584afe3e4fa4e010ff498068ed93d9c7e5e92",
+            "checkpoint_best.npz":
+                "de6cf5bcffaf09f7ef2f81633763108849de08f8a70a2baaeb5365c3126fd97b",
+            "checkpoint_final.npz":
+                "db619a5860430ba1b6c4bb4d5d64d1cdd6043df2c33f5d7ec4d3317fb337025e",
+            "metrics.json": "237a737abb9caf26b9d85277a3d0700654f3ad49b57837ed9869d6d007d174c3",
+        },
+    }
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN_DROPOUT))
+    def test_tiny_dropout_train_outputs_match_recorded_digests(self, tmp_path, variant):
+        out = tmp_path / variant
+        assert run_cli("train", "--config", str(TINY), "--out", str(out),
+                       "--set", f"loss.variant={variant}",
+                       "--set", "trainer.dropout=0.1") == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN_DROPOUT[variant]}
+        assert digests == self.GOLDEN_DROPOUT[variant]
+
     def test_train_from_ingested_csv(self, cfg_path, tmp_path):
         gen_out = tmp_path / "gen"
         run_cli("generate", "--config", str(cfg_path), "--out", str(gen_out))
@@ -348,6 +381,20 @@ class TestErrorExits:
     def read_error(self, capsys):
         err = capsys.readouterr().err.strip().splitlines()[-1]
         return json.loads(err)
+
+    def test_bad_later_setting_exits_before_any_training(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        code = run_cli("benchmark", "--config", str(TINY), "--out", str(tmp_path),
+                       "--set", "search.n_trials=1",
+                       "--set", 'benchmark.settings=["low", 99]')
+        assert code == cli.EXIT_CONFIG
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["message"].startswith("shared class count 99 invalid")
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -718,11 +765,13 @@ class TestReleasedData:
         code = run_cli("benchmark", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
                        "--set", 'benchmark.variants=["fond"]', "--set", "benchmark.reps=1")
         assert code == 0
-        # 3 search folds train from the dataset and the search's own pool,
-        # then the final training runs after both and the cell's pool are freed
+        # the settings check builds and frees one dataset before any cell;
+        # 3 search folds train from the cell's dataset and the search's own
+        # pool, then the final training runs after both and the cell's pool
+        # are freed
         assert len(reachable_at_train) == 4
-        assert reachable_at_train[0] == [True, True]
-        assert reachable_at_train[-1] == [False, False, False]
+        assert reachable_at_train[0] == [False, True, True]
+        assert reachable_at_train[-1] == [False, False, False, False]
 
 
 @pytest.mark.parametrize("jobs, cells, cpus, want", [

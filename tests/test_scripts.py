@@ -1,5 +1,6 @@
 """The bundled scripts that the README tells users to run."""
 
+import json
 import re
 import subprocess
 import sys
@@ -27,3 +28,15 @@ def test_desk_benchmark_reports_per_rep_wins(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert re.search(r"^fond improves linked-class accuracy in [01]/1 repetitions$",
                      proc.stdout, re.MULTILINE), proc.stdout
+
+
+def test_bench_step_times_every_piece():
+    proc = run_script("bench_step.py", "--config", str(TINY), "--set", "trainer.dropout=0.1",
+                      "--repeat", "1", "--number", "2")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    common = {"dropout_stream", "forward_pass", "fond_loss", "backward_pass",
+              "optimizer_step", "grad_norm", "step"}
+    assert set(doc["erm"]) == common
+    assert set(doc["fond"]) == common | {"xdom_loss"}
+    assert all(us > 0 for variant in ("erm", "fond") for us in doc[variant].values())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fond import datagen, evalsel, losses, ndcore, networks, trainer
 from fond.errors import ConfigError, ContractError, DegenerateInputError, NonFiniteLossError
-from fond.seeding import subseed
+from fond.seeding import rng_for, subseed
 
 from optim_frozen import RefOptState, ref_grad_norm, ref_optimizer_step
 
@@ -226,6 +226,27 @@ class TestTrainLoop:
             logs.append(trainer.train(params, pool, plan, default_loss(), cfg)[2])
         assert logs[0].steps[0].task != logs[1].steps[0].task
 
+    def test_dropout_training_calls_rng_for_once(self, monkeypatch):
+        calls = []
+
+        def counted(*parts):
+            calls.append(parts)
+            return rng_for(*parts)
+
+        monkeypatch.setattr(trainer, "rng_for", counted)
+        pool, _, plan, net_cfg = make_setup()
+        cfg = trainer.TrainerConfig(max_steps=12, eval_every=6, batch_size=16,
+                                    seed=3, learning_rate=0.01, dropout=0.2)
+        trainer.train(networks.init_params(net_cfg, 7), pool, plan, default_loss(), cfg)
+        assert calls == [(3, trainer.SEED_TAG_DROPOUT, 1)]
+
+    def test_dropout_streams_draw_what_rng_for_draws(self):
+        draws = [gen.random((4, 4)) for gen in trainer.dropout_streams(5, 9)]
+        assert len(draws) == 9
+        for step, drawn in enumerate(draws, start=1):
+            expected = rng_for(5, trainer.SEED_TAG_DROPOUT, step).random((4, 4))
+            assert drawn.tobytes() == expected.tobytes()
+
     def test_single_sgd_step_matches_manual_gradient(self):
         pool, target, plan, net_cfg = make_setup()
         params = networks.init_params(net_cfg, 11)
@@ -267,7 +288,8 @@ class TestTrainLoop:
             n, c = logits.shape
             return losses.FondLoss(total=float("nan"), task=float("nan"), xdom=0.0,
                                    fair=0.0, grad_logits=np.zeros((n, c)),
-                                   grad_z=None, ce=np.full(n, np.nan))
+                                   grad_z=None, ce=np.full(n, np.nan),
+                                   linked_ce=float("nan"), shared_ce=float("nan"))
 
         monkeypatch.setattr(losses, "fond_loss", bad_loss)
         cfg = trainer.TrainerConfig(max_steps=5, eval_every=5, batch_size=8, seed=0)
@@ -373,6 +395,7 @@ class TestKernelInputs:
     entry is a cache, checked item by item)."""
 
     RANKS = {"affine_forward": (2, 2, 1), "affine_backward": (2, (2, 2)),
+             "affine_param_backward": (2, (2, 2)),
              "relu_forward": (2,), "relu_backward": (2, 2),
              "softmax_forward": (2,), "l2_normalize_rows": (2,),
              "l2_normalize_backward": (2, (2, 1))}
