@@ -2,22 +2,29 @@
 """Time the pieces of one training step, layer by layer.
 
     python3 scripts/bench_step.py                      # desk shape
+    python3 scripts/bench_step.py --batch-sizes 64 256 1024 \
+        --set dataset.synthetic.samples_per_cell=400 --set trainer.max_steps=50
     python3 scripts/bench_step.py --config configs/tiny_benchmark.json \
         --set trainer.dropout=0.1 --repeat 1 --number 2
 
-For an ERM and a FOND step at the config's shape (batch size, network,
-loss weights, dropout), prints one JSON object with the best-of-``--repeat``
-microseconds per call of each piece: the dropout stream (a step's share
-of building every step's dropout generator), ``forward_pass``,
-``fond_loss``, ``xdom_loss`` (FOND only), ``backward_pass``,
-``optimizer_step`` and ``grad_norm``, plus ``step``, a whole
-``trainer.train`` run divided by its steps (evaluations included). All
-inputs come from the config's seed, so two runs time the same work.
+For each batch size (``--batch-sizes``, default the config's), and for an
+ERM and a FOND step at the config's shape (network, loss weights,
+dropout), prints the best-of-``--repeat`` microseconds per call of each
+piece: the dropout stream (a step's share of building every step's
+dropout generator), ``forward_pass``, ``fond_loss``, ``xdom_loss`` (FOND
+only), ``backward_pass`` and ``grad_norm``, plus ``step``, a whole
+``trainer.train`` run divided by its steps (evaluations included). Once
+for all sizes it times ``optimizer_step`` under each optimizer and
+``evalsel.evaluate`` on one block of ``evalsel.INFER_ROWS`` source rows.
+The output is one JSON object, stamped with the host (Python, numpy,
+BLAS, the BLAS thread count from the environment, None when unpinned).
+All inputs come from the config's seed, so two runs time the same work.
 Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for comparable numbers.
 """
 
 import argparse
 import json
+import os
 import platform
 import sys
 import timeit
@@ -29,9 +36,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from fond import cli, datagen, losses, networks, trainer
+from fond import cli, datagen, evalsel, losses, networks, trainer
 from fond.config import load_config
 from fond.seeding import subseed
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def best_us(fn, repeat: int, number: int) -> float:
@@ -47,14 +56,25 @@ def dropout_stream_us(seed: int, steps: int, repeat: int) -> float:
     return best_us(run, repeat, 1) / steps
 
 
-def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number):
+def host() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = next((os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ), None)
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": None if threads is None else int(threads),
+            "machine": platform.machine(), "cpu_count": os.cpu_count()}
+
+
+def first_step(variant, cfg, train_set, plan, net_cfg):
+    """The inputs and results of a training's first step under ``variant``:
+    (loss config, trainer config, batch features, annotations, params,
+    forward pass, loss, gradient)."""
     loss_cfg = replace(cfg.loss, variant=variant).resolved()
     tcfg = replace(cfg.trainer, seed=subseed(cfg.seed, "train"))
-    project = loss_cfg.lambda_xdom > 0
     linked = np.isin(train_set.labels, sorted(plan.linked_classes))
     sampler = datagen.BatchSampler(train_set, tcfg.batch_size,
                                    subseed(tcfg.seed, trainer.SEED_TAG_BATCHES))
-    batch = sampler.epoch_batches(0)[0]     # the training's first batch
+    batch = sampler.epoch_batches(0)[0]
     ann = losses.BatchAnnotations(labels=train_set.labels[batch],
                                   domains=train_set.domains[batch],
                                   linked_mask=linked[batch])
@@ -62,10 +82,19 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
     params = networks.init_params(net_cfg, subseed(cfg.seed, "init"))
     drng = trainer.rng_for(tcfg.seed, trainer.SEED_TAG_DROPOUT, 1)
     fp = networks.forward_pass(params, x, dropout_rate=tcfg.dropout, dropout_rng=drng,
-                               project=project)
+                               project=loss_cfg.lambda_xdom > 0)
     fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg)
+    grad = networks.backward_pass(fp, fl.grad_logits, fl.grad_z,
+                                  networks.ModelParams(config=net_cfg, seed=0))
+    return loss_cfg, tcfg, x, ann, params, fp, fl, grad
+
+
+def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number):
+    loss_cfg, tcfg, x, ann, params, fp, fl, grad = first_step(variant, cfg, train_set,
+                                                              plan, net_cfg)
+    project = loss_cfg.lambda_xdom > 0
+    drng = trainer.rng_for(tcfg.seed, trainer.SEED_TAG_DROPOUT, 1)
     buffer = networks.ModelParams(config=net_cfg, seed=0)
-    grad = networks.backward_pass(fp, fl.grad_logits, fl.grad_z, buffer)
     state = trainer.optimizer_step(params, grad, trainer.OptState(), tcfg)
 
     out = {}
@@ -81,13 +110,23 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
                                    repeat, number)
     out["backward_pass"] = best_us(lambda: networks.backward_pass(
         fp, fl.grad_logits, fl.grad_z, buffer), repeat, number)
-    out["optimizer_step"] = best_us(lambda: trainer.optimizer_step(params, grad, state, tcfg),
-                                    repeat, number)
     out["grad_norm"] = best_us(lambda: trainer.grad_norm(params, grad, state), repeat, number)
     out["step"] = best_us(lambda: trainer.train(
         networks.init_params(net_cfg, subseed(cfg.seed, "init")), train_set, plan,
         loss_cfg, tcfg, val_set=val_set), repeat, 1) / tcfg.max_steps
     return {name: round(us, 2) for name, us in out.items()}
+
+
+def time_optimizers(cfg, train_set, plan, net_cfg, repeat, number):
+    """optimizer_step under each optimizer, on a FOND step's whole gradient."""
+    _, tcfg, _, _, params, _, _, grad = first_step("fond", cfg, train_set, plan, net_cfg)
+    out = {}
+    for name in trainer.OPTIMIZERS:
+        ocfg = replace(tcfg, optimizer=name)
+        state = trainer.optimizer_step(params, grad, trainer.OptState(), ocfg)
+        out[name] = round(best_us(lambda: trainer.optimizer_step(params, grad, state, ocfg),
+                                  repeat, number), 2)
+    return out
 
 
 def main() -> int:
@@ -96,25 +135,41 @@ def main() -> int:
     parser.add_argument("--config", default=str(ROOT / "configs" / "desk_high.json"))
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="dotted-path config override")
+    parser.add_argument("--batch-sizes", type=int, nargs="+", metavar="B",
+                        help="batch sizes to time (default: the config's)")
     parser.add_argument("--repeat", type=int, default=7, help="timing rounds; the best counts")
     parser.add_argument("--number", type=int, default=200, help="calls per round")
     args = parser.parse_args()
 
     cfg = load_config(args.config, args.overrides)
-    setting = cfg.benchmark.settings[0]
+    sizes = args.batch_sizes or [cfg.trainer.batch_size]
     dataset = cli.build_dataset(cfg)
-    plan = cli.build_plan(cfg, dataset, setting)
-    net_cfg = cfg.network.to_network_config(dataset.input_dim, max(plan.classes) + 1)
+    plan = cli.build_plan(cfg, dataset, cfg.benchmark.settings[0])
+    net_cfg = cli._network_config(cfg, dataset, plan)
     pool, _ = datagen.apply_split(dataset, plan)
     train_set, val_set = trainer.train_val_split(pool, cfg.trainer)
+    too_big = [b for b in sizes if b > len(train_set)]
+    if too_big:
+        parser.error(f"batch sizes {too_big} exceed the {len(train_set)} training rows")
+
+    per_size = {}
+    for b in sizes:
+        sized = replace(cfg, trainer=replace(cfg.trainer, batch_size=b))
+        per_size[str(b)] = {variant: time_variant(variant, sized, train_set, val_set, plan,
+                                                  net_cfg, args.repeat, args.number)
+                            for variant in ("erm", "fond")}
+    block = pool.subset(np.arange(min(evalsel.INFER_ROWS, len(pool))))
+    params = networks.init_params(net_cfg, subseed(cfg.seed, "init"))
     result = {
         "config": Path(args.config).name,
-        "batch_size": cfg.trainer.batch_size,
+        "host": host(),
         "repeat": args.repeat, "number": args.number,
-        "numpy": np.__version__, "machine": platform.machine(),
-        **{variant: time_variant(variant, cfg, train_set, val_set, plan, net_cfg,
-                                 args.repeat, args.number)
-           for variant in ("erm", "fond")},
+        "batch_sizes": per_size,
+        "optimizer_step": time_optimizers(cfg, train_set, plan, net_cfg,
+                                          args.repeat, args.number),
+        "evaluate": {"rows": len(block),
+                     "us": round(best_us(lambda: evalsel.evaluate(params, block, plan),
+                                         args.repeat, args.number), 2)},
     }
     print(json.dumps(result, indent=2))
     return 0

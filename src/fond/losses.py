@@ -45,11 +45,12 @@ VARIANTS = ("fond", "fond_f", "fond_fb", "fond_fba", "erm", "supcon")
 UNIT_NORM_TOL = 1e-4
 
 # Rows of the B x B similarity matrix that xdom_loss processes at once.
-# At B = 1024 a 64-row float64 block is 512 KiB, so the block and its
-# scratch stay in a core's L2 cache (2 MiB) across the dozen elementwise
-# passes. On a 2-vCPU Xeon with single-threaded OpenBLAS, 32 to 128 rows
-# all ran a B = 1024 call in about 32 ms (68 ms unblocked); 16 and 256
-# were about 5% slower.
+# At B = 1024 a 64-row float64 block is 512 KiB, so the block, its
+# scratch and the per-pair tables stay in a core's L2 cache (2 MiB)
+# across the dozen elementwise passes. On a 2-vCPU Xeon with
+# single-threaded OpenBLAS, a B = 1024 call took 16.5 to 17.4 ms at 32, 64
+# and 128 rows (best of 11), 17.8 ms at 16 and 19.4 ms at 256. A batch of
+# at most this many rows is one block and keys each row by itself.
 XDOM_BLOCK_ROWS = 64
 
 # The values each variant forces on its config (``LossConfig.resolved``).
@@ -195,6 +196,20 @@ def task_loss(probs, labels, *, ce: np.ndarray | None = None,
     return float(ce.sum()) / len(ce), resid / probs.shape[0]   # np.mean's bits
 
 
+def _distinct_pairs(labels, domains) -> tuple[np.ndarray, np.ndarray]:
+    """For each row, the index of its (label, domain) pair among the
+    batch's distinct pairs; and, per distinct pair, one row that holds it."""
+    order = np.lexsort((domains, labels))
+    sorted_labels, sorted_domains = labels[order], domains[order]
+    head = np.empty(len(order), dtype=bool)
+    head[0] = True
+    np.not_equal(sorted_labels[1:], sorted_labels[:-1], out=head[1:])
+    head[1:] |= sorted_domains[1:] != sorted_domains[:-1]
+    pair_of = np.empty(len(order), dtype=np.intp)
+    pair_of[order] = np.cumsum(head) - 1
+    return pair_of, order[head]
+
+
 def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     """Pair-weighted supervised contrastive loss over unit projections.
 
@@ -208,13 +223,23 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     but not its class, else 1. Anchors with no positives are skipped
     (an all-skipped batch scores 0). Returns (loss, grad_z).
 
-    Memory is one B x B buffer (the Gram matrix, overwritten row block
-    by row block with d loss / d Gram) plus scratch for one block of
-    ``XDOM_BLOCK_ROWS`` rows. Blocks split rows only, so every row
-    reduction still runs over one whole contiguous row, and each
-    element sees the same float operations in the same order as the
-    plain full-matrix formula: the result does not depend on the block
-    height, bit for bit.
+    Row i of every mask and weight matrix (positives, beta, alpha, the
+    gradient's -dnum / |P(i)| term and the log(a) row sum) depends only
+    on anchor i's (class, domain) pair, apart from its own diagonal
+    entry. So they are built once per call as tables with one row per
+    key, and each row block copies its anchors' rows out of them and
+    sets the diagonal. A batch that fits one block keys each row by
+    itself (the tables are then the masks, read in place); a larger one
+    keys rows by their distinct (class, domain) pairs, K of them.
+
+    Memory is one B x B buffer (the Gram matrix, its rows padded by at
+    most 15 values, overwritten row block by row block with d loss /
+    d Gram), the K x B tables (K <= B), and scratch for up to two blocks
+    of ``XDOM_BLOCK_ROWS`` rows (three under ``similarity_scale``). Blocks
+    split rows only, so every row reduction still runs over one whole
+    contiguous row, and each element sees the same float operations in
+    the same order as the plain full-matrix formula: the result does not
+    depend on the block height, the keying or the padding, bit for bit.
     """
     z = ndcore.as_matrix(z, "z")
     n = z.shape[0]
@@ -223,80 +248,109 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     if len(ann) != n:
         raise ContractError(f"annotations cover {len(ann)} samples, z has {n}")
     norms = np.sqrt((z * z).sum(axis=1))
-    if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
-        worst = int(np.abs(norms - 1.0).argmax())
+    deviation = np.abs(norms - 1.0)
+    if not deviation.max() <= UNIT_NORM_TOL:         # NaN fails <= too
+        worst = int(deviation.argmax())
         raise ContractError(f"z row {worst} has norm {norms[worst]!r}, expected 1")
 
     labels, domains = ann.labels, ann.domains
-    sorted_labels = np.sort(labels)
-    first = np.searchsorted(sorted_labels, labels, "left")
-    n_pos = np.searchsorted(sorted_labels, labels, "right") - first - 1
+    by_row = n <= XDOM_BLOCK_ROWS
+    if by_row:
+        key_of = keys = slice(None)
+    else:
+        key_of, keys = _distinct_pairs(labels, domains)
+    same_class = labels[keys, None] == labels
+    pos_rows = same_class.astype(np.float64)
+    n_pos = pos_rows.sum(axis=1) - 1.0
     valid = n_pos > 0
     if not valid.any():
         return 0.0, np.zeros_like(z)
-    safe_npos = np.where(valid, n_pos, 1)
-    neg_npos = -safe_npos[:, None].astype(np.float64)
-    # equal codes <=> equal ids; int32 codes compare twice as fast as int64 ids
-    class_code = first.astype(np.int32)
-    domain_code = np.searchsorted(np.sort(domains), domains).astype(np.int32)
+    all_valid = bool(valid.all())
+    safe_npos = np.maximum(n_pos, 1.0)
+    same_domain = domains[keys, None] == domains
+    cross_pos = same_class > same_domain            # same class, other domain
     numerator_mode = cfg.alpha_mode == "numerator_scale"
+    if numerator_mode:
+        # a == 1 adds log(1) = +0.0 per term, so each row sum is +0.0
+        log_alpha_sum = (0.0 if cfg.a == 1.0 else
+                         np.where(cross_pos, np.log(cfg.a), 0.0).sum(axis=1)[key_of])
+        dnum_rows = pos_rows
+    else:
+        alpha_rows = np.where(cross_pos, cfg.a, 1.0)
+        dnum_rows = np.where(same_class, alpha_rows, 0.0)
+    # the gradient's -dnum / |P(i)|, as dnum / -|P(i)| (the same bits)
+    coef_rows = dnum_rows / -safe_npos[:, None]
+    beta_rows = None if cfg.b == 1.0 else np.where(same_domain > same_class, cfg.b, 1.0)
+    safe_npos, valid = safe_npos[key_of], valid[key_of]
 
-    buf = z @ z.T
+    def anchor_rows(table, rows, out):
+        """Rows of a key table for the anchors ``rows``: a view of the table
+        when rows are their own keys, else copied into ``out``. mode="clip"
+        avoids the extra buffer that the default mode writes through."""
+        if by_row:
+            return table[rows]
+        return np.take(table, key_of[rows], axis=0, out=out, mode="clip")
+
+    # numpy computes z @ z.T with BLAS syrk and then copies the upper
+    # triangle into the lower one down each column. Past one block, a row
+    # stride of an odd number of 64-byte cache lines spreads that walk over
+    # the cache sets; a power-of-two stride (B = 1024) sends a whole column
+    # to one set. Padded rows are not contiguous, so blocks then work on a
+    # contiguous copy.
+    lines = -(-n // 8)                              # 64-byte lines per row
+    row_len = n if by_row else 8 * (lines | 1)
+    gram = np.empty((n, row_len))[:, :n]
+    np.matmul(z, z.T, out=gram)
     num_term = np.empty(n)
     log_denom = np.empty(n)
     h = min(XDOM_BLOCK_ROWS, n)
-    expd_s, tmp_s = np.empty((h, n)), np.empty((h, n))
-    pos_s, same_domain_s, mask_s = (np.empty((h, n), dtype=bool) for _ in range(3))
+    st_s = None if row_len == n else np.empty((h, n))
+    tmp_s = np.empty((h, n))
+    alpha_s = None if numerator_mode else np.empty((h, n))
     for r0 in range(0, n, h):
         rows = slice(r0, min(r0 + h, n))
         m = rows.stop - r0
-        st, expd, tmp = buf[rows], expd_s[:m], tmp_s[:m]
-        pos, same_domain, mask = pos_s[:m], same_domain_s[:m], mask_s[:m]
+        st = gram[rows] if st_s is None else st_s[:m]
+        tmp = tmp_s[:m]
         diag = (np.arange(m), np.arange(r0, rows.stop))
 
-        np.divide(st, cfg.temperature, out=st)
-        np.equal(class_code[rows, None], class_code[None, :], out=pos)
-        np.equal(domain_code[rows, None], domain_code[None, :], out=same_domain)
-
-        # row-max shift over the denominator's index set (a != i) keeps
-        # exp bounded; the -inf diagonal also makes exp give its 0 there
-        st_diag = st[diag]
-        st[diag] = -np.inf
-        shift = st.max(axis=1)
-        np.subtract(st, shift[:, None], out=expd)
-        np.exp(expd, out=expd)
-        st[diag] = st_diag
-        np.greater(same_domain, pos, out=mask)       # same domain, other class
-        np.multiply(np.where(mask, cfg.b, 1.0), expd, out=expd)
-        denom = expd.sum(axis=1)
-        log_denom[rows] = shift + np.log(denom)
-
-        pos[diag] = False
-        np.greater(pos, same_domain, out=mask)        # cross-domain positives
+        np.divide(gram[rows], cfg.temperature, out=st)
+        pos = anchor_rows(pos_rows, rows, tmp)
+        pos[diag] = 0.0
         if numerator_mode:
             np.multiply(st, pos, out=tmp)
-            st_pos_sum = tmp.sum(axis=1)
-            np.multiply(mask, np.log(cfg.a), out=tmp)
-            num_term[rows] = st_pos_sum + tmp.sum(axis=1)
-            dnum = pos
         else:
-            alpha = np.where(mask, cfg.a, 1.0)
-            np.multiply(alpha, st, out=tmp)
-            np.multiply(tmp, pos, out=tmp)
-            num_term[rows] = tmp.sum(axis=1)
-            dnum = np.where(pos, alpha, 0.0)
+            alpha_st = np.multiply(anchor_rows(alpha_rows, rows, alpha_s[:m]), st,
+                                   out=alpha_s[:m])
+            np.multiply(alpha_st, pos, out=tmp)
+        num_term[rows] = tmp.sum(axis=1)
 
-        # d loss / d st, rows zeroed for skipped anchors, written over st;
-        # dnum / -|P(i)| has the same bits as -dnum / |P(i)|
-        np.divide(dnum, neg_npos[rows], out=tmp)
-        np.divide(expd, denom[:, None], out=expd)
-        np.add(tmp, expd, out=expd)
-        expd[~valid[rows]] = 0.0
-        np.divide(expd, cfg.temperature, out=st)
+        # row-max shift over the denominator's index set (a != i) keeps
+        # exp bounded; the -inf diagonal also makes exp give its 0 there.
+        # st is not read again, so exp and the gradient overwrite it.
+        st[diag] = -np.inf
+        shift = st.max(axis=1)
+        np.subtract(st, shift[:, None], out=st)
+        np.exp(st, out=st)
+        if beta_rows is not None:
+            np.multiply(anchor_rows(beta_rows, rows, tmp), st, out=st)
+        denom = st.sum(axis=1)
+        log_denom[rows] = shift + np.log(denom)
 
+        # d loss / d st, rows zeroed for skipped anchors
+        coef = anchor_rows(coef_rows, rows, tmp)
+        coef[diag] = -0.0                            # 0.0 / -|P(i)|
+        np.divide(st, denom[:, None], out=st)
+        np.add(coef, st, out=st)
+        if not all_valid:
+            st[~valid[rows]] = 0.0
+        np.divide(st, cfg.temperature, out=gram[rows])
+
+    if numerator_mode:
+        num_term += log_alpha_sum
     per_anchor = -num_term / safe_npos + log_denom
     loss = float(per_anchor[valid].sum())
-    grad_z = buf @ z + buf.T @ z
+    grad_z = gram @ z + gram.T @ z
     return loss, grad_z
 
 

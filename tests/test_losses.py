@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,13 @@ class TestXdomLoss:
         z = np.array([[2.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ContractError):
             losses.xdom_loss(z, losses.BatchAnnotations([0, 0], [0, 1], [False] * 2),
+                             losses.LossConfig())
+
+    def test_nan_row_rejected(self):
+        # a NaN norm fails every comparison, so "deviation > tol" let it through
+        z = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ContractError, match="row 1"):
+            losses.xdom_loss(z, losses.BatchAnnotations([0, 0, 1], [0, 1, 0], [False] * 3),
                              losses.LossConfig())
 
     def test_permutation_invariance(self):
@@ -429,26 +438,40 @@ def test_scalar_losses_permutation_invariant_property(seed):
     assert np.abs(out.grad_logits[perm] - out_p.grad_logits).max() < 1e-12
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(n=st.one_of(st.integers(2, 300), st.sampled_from([63, 64, 65, 129, 1000, 1024])),
        d=st.integers(2, 33), seed=st.integers(0, 2**31),
        n_classes=st.integers(1, 40), n_domains=st.integers(1, 6),
        all_skipped=st.booleans(),
+       domain_mode=st.sampled_from(["drawn", "single", "one_per_row"]),
+       lonely=st.integers(0, 5),
+       far_ids=st.booleans(),
+       block_rows=st.sampled_from([16, 64, 128]),
        temperature=st.sampled_from([0.05, 0.1, 0.23, 1.0, 3.7]),
        a=st.sampled_from([1.0, 1.5, 2.7]), b=st.sampled_from([1.0, 1.9, 4.0]),
        mode=st.sampled_from(losses.ALPHA_MODES))
 def test_xdom_loss_bit_identical_to_frozen_full_matrix(n, d, seed, n_classes, n_domains,
-                                                      all_skipped, temperature, a, b,
-                                                      mode):
+                                                      all_skipped, domain_mode, lonely,
+                                                      far_ids, block_rows, temperature,
+                                                      a, b, mode):
     # batches up to 1024 span several row blocks, often with a partial
-    # last block; many classes leave anchors without positives
+    # last block; many classes leave anchors without positives, and
+    # `lonely` rows get a class of their own inside otherwise full blocks.
+    # Masks are keyed by (class, domain) pair, so the ids go far from
+    # 0..C, and every row may be its own pair, or every row in one domain.
     rng = np.random.default_rng(seed)
     z = random_unit_rows(rng, n, d)
     labels = rng.permutation(n) if all_skipped else rng.integers(0, n_classes, size=n)
-    ann = losses.BatchAnnotations(labels, rng.integers(0, n_domains, size=n),
-                                  np.zeros(n, dtype=bool))
+    labels[rng.choice(n, size=min(lonely, n), replace=False)] = n + np.arange(min(lonely, n))
+    domains = {"drawn": rng.integers(0, n_domains, size=n),
+               "single": np.zeros(n, dtype=np.int64),
+               "one_per_row": rng.permutation(n)}[domain_mode]
+    if far_ids:
+        labels, domains = labels * 10**9 - 2**62, domains * 3**30 + 2**50
+    ann = losses.BatchAnnotations(labels, domains, np.zeros(n, dtype=bool))
     cfg = losses.LossConfig(temperature=temperature, a=a, b=b, alpha_mode=mode)
-    loss, grad = losses.xdom_loss(z, ann, cfg)
+    with mock.patch.object(losses, "XDOM_BLOCK_ROWS", block_rows):
+        loss, grad = losses.xdom_loss(z, ann, cfg)
     ref_loss, ref_grad = ref_xdom_loss(z, ann, cfg)
-    assert loss == ref_loss
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert grad.tobytes() == ref_grad.tobytes()

@@ -31,12 +31,23 @@ def test_desk_benchmark_reports_per_rep_wins(tmp_path):
 
 
 def test_bench_step_times_every_piece():
+    # 96 rows exceed one 64-row block of xdom_loss; 16 fit in one
     proc = run_script("bench_step.py", "--config", str(TINY), "--set", "trainer.dropout=0.1",
-                      "--repeat", "1", "--number", "2")
+                      "--set", "dataset.synthetic.samples_per_cell=40",
+                      "--batch-sizes", "16", "96", "--repeat", "1", "--number", "2")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     common = {"dropout_stream", "forward_pass", "fond_loss", "backward_pass",
-              "optimizer_step", "grad_norm", "step"}
-    assert set(doc["erm"]) == common
-    assert set(doc["fond"]) == common | {"xdom_loss"}
-    assert all(us > 0 for variant in ("erm", "fond") for us in doc[variant].values())
+              "grad_norm", "step"}
+    assert list(doc["batch_sizes"]) == ["16", "96"]
+    for timed in doc["batch_sizes"].values():
+        assert set(timed["erm"]) == common
+        assert set(timed["fond"]) == common | {"xdom_loss"}
+        assert all(us > 0 for variant in ("erm", "fond") for us in timed[variant].values())
+    assert set(doc["optimizer_step"]) == {"sgd", "momentum", "adam"}
+    assert all(us > 0 for us in doc["optimizer_step"].values())
+    assert doc["evaluate"]["rows"] > 96 and doc["evaluate"]["us"] > 0
+    assert {"python", "numpy", "blas", "blas_threads"} <= set(doc["host"])
+
+    proc = run_script("bench_step.py", "--config", str(TINY), "--batch-sizes", "100000")
+    assert proc.returncode == 2 and "exceed" in proc.stderr
