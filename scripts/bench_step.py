@@ -13,7 +13,9 @@ dropout), prints the best-of-``--repeat`` microseconds per call of each
 piece: the dropout stream (a step's share of building every step's
 dropout generator), ``forward_pass``, ``fond_loss``, ``xdom_loss`` (FOND
 only), ``backward_pass`` and ``grad_norm``, plus ``step``, a whole
-``trainer.train`` run divided by its steps (evaluations included). Once
+``trainer.train`` run divided by its steps (evaluations included), and
+``step_unlogged``, the same run without its step log, as a benchmark
+cell's or a search fold's training runs. Once
 for all sizes it times ``optimizer_step`` under each optimizer and
 ``evalsel.evaluate`` on one block of ``evalsel.INFER_ROWS`` source rows.
 The output is one JSON object, stamped with the host (Python, numpy,
@@ -111,9 +113,10 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
     out["backward_pass"] = best_us(lambda: networks.backward_pass(
         fp, fl.grad_logits, fl.grad_z, buffer), repeat, number)
     out["grad_norm"] = best_us(lambda: trainer.grad_norm(params, grad, state), repeat, number)
-    out["step"] = best_us(lambda: trainer.train(
-        networks.init_params(net_cfg, subseed(cfg.seed, "init")), train_set, plan,
-        loss_cfg, tcfg, val_set=val_set), repeat, 1) / tcfg.max_steps
+    for key, logged in (("step", True), ("step_unlogged", False)):
+        out[key] = best_us(lambda: trainer.train(
+            networks.init_params(net_cfg, subseed(cfg.seed, "init")), train_set, plan,
+            loss_cfg, tcfg, val_set=val_set, log_steps=logged), repeat, 1) / tcfg.max_steps
     return {name: round(us, 2) for name, us in out.items()}
 
 

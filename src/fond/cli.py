@@ -135,7 +135,7 @@ def train_fold(held_out_domain: int, train_set: datagen.Dataset,
     params = networks.init_params(net_cfg, subseed(fold_seed, "init"))
     fold_trainer_cfg = replace(trainer_cfg, seed=subseed(fold_seed, "train"))
     _, best, _ = trainer.train(params, train_set, plan, loss_cfg, fold_trainer_cfg,
-                               val_set=val_set)
+                               val_set=val_set, log_steps=False)
     return evalsel.evaluate(best, eval_set, plan)
 
 
@@ -202,7 +202,7 @@ def run_benchmark_cell(cfg: RunConfig, setting, variant: str, rep: int) -> dict:
     train_set, val_set = trainer.train_val_split(pool, final_cfg)
     del pool
     _, best, _ = trainer.train(params, train_set, plan, loss_cfg, final_cfg,
-                               val_set=val_set)
+                               val_set=val_set, log_steps=False)
     report = evalsel.evaluate(best, target, plan)
     return {
         "setting": str(setting), "variant": variant, "rep": rep,

@@ -77,11 +77,13 @@ class Dataset:
     def input_dim(self) -> int:
         return int(self.features.shape[1])
 
+    # set(tolist()) rather than np.unique: in numpy 2.x a plain np.unique
+    # imports numpy.ma, which nothing in fond reads
     def class_set(self) -> set[int]:
-        return set(int(c) for c in np.unique(self.labels))
+        return set(self.labels.tolist())
 
     def domain_set(self) -> set[int]:
-        return set(int(s) for s in np.unique(self.domains))
+        return set(self.domains.tolist())
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
@@ -486,7 +488,8 @@ def ingest_csv(path) -> Dataset:
     feats.resize((n, d), refcheck=False)
     ints.resize((n, 3), refcheck=False)
     ids = ints[:, 0]
-    if len(np.unique(ids)) != n:
+    sorted_ids = np.sort(ids)           # not np.unique: see Dataset.class_set
+    if (sorted_ids[1:] == sorted_ids[:-1]).any():
         raise CsvFormatError("duplicate sample ids")
     dataset = Dataset(features=feats, labels=ints[:, 2], domains=ints[:, 1], ids=ids)
     counts = np.unique(dataset.labels, return_counts=True)[1]

@@ -395,11 +395,10 @@ class FondLoss:
     """Combined objective value with per-component breakdown.
 
     grad_z is None when the contrastive term is inactive, so downstream
-    backprop can skip the projection path entirely. ``ce`` holds the
-    per-sample cross-entropies -log p[i, y_i] that the task term
-    averages; ``linked_ce`` and ``shared_ce`` are their means over the
-    linked-class samples and over the rest (None for an empty group),
-    the values the fairness gap compares.
+    backprop can skip the projection path entirely. ``linked_ce`` and
+    ``shared_ce`` are the means of the per-sample cross-entropies
+    -log p[i, y_i] over the linked-class samples and over the rest (None
+    for an empty group), the values the fairness gap compares.
     """
 
     total: float
@@ -408,7 +407,6 @@ class FondLoss:
     fair: float
     grad_logits: np.ndarray
     grad_z: np.ndarray | None
-    ce: np.ndarray
     linked_ce: float | None
     shared_ce: float | None
 
@@ -455,5 +453,5 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
         total = total + cfg.lambda_fair * fair
 
     return FondLoss(total=float(total), task=task, xdom=xdom, fair=fair,
-                    grad_logits=grad_logits, grad_z=grad_z, ce=ce,
+                    grad_logits=grad_logits, grad_z=grad_z,
                     linked_ce=group_ce[0], shared_ce=group_ce[1])

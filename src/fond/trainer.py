@@ -241,7 +241,8 @@ def train_val_split(pool: datagen.Dataset, trainer_cfg: TrainerConfig):
 
 def train(params: networks.ModelParams, source_pool: datagen.Dataset,
           plan: datagen.SplitPlan, loss_cfg: losses.LossConfig,
-          trainer_cfg: TrainerConfig, val_set: datagen.Dataset | None = None):
+          trainer_cfg: TrainerConfig, val_set: datagen.Dataset | None = None,
+          *, log_steps: bool = True):
     """Run the loop; returns (final params, best-validation params, log).
 
     When ``val_set`` is None the pool is split by ``train_val_split``;
@@ -249,6 +250,10 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     accuracy over linked classes (strict improvement, earliest wins),
     falling back to overall accuracy when the validation split contains
     no linked-class samples.
+
+    With ``log_steps`` False the log keeps no step or eval rows (no
+    ``grad_norm`` is summed), only ``best_step``; the parameters are the
+    same bit for bit. Callers that discard the log pass False.
     """
     loss_cfg = loss_cfg.resolved()
     if val_set is None:
@@ -282,10 +287,11 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
             best_score = score
             best_step = step
             best_params = params.clone()
-        log.evals.append(EvalRecord(step=step, y_l_accuracy=report.y_l_accuracy,
-                                    y_s_accuracy=report.y_s_accuracy,
-                                    overall_accuracy=report.overall_accuracy,
-                                    selected=selected))
+        if log_steps:
+            log.evals.append(EvalRecord(step=step, y_l_accuracy=report.y_l_accuracy,
+                                        y_s_accuracy=report.y_s_accuracy,
+                                        overall_accuracy=report.overall_accuracy,
+                                        selected=selected))
 
     step = 0
     epoch = 0
@@ -307,10 +313,11 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
             grad = networks.backward_pass(fp, fl.grad_logits, fl.grad_z, grad_buffer)
             optimizer_step(params, grad, state, trainer_cfg)
             ndcore.check_finite(params.flat, f"parameters after step {step}")
-            log.steps.append(StepRecord(
-                step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
-                grad_norm=grad_norm(params, grad, state),
-                linked_ce=fl.linked_ce, shared_ce=fl.shared_ce))
+            if log_steps:
+                log.steps.append(StepRecord(
+                    step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
+                    grad_norm=grad_norm(params, grad, state),
+                    linked_ce=fl.linked_ce, shared_ce=fl.shared_ce))
             if step % trainer_cfg.eval_every == 0:
                 run_eval(step)
             if step >= trainer_cfg.max_steps:

@@ -719,6 +719,30 @@ class TestBenchmark:
         assert "fond.cli" in loaded
         assert not loaded & {"concurrent.futures", "multiprocessing"}
 
+    def test_commands_never_import_masked_arrays(self, tmp_path):
+        # a plain np.unique imports numpy.ma (10 ms, +1.2 MB RSS) that no
+        # command reads; pytest's own process may hold it already
+        doc = json.loads(TINY.read_text())
+        doc["dataset"] = {"csv_path": str(tmp_path / "gen" / "dataset.csv")}
+        csv_cfg = tmp_path / "csv.json"
+        csv_cfg.write_text(json.dumps(doc))
+        script = f"""
+import json, sys
+from fond import cli
+runs = [["generate", "--config", {str(TINY)!r}, "--out", {str(tmp_path / "gen")!r}],
+        ["train", "--config", {str(csv_cfg)!r}, "--out", {str(tmp_path / "tr")!r}],
+        ["dump-embeddings", "--config", {str(csv_cfg)!r}, "--out", {str(tmp_path / "emb")!r},
+         "--checkpoint", {str(tmp_path / "tr" / "checkpoint_best.npz")!r}],
+        ["benchmark", "--config", {str(TINY)!r}, "--out", {str(tmp_path / "bench")!r},
+         "--set", "search.n_trials=1"]]
+codes = [cli.main(argv) for argv in runs]
+print(json.dumps({{"codes": codes, "masked": "numpy.ma" in sys.modules}}))
+"""
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0, 0, 0], "masked": False}
+
     def test_skipping_search_leaves_winner_empty(self, cfg_path, tmp_path):
         out = tmp_path / "nosearch"
         run_cli("benchmark", "--config", str(cfg_path), "--out", str(out),

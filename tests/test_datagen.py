@@ -322,9 +322,11 @@ class TestCsv:
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
-        path.write_text("id,domain,label,f0\n0,0,0,1.0\n0,1,1,2.0\n")
-        with pytest.raises(CsvFormatError, match="duplicate"):
-            datagen.ingest_csv(path)
+        for ids in ((0, 0), (5, 1, 5)):   # adjacent and apart
+            rows = [f"{i},0,{k},1.0" for k, i in enumerate(ids)]
+            path.write_text("id,domain,label,f0\n" + "\n".join(rows) + "\n")
+            with pytest.raises(CsvFormatError, match="duplicate sample ids"):
+                datagen.ingest_csv(path)
 
     def test_imbalance_warning(self, tmp_path):
         path = tmp_path / "imb.csv"
@@ -340,6 +342,14 @@ class TestCsv:
         path.write_text("# provenance: {}\n\nid,domain,label,f0\n0,0,0,-1.25\n")
         ds = datagen.ingest_csv(path)
         assert len(ds) == 1 and ds.features[0, 0] == -1.25
+        # ids far from 0..C stay exact and cost no slot per id
+        far = 2**40
+        path.write_text(f"id,domain,label,f0\n{far},7,0,1.0\n3,{far},7,2.0\n"
+                        f"{far + 1},0,{far},3.0\n# {far},0,0,1.0\n")
+        ds = datagen.ingest_csv(path)
+        assert ds.class_set() == ds.domain_set() == {0, 7, far}
+        assert all(type(c) is int for c in ds.class_set() | ds.domain_set())
+        assert ds.ids.tolist() == [far, 3, far + 1]
 
 
 class TestBatchSampler:

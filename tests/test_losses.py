@@ -330,7 +330,9 @@ class TestFondLoss:
 
         ce = -np.log(probs[np.arange(16), ann.labels])
         assert (out.total, out.task, out.xdom, out.fair) == (total, task, xdom, fair)
-        assert out.ce.tobytes() == ce.tobytes()
+        linked = ann.linked_mask
+        assert out.linked_ce == float(ce[linked].sum()) / linked.sum()
+        assert out.shared_ce == float(ce[~linked].sum()) / (~linked).sum()
         assert out.grad_logits.tobytes() == grad_logits.tobytes()
         assert (out.grad_z is None) == (grad_z is None)
         if grad_z is not None:

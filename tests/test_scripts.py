@@ -38,7 +38,7 @@ def test_bench_step_times_every_piece():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     common = {"dropout_stream", "forward_pass", "fond_loss", "backward_pass",
-              "grad_norm", "step"}
+              "grad_norm", "step", "step_unlogged"}
     assert list(doc["batch_sizes"]) == ["16", "96"]
     for timed in doc["batch_sizes"].values():
         assert set(timed["erm"]) == common

@@ -288,8 +288,7 @@ class TestTrainLoop:
             n, c = logits.shape
             return losses.FondLoss(total=float("nan"), task=float("nan"), xdom=0.0,
                                    fair=0.0, grad_logits=np.zeros((n, c)),
-                                   grad_z=None, ce=np.full(n, np.nan),
-                                   linked_ce=float("nan"), shared_ce=float("nan"))
+                                   grad_z=None, linked_ce=float("nan"), shared_ce=float("nan"))
 
         monkeypatch.setattr(losses, "fond_loss", bad_loss)
         cfg = trainer.TrainerConfig(max_steps=5, eval_every=5, batch_size=8, seed=0)
@@ -366,6 +365,24 @@ class TestTrainLoop:
                             (tmp_path / f"log{i}.jsonl").read_bytes(),
                             (tmp_path / f"log{i}.csv").read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("variant", ["erm", "fond"])
+    def test_unlogged_run_matches_logged_run(self, variant):
+        # benchmark cells and search folds discard the log; skipping it
+        # must leave the parameters and the selected step as they were
+        pool, _, plan, net_cfg = make_setup()
+        loss_cfg = losses.LossConfig(temperature=0.2, a=2.0, b=2.0, lambda_xdom=0.5,
+                                     lambda_fair=0.3, variant=variant)
+        cfg = trainer.TrainerConfig(max_steps=23, eval_every=4, batch_size=16,
+                                    seed=4, learning_rate=0.05, dropout=0.2)
+        logged, unlogged = (trainer.train(networks.init_params(net_cfg, 3), pool, plan,
+                                          loss_cfg, cfg, log_steps=flag)
+                            for flag in (True, False))
+        for a, b in zip(logged[:2], unlogged[:2]):
+            assert a.flat.tobytes() == b.flat.tobytes()
+        assert logged[2].steps and logged[2].evals
+        assert unlogged[2].best_step == logged[2].best_step
+        assert unlogged[2].steps == [] and unlogged[2].evals == []
 
     def test_eval_schedule_with_forced_final(self):
         pool, target, plan, net_cfg = make_setup()
