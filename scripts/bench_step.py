@@ -16,8 +16,11 @@ only), ``backward_pass`` and ``grad_norm``, plus ``step``, a whole
 ``trainer.train`` run divided by its steps (evaluations included), and
 ``step_unlogged``, the same run without its step log, as a benchmark
 cell's or a search fold's training runs. Once
-for all sizes it times ``optimizer_step`` under each optimizer and
-``evalsel.evaluate`` on one block of ``evalsel.INFER_ROWS`` source rows.
+for all sizes it times ``optimizer_step`` under each optimizer (each call
+on a fresh copy of the gradient, which the step overwrites; the copy is
+timed too), ``evalsel.evaluate`` on one block of ``evalsel.INFER_ROWS``
+source rows, and ``datagen.ingest_csv`` (one call per round) on the
+config's dataset, written by ``datagen.export_csv`` to a temporary file.
 The output is one JSON object, stamped with the host (Python, numpy,
 BLAS, the BLAS thread count from the environment, None when unpinned).
 All inputs come from the config's seed, so two runs time the same work.
@@ -29,6 +32,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import timeit
 from dataclasses import replace
 from pathlib import Path
@@ -97,7 +101,6 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
     project = loss_cfg.lambda_xdom > 0
     drng = trainer.rng_for(tcfg.seed, trainer.SEED_TAG_DROPOUT, 1)
     buffer = networks.ModelParams(config=net_cfg, seed=0)
-    state = trainer.optimizer_step(params, grad, trainer.OptState(), tcfg)
 
     out = {}
     if tcfg.dropout > 0.0:
@@ -112,7 +115,7 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
                                    repeat, number)
     out["backward_pass"] = best_us(lambda: networks.backward_pass(
         fp, fl.grad_logits, fl.grad_z, buffer), repeat, number)
-    out["grad_norm"] = best_us(lambda: trainer.grad_norm(params, grad, state), repeat, number)
+    out["grad_norm"] = best_us(lambda: trainer.grad_norm(params, grad), repeat, number)
     for key, logged in (("step", True), ("step_unlogged", False)):
         out[key] = best_us(lambda: trainer.train(
             networks.init_params(net_cfg, subseed(cfg.seed, "init")), train_set, plan,
@@ -121,15 +124,31 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
 
 
 def time_optimizers(cfg, train_set, plan, net_cfg, repeat, number):
-    """optimizer_step under each optimizer, on a FOND step's whole gradient."""
+    """optimizer_step under each optimizer, on a copy of a FOND step's whole
+    gradient, made in the timed call since the step overwrites it."""
     _, tcfg, _, _, params, _, _, grad = first_step("fond", cfg, train_set, plan, net_cfg)
+    work = np.empty_like(grad)
+
+    def step(state, ocfg):
+        np.copyto(work, grad)
+        trainer.optimizer_step(params, work, state, ocfg)
+
     out = {}
     for name in trainer.OPTIMIZERS:
         ocfg = replace(tcfg, optimizer=name)
-        state = trainer.optimizer_step(params, grad, trainer.OptState(), ocfg)
-        out[name] = round(best_us(lambda: trainer.optimizer_step(params, grad, state, ocfg),
-                                  repeat, number), 2)
+        state = trainer.OptState()
+        step(state, ocfg)
+        out[name] = round(best_us(lambda: step(state, ocfg), repeat, number), 2)
     return out
+
+
+def time_ingest(dataset, repeat):
+    """``datagen.ingest_csv`` on ``dataset`` as ``export_csv`` writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        datagen.export_csv(dataset, path)
+        return {"rows": len(dataset),
+                "us": round(best_us(lambda: datagen.ingest_csv(path), repeat, 1), 2)}
 
 
 def main() -> int:
@@ -173,6 +192,7 @@ def main() -> int:
         "evaluate": {"rows": len(block),
                      "us": round(best_us(lambda: evalsel.evaluate(params, block, plan),
                                          args.repeat, args.number), 2)},
+        "ingest_csv": time_ingest(dataset, args.repeat),
     }
     print(json.dumps(result, indent=2))
     return 0

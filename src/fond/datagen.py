@@ -44,6 +44,7 @@ _SHARED_PRESETS = {5: (2, 4), 7: (3, 5), 65: (25, 50)}
 _INGEST_ROWS = 64
 
 
+
 @dataclass
 class Dataset:
     """Columnar sample store. ids are stable across subsetting."""
@@ -429,69 +430,130 @@ def export_csv(dataset: Dataset, path, provenance: dict | None = None) -> None:
                      f"{int(dataset.labels[i])},{feats}\n")
 
 
-def ingest_csv(path) -> Dataset:
-    """Parse a dataset CSV; '#' lines are comments. Errors carry the
-    1-based line number. Warns when per-class counts differ by > 10x.
-
-    Rows go straight into two growing matrices, float64 features and
-    int64 (id, domain, label), so no per-row objects outlive their line.
-    Floats are parsed by ``float``, which rounds each decimal exactly as
-    ``export_csv``'s ``repr`` expects. Bytes that are not UTF-8 are read as
-    lone surrogates and reported with their line."""
-    feats = ints = None
-    n = 0
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.isascii():
-                try:
-                    raw.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise CsvFormatError("not UTF-8 text", line=lineno) from None
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split(",")
-            if feats is None:
-                if len(parts) < 4 or parts[:3] != ["id", "domain", "label"]:
-                    raise CsvFormatError(
-                        "header must start with id,domain,label,f0,...", line=lineno)
-                expect = [f"f{j}" for j in range(len(parts) - 3)]
-                if parts[3:] != expect:
-                    raise CsvFormatError(
-                        f"feature columns must be f0..f{len(parts) - 4}", line=lineno)
-                d = len(parts) - 3
-                feats, ints = np.empty((_INGEST_ROWS, d)), np.empty((_INGEST_ROWS, 3), np.int64)
-                continue
-            if len(parts) != d + 3:
-                raise CsvFormatError(
-                    f"expected {d + 3} fields, found {len(parts)}", line=lineno)
-            if n == len(feats):
-                # in-place growth; refcheck is off because no view of
-                # either matrix exists yet
-                feats.resize((2 * n, d), refcheck=False)
-                ints.resize((2 * n, 3), refcheck=False)
+def _csv_lines(fh):
+    """(line number, text) of each line of a dataset CSV that is neither
+    blank nor a '#' comment, newline stripped. Bytes that are not UTF-8
+    (read as lone surrogates) are reported with their line."""
+    for lineno, raw in enumerate(fh, start=1):
+        if not raw.isascii():
             try:
-                ints[n] = int(parts[0]), int(parts[1]), int(parts[2])
-                values = [float(v) for v in parts[3:]]
-            except (ValueError, OverflowError) as exc:   # overflow: beyond int64
-                raise CsvFormatError(f"unparsable value ({exc})", line=lineno) from None
-            if not all(map(math.isfinite, values)):
-                raise CsvFormatError("non-finite feature value", line=lineno)
-            if ints[n, 1] < 0 or ints[n, 2] < 0:
-                raise CsvFormatError("domain and label must be non-negative", line=lineno)
-            feats[n] = values
-            n += 1
-    if feats is None:
-        raise CsvFormatError("missing header")
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CsvFormatError("not UTF-8 text", line=lineno) from None
+        line = raw.rstrip("\n")
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line
+
+
+def _read_csv(path, read_rows):
+    """Open a dataset CSV, check its header and hand the rest to
+    ``read_rows(fh, lines, d)``: the file, the ``_csv_lines`` generator
+    positioned after the header, and the feature count. A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is skipped."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        lines = _csv_lines(fh)
+        lineno, header = next(lines, (None, None))
+        if header is None:
+            raise CsvFormatError("missing header")
+        parts = header.split(",")
+        if len(parts) < 4 or parts[:3] != ["id", "domain", "label"]:
+            raise CsvFormatError("header must start with id,domain,label,f0,...", line=lineno)
+        if parts[3:] != [f"f{j}" for j in range(len(parts) - 3)]:
+            raise CsvFormatError(f"feature columns must be f0..f{len(parts) - 4}", line=lineno)
+        return read_rows(fh, lines, len(parts) - 3)
+
+
+def _has_duplicates(ids: np.ndarray) -> bool:
+    sorted_ids = np.sort(ids)           # not np.unique: see Dataset.class_set
+    return bool((sorted_ids[1:] == sorted_ids[:-1]).any())
+
+
+def _printable_ascii(fh):
+    """The lines of ``fh``, raising ValueError at the first that holds a
+    character other than printable ASCII before its newline. numpy's C
+    reader strips the separators U+001C-U+001F around a number and reads
+    some non-ASCII letters as digits, where ``int`` and ``float`` refuse
+    them."""
+    for line in fh:
+        if not (line.isascii() and line.rstrip("\n").isprintable()):
+            raise ValueError("not printable ASCII")
+        yield line
+
+
+def _load_rows(fh, lines, d: int):
+    """The data rows through numpy's C reader: (int64 (id, domain, label)
+    rows, float64 features), or None when it cannot read them or they
+    break a check of ``_parse_rows`` (no rows, a non-finite feature, a
+    negative domain or label, a repeated id). A line with a character
+    other than printable ASCII, a comment line, a line of blanks or an
+    underscore also gives None, so this accepts no file that
+    ``_parse_rows`` rejects, and it rounds each decimal as ``float`` does."""
+    dtype = np.dtype([("ints", np.int64, (3,)), ("features", np.float64, (d,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # e.g. "input contained no data"
+            rows = np.loadtxt(_printable_ascii(fh), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    ints = np.ascontiguousarray(rows["ints"])
+    if (not len(ints) or (ints[:, 1:] < 0).any() or _has_duplicates(ints[:, 0])
+            or not np.isfinite(rows["features"]).all()):
+        return None
+    features = np.ascontiguousarray(rows["features"])
+    return ints, features
+
+
+def _parse_rows(fh, lines, d: int):
+    """The data rows, line by line: (int64 (id, domain, label) rows,
+    float64 features). Each row goes straight into two growing matrices,
+    so no per-row objects outlive their line; ``int`` and ``float`` parse
+    the values. Errors carry the 1-based line number."""
+    feats, ints = np.empty((_INGEST_ROWS, d)), np.empty((_INGEST_ROWS, 3), np.int64)
+    n = 0
+    for lineno, line in lines:
+        parts = line.split(",")
+        if len(parts) != d + 3:
+            raise CsvFormatError(f"expected {d + 3} fields, found {len(parts)}", line=lineno)
+        if n == len(feats):
+            # in-place growth; refcheck is off because no view of
+            # either matrix exists yet
+            feats.resize((2 * n, d), refcheck=False)
+            ints.resize((2 * n, 3), refcheck=False)
+        try:
+            ints[n] = int(parts[0]), int(parts[1]), int(parts[2])
+            values = [float(v) for v in parts[3:]]
+        except (ValueError, OverflowError) as exc:   # overflow: beyond int64
+            raise CsvFormatError(f"unparsable value ({exc})", line=lineno) from None
+        if not all(map(math.isfinite, values)):
+            raise CsvFormatError("non-finite feature value", line=lineno)
+        if ints[n, 1] < 0 or ints[n, 2] < 0:
+            raise CsvFormatError("domain and label must be non-negative", line=lineno)
+        feats[n] = values
+        n += 1
     if n == 0:
         raise CsvFormatError("no data rows")
     feats.resize((n, d), refcheck=False)
     ints.resize((n, 3), refcheck=False)
-    ids = ints[:, 0]
-    sorted_ids = np.sort(ids)           # not np.unique: see Dataset.class_set
-    if (sorted_ids[1:] == sorted_ids[:-1]).any():
+    if _has_duplicates(ints[:, 0]):
         raise CsvFormatError("duplicate sample ids")
-    dataset = Dataset(features=feats, labels=ints[:, 2], domains=ints[:, 1], ids=ids)
+    return ints, feats
+
+
+def ingest_csv(path) -> Dataset:
+    """Parse a dataset CSV; '#' lines are comments. Errors carry the
+    1-based line number. Warns when per-class counts differ by > 10x.
+
+    The leading comments and the header are read line by line; the data
+    rows then go through numpy's C text reader (``_load_rows``). A file
+    that reader refuses or whose rows break a check is read again by the
+    line parser (``_parse_rows``), the specification of the format: it
+    raises the error with its line, or reads the few values that ``int``
+    and ``float`` take and the C reader does not (``1_0``, non-ASCII
+    digits). Both round each decimal exactly as ``export_csv``'s ``repr``
+    expects, so a file gives the same bytes either way."""
+    ints, feats = _read_csv(path, _load_rows) or _read_csv(path, _parse_rows)
+    dataset = Dataset(features=feats, labels=ints[:, 2], domains=ints[:, 1], ids=ints[:, 0])
     counts = np.unique(dataset.labels, return_counts=True)[1]
     if len(counts) > 1 and counts.max() > 10 * counts.min():
         warnings.warn(

@@ -17,9 +17,12 @@ gradient untouched), ``similarity_scale`` multiplies the similarity
 inside the exponential (so it reshapes the gradient too).
 
 Inputs are checked where they enter the objective: ``BatchAnnotations``
-checks its arrays' ranks and lengths, ``fond_loss`` checks the labels
-against the logits, and ``xdom_loss`` checks that z has unit rows and one
-annotation per row. ``task_loss`` and ``fair_loss`` check nothing; they
+checks its arrays' ranks and lengths (and, given ``num_classes``, the
+label range), ``fond_loss`` checks the labels against the logits, and
+``xdom_loss`` checks that z has unit rows and one annotation per row. A
+training checks its whole label column once: its per-step annotations are
+rows of it (``BatchAnnotations.take``), which ``fond_loss`` does not
+range-check again. ``task_loss`` and ``fair_loss`` check nothing; they
 take the probabilities and labels that ``fond_loss`` checked. Only this
 module calls ``ndcore.softmax_forward``.
 """
@@ -106,11 +109,17 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class BatchAnnotations:
-    """Per-sample class id, source-domain id, and linked-group flag."""
+    """Per-sample class id, source-domain id, and linked-group flag.
+
+    ``num_classes``, when given, is a class count G that every label has
+    been checked against here (each in [0, G)); ``fond_loss`` then skips
+    that check for logits with G columns.
+    """
 
     labels: np.ndarray
     domains: np.ndarray
     linked_mask: np.ndarray
+    num_classes: int | None = None
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -123,6 +132,8 @@ class BatchAnnotations:
                 f"annotation lengths differ: labels {len(labels)}, "
                 f"domains {len(domains)}, linked_mask {len(linked)}"
             )
+        if self.num_classes is not None:
+            _check_label_range(labels, self.num_classes)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "domains", domains)
         object.__setattr__(self, "linked_mask", linked)
@@ -130,22 +141,39 @@ class BatchAnnotations:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def take(self, index) -> "BatchAnnotations":
+        """The annotations of rows ``index`` (an integer index array), with
+        the same ``num_classes``: rows of columns checked already, so
+        nothing is coerced or checked again."""
+        out = object.__new__(BatchAnnotations)
+        for name, value in (("labels", self.labels[index]), ("domains", self.domains[index]),
+                            ("linked_mask", self.linked_mask[index]),
+                            ("num_classes", self.num_classes)):
+            object.__setattr__(out, name, value)
+        return out
 
-def _check_labels(labels, probs_shape) -> np.ndarray:
-    """Labels as int64: 1-D, one per row of an (N, G) matrix with N >= 1,
-    in [0, G)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or len(labels) != probs_shape[0]:
+
+def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ContractError(
+            f"labels must lie in [0, {num_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+
+
+def _check_labels(ann: BatchAnnotations, probs_shape) -> np.ndarray:
+    """The annotations' labels: one per row of an (N, G) matrix with
+    N >= 1, in [0, G) (not checked again for annotations checked against
+    G)."""
+    labels = ann.labels
+    if len(labels) != probs_shape[0]:
         raise ContractError(
             f"labels shape {labels.shape} does not match probabilities {probs_shape}"
         )
     if not labels.size:
         raise ContractError("empty batch")
-    if labels.min() < 0 or labels.max() >= probs_shape[1]:
-        raise ContractError(
-            f"labels must lie in [0, {probs_shape[1]}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
+    if ann.num_classes != probs_shape[1]:
+        _check_label_range(labels, probs_shape[1])
     return labels
 
 
@@ -210,7 +238,31 @@ def _distinct_pairs(labels, domains) -> tuple[np.ndarray, np.ndarray]:
     return pair_of, order[head]
 
 
-def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
+class GramBuffer:
+    """Storage for ``xdom_loss``'s Gram matrix that one caller reuses
+    across calls, grown to the largest batch it has seen.
+
+    A fresh B x B Gram matrix per call lands in the malloc heap from the
+    second call on (freeing the first, mmapped one raises glibc's mmap
+    threshold above its size), and the smaller per-step arrays split the
+    hole it leaves, so a process's peak RSS comes to depend on allocation
+    order: by 6 MB at B = 1024 between two checkouts that differ only in
+    their path. One buffer kept for a whole training stays in its own
+    mapping.
+    """
+
+    def __init__(self):
+        self._flat = None
+
+    def rows(self, n: int, row_len: int) -> np.ndarray:
+        """An uninitialized (n, row_len) float64 array."""
+        if self._flat is None or self._flat.size < n * row_len:
+            self._flat = np.empty(n * row_len)
+        return self._flat[:n * row_len].reshape(n, row_len)
+
+
+def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
+              gram_buffer: GramBuffer | None = None):
     """Pair-weighted supervised contrastive loss over unit projections.
 
     For each anchor i with positive set P(i) (same class, other index):
@@ -240,6 +292,8 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     contiguous row, and each element sees the same float operations in
     the same order as the plain full-matrix formula: the result does not
     depend on the block height, the keying or the padding, bit for bit.
+    The B x B buffer comes from ``gram_buffer`` when given (a training
+    passes one for all its steps), else it is allocated for the call.
     """
     z = ndcore.as_matrix(z, "z")
     n = z.shape[0]
@@ -299,7 +353,8 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     # contiguous copy.
     lines = -(-n // 8)                              # 64-byte lines per row
     row_len = n if by_row else 8 * (lines | 1)
-    gram = np.empty((n, row_len))[:, :n]
+    gram = (np.empty((n, row_len)) if gram_buffer is None
+            else gram_buffer.rows(n, row_len))[:, :n]
     np.matmul(z, z.T, out=gram)
     num_term = np.empty(n)
     log_denom = np.empty(n)
@@ -307,44 +362,56 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig):
     st_s = None if row_len == n else np.empty((h, n))
     tmp_s = np.empty((h, n))
     alpha_s = None if numerator_mode else np.empty((h, n))
-    for r0 in range(0, n, h):
-        rows = slice(r0, min(r0 + h, n))
-        m = rows.stop - r0
-        st = gram[rows] if st_s is None else st_s[:m]
-        tmp = tmp_s[:m]
-        diag = (np.arange(m), np.arange(r0, rows.stop))
+    # Past one block, numpy's buffered iterator, at its default 8,192
+    # elements, grows the inner loop of the column-broadcast ufuncs
+    # (st - shift[:, None], st / denom[:, None]) and of the copy out of the
+    # padded Gram across rows, copying the broadcast column or the strided
+    # rows through its buffer. A buffer one row long (rounded up to the
+    # multiple of 16 that numpy requires) keeps each inner loop to one row,
+    # with nothing copied; every row reduction still sees its whole row.
+    bufsize = None if by_row else np.setbufsize(-(-n // 16) * 16)
+    try:
+        for r0 in range(0, n, h):
+            rows = slice(r0, min(r0 + h, n))
+            m = rows.stop - r0
+            st = gram[rows] if st_s is None else st_s[:m]
+            tmp = tmp_s[:m]
+            diag = (np.arange(m), np.arange(r0, rows.stop))
 
-        np.divide(gram[rows], cfg.temperature, out=st)
-        pos = anchor_rows(pos_rows, rows, tmp)
-        pos[diag] = 0.0
-        if numerator_mode:
-            np.multiply(st, pos, out=tmp)
-        else:
-            alpha_st = np.multiply(anchor_rows(alpha_rows, rows, alpha_s[:m]), st,
-                                   out=alpha_s[:m])
-            np.multiply(alpha_st, pos, out=tmp)
-        num_term[rows] = tmp.sum(axis=1)
+            np.divide(gram[rows], cfg.temperature, out=st)
+            pos = anchor_rows(pos_rows, rows, tmp)
+            pos[diag] = 0.0
+            if numerator_mode:
+                np.multiply(st, pos, out=tmp)
+            else:
+                alpha_st = np.multiply(anchor_rows(alpha_rows, rows, alpha_s[:m]), st,
+                                       out=alpha_s[:m])
+                np.multiply(alpha_st, pos, out=tmp)
+            num_term[rows] = tmp.sum(axis=1)
 
-        # row-max shift over the denominator's index set (a != i) keeps
-        # exp bounded; the -inf diagonal also makes exp give its 0 there.
-        # st is not read again, so exp and the gradient overwrite it.
-        st[diag] = -np.inf
-        shift = st.max(axis=1)
-        np.subtract(st, shift[:, None], out=st)
-        np.exp(st, out=st)
-        if beta_rows is not None:
-            np.multiply(anchor_rows(beta_rows, rows, tmp), st, out=st)
-        denom = st.sum(axis=1)
-        log_denom[rows] = shift + np.log(denom)
+            # row-max shift over the denominator's index set (a != i) keeps
+            # exp bounded; the -inf diagonal also makes exp give its 0 there.
+            # st is not read again, so exp and the gradient overwrite it.
+            st[diag] = -np.inf
+            shift = st.max(axis=1)
+            np.subtract(st, shift[:, None], out=st)
+            np.exp(st, out=st)
+            if beta_rows is not None:
+                np.multiply(anchor_rows(beta_rows, rows, tmp), st, out=st)
+            denom = st.sum(axis=1)
+            log_denom[rows] = shift + np.log(denom)
 
-        # d loss / d st, rows zeroed for skipped anchors
-        coef = anchor_rows(coef_rows, rows, tmp)
-        coef[diag] = -0.0                            # 0.0 / -|P(i)|
-        np.divide(st, denom[:, None], out=st)
-        np.add(coef, st, out=st)
-        if not all_valid:
-            st[~valid[rows]] = 0.0
-        np.divide(st, cfg.temperature, out=gram[rows])
+            # d loss / d st, rows zeroed for skipped anchors
+            coef = anchor_rows(coef_rows, rows, tmp)
+            coef[diag] = -0.0                            # 0.0 / -|P(i)|
+            np.divide(st, denom[:, None], out=st)
+            np.add(coef, st, out=st)
+            if not all_valid:
+                st[~valid[rows]] = 0.0
+            np.divide(st, cfg.temperature, out=gram[rows])
+    finally:
+        if bufsize is not None:
+            np.setbufsize(bufsize)
 
     if numerator_mode:
         num_term += log_alpha_sum
@@ -379,15 +446,16 @@ def fair_loss(probs, labels, linked_mask, *, ce: np.ndarray | None = None,
     sign = float(np.sign(gap))
     loss = abs(gap)
 
-    grad = np.zeros_like(probs)
-    if sign != 0.0:
-        if resid is None:
-            resid = _residual(probs, labels)
-        shared = ~linked
-        n_l = int(np.count_nonzero(linked))
-        grad[linked] = sign * resid[linked] / n_l
-        grad[shared] = -sign * resid[shared] / (len(linked) - n_l)
-    return loss, grad
+    if sign == 0.0:
+        return loss, np.zeros_like(probs)
+    if resid is None:
+        resid = _residual(probs, labels)
+    # row i: (+-sign * r_i) / n_group, linked rows +sign over n_l, the rest
+    # -sign over n - n_l
+    n_l = int(np.count_nonzero(linked))
+    row_sign = np.where(linked, sign, -sign)
+    row_count = np.where(linked, float(n_l), float(len(linked) - n_l))
+    return loss, (resid * row_sign[:, None]) / row_count[:, None]
 
 
 @dataclass
@@ -411,7 +479,8 @@ class FondLoss:
     shared_ce: float | None
 
 
-def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
+def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig, *,
+              gram_buffer: GramBuffer | None = None) -> FondLoss:
     """total = task + lambda_xdom * xdom + lambda_fair * fair.
 
     Components with zero weight are not evaluated (their value is
@@ -423,11 +492,14 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
     The softmax of ``logits`` (an (N, G) float64 array) is computed here,
     once, and it, its per-sample cross-entropies, their two group means
     and the residual p - onehot are shared by the task and fairness terms.
-    The labels are the one input checked (one per row, N >= 1, in [0, G)).
+    The labels are the one input checked (one per row, N >= 1, in [0, G);
+    the range is not checked again for annotations whose ``num_classes``
+    is G). ``cfg`` is resolved here, which returns a resolved config as is.
+    ``gram_buffer`` goes to ``xdom_loss``.
     """
     cfg = cfg.resolved()
     probs = ndcore.softmax_forward(logits)
-    labels = _check_labels(ann.labels, probs.shape)
+    labels = _check_labels(ann, probs.shape)
     ce = _true_label_ce(probs, labels)
     resid = _residual(probs, labels)
     group_ce = _group_means(ce, ann.linked_mask)
@@ -439,8 +511,8 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
     grad_z = None
     if cfg.lambda_xdom > 0:
         if len(labels) >= 2:
-            xdom, g_z = xdom_loss(z, ann, cfg)
-            grad_z = cfg.lambda_xdom * g_z
+            xdom, grad_z = xdom_loss(z, ann, cfg, gram_buffer=gram_buffer)
+            grad_z *= cfg.lambda_xdom
             total = total + cfg.lambda_xdom * xdom
         else:
             grad_z = np.zeros_like(z)
@@ -449,7 +521,8 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig) -> FondLoss:
     if cfg.lambda_fair > 0:
         fair, g_fair = fair_loss(probs, labels, ann.linked_mask, ce=ce, resid=resid,
                                  group_ce=group_ce)
-        grad_logits = grad_logits + cfg.lambda_fair * g_fair
+        g_fair *= cfg.lambda_fair
+        grad_logits += g_fair
         total = total + cfg.lambda_fair * fair
 
     return FondLoss(total=float(total), task=task, xdom=xdom, fair=fair,

@@ -14,6 +14,12 @@ enter a module:
 labels; only ``networks`` calls the affine, ReLU and normalization-backward
 kernels, and only ``losses`` calls ``softmax_forward``. The one check left
 here is on the data: ``l2_normalize_rows`` rejects a zero-norm row.
+
+The kernels write in place where the caller hands them the storage: the
+affine backward kernels write the parameter gradients into the buffers
+they are given (views into ``networks``' flat gradient vector), and
+``relu_backward`` overwrites its upstream gradient, which the backward
+pass made and reads no more.
 """
 
 from __future__ import annotations
@@ -41,20 +47,29 @@ def check_finite(a: np.ndarray, name: str) -> None:
 
 
 def affine_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray):
-    """out[i, j] = sum_k x[i, k] * w[k, j] + bias[j]; returns (out, cache)."""
-    return x @ w + bias, (x, w)
+    """out[i, j] = sum_k x[i, k] * w[k, j] + bias[j]; returns (out, cache).
+    The bias is added into the product's own storage."""
+    out = x @ w
+    out += bias
+    return out, (x, w)
 
 
-def affine_backward(upstream: np.ndarray, cache):
-    """Gradients of the affine map: (grad_x, grad_w, grad_bias)."""
-    return (upstream @ cache[1].T, *affine_param_backward(upstream, cache))
+def affine_backward(upstream: np.ndarray, cache, grad_w: np.ndarray,
+                    grad_bias: np.ndarray) -> np.ndarray:
+    """Gradients of the affine map: writes the parameter gradients into
+    ``grad_w`` and ``grad_bias`` (C-contiguous, of the weight's and the
+    bias's shapes) and returns grad_x."""
+    affine_param_backward(upstream, cache, grad_w, grad_bias)
+    return upstream @ cache[1].T
 
 
-def affine_param_backward(upstream: np.ndarray, cache):
-    """The parameter half of ``affine_backward``: (grad_w, grad_bias), for
-    a layer whose input needs no gradient."""
-    x, _ = cache
-    return x.T @ upstream, upstream.sum(axis=0)
+def affine_param_backward(upstream: np.ndarray, cache, grad_w: np.ndarray,
+                          grad_bias: np.ndarray) -> None:
+    """The parameter half of ``affine_backward``, for a layer whose input
+    needs no gradient: x.T @ upstream into ``grad_w`` and the column sums
+    of ``upstream`` into ``grad_bias``."""
+    np.matmul(cache[0].T, upstream, out=grad_w)
+    np.add.reduce(upstream, axis=0, out=grad_bias)
 
 
 def relu_forward(x: np.ndarray):
@@ -66,14 +81,18 @@ def relu_forward(x: np.ndarray):
 
 
 def relu_backward(upstream: np.ndarray, cache) -> np.ndarray:
-    return upstream * (cache > 0.0)
+    """Zeroes ``upstream`` where the unit was off, in place; returns it."""
+    upstream *= cache > 0.0
+    return upstream
 
 
 def softmax_forward(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shift-invariant via per-row max subtraction."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, shift-invariant via per-row max subtraction; the
+    exponent and the division run in the shifted array's storage."""
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def l2_normalize_rows(x: np.ndarray):

@@ -200,16 +200,18 @@ def _mlp_forward(x, layers):
 def _mlp_backward(upstream, caches, grads, input_grad: bool = True):
     """Writes each layer's gradients into its ``(grad_w, grad_b)`` views in
     ``grads``; returns the gradient at the stack's input, or None with
-    ``input_grad=False``, which leaves it uncomputed."""
+    ``input_grad=False``, which leaves it uncomputed. ``upstream`` is
+    only read: the last layer has no ReLU, and every gradient the ReLU
+    backward overwrites is one this loop made."""
     g = upstream
     for i in reversed(range(len(caches))):      # layer 0 reads the input
         (aff_cache, relu_cache), (gw, gb) = caches[i], grads[i]
         if relu_cache is not None:
             g = ndcore.relu_backward(g, relu_cache)
         if i > 0 or input_grad:
-            g, gw[...], gb[...] = ndcore.affine_backward(g, aff_cache)
+            g = ndcore.affine_backward(g, aff_cache, gw, gb)
         else:
-            gw[...], gb[...] = ndcore.affine_param_backward(g, aff_cache)
+            ndcore.affine_param_backward(g, aff_cache, gw, gb)
     return g if input_grad else None
 
 
@@ -252,7 +254,7 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
         if dropout_rng is None:
             raise ContractError("dropout_rate > 0 requires a dropout_rng")
         mask = (dropout_rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
-        h = h * mask
+        h = h * mask if h is x else np.multiply(h, mask, out=h)   # identity F: h is x
 
     z = p_caches = norm_cache = None
     if project:
@@ -294,11 +296,13 @@ def backward_pass(fp: ForwardPass, grad_logits, grad_z, out: ModelParams) -> np.
         grad_pre = ndcore.l2_normalize_backward(grad_z, fp._norm_cache)
         grad_h_from_p = _mlp_backward(grad_pre, fp._p_caches, out._heads["p"])
 
+    # G is one affine layer, so grad_h is a new array that this pass owns
     grad_h = _mlp_backward(grad_logits, fp._g_caches, out._heads["g"])
     if grad_h_from_p is not None:
-        grad_h = grad_h_from_p + grad_h
+        grad_h += grad_h_from_p
+        del grad_h_from_p
     if fp._dropout_mask is not None:
-        grad_h = grad_h * fp._dropout_mask
+        grad_h *= fp._dropout_mask
     _mlp_backward(grad_h, fp._f_caches, out._heads["f"], input_grad=False)
     return out.flat if grad_z is not None else out.flat[:out.fg_size]
 

@@ -14,7 +14,8 @@ Optimizer recurrences (eta = learning rate, g = gradient):
              theta <- theta - eta * mhat / (sqrt(vhat) + eps)    (t from 1)
 
 Each recurrence runs once per step over the model's whole flat parameter
-vector (``ModelParams.flat``) and the flat gradient ``backward_pass`` returns.
+vector (``ModelParams.flat``) and the flat gradient ``backward_pass`` returns,
+which it overwrites as scratch (the next backward pass rewrites it).
 
 All randomness (batch order, dropout masks, validation split) derives
 from the trainer seed through tagged subseeds, so identical configs give
@@ -88,17 +89,16 @@ class TrainerConfig:
 class OptState:
     """Optimizer state over the flat parameter vector.
 
-    ``grad_sq`` holds the squares of the latest step's gradient. ``m``/``v``
-    are the slot vectors (momentum keeps its velocity in ``v``; sgd has
-    none). Every vector is allocated on the first step, sized to the
-    model, and reused after.
+    ``m``/``v`` are the slot vectors (momentum keeps its velocity in ``v``;
+    sgd has none) and ``scratch`` is Adam's one work vector. Every vector
+    is allocated on the first step that needs it, sized to the model, and
+    reused after.
     """
 
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    grad_sq: np.ndarray | None = None
-    scratch: tuple[np.ndarray, np.ndarray] | None = None
+    scratch: np.ndarray | None = None
 
 
 def optimizer_step(params: networks.ModelParams, grad: np.ndarray, state: OptState,
@@ -114,59 +114,61 @@ def optimizer_step(params: networks.ModelParams, grad: np.ndarray, state: OptSta
     the first step on, as under ERM, leaving P alone gives the same bits
     as updating it with those zeros: its slots stay 0 and its update is
     +0.0.
+
+    ``grad`` is scratch: it ends holding the step's update, so whatever
+    reads the gradient (``grad_norm``) runs first. Adam touches five
+    vectors (parameters, gradient, ``m``, ``v`` and one work vector): the
+    gradient holds g * g, then the update.
     """
     if grad.shape not in ((params.fg_size,), (params.flat.size,)):
         raise ContractError(f"gradient has shape {grad.shape}; the model takes "
                             f"{params.flat.size} values, or {params.fg_size} without P")
-    if state.grad_sq is None:
-        state.grad_sq = np.empty_like(params.flat)
-        state.scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
     size = len(grad)
-    theta, grad_sq = params.flat[:size], state.grad_sq[:size]
-    tmp, delta = (buf[:size] for buf in state.scratch)
-    np.multiply(grad, grad, out=grad_sq)
+    theta = params.flat[:size]
 
     state.step += 1
     t = state.step
     lr = cfg.learning_rate
     if cfg.optimizer == "sgd":
-        np.multiply(grad, lr, out=delta)
+        grad *= lr
     elif cfg.optimizer == "momentum":
         if state.v is None:
             state.v = np.zeros_like(params.flat)
         v = state.v[:size]
         v *= cfg.momentum
         v += grad
-        np.multiply(v, lr, out=delta)
+        np.multiply(v, lr, out=grad)
     else:
         if state.m is None:
             state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
-        m, v = state.m[:size], state.v[:size]
+            state.scratch = np.empty_like(params.flat)
+        m, v, tmp = state.m[:size], state.v[:size], state.scratch[:size]
         m *= cfg.adam_beta1
         m += np.multiply(grad, 1.0 - cfg.adam_beta1, out=tmp)
         v *= cfg.adam_beta2
-        v += np.multiply(grad_sq, 1.0 - cfg.adam_beta2, out=tmp)
+        np.multiply(grad, grad, out=grad)                       # g * g
+        v += np.multiply(grad, 1.0 - cfg.adam_beta2, out=grad)
         np.divide(v, 1.0 - cfg.adam_beta2 ** t, out=tmp)          # vhat
         np.sqrt(tmp, out=tmp)
         tmp += cfg.adam_eps
-        np.divide(m, 1.0 - cfg.adam_beta1 ** t, out=delta)      # mhat
-        delta *= lr
-        delta /= tmp
-    theta -= delta
+        np.divide(m, 1.0 - cfg.adam_beta1 ** t, out=grad)       # mhat
+        grad *= lr
+        grad /= tmp
+    theta -= grad
     return state
 
 
-def grad_norm(params: networks.ModelParams, grad: np.ndarray, state: OptState) -> float:
-    """Euclidean norm of the gradient the latest ``optimizer_step`` applied.
+def grad_norm(params: networks.ModelParams, grad: np.ndarray) -> float:
+    """Euclidean norm of ``grad``, read before ``optimizer_step`` overwrites it.
 
-    Each tensor's segment of ``state.grad_sq`` is summed on its own, and
-    the sums are added P (when ``grad`` covers it), G, F, in layout order
-    within each head (``params.head_segments``, worked out once per
-    model). That order, kept for the logged bits, is the only
-    thing left of the name-keyed gradient dict ``backward_pass`` once
-    returned; ROADMAP item 6 replaces it with one reduction on purpose.
+    Each tensor's segment of g * g is summed on its own, and the sums are
+    added P (when ``grad`` covers it), G, F, in layout order within each
+    head (``params.head_segments``, worked out once per model). That
+    order, kept for the logged bits, is the only thing left of the
+    name-keyed gradient dict ``backward_pass`` once returned; ROADMAP item
+    6 replaces it with one reduction on purpose.
     """
-    sq, segments = state.grad_sq, params.head_segments
+    sq, segments = grad * grad, params.head_segments
     order = segments["g"] + segments["f"]
     if len(grad) == params.flat.size:
         order = segments["p"] + order
@@ -254,6 +256,11 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     With ``log_steps`` False the log keeps no step or eval rows (no
     ``grad_norm`` is summed), only ``best_step``; the parameters are the
     same bit for bit. Callers that discard the log pass False.
+
+    The per-step inputs are checked here, once: the loss config is
+    resolved, and the training set's annotation columns are validated with
+    every label checked against G's ``num_classes`` (``ContractError``
+    before step 1). Each step's annotations are rows of those columns.
     """
     loss_cfg = loss_cfg.resolved()
     if val_set is None:
@@ -261,14 +268,18 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     else:
         train_set = source_pool
 
-    linked_lookup = np.isin(train_set.labels, sorted(plan.linked_classes))
     project = loss_cfg.lambda_xdom > 0   # z feeds nothing but the contrastive term
     sampler = datagen.BatchSampler(train_set, trainer_cfg.batch_size,
                                    subseed(trainer_cfg.seed, SEED_TAG_BATCHES))
+    annotations = losses.BatchAnnotations(
+        labels=train_set.labels, domains=train_set.domains,
+        linked_mask=np.isin(train_set.labels, sorted(plan.linked_classes)),
+        num_classes=params.config.num_classes)
     streams = (dropout_streams(trainer_cfg.seed, trainer_cfg.max_steps)
                if trainer_cfg.dropout > 0.0 else None)
     state = OptState()
     grad_buffer = networks.ModelParams(config=params.config, seed=params.seed)
+    gram_buffer = losses.GramBuffer() if project else None
     log = TrainLog()
     best_params = params.clone()
     best_score = -math.inf
@@ -300,24 +311,22 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
         for batch_idx in sampler.epoch_batches(epoch):
             step += 1
             x = train_set.features[batch_idx]
-            ann = losses.BatchAnnotations(labels=train_set.labels[batch_idx],
-                                          domains=train_set.domains[batch_idx],
-                                          linked_mask=linked_lookup[batch_idx])
+            ann = annotations.take(batch_idx)
             drng = next(streams) if streams is not None else None
             fp = networks.forward_pass(params, x, dropout_rate=trainer_cfg.dropout,
                                        dropout_rng=drng, project=project)
-            fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg)
+            fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg, gram_buffer=gram_buffer)
             if not math.isfinite(fl.total):
                 raise NonFiniteLossError(step, {"task": fl.task, "xdom": fl.xdom,
                                                 "fair": fl.fair, "total": fl.total})
             grad = networks.backward_pass(fp, fl.grad_logits, fl.grad_z, grad_buffer)
-            optimizer_step(params, grad, state, trainer_cfg)
-            ndcore.check_finite(params.flat, f"parameters after step {step}")
             if log_steps:
                 log.steps.append(StepRecord(
                     step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
-                    grad_norm=grad_norm(params, grad, state),
+                    grad_norm=grad_norm(params, grad),
                     linked_ce=fl.linked_ce, shared_ce=fl.shared_ce))
+            optimizer_step(params, grad, state, trainer_cfg)
+            ndcore.check_finite(params.flat, f"parameters after step {step}")
             if step % trainer_cfg.eval_every == 0:
                 run_eval(step)
             if step >= trainer_cfg.max_steps:

@@ -195,6 +195,21 @@ class TestGenerateSplit:
         run_cli("generate", "--config", str(cfg_path), "--out", str(out2))
         assert (out2 / "dataset.csv").read_bytes() == data
 
+    def test_generated_csv_takes_the_c_reader(self, cfg_path, tmp_path, monkeypatch):
+        # `fond generate` output, provenance line included, never falls
+        # back to the line parser, so its reads keep numpy's C speed
+        out = tmp_path / "g"
+        assert run_cli("generate", "--config", str(cfg_path), "--out", str(out)) == 0
+        want = datagen.ingest_csv(out / "dataset.csv")
+
+        def no_fallback(*args):
+            raise AssertionError("fell back to the line parser")
+
+        monkeypatch.setattr(datagen, "_parse_rows", no_fallback)
+        got = datagen.ingest_csv(out / "dataset.csv")
+        for name in ("ids", "domains", "labels", "features"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_generate_seed_flag_changes_data(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         run_cli("generate", "--config", str(cfg_path), "--out", str(out1))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -350,6 +352,89 @@ class TestCsv:
         assert ds.class_set() == ds.domain_set() == {0, 7, far}
         assert all(type(c) is int for c in ds.class_set() | ds.domain_set())
         assert ds.ids.tolist() == [far, 3, far + 1]
+
+
+def read_both(path):
+    """The dataset bytes that each parse path gives for ``path``: the C
+    reader's (None when it declines) and the line parser's."""
+    def as_bytes(columns):
+        return None if columns is None else tuple(a.tobytes() for a in columns)
+    return (as_bytes(datagen._read_csv(path, datagen._load_rows)),
+            as_bytes(datagen._read_csv(path, datagen._parse_rows)))
+
+
+def dataset_bytes(ds):
+    return tuple(a.tobytes() for a in (ds.ids, ds.domains, ds.labels, ds.features))
+
+
+class TestCsvParsePaths:
+    """``ingest_csv`` reads data rows with numpy's C reader and falls back to
+    the line parser; both must give the same bytes, and the C reader must
+    accept nothing that the line parser rejects."""
+
+    def test_byte_order_mark_is_skipped_on_both_paths(self, tmp_path):
+        # spreadsheet exports lead with U+FEFF; the header behind it is valid
+        path = tmp_path / "bom.csv"
+        plain = "id,domain,label,f0\n0,0,0,1.5\n1,2,1,-2.0\n"
+        for text in (plain, "# provenance: {}\n" + plain, plain + "# trailing comment\n"):
+            path.write_text("\ufeff" + text, encoding="utf-8")
+            ds = datagen.ingest_csv(path)
+            assert ds.ids.tolist() == [0, 1] and ds.features[:, 0].tolist() == [1.5, -2.0]
+            fast, slow = read_both(path)
+            assert slow is not None and fast in (None, slow)
+
+    def test_line_parser_only_values_still_ingest(self, tmp_path):
+        # int() and float() take underscores and non-ASCII digits; the C
+        # reader does not, so these files go through the line parser
+        path = tmp_path / "odd.csv"
+        want = "id,domain,label,f0\n10,1,3,10.5\n"
+        path.write_text(want)
+        expected = dataset_bytes(datagen.ingest_csv(path))
+        for row in ("1_0,1,3,10.5", "\u0661\u0660,1,\u0663,10.5", "10,1,3,1_0.5",
+                    "10,\u0661,3,\u0661\u0660.5"):
+            path.write_text(f"id,domain,label,f0\n{row}\n", encoding="utf-8")
+            fast, slow = read_both(path)
+            assert fast is None
+            assert dataset_bytes(datagen.ingest_csv(path)) == expected, row
+
+    def test_rejected_rows_never_pass_the_fast_path(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        # numpy's reader strips \x1c-\x1f and reads U+01FE as a digit;
+        # int() and float() refuse both
+        for row in ("1,0,1,nan", "1,0,1,1e999", "1,-1,1,2.0", "1,0,-3,2.0", "0,0,1,2.0",
+                    "1.0,0,1,2.0", f"{2**63},0,1,2.0", "1,0,1,", "1,0,1,0x10",
+                    "1\x1c,0,1,2.0", "1,0,1,2.0\x1f", "1\u01fe,0,1,2.0"):
+            path.write_text(f"id,domain,label,f0\n0,0,0,1.5\n{row}\n", encoding="utf-8")
+            assert datagen._read_csv(path, datagen._load_rows) is None, row
+            with pytest.raises(CsvFormatError, match="line 3: |duplicate sample ids"):
+                datagen.ingest_csv(path)
+
+
+_IDS = st.integers(0, 2**62)
+_SMALL_IDS = st.integers(0, 2**40)
+_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                     -1.7976931348623157e308, 1e-05, 0.1, 1.0]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(1, 4), st.booleans())
+def test_parse_paths_give_the_same_dataset(tmp_path_factory, data, n, d, provenance):
+    ids = data.draw(st.lists(_IDS, min_size=n, max_size=n, unique=True))
+    ds = datagen.Dataset(
+        features=np.array(data.draw(st.lists(st.lists(_FLOATS, min_size=d, max_size=d),
+                                             min_size=n, max_size=n))),
+        labels=data.draw(st.lists(_SMALL_IDS, min_size=n, max_size=n)),
+        domains=data.draw(st.lists(_SMALL_IDS, min_size=n, max_size=n)),
+        ids=ids)
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    datagen.export_csv(ds, path, provenance={"seed": 1} if provenance else None)
+    fast, slow = read_both(path)
+    assert fast is not None and fast == slow
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")           # the class-imbalance warning
+        back = datagen.ingest_csv(path)
+    assert dataset_bytes(back) == dataset_bytes(ds)
 
 
 class TestBatchSampler:

@@ -86,6 +86,20 @@ class TestAnnotations:
         with pytest.raises(ContractError):
             losses.BatchAnnotations(labels=[0, 1], domains=[0], linked_mask=[True, False])
 
+    def test_class_count_checks_labels_once(self):
+        with pytest.raises(ContractError, match=r"labels must lie in \[0, 3\)"):
+            losses.BatchAnnotations([0, 3], [0, 0], [True, False], num_classes=3)
+        ann = losses.BatchAnnotations([0, 2, 1], [1, 0, 1], [True, False, True],
+                                      num_classes=3)
+        rows = ann.take(np.array([2, 0]))
+        assert rows.labels.tolist() == [1, 0] and rows.domains.tolist() == [1, 1]
+        assert rows.linked_mask.tolist() == [True, True] and rows.num_classes == 3
+        # logits with another class count are range-checked as before
+        with pytest.raises(ContractError, match=r"labels must lie in \[0, 2\)"):
+            losses.fond_loss(np.zeros((3, 2)), None, ann, losses.LossConfig())
+        with pytest.raises(ContractError, match="does not match probabilities"):
+            losses.fond_loss(np.zeros((2, 3)), None, ann, losses.LossConfig())
+
 
 class TestTaskLoss:
     def test_one_hot_correct_is_zero(self):
@@ -232,6 +246,37 @@ class TestXdomLoss:
         loss_p, grad_p = losses.xdom_loss(z[perm], ann_p, cfg)
         assert abs(loss - loss_p) < 1e-12
         assert np.abs(grad[perm] - grad_p).max() < 1e-12
+
+    def test_gram_buffer_gives_the_same_bytes(self):
+        # one buffer across calls of several sizes, as a training's short
+        # last batch and the block and by-row paths use it
+        cfg = losses.LossConfig(temperature=0.3, a=1.5, b=1.2)
+        buffer = losses.GramBuffer()
+        for seed, n in ((1, 100), (2, 37), (3, 130), (4, 100)):
+            z, ann = random_batch(seed, n=n)
+            loss, grad = losses.xdom_loss(z, ann, cfg, gram_buffer=buffer)
+            ref_loss, ref_grad = losses.xdom_loss(z, ann, cfg)
+            assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes(), n
+        assert buffer._flat.size == 130 * 136
+
+    def test_buffer_size_restored_after_blocked_call(self, monkeypatch):
+        # past one block the loop runs with numpy's buffer one row long
+        # (rounded up to 16); the old size comes back, on error too
+        z, ann = random_batch(5, n=100)
+        cfg = losses.LossConfig(temperature=0.3, a=1.5, b=1.2)
+        before = np.getbufsize()
+        losses.xdom_loss(z, ann, cfg)
+        assert np.getbufsize() == before
+        inside = []
+
+        def failing_exp(*args, **kwargs):
+            inside.append(np.getbufsize())
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(np, "exp", failing_exp)
+        with pytest.raises(FloatingPointError, match="injected"):
+            losses.xdom_loss(z, ann, cfg)
+        assert inside == [112] and np.getbufsize() == before
 
     def test_log_alpha_row_sums_keep_their_order(self):
         # one class, every sample in its own domain: each row sums 127

@@ -13,6 +13,14 @@ def arrays(rng, *shape):
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
+def affine_grads(upstream, cache):
+    """(grad_x, grad_w, grad_bias) of ``ndcore.affine_backward``, which
+    writes the parameter gradients into buffers it is given."""
+    w = cache[1]
+    grad_w, grad_b = np.empty_like(w), np.empty(w.shape[1])
+    return ndcore.affine_backward(upstream, cache, grad_w, grad_b), grad_w, grad_b
+
+
 class TestAffine:
     def test_identity_weights(self):
         out, _ = ndcore.affine_forward([[1.0, 2.0]], np.eye(2), [0.0, 0.0])
@@ -31,12 +39,12 @@ class TestAffine:
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(0)
         out, cache = ndcore.affine_forward(arrays(rng, 3, 4), arrays(rng, 4, 2), arrays(rng, 2))
-        gx, gw, gb = ndcore.affine_backward(np.zeros_like(out), cache)
+        gx, gw, gb = affine_grads(np.zeros_like(out), cache)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_backward_scalar_chain(self):
         out, cache = ndcore.affine_forward(np.array([[2.0]]), np.array([[3.0]]), np.array([0.0]))
-        gx, gw, gb = ndcore.affine_backward(np.array([[1.0]]), cache)
+        gx, gw, gb = affine_grads(np.array([[1.0]]), cache)
         assert gw[0, 0] == 2.0 and gx[0, 0] == 3.0 and gb[0] == 1.0
 
     def test_backward_matches_finite_differences(self):
@@ -49,10 +57,30 @@ class TestAffine:
             return float((out * upstream).sum())
 
         _, cache = ndcore.affine_forward(x, w, b)
-        gx, gw, gb = ndcore.affine_backward(upstream, cache)
+        gx, gw, gb = affine_grads(upstream, cache)
         assert rel_error(central_difference(lambda v: scalar(v, w, b), x.copy()), gx) < 1e-6
         assert rel_error(central_difference(lambda v: scalar(x, v, b), w.copy()), gw) < 1e-6
         assert rel_error(central_difference(lambda v: scalar(x, w, v), b.copy()), gb) < 1e-6
+
+    def test_backward_writes_the_old_expressions_bits_into_flat_views(self):
+        # the buffers are views into one flat vector at odd offsets, as in
+        # networks.ModelParams; the bits are those of x.T @ g and g.sum(0)
+        rng = np.random.default_rng(9)
+        x, w, b = arrays(rng, 64, 23), arrays(rng, 23, 17), arrays(rng, 17)
+        upstream = arrays(rng, 64, 17)
+        out, cache = ndcore.affine_forward(x, w, b)
+        assert out.tobytes() == (x @ w + b).tobytes()
+        flat = np.full(1 + w.size + b.size, np.nan)
+        grad_w, grad_b = flat[1:1 + w.size].reshape(w.shape), flat[1 + w.size:]
+        gx = ndcore.affine_backward(upstream, cache, grad_w, grad_b)
+        assert gx.tobytes() == (upstream @ w.T).tobytes()
+        assert grad_w.tobytes() == (x.T @ upstream).tobytes()
+        assert grad_b.tobytes() == upstream.sum(axis=0).tobytes()
+        flat[:] = np.nan
+        assert ndcore.affine_param_backward(upstream, cache, grad_w, grad_b) is None
+        assert grad_w.tobytes() == (x.T @ upstream).tobytes()
+        assert grad_b.tobytes() == upstream.sum(axis=0).tobytes()
+        assert np.isnan(flat[0])
 
 
 class TestReluSoftmax:
@@ -66,7 +94,7 @@ class TestReluSoftmax:
         x[np.abs(x) < 1e-3] = 0.5  # keep probes away from the kink
         upstream = arrays(rng, 4, 3)
         _, cache = ndcore.relu_forward(x)
-        grad = ndcore.relu_backward(upstream, cache)
+        grad = ndcore.relu_backward(upstream.copy(), cache)
 
         def scalar(v):
             out, _ = ndcore.relu_forward(v)
@@ -79,7 +107,9 @@ class TestReluSoftmax:
         upstream = np.array([[1.5, -2.0, 3.0, -4.0, 5.0, -6.0]])
         _, cache = ndcore.relu_forward(x)
         want = upstream * (x > 0.0)
-        assert ndcore.relu_backward(upstream, cache).tobytes() == want.tobytes()
+        # in place: the result is the upstream array itself
+        assert ndcore.relu_backward(upstream, cache) is upstream
+        assert upstream.tobytes() == want.tobytes()
 
     def test_softmax_symmetry(self):
         out = ndcore.softmax_forward(np.array([[0.0, 0.0, 0.0]]))
@@ -144,6 +174,11 @@ class TestDeterminismAndValidation:
         s1 = ndcore.softmax_forward(x)
         s2 = ndcore.softmax_forward(x.copy())
         assert np.array_equal(s1, s2)
+        # the logits are left alone; the bits are the out-of-place formula's
+        shifted = x - x.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        assert s1.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+        assert x.tobytes() == x.copy().tobytes() and x is not s1
 
     def test_rank_validation(self):
         with pytest.raises(ShapeError):
@@ -157,7 +192,7 @@ def test_affine_backward_property(rows, inner, cols, seed):
     x, w, b = arrays(rng, rows, inner), arrays(rng, inner, cols), arrays(rng, cols)
     upstream = arrays(rng, rows, cols)
     _, cache = ndcore.affine_forward(x, w, b)
-    gx, gw, gb = ndcore.affine_backward(upstream, cache)
+    gx, gw, gb = affine_grads(upstream, cache)
 
     def scalar(xx, ww, bb):
         out, _ = ndcore.affine_forward(xx, ww, bb)

@@ -101,7 +101,7 @@ class TestOptimizerStep:
         before = params.flat.copy()
         grad = np.random.default_rng(3).normal(size=params.flat.size)
         cfg = trainer.TrainerConfig(optimizer="adam", learning_rate=0.01)
-        trainer.optimizer_step(params, grad, trainer.OptState(), cfg)
+        trainer.optimizer_step(params, grad.copy(), trainer.OptState(), cfg)
         expected = before - 0.01 * grad / (np.abs(grad) + cfg.adam_eps)
         assert np.abs(params.flat - expected).max() < 1e-12
 
@@ -113,8 +113,8 @@ class TestOptimizerStep:
         cfg = trainer.TrainerConfig(optimizer="momentum", learning_rate=0.1,
                                     momentum=0.5)
         state = trainer.OptState()
-        trainer.optimizer_step(params, g1, state, cfg)
-        trainer.optimizer_step(params, g2, state, cfg)
+        trainer.optimizer_step(params, g1.copy(), state, cfg)
+        trainer.optimizer_step(params, g2.copy(), state, cfg)
         assert state.step == 2
         expected = before - 0.1 * g1 - 0.1 * (0.5 * g1 + g2)
         assert np.abs(params.flat - expected).max() < 1e-12
@@ -176,9 +176,10 @@ def test_optimizer_step_bit_identical_to_frozen_per_tensor(
         # absent: the F and G prefix backward_pass gives without grad_z, as on ERM steps
         grad = flat_grad(params, {k: g for k, g in grads.items()
                                   if p_head != "absent" or k[0] != "p"})
+        # grad_norm reads the gradient before the step overwrites it
+        assert trainer.grad_norm(params, grad) == ref_grad_norm(grads)
         trainer.optimizer_step(params, grad, state, tcfg)
         ref_optimizer_step(ref, grads, ref_state, tcfg)
-        assert trainer.grad_norm(params, grad, state) == ref_grad_norm(grads)
     assert state.step == ref_state.step == steps
     for k, v in params.tensors().items():
         assert v.tobytes() == ref[k].tobytes(), k
@@ -284,7 +285,7 @@ class TestTrainLoop:
         pool, _, plan, net_cfg = make_setup()
         params = networks.init_params(net_cfg, 1)
 
-        def bad_loss(logits, z, ann, cfg):
+        def bad_loss(logits, z, ann, cfg, **kwargs):
             n, c = logits.shape
             return losses.FondLoss(total=float("nan"), task=float("nan"), xdom=0.0,
                                    fair=0.0, grad_logits=np.zeros((n, c)),
@@ -406,13 +407,52 @@ class TestTrainLoop:
             assert np.array_equal(final.tensors()[k], best.tensors()[k])
 
 
+class TestTrainingBoundary:
+    def test_label_beyond_the_classifier_raises_before_step_one(self, monkeypatch):
+        # the network has 3 output units; the pool holds label 3
+        pool, _, plan, net_cfg = make_setup()
+        small = networks.NetworkConfig(**{**net_cfg.__dict__, "num_classes": 3})
+        assert pool.labels.max() == 3
+        forwards = []
+        monkeypatch.setattr(networks, "forward_pass",
+                            lambda *a, **k: forwards.append(1))
+        cfg = trainer.TrainerConfig(max_steps=4, eval_every=2, batch_size=16, seed=1)
+        with pytest.raises(ContractError, match=r"labels must lie in \[0, 3\)"):
+            trainer.train(networks.init_params(small, 1), pool, plan, default_loss(), cfg)
+        assert forwards == []
+
+    def test_steps_take_rows_of_the_checked_columns(self, monkeypatch):
+        # each step's annotations are rows of the training set's columns,
+        # checked once against G, so fond_loss skips the range check; every
+        # step's contrastive term reuses one Gram buffer
+        pool, _, plan, net_cfg = make_setup()
+        seen, range_checks, buffers = [], [], set()
+        fond_loss = losses.fond_loss
+        check = losses._check_label_range
+
+        def spy(logits, z, ann, cfg, **kwargs):
+            seen.append(ann)
+            buffers.add(id(kwargs["gram_buffer"]))
+            return fond_loss(logits, z, ann, cfg, **kwargs)
+
+        monkeypatch.setattr(losses, "fond_loss", spy)
+        monkeypatch.setattr(losses, "_check_label_range",
+                            lambda labels, g: (range_checks.append(g), check(labels, g)))
+        cfg = trainer.TrainerConfig(max_steps=3, eval_every=3, batch_size=16, seed=1)
+        trainer.train(networks.init_params(net_cfg, 1), pool, plan, default_loss(), cfg)
+        assert len(seen) == 3 and range_checks == [net_cfg.num_classes]
+        assert len(buffers) == 1             # one Gram buffer for the training
+        assert all(ann.num_classes == net_cfg.num_classes and len(ann) == 16
+                   and ann.labels.dtype == np.int64 for ann in seen)
+
+
 class TestKernelInputs:
     """The ndcore kernels check nothing: every array the package hands them
     must already be float64 with the rank the kernel documents (a tuple
     entry is a cache, checked item by item)."""
 
-    RANKS = {"affine_forward": (2, 2, 1), "affine_backward": (2, (2, 2)),
-             "affine_param_backward": (2, (2, 2)),
+    RANKS = {"affine_forward": (2, 2, 1), "affine_backward": (2, (2, 2), 2, 1),
+             "affine_param_backward": (2, (2, 2), 2, 1),
              "relu_forward": (2,), "relu_backward": (2, 2),
              "softmax_forward": (2,), "l2_normalize_rows": (2,),
              "l2_normalize_backward": (2, (2, 1))}
