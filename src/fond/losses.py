@@ -199,11 +199,10 @@ def _true_label_ce(probs, labels) -> np.ndarray:
 
     A true-label probability that underflowed to 0 (diverging logits)
     gives +inf, not an error: the loss is then non-finite, which the
-    trainer reports together with the step it happened at.
+    trainer reports together with the step it happened at. Outside
+    ``train`` and the CLI, numpy's divide warning comes with it.
     """
-    picked = probs[np.arange(len(labels)), labels]
-    with np.errstate(divide="ignore"):
-        return -np.log(picked)
+    return -np.log(probs[np.arange(len(labels)), labels])
 
 
 def task_loss(probs, labels, *, ce: np.ndarray | None = None,
@@ -495,7 +494,8 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig, *,
     The labels are the one input checked (one per row, N >= 1, in [0, G);
     the range is not checked again for annotations whose ``num_classes``
     is G). ``cfg`` is resolved here, which returns a resolved config as is.
-    ``gram_buffer`` goes to ``xdom_loss``.
+    ``gram_buffer`` goes to ``xdom_loss``. A true-label probability of 0
+    gives +inf, with numpy's divide warning outside ``train`` and the CLI.
     """
     cfg = cfg.resolved()
     probs = ndcore.softmax_forward(logits)

@@ -2,8 +2,9 @@
 
 One step: sample batch -> features h = F(x) -> projections z = P(h) and
 logits = G(h) -> combined loss on (logits, z) -> backprop -> optimizer
-update. Periodic evaluation on a validation split selects the snapshot
-with the best validation accuracy over linked classes.
+update. ``train`` runs the steps as one loop, which evaluates a validation
+split after every ``eval_every``-th step and the last, and keeps the
+snapshot with the best validation accuracy over linked classes.
 
 Optimizer recurrences (eta = learning rate, g = gradient):
 
@@ -29,6 +30,7 @@ generator with its state, so it draws the bits ``rng_for`` would give.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -165,8 +167,8 @@ def grad_norm(params: networks.ModelParams, grad: np.ndarray) -> float:
     added P (when ``grad`` covers it), G, F, in layout order within each
     head (``params.head_segments``, worked out once per model). That
     order, kept for the logged bits, is the only thing left of the
-    name-keyed gradient dict ``backward_pass`` once returned; ROADMAP item
-    6 replaces it with one reduction on purpose.
+    name-keyed gradient dict ``backward_pass`` once returned. One reduction
+    over g * g would change only the logged ``grad_norm`` bits.
     """
     sq, segments = grad * grad, params.head_segments
     order = segments["g"] + segments["f"]
@@ -248,10 +250,15 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     """Run the loop; returns (final params, best-validation params, log).
 
     When ``val_set`` is None the pool is split by ``train_val_split``;
-    otherwise the pool is used for training as given. The best snapshot maximizes validation
-    accuracy over linked classes (strict improvement, earliest wins),
-    falling back to overall accuracy when the validation split contains
-    no linked-class samples.
+    otherwise the pool is used for training as given. One loop runs steps
+    1..max_steps over lazily drawn epochs and evaluates a non-empty
+    ``val_set`` after every ``eval_every``-th step and after the last, once
+    each. The best snapshot maximizes validation accuracy over linked
+    classes (strict improvement, earliest wins), falling back to overall
+    accuracy when the validation split contains no linked-class samples;
+    with an empty ``val_set`` it is the final parameters. The loop ignores
+    numpy's divide warning: an underflowed true-label probability gives a
+    cross-entropy of +inf, which raises ``NonFiniteLossError``.
 
     With ``log_steps`` False the log keeps no step or eval rows (no
     ``grad_norm`` is summed), only ``best_step``; the parameters are the
@@ -275,47 +282,23 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
         labels=train_set.labels, domains=train_set.domains,
         linked_mask=np.isin(train_set.labels, sorted(plan.linked_classes)),
         num_classes=params.config.num_classes)
-    streams = (dropout_streams(trainer_cfg.seed, trainer_cfg.max_steps)
-               if trainer_cfg.dropout > 0.0 else None)
+    max_steps, eval_every = trainer_cfg.max_steps, trainer_cfg.eval_every
+    batches = itertools.chain.from_iterable(map(sampler.epoch_batches, itertools.count()))
+    streams = (dropout_streams(trainer_cfg.seed, max_steps)
+               if trainer_cfg.dropout > 0.0 else itertools.repeat(None))
     state = OptState()
     grad_buffer = networks.ModelParams(config=params.config, seed=params.seed)
     gram_buffer = losses.GramBuffer() if project else None
     log = TrainLog()
-    best_params = params.clone()
-    best_score = -math.inf
-    best_step = None
+    best_params, best_score = None, -math.inf
 
-    def run_eval(step: int) -> None:
-        nonlocal best_score, best_step, best_params
-        if len(val_set) == 0:
-            return
-        report = evalsel.evaluate(params, val_set, plan)
-        score = report.y_l_accuracy
-        if trainer_cfg.selection_metric == "overall" or score is None:
-            score = report.overall_accuracy
-        selected = score > best_score
-        if selected:
-            best_score = score
-            best_step = step
-            best_params = params.clone()
-        if log_steps:
-            log.evals.append(EvalRecord(step=step, y_l_accuracy=report.y_l_accuracy,
-                                        y_s_accuracy=report.y_s_accuracy,
-                                        overall_accuracy=report.overall_accuracy,
-                                        selected=selected))
-
-    step = 0
-    epoch = 0
-    done = False
-    while not done:
-        for batch_idx in sampler.epoch_batches(epoch):
-            step += 1
-            x = train_set.features[batch_idx]
-            ann = annotations.take(batch_idx)
-            drng = next(streams) if streams is not None else None
-            fp = networks.forward_pass(params, x, dropout_rate=trainer_cfg.dropout,
+    with np.errstate(divide="ignore"):
+        for step, batch_idx, drng in zip(range(1, max_steps + 1), batches, streams):
+            fp = networks.forward_pass(params, train_set.features[batch_idx],
+                                       dropout_rate=trainer_cfg.dropout,
                                        dropout_rng=drng, project=project)
-            fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg, gram_buffer=gram_buffer)
+            fl = losses.fond_loss(fp.logits, fp.z, annotations.take(batch_idx), loss_cfg,
+                                  gram_buffer=gram_buffer)
             if not math.isfinite(fl.total):
                 raise NonFiniteLossError(step, {"task": fl.task, "xdom": fl.xdom,
                                                 "fair": fl.fair, "total": fl.total})
@@ -327,17 +310,20 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
                     linked_ce=fl.linked_ce, shared_ce=fl.shared_ce))
             optimizer_step(params, grad, state, trainer_cfg)
             ndcore.check_finite(params.flat, f"parameters after step {step}")
-            if step % trainer_cfg.eval_every == 0:
-                run_eval(step)
-            if step >= trainer_cfg.max_steps:
-                done = True
-                break
-        epoch += 1
+            if len(val_set) and (step % eval_every == 0 or step == max_steps):
+                report = evalsel.evaluate(params, val_set, plan)
+                score = report.y_l_accuracy
+                if trainer_cfg.selection_metric == "overall" or score is None:
+                    score = report.overall_accuracy
+                selected = score > best_score
+                if selected:
+                    best_params, best_score, log.best_step = params.clone(), score, step
+                if log_steps:
+                    log.evals.append(EvalRecord(
+                        step=step, y_l_accuracy=report.y_l_accuracy,
+                        y_s_accuracy=report.y_s_accuracy,
+                        overall_accuracy=report.overall_accuracy, selected=selected))
 
-    if trainer_cfg.max_steps % trainer_cfg.eval_every != 0:
-        run_eval(trainer_cfg.max_steps)
-    if best_step is None:
-        best_params = params.clone()
-        best_step = step
-    log.best_step = best_step
+    if best_params is None:
+        best_params, log.best_step = params.clone(), max_steps
     return params, best_params, log

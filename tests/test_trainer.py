@@ -385,14 +385,17 @@ class TestTrainLoop:
         assert unlogged[2].best_step == logged[2].best_step
         assert unlogged[2].steps == [] and unlogged[2].evals == []
 
-    def test_eval_schedule_with_forced_final(self):
+    # a last step on the schedule is evaluated once, not twice
+    @pytest.mark.parametrize("max_steps, expected", [(25, [10, 20, 25]), (20, [10, 20])],
+                             ids=["final_off_schedule", "final_on_schedule"])
+    def test_eval_schedule_with_forced_final(self, max_steps, expected):
         pool, target, plan, net_cfg = make_setup()
         params = networks.init_params(net_cfg, 1)
-        cfg = trainer.TrainerConfig(max_steps=25, eval_every=10, batch_size=16,
+        cfg = trainer.TrainerConfig(max_steps=max_steps, eval_every=10, batch_size=16,
                                     seed=1, learning_rate=0.01)
         _, _, log = trainer.train(params, pool, plan, default_loss(), cfg,
                                   val_set=target)
-        assert [e.step for e in log.evals] == [10, 20, 25]
+        assert [e.step for e in log.evals] == expected
 
     def test_empty_validation_set_returns_final_as_best(self):
         pool, _, plan, net_cfg = make_setup()
