@@ -90,7 +90,7 @@ def first_step(variant, cfg, train_set, plan, net_cfg):
     sampler = datagen.BatchSampler(train_set, tcfg.batch_size,
                                    subseed(tcfg.seed, trainer.SEED_TAG_BATCHES))
     batch = sampler.epoch_batches(0)[0]
-    ann = losses.BatchAnnotations(labels=train_set.labels[batch],
+    ann = losses.BatchAnnotations(labels=plan.class_codes(train_set.labels[batch]),
                                   domains=train_set.domains[batch],
                                   linked_mask=linked[batch])
     x = train_set.features[batch]

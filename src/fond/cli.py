@@ -58,7 +58,9 @@ def build_plan(cfg: RunConfig, dataset: datagen.Dataset, setting) -> datagen.Spl
 
 def _network_config(cfg: RunConfig, dataset: datagen.Dataset,
                     plan: datagen.SplitPlan) -> networks.NetworkConfig:
-    return cfg.network.to_network_config(dataset.input_dim, max(plan.classes) + 1)
+    """G has one output per planned class, in class-code order
+    (``SplitPlan.class_codes``), whatever the class ids."""
+    return cfg.network.to_network_config(dataset.input_dim, len(plan.classes))
 
 
 def _metrics_payload(report: evalsel.MetricsReport) -> dict:

@@ -221,6 +221,19 @@ class SplitPlan:
     def classes(self) -> frozenset[int]:
         return self.shared_classes | self.linked_classes
 
+    def class_codes(self, labels) -> np.ndarray:
+        """Each label's rank in ``sorted(self.classes)``: the dense code of
+        the classifier output that stands for it, so class ids need not be
+        contiguous. ``ContractError`` names the labels the plan lacks."""
+        classes = np.array(sorted(self.classes), dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
+        codes = np.searchsorted(classes, labels)
+        missing = classes[np.minimum(codes, len(classes) - 1)] != labels
+        if missing.any():
+            raise ContractError(f"labels {sorted(set(labels[missing].tolist()))} "
+                                f"are not in the plan")
+        return codes
+
     def validate(self) -> None:
         k = len(self.source_domains)
         if self.target_domain in self.source_domains:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import datagen, losses, ndcore, networks
-from .errors import ConfigError, ContractError, DegenerateInputError
+from .errors import ConfigError, DegenerateInputError
 from .seeding import rng_for, subseed
 
 
@@ -79,24 +79,20 @@ def _row_blocks(params: networks.ModelParams, features, output: str):
 
 
 def predict(params: networks.ModelParams, features) -> np.ndarray:
-    """Class predictions; argmax ties resolve to the lowest class id."""
+    """Predicted output units (class codes, ``SplitPlan.class_codes``);
+    argmax ties resolve to the lowest unit."""
     return np.concatenate([np.argmax(logits, axis=1)
                            for _, logits in _row_blocks(params, features, "logits")])
 
 
-def _check_labels_in_plan(dataset: datagen.Dataset, plan: datagen.SplitPlan) -> None:
-    extra = dataset.class_set() - set(plan.classes)
-    if extra:
-        raise ContractError(f"evaluation labels {sorted(extra)} are not in the plan")
-
-
 def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
              plan: datagen.SplitPlan) -> MetricsReport:
+    """Accuracies keyed by class id. A prediction is right when its output
+    unit is the label's class code (``SplitPlan.class_codes``): the argmax
+    mapped back to class ids, ties to the lowest id."""
     if len(test_set) == 0:
         raise DegenerateInputError("cannot evaluate on an empty set")
-    _check_labels_in_plan(test_set, plan)
-    preds = predict(params, test_set.features)
-    correct = preds == test_set.labels
+    correct = predict(params, test_set.features) == plan.class_codes(test_set.labels)
 
     per_class: dict[int, float] = {}
     counts: dict[int, int] = {}
@@ -345,7 +341,7 @@ def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
     """CSV of feature vectors: id, domain, label, group, h_0..h_{d-1}.
 
     Each block of rows is written before the next is computed."""
-    _check_labels_in_plan(dataset, plan)
+    plan.class_codes(dataset.labels)   # ContractError for a label the plan lacks
     linked = set(plan.linked_classes)
     with open(path, "w", encoding="utf-8") as fh:
         cols = ",".join(f"h_{j}" for j in range(params.config.feature_dim))

@@ -265,9 +265,15 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     same bit for bit. Callers that discard the log pass False.
 
     The per-step inputs are checked here, once: the loss config is
-    resolved, and the training set's annotation columns are validated with
-    every label checked against G's ``num_classes`` (``ContractError``
-    before step 1). Each step's annotations are rows of those columns.
+    resolved, and the training set's annotation columns are validated
+    (``ContractError`` before step 1). G is trained on dense class codes:
+    each label's rank in ``sorted(plan.classes)`` (a label the plan lacks
+    raises), checked against G's ``num_classes``. Each step's annotations
+    are rows of those columns.
+
+    A step's activations and loss gradients do not outlive its backward
+    pass and its step record: the loop drops them before the optimizer
+    update, so the next step and each evaluation reuse their memory.
     """
     loss_cfg = loss_cfg.resolved()
     if val_set is None:
@@ -279,7 +285,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     sampler = datagen.BatchSampler(train_set, trainer_cfg.batch_size,
                                    subseed(trainer_cfg.seed, SEED_TAG_BATCHES))
     annotations = losses.BatchAnnotations(
-        labels=train_set.labels, domains=train_set.domains,
+        labels=plan.class_codes(train_set.labels), domains=train_set.domains,
         linked_mask=np.isin(train_set.labels, sorted(plan.linked_classes)),
         num_classes=params.config.num_classes)
     max_steps, eval_every = trainer_cfg.max_steps, trainer_cfg.eval_every
@@ -308,6 +314,11 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
                     step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
                     grad_norm=grad_norm(params, grad),
                     linked_ce=fl.linked_ce, shared_ce=fl.shared_ce))
+            # nothing reads the step's forward pass or loss after this: free
+            # them now. Left bound, they stay alive through the evaluation
+            # below and the next step's forward pass and loss, so two steps'
+            # arrays share the heap and the peak RSS grows
+            del fp, fl
             optimizer_step(params, grad, state, trainer_cfg)
             ndcore.check_finite(params.flat, f"parameters after step {step}")
             if len(val_set) and (step % eval_every == 0 or step == max_steps):

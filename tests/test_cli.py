@@ -813,6 +813,58 @@ class TestReleasedData:
         assert reachable_at_train[-1] == [False, False, False, False]
 
 
+class TestClassIds:
+    """G is trained on dense class codes, so an order-preserving relabelling
+    of a dataset's classes only relabels the outputs."""
+
+    @staticmethod
+    def relabelled_csv(src: Path, dst: Path, relabel) -> None:
+        lines = src.read_text().splitlines(keepends=True)
+        with open(dst, "w", encoding="utf-8") as fh:
+            for line in lines:
+                if line[0].isdigit():
+                    ident, domain, label, feats = line.split(",", 3)
+                    line = f"{ident},{domain},{relabel(int(label))},{feats}"
+                fh.write(line)
+
+    @staticmethod
+    def train_and_dump(csv: Path, out: Path) -> None:
+        data = ["--set", "dataset.synthetic=null",
+                "--set", f"dataset.csv_path={json.dumps(str(csv))}"]
+        assert run_cli("train", "--config", str(TINY), "--out", str(out), *data) == 0
+        assert run_cli("dump-embeddings", "--config", str(TINY), "--out", str(out),
+                       "--checkpoint", str(out / "checkpoint_best.npz"), *data) == 0
+
+    @pytest.mark.parametrize("relabel", [lambda c: 2 * c, lambda c: c + 3],
+                             ids=["2c", "c+3"])
+    def test_order_preserving_relabel_only_relabels_outputs(self, tmp_path, relabel):
+        assert run_cli("generate", "--config", str(TINY), "--out", str(tmp_path / "gen")) == 0
+        original = tmp_path / "gen" / "dataset.csv"
+        moved = tmp_path / "relabelled.csv"
+        self.relabelled_csv(original, moved, relabel)
+        a, b = tmp_path / "a", tmp_path / "b"
+        self.train_and_dump(original, a)
+        self.train_and_dump(moved, b)
+
+        for name in ("trainlog.jsonl", "trainlog.csv", "checkpoint_best.npz",
+                     "checkpoint_final.npz"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+        want = json.loads((a / "metrics.json").read_text())
+        metrics = want["metrics"]
+        for key in ("per_class_accuracy", "counts"):
+            metrics[key] = {str(relabel(int(c))): v for c, v in metrics[key].items()}
+        metrics["excluded_classes"] = [relabel(c) for c in metrics["excluded_classes"]]
+        assert json.loads((b / "metrics.json").read_text()) == want
+
+        rows_a = (a / "embeddings.csv").read_text().splitlines()
+        rows_b = (b / "embeddings.csv").read_text().splitlines()
+        assert rows_b[0] == rows_a[0] and len(rows_b) == len(rows_a) > 1
+        for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+            ident, domain, label, rest = row_a.split(",", 3)
+            assert row_b == f"{ident},{domain},{relabel(int(label))},{rest}"
+
+
 @pytest.mark.parametrize("jobs, cells, cpus, want", [
     (1, 10, 4, 1), (8, 10, 4, 4), (8, 3, 4, 3), (3, 10, None, 1),
     (0, 10, 4, 1), (-2, 5, 4, 1), (10**6, 2, 64, 2), (5, 0, 4, 1)])

@@ -207,6 +207,14 @@ class TestSplitPlan:
         plan.save(path)
         assert path.read_bytes() == saved
 
+    def test_class_codes_are_ranks_among_the_planned_classes(self):
+        plan = datagen.make_split_plan([8, 0, 6, 2, 4], 4, 0, "low", 3)
+        codes = plan.class_codes(np.array([8, 0, 4, 4, 2, 6]))
+        assert codes.tolist() == [4, 0, 2, 2, 1, 3] and codes.dtype == np.int64
+        assert plan.class_codes(np.array([], dtype=np.int64)).tolist() == []
+        with pytest.raises(ContractError, match=r"labels \[-1, 3, 9\] are not in the plan"):
+            plan.class_codes([9, 3, 0, -1, 3])
+
 
 class TestApplySplit:
     def test_pool_size_counting_oracle(self):

@@ -1,5 +1,8 @@
+import gc
 import json
 import math
+import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -424,6 +427,21 @@ class TestTrainingBoundary:
             trainer.train(networks.init_params(small, 1), pool, plan, default_loss(), cfg)
         assert forwards == []
 
+    def test_label_the_plan_lacks_raises_before_step_one(self, monkeypatch):
+        pool, _, plan, net_cfg = make_setup()
+        labels = pool.labels.copy()
+        labels[0] = 7
+        pool = datagen.Dataset(features=pool.features, labels=labels,
+                               domains=pool.domains, ids=pool.ids)
+        forwards = []
+        monkeypatch.setattr(networks, "forward_pass",
+                            lambda *a, **k: forwards.append(1))
+        cfg = trainer.TrainerConfig(max_steps=4, eval_every=2, batch_size=16, seed=1)
+        with pytest.raises(ContractError, match=r"labels \[7\] are not in the plan"):
+            trainer.train(networks.init_params(net_cfg, 1), pool, plan, default_loss(), cfg,
+                          val_set=pool)
+        assert forwards == []
+
     def test_steps_take_rows_of_the_checked_columns(self, monkeypatch):
         # each step's annotations are rows of the training set's columns,
         # checked once against G, so fond_loss skips the range check; every
@@ -447,6 +465,45 @@ class TestTrainingBoundary:
         assert len(buffers) == 1             # one Gram buffer for the training
         assert all(ann.num_classes == net_cfg.num_classes and len(ann) == 16
                    and ann.labels.dtype == np.int64 for ann in seen)
+
+
+class TestStepArraysReleased:
+    """A step's forward pass and loss are unreachable once its backward pass
+    and step record have read them: the next step's forward pass and every
+    evaluation run without them."""
+
+    @pytest.mark.parametrize("variant, log_steps", [("fond", True), ("fond", False),
+                                                    ("erm", True)])
+    def test_no_step_result_reachable_at_a_forward_pass_or_evaluation(
+            self, monkeypatch, variant, log_steps):
+        refs, seen = [], {"forward_pass": [], "evaluate": []}
+        forward_pass, fond_loss, evaluate = (networks.forward_pass, losses.fond_loss,
+                                             evalsel.evaluate)
+
+        def reachable():
+            gc.collect()
+            return [type(ref()).__name__ for ref in refs if ref() is not None]
+
+        def watched(fn):
+            def call(*args, **kwargs):
+                if fn.__name__ in seen:
+                    seen[fn.__name__].append(reachable())
+                out = fn(*args, **kwargs)
+                if fn is not evaluate:
+                    refs.append(weakref.ref(out))
+                return out
+            return call
+
+        monkeypatch.setattr(networks, "forward_pass", watched(forward_pass))
+        monkeypatch.setattr(losses, "fond_loss", watched(fond_loss))
+        monkeypatch.setattr(evalsel, "evaluate", watched(evaluate))
+        pool, _, plan, net_cfg = make_setup()
+        loss_cfg = replace(default_loss(), variant=variant)
+        cfg = trainer.TrainerConfig(max_steps=7, eval_every=2, batch_size=16, seed=1)
+        trainer.train(networks.init_params(net_cfg, 1), pool, plan, loss_cfg, cfg,
+                      log_steps=log_steps)
+        assert seen["evaluate"] == [[]] * 4      # after steps 2, 4, 6 and 7
+        assert len(seen["forward_pass"]) == 7 + 4 and not any(seen["forward_pass"])
 
 
 class TestKernelInputs:
