@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,8 @@ def _network_config(cfg: RunConfig, dataset: datagen.Dataset,
                     plan: datagen.SplitPlan) -> networks.NetworkConfig:
     """G has one output per planned class, in class-code order
     (``SplitPlan.class_codes``), whatever the class ids."""
-    return cfg.network.to_network_config(dataset.input_dim, len(plan.classes))
+    return networks.NetworkConfig(input_dim=dataset.input_dim, num_classes=len(plan.classes),
+                                  **asdict(cfg.network))
 
 
 def _metrics_payload(report: evalsel.MetricsReport) -> dict:
@@ -164,16 +165,15 @@ def cmd_search(cfg: RunConfig, out: Path) -> int:
     result = _search_one(cfg, dataset, plan, net_cfg, cfg.seed)
     _write_json(out / "search.json", {
         "config": to_provenance(cfg),
-        "trials": [{"index": t.index, "hyper": t.hyper, "score": t.score}
-                   for t in result.trials],
-        "winner": {"index": result.best_index, "hyper": result.best_hyper,
-                   "score": result.best_score},
+        "trials": [asdict(t) for t in result.trials],
+        "winner": asdict(result.trials[result.best_index]),
     })
     print(f"winner trial {result.best_index} score {result.best_score}")
     return 0
 
 
-def run_benchmark_cell(cfg: RunConfig, setting, variant: str, rep: int) -> dict:
+def run_benchmark_cell(cfg: RunConfig, setting, variant: str,
+                       rep: int) -> evalsel.ResultRow:
     """One (setting, variant, repetition) cell; pure function of its
     arguments so cells can run in any process in any order.
 
@@ -192,10 +192,8 @@ def run_benchmark_cell(cfg: RunConfig, setting, variant: str, rep: int) -> dict:
     winner = None
     if cfg.search.n_trials >= 1:
         result = _search_one(cell_cfg, dataset, plan, net_cfg, cell_seed)
-        winner = {"index": result.best_index, "hyper": result.best_hyper,
-                  "score": result.best_score}
-        loss_cfg, trainer_cfg = evalsel.apply_hyper(loss_cfg, trainer_cfg,
-                                                    result.best_hyper)
+        winner = result.trials[result.best_index]
+        loss_cfg, trainer_cfg = evalsel.apply_hyper(loss_cfg, trainer_cfg, winner.hyper)
 
     pool, target = datagen.apply_split(dataset, plan)
     del dataset                  # the loop holds only its split and the target
@@ -206,12 +204,10 @@ def run_benchmark_cell(cfg: RunConfig, setting, variant: str, rep: int) -> dict:
     _, best, _ = trainer.train(params, train_set, plan, loss_cfg, final_cfg,
                                val_set=val_set, log_steps=False)
     report = evalsel.evaluate(best, target, plan)
-    return {
-        "setting": str(setting), "variant": variant, "rep": rep,
-        "y_l": report.y_l_accuracy, "y_s": report.y_s_accuracy,
-        "per_class": {int(k): v for k, v in report.per_class_accuracy.items()},
-        "winner": winner,
-    }
+    return evalsel.ResultRow(dataset=cfg.dataset.name, setting=str(setting),
+                             variant=variant, rep=rep, y_l_accuracy=report.y_l_accuracy,
+                             y_s_accuracy=report.y_s_accuracy,
+                             per_class=report.per_class_accuracy, winner=winner)
 
 
 def worker_count(jobs: int, cells: int, cpus: int | None) -> int:
@@ -221,11 +217,15 @@ def worker_count(jobs: int, cells: int, cpus: int | None) -> int:
 
 
 def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
-    if cfg.split.plan_path is None:
-        # every setting's shared-class count, before the first cell trains
-        num_classes = len(build_dataset(cfg).class_set())
-        for setting in cfg.benchmark.settings:
-            datagen.shared_class_count(num_classes, setting)
+    # every setting's shared-class count, before the first cell trains; a
+    # plan file fixes the split of every cell, so each setting must name it
+    plan = None if cfg.split.plan_path is None else datagen.SplitPlan.load(cfg.split.plan_path)
+    num_classes = len(build_dataset(cfg).class_set() if plan is None else plan.classes)
+    for setting in cfg.benchmark.settings:
+        shared = datagen.shared_class_count(num_classes, setting)
+        if plan is not None and shared != len(plan.shared_classes):
+            raise ConfigError(f"setting {setting!r} shares {shared} of {num_classes} classes, "
+                              f"but the plan file shares {len(plan.shared_classes)}")
     cells = [(setting, variant, rep)
              for setting in cfg.benchmark.settings
              for variant in cfg.benchmark.variants
@@ -241,26 +241,23 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
                                  initargs=("ignore",)) as pool:
             futures = [pool.submit(run_benchmark_cell, cfg, *cell) for cell in cells]
             try:
-                outcomes = [f.result() for f in futures]   # submission order, not completion
+                rows = [f.result() for f in futures]   # submission order, not completion
             except BaseException:
                 pool.shutdown(cancel_futures=True)   # the run has failed: start no more cells
                 raise
     else:
-        outcomes = [run_benchmark_cell(cfg, *cell) for cell in cells]
+        rows = [run_benchmark_cell(cfg, *cell) for cell in cells]
 
-    rows = [evalsel.ResultRow(dataset=cfg.dataset.name, setting=o["setting"],
-                              variant=o["variant"], rep=o["rep"],
-                              y_l_accuracy=o["y_l"], y_s_accuracy=o["y_s"],
-                              per_class=o["per_class"])
-            for o in outcomes]
     agg = evalsel.aggregate(rows)
     provenance = {"config": to_provenance(cfg)}
     evalsel.write_results_csv(rows, out / "results.csv", provenance)
     evalsel.write_aggregate_csv(agg, out / "aggregate.csv", provenance)
     _write_json(out / "benchmark.json", {
         "config": to_provenance(cfg),
-        "cells": [{k: o[k] for k in ("setting", "variant", "rep", "y_l", "y_s", "winner")}
-                  for o in outcomes],
+        "cells": [{"setting": r.setting, "variant": r.variant, "rep": r.rep,
+                   "y_l": r.y_l_accuracy, "y_s": r.y_s_accuracy,
+                   "winner": None if r.winner is None else asdict(r.winner)}
+                  for r in rows],
     })
     for row in agg:
         se_l = "" if row.y_l_se is None else f" +- {row.y_l_se:.4f}"

@@ -16,7 +16,6 @@ from .datagen import SyntheticSpec
 from .errors import ConfigError
 from .evalsel import HyperSpace
 from .losses import VARIANTS, LossConfig
-from .networks import NetworkConfig
 from .trainer import TrainerConfig
 
 
@@ -28,9 +27,6 @@ class NetworkSettings:
     projection_dim: int = 32
     f_hidden: tuple[int, ...] = (64, 64)
     p_hidden: tuple[int, ...] = (64,)
-
-    def to_network_config(self, input_dim: int, num_classes: int) -> NetworkConfig:
-        return NetworkConfig(input_dim=input_dim, num_classes=num_classes, **asdict(self))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ full class set.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import warnings
@@ -426,6 +427,16 @@ def write_provenance(fh, provenance: dict | None) -> None:
     when there is a provenance record."""
     if provenance is not None:
         fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
+
+
+def write_table(path, header, rows, provenance: dict | None = None) -> None:
+    """Write an output table: the provenance line when given, the header,
+    then one CSV record of ``csv_cell`` values per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_provenance(fh, provenance)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(csv_cell, row) for row in rows)
 
 
 def export_csv(dataset: Dataset, path, provenance: dict | None = None) -> None:

@@ -21,9 +21,8 @@ argmax.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -158,7 +157,8 @@ class HyperSpace:
         for name in self._ORDER:
             lo, hi = getattr(self, name)
             if name in self._LOG_FIELDS:
-                out[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+                # clamped, as exp(log(x)) can miss x by an ulp
+                out[name] = float(np.clip(np.exp(rng.uniform(np.log(lo), np.log(hi))), lo, hi))
             else:
                 out[name] = float(rng.uniform(lo, hi))
         return out
@@ -256,7 +256,8 @@ def random_search(space: HyperSpace, n_trials: int, seed, score_fn) -> SearchRes
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One repetition's outcome for one benchmark cell."""
+    """One repetition's outcome for one benchmark cell; ``winner`` is the
+    search's winning trial, None when the cell ran no search."""
 
     dataset: str
     setting: str
@@ -265,6 +266,7 @@ class ResultRow:
     y_l_accuracy: float | None
     y_s_accuracy: float | None
     per_class: dict[int, float] = field(default_factory=dict, hash=False, compare=False)
+    winner: TrialRecord | None = field(default=None, hash=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -313,27 +315,17 @@ def write_results_csv(rows: list[ResultRow], path, provenance: dict | None = Non
     header = ["dataset", "setting", "variant", "rep", "y_l_acc", "y_s_acc"]
     header += [f"acc_class_{c}" for c in classes]
     ordered = sorted(rows, key=lambda r: (r.dataset, r.setting, r.variant, r.rep))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        datagen.write_provenance(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in ordered:
-            record = [row.dataset, row.setting, row.variant, row.rep,
-                      row.y_l_accuracy, row.y_s_accuracy]
-            record += [row.per_class.get(c) for c in classes]
-            writer.writerow(map(datagen.csv_cell, record))
+    datagen.write_table(path, header, ([r.dataset, r.setting, r.variant, r.rep,
+                                        r.y_l_accuracy, r.y_s_accuracy]
+                                       + [r.per_class.get(c) for c in classes]
+                                       for r in ordered), provenance)
 
 
 def write_aggregate_csv(rows: list[AggregateRow], path,
                         provenance: dict | None = None) -> None:
-    header = [f.name for f in fields(AggregateRow)]
     ordered = sorted(rows, key=lambda r: (r.dataset, r.setting, r.variant))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        datagen.write_provenance(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in ordered:
-            writer.writerow(datagen.csv_cell(getattr(row, name)) for name in header)
+    datagen.write_table(path, [f.name for f in fields(AggregateRow)],
+                        map(astuple, ordered), provenance)
 
 
 def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,

@@ -29,7 +29,6 @@ generator with its state, so it draws the bits ``rng_for`` would give.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -212,17 +211,12 @@ class TrainLog:
                 fh.write(json.dumps({"kind": "eval", **rec.__dict__}) + "\n")
 
     def write_summary_csv(self, path) -> None:
-        evals_by_step = {e.step: e for e in self.evals}
+        evals = {e.step: [e.y_l_accuracy, e.y_s_accuracy, e.overall_accuracy]
+                 for e in self.evals}
         step_cols = [f.name for f in fields(StepRecord)]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(step_cols + ["val_y_l", "val_y_s", "val_overall"])
-            for rec in self.steps:
-                ev = evals_by_step.get(rec.step)
-                row = [getattr(rec, name) for name in step_cols]
-                row += ([None] * 3 if ev is None else
-                        [ev.y_l_accuracy, ev.y_s_accuracy, ev.overall_accuracy])
-                writer.writerow(map(datagen.csv_cell, row))
+        datagen.write_table(path, step_cols + ["val_y_l", "val_y_s", "val_overall"],
+                            ([getattr(rec, name) for name in step_cols]
+                             + evals.get(rec.step, [None] * 3) for rec in self.steps))
 
 
 def dropout_streams(seed: int, steps: int):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,31 @@ class TestTrain:
                    for name in self.GOLDEN_DROPOUT[variant]}
         assert digests == self.GOLDEN_DROPOUT[variant]
 
+    # The search and benchmark records on the tiny config: the trials and
+    # winner of `fond search`, and the per-cell rows, aggregates and cell
+    # records (winners included) of a one-trial `fond benchmark`.
+    GOLDEN_RECORDS = {
+        "search": {
+            "search.json": "b1bea8558402969e9fd01ff3c29d7bb5be71277575d7e90a1a001537cdee6489",
+        },
+        "benchmark": {
+            "results.csv": "9cc6c4fea6eebce735d3776266f9196705e5f5574beba7b5e406c678ae1b4488",
+            "aggregate.csv": "64cb6466911ea81bec469bcca3169e30557aeac08a1855e476a0dc5b4af7e3b4",
+            "benchmark.json":
+                "195ce7e0dec3fe78cb542f1003320ac0c45cff6a2b2bd6b3182c8ee450737e57",
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_RECORDS))
+    def test_tiny_search_and_benchmark_outputs_match_recorded_digests(self, tmp_path,
+                                                                      command):
+        out = tmp_path / command
+        assert run_cli(command, "--config", str(TINY), "--out", str(out),
+                       "--set", "search.n_trials=1") == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN_RECORDS[command]}
+        assert digests == self.GOLDEN_RECORDS[command]
+
     def test_train_from_ingested_csv(self, cfg_path, tmp_path):
         gen_out = tmp_path / "gen"
         run_cli("generate", "--config", str(cfg_path), "--out", str(gen_out))
@@ -410,6 +436,36 @@ class TestErrorExits:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["message"].startswith("shared class count 99 invalid")
+
+    def benchmark_on_low_plan(self, tmp_path, *overrides):
+        """`fond split` on the tiny config (setting low: 2 of 5 classes
+        shared), then a one-variant benchmark without search on that plan."""
+        assert run_cli("split", "--config", str(TINY), "--out", str(tmp_path / "sp")) == 0
+        plan = json.dumps(str(tmp_path / "sp" / "plan.json"))
+        return run_cli("benchmark", "--config", str(TINY), "--out", str(tmp_path / "bench"),
+                       "--set", f"split.plan_path={plan}", "--set", 'benchmark.variants=["erm"]',
+                       "--set", "search.n_trials=0", *overrides)
+
+    def test_plan_file_of_another_setting_exits_before_any_training(
+            self, tmp_path, capsys, monkeypatch):
+        # every cell trained on the plan file's split while its rows carried
+        # the setting "high"
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        code = self.benchmark_on_low_plan(tmp_path)
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        assert payload["message"] == ("setting 'high' shares 4 of 5 classes, "
+                                      "but the plan file shares 2")
+        assert not (tmp_path / "bench" / "results.csv").exists()
+
+    def test_plan_file_of_the_named_setting_runs(self, tmp_path):
+        assert self.benchmark_on_low_plan(tmp_path, "--set", 'benchmark.settings=["low"]') == 0
+        rows = (tmp_path / "bench" / "results.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[:4] for row in rows] == [["synthetic", "low", "erm", "0"]]
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -757,6 +813,16 @@ print(json.dumps({{"codes": codes, "masked": "numpy.ma" in sys.modules}}))
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result == {"codes": [0, 0, 0, 0], "masked": False}
+
+    def test_cell_returns_its_row_with_the_winning_trial(self, cfg_path):
+        cfg = config.load_config(cfg_path)
+        row = cli.run_benchmark_cell(cfg, "low", "fond", 1)
+        assert isinstance(row, evalsel.ResultRow)
+        assert (row.dataset, row.setting, row.variant, row.rep) == ("synthetic", "low",
+                                                                    "fond", 1)
+        assert isinstance(row.winner, evalsel.TrialRecord) and row.winner.index == 0
+        assert cli.run_benchmark_cell(replace(cfg, search=config.SearchConfig(n_trials=0)),
+                                      "low", "fond", 1).winner is None
 
     def test_skipping_search_leaves_winner_empty(self, cfg_path, tmp_path):
         out = tmp_path / "nosearch"

@@ -283,6 +283,14 @@ class TestCsv:
         assert np.array_equal(back.domains, ds.domains)
         assert np.array_equal(back.ids, ds.ids)
 
+    def test_write_table_bytes(self, tmp_path):
+        # csv.writer's CRLF ends and quoting, csv_cell's empty None and repr floats
+        path = tmp_path / "table.csv"
+        datagen.write_table(path, ["name", "x"], [["a,b", 0.1 + 0.2], ["c", None]],
+                            provenance={"seed": 1})
+        assert path.read_bytes() == (b'# provenance: {"seed": 1}\n'
+                                     b'name,x\r\n"a,b",0.30000000000000004\r\nc,\r\n')
+
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("id,domain,label,f0,f1\n")

@@ -181,6 +181,10 @@ class TestHyperSpace:
     def test_point_range_is_constant(self):
         space = evalsel.HyperSpace(b=(2.5, 2.5))
         assert space.sample(rng_for(2))["b"] == 2.5
+        # log-uniform fields too: exp(log(x)) is not always x
+        space = evalsel.HyperSpace(learning_rate=(1e-3, 1e-3), temperature=(0.1, 0.1))
+        draw = space.sample(rng_for(2))
+        assert (draw["learning_rate"], draw["temperature"]) == (1e-3, 0.1)
 
 
 class TestApplyHyper:

@@ -19,3 +19,16 @@ def test_no_source_cites_a_roadmap_item_number():
              for path in sources
              for match in ROADMAP_NUMBER.finditer(path.read_text(encoding="utf-8"))]
     assert cited == []
+
+
+CSV_IMPORT = re.compile(r"^\s*(?:import\s+csv\b|from\s+csv\s+import\b)", re.MULTILINE)
+
+
+def test_one_csv_writer_for_every_output_table():
+    # output tables go through datagen.write_table, so their quoting, line
+    # ends and cell format are set in one place
+    sources = {path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert sorted(name for name, text in sources.items() if CSV_IMPORT.search(text)) \
+        == ["fond/datagen.py"]
+    assert sum(text.count("csv.writer(") for text in sources.values()) == 1
