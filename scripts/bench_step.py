@@ -19,8 +19,11 @@ cell's or a search fold's training runs. Once
 for all sizes it times ``optimizer_step`` under each optimizer (each call
 on a fresh copy of the gradient, which the step overwrites; the copy is
 timed too), ``evalsel.evaluate`` on one block of ``evalsel.INFER_ROWS``
-source rows, and ``datagen.ingest_csv`` (one call per round) on the
-config's dataset, written by ``datagen.export_csv`` to a temporary file.
+source rows, the float-row writer (``floatrows.float_rows``, one call per
+round) on that block's features h as ``dump_embeddings`` writes them, next
+to the per-value ``repr`` join it reproduces, and ``datagen.ingest_csv``
+(one call per round) on the config's dataset, written by
+``datagen.export_csv`` to a temporary file.
 The trainings use the train/validation split ``fond train`` draws. At
 each size one untimed step of each variant runs before any timing, so the
 variant timed first does not pay for the first use of that size's arrays.
@@ -45,7 +48,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from fond import cli, datagen, evalsel, losses, networks, trainer
+from fond import cli, datagen, evalsel, floatrows, losses, networks, trainer
 from fond.config import load_config
 from fond.seeding import subseed
 
@@ -160,6 +163,24 @@ def time_ingest(dataset, repeat):
                 "us": round(best_us(lambda: datagen.ingest_csv(path), repeat, 1), 2)}
 
 
+def time_float_rows(params, block, repeat):
+    """``floatrows.float_rows`` on ``block``'s features h (one call per
+    round), with the row prefixes ``dump_embeddings`` writes, and the
+    ``repr`` join it equals."""
+    h = networks.forward_pass(params, block.features, project=False).h
+    prefixes = [f"{i},{d},{y},shared," for i, d, y in zip(
+        block.ids.tolist(), block.domains.tolist(), block.labels.tolist())]
+
+    def joined():
+        return "".join(p + ",".join(map(repr, row)) + "\n"
+                       for p, row in zip(prefixes, h.tolist())).encode()
+
+    return {"rows": h.shape[0], "cols": h.shape[1],
+            "us": round(best_us(lambda: b"".join(floatrows.float_rows(prefixes, h)),
+                                repeat, 1), 2),
+            "repr_us": round(best_us(joined, repeat, 1), 2)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -203,6 +224,7 @@ def main() -> int:
         "evaluate": {"rows": len(block),
                      "us": round(best_us(lambda: evalsel.evaluate(params, block, plan),
                                          args.repeat, args.number), 2)},
+        "float_rows": time_float_rows(params, block, args.repeat),
         "ingest_csv": time_ingest(dataset, args.repeat),
     }
     print(json.dumps(result, indent=2))

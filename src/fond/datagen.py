@@ -422,36 +422,35 @@ def csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_provenance(fh, provenance: dict | None) -> None:
-    """Write the ``# provenance:`` comment line that leads an output CSV,
-    when there is a provenance record."""
-    if provenance is not None:
-        fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
+def provenance_line(provenance: dict | None) -> str:
+    """The ``# provenance:`` comment line that leads an output CSV, or ""
+    without a provenance record."""
+    if provenance is None:
+        return ""
+    return "# provenance: " + json.dumps(provenance, sort_keys=True) + "\n"
 
 
 def write_table(path, header, rows, provenance: dict | None = None) -> None:
     """Write an output table: the provenance line when given, the header,
     then one CSV record of ``csv_cell`` values per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_provenance(fh, provenance)
+        fh.write(provenance_line(provenance))
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(map(csv_cell, row) for row in rows)
 
 
 def export_csv(dataset: Dataset, path, provenance: dict | None = None) -> None:
-    """Write `id,domain,label,f0..f{d-1}` rows; floats via repr so the
-    ingest round trip is bit-exact. Optional provenance JSON rides along
-    as a leading comment line."""
-    d = dataset.input_dim
-    header = "id,domain,label," + ",".join(f"f{j}" for j in range(d))
-    with open(path, "w", encoding="utf-8") as fh:
-        write_provenance(fh, provenance)
-        fh.write(header + "\n")
-        for i in range(len(dataset)):
-            feats = ",".join(map(repr, dataset.features[i].tolist()))
-            fh.write(f"{int(dataset.ids[i])},{int(dataset.domains[i])},"
-                     f"{int(dataset.labels[i])},{feats}\n")
+    """Write `id,domain,label,f0..f{d-1}` rows; floats as ``repr`` writes
+    them, so the ingest round trip is bit-exact. Optional provenance JSON
+    rides along as a leading comment line."""
+    from .floatrows import float_rows   # only the float-row writers load it
+    header = "id,domain,label," + ",".join(f"f{j}" for j in range(dataset.input_dim))
+    prefixes = [f"{i},{domain},{label}," for i, domain, label in zip(
+        dataset.ids.tolist(), dataset.domains.tolist(), dataset.labels.tolist())]
+    with open(path, "wb") as fh:
+        fh.write((provenance_line(provenance) + header + "\n").encode("utf-8"))
+        fh.writelines(float_rows(prefixes, dataset.features))
 
 
 def _csv_lines(fh):

@@ -48,9 +48,10 @@ class MetricsReport:
 # Blocks of 2 to 4096 rows gave the same bytes as one whole-matrix forward
 # (tests/test_evalsel.py compares them). On 14,000 rows at the widths of
 # the wide CSV benchmark (2-vCPU Xeon, single-threaded OpenBLAS), 256 to
-# 2048 rows ran predict in 14-19 ms and the embedding dump in 0.71-0.77 s;
-# 64 rows was slower (24 ms, 1.24 s), and whole-matrix predict took 28 ms
-# with a 29 MB peak against 3.9 MB at 1024 rows.
+# 2048 rows ran predict in 14-19 ms and the embedding dump, then written by
+# a per-value repr join, in 0.71-0.77 s; 64 rows was slower (24 ms, 1.24 s),
+# and whole-matrix predict took 28 ms with a 29 MB peak against 3.9 MB at
+# 1024 rows.
 INFER_ROWS = 1024
 
 
@@ -333,14 +334,16 @@ def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
     """CSV of feature vectors: id, domain, label, group, h_0..h_{d-1}.
 
     Each block of rows is written before the next is computed."""
+    from .floatrows import float_rows   # only the float-row writers load it
     plan.class_codes(dataset.labels)   # ContractError for a label the plan lacks
     linked = set(plan.linked_classes)
-    with open(path, "w", encoding="utf-8") as fh:
+    ids, domains, labels = (a.tolist() for a in (dataset.ids, dataset.domains,
+                                                 dataset.labels))
+    with open(path, "wb") as fh:
         cols = ",".join(f"h_{j}" for j in range(params.config.feature_dim))
-        fh.write(f"id,domain,label,group,{cols}\n")
+        fh.write(f"id,domain,label,group,{cols}\n".encode("utf-8"))
         for rows, block in _row_blocks(params, dataset.features, "h"):
-            for i, h in zip(range(rows.start, rows.stop), block):
-                group = "linked" if int(dataset.labels[i]) in linked else "shared"
-                feats = ",".join(map(repr, h.tolist()))
-                fh.write(f"{int(dataset.ids[i])},{int(dataset.domains[i])},"
-                         f"{int(dataset.labels[i])},{group},{feats}\n")
+            prefixes = [f"{ids[i]},{domains[i]},{labels[i]},"
+                        f"{'linked' if labels[i] in linked else 'shared'},"
+                        for i in range(rows.start, rows.stop)]
+            fh.writelines(float_rows(prefixes, block))

@@ -407,6 +407,23 @@ class TestTrain:
                    for name in self.GOLDEN_RECORDS[command]}
         assert digests == self.GOLDEN_RECORDS[command]
 
+    # The float-row files on the tiny config: `fond generate`'s dataset.csv
+    # and the `fond dump-embeddings` embeddings.csv of its trained model,
+    # recorded while both were still written by a per-value repr join
+    GOLDEN_FLOAT_ROWS = {
+        "dataset.csv": "962af90537f4bd146f9755299a86edd023dd2d2120527436f7becb34e8c2525b",
+        "embeddings.csv": "5fc8c860c82b0d35ddf87fe11c605de6c6e6b4a14ded3c0bd21b0b4fd6203fbb",
+    }
+
+    def test_tiny_float_row_files_match_recorded_digests(self, tmp_path):
+        assert run_cli("generate", "--config", str(TINY), "--out", str(tmp_path)) == 0
+        assert run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "tr")) == 0
+        assert run_cli("dump-embeddings", "--config", str(TINY), "--out", str(tmp_path),
+                       "--checkpoint", str(tmp_path / "tr" / "checkpoint_best.npz")) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN_FLOAT_ROWS}
+        assert digests == self.GOLDEN_FLOAT_ROWS
+
     def test_train_from_ingested_csv(self, cfg_path, tmp_path):
         gen_out = tmp_path / "gen"
         run_cli("generate", "--config", str(cfg_path), "--out", str(gen_out))
@@ -789,6 +806,24 @@ class TestBenchmark:
         loaded = set(json.loads(proc.stdout))
         assert "fond.cli" in loaded
         assert not loaded & {"concurrent.futures", "multiprocessing"}
+
+    def test_only_float_row_writers_load_the_float_row_module(self, tmp_path):
+        # a benchmark writes only write_table tables; the module is compiled
+        # on each run where bytecode is not cached
+        script = f"""
+import json, sys
+from fond import cli
+codes = [cli.main(["benchmark", "--config", {str(TINY)!r}, "--out", {str(tmp_path / "b")!r},
+                   "--set", "search.n_trials=0", "--set", "benchmark.reps=1"])]
+loaded = ["fond.floatrows" in sys.modules]
+codes.append(cli.main(["generate", "--config", {str(TINY)!r}, "--out", {str(tmp_path / "g")!r}]))
+loaded.append("fond.floatrows" in sys.modules)
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0], "loaded": [False, True]}
 
     def test_commands_never_import_masked_arrays(self, tmp_path):
         # a plain np.unique imports numpy.ma (10 ms, +1.2 MB RSS) that no

@@ -32,3 +32,20 @@ def test_one_csv_writer_for_every_output_table():
     assert sorted(name for name, text in sources.items() if CSV_IMPORT.search(text)) \
         == ["fond/datagen.py"]
     assert sum(text.count("csv.writer(") for text in sources.values()) == 1
+
+
+FLOATROWS_IMPORT = re.compile(r"^(?:from\s+\S*\s+)?import\s+.*floatrows|^from\s+\S*floatrows\s",
+                              re.MULTILINE)
+
+
+def test_one_writer_for_float_rows():
+    # rows of floats (dataset.csv, embeddings.csv) go through
+    # floatrows.float_rows, which reproduces repr's bytes; no per-value
+    # repr loop is left, and the two writers import the module where they
+    # run, so commands that write no float row never load it
+    sources = {path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert [name for name, text in sources.items() if "map(repr" in text] == []
+    assert sorted(name for name, text in sources.items() if "float_rows(" in text) \
+        == ["fond/datagen.py", "fond/evalsel.py", "fond/floatrows.py"]
+    assert [name for name, text in sources.items() if FLOATROWS_IMPORT.search(text)] == []
