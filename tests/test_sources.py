@@ -42,7 +42,9 @@ def test_one_writer_for_float_rows():
     # rows of floats (dataset.csv, embeddings.csv) go through
     # floatrows.float_rows, which reproduces repr's bytes; no per-value
     # repr loop is left, and the two writers import the module where they
-    # run, so commands that write no float row never load it
+    # run, so commands that write no float row never load it (the cost of a
+    # module-level import is measured in
+    # test_cli.py::test_only_float_row_writers_load_the_float_row_module)
     sources = {path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src").rglob("*.py"))}
     assert [name for name, text in sources.items() if "map(repr" in text] == []
