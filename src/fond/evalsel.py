@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 import numpy as np
 
 from . import datagen, losses, ndcore, networks
-from .errors import ConfigError, DegenerateInputError
+from .errors import ConfigError, ContractError, DegenerateInputError
 from .seeding import rng_for, subseed
 
 
@@ -92,19 +92,15 @@ def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
     mapped back to class ids, ties to the lowest id."""
     if len(test_set) == 0:
         raise DegenerateInputError("cannot evaluate on an empty set")
-    correct = predict(params, test_set.features) == plan.class_codes(test_set.labels)
-
-    per_class: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    excluded: list[int] = []
-    for c in sorted(plan.classes):
-        mask = test_set.labels == c
-        n = int(mask.sum())
-        if n == 0:
-            excluded.append(c)
-            continue
-        counts[c] = n
-        per_class[c] = float(correct[mask].mean())
+    codes = plan.class_codes(test_set.labels)
+    correct = predict(params, test_set.features) == codes
+    # rows and hits per class code; each accuracy, the rounded quotient of
+    # two exact counts, has the bits of the class's masked mean
+    classes = sorted(plan.classes)
+    rows = np.bincount(codes, minlength=len(classes)).tolist()
+    hits = np.bincount(codes, weights=correct, minlength=len(classes)).tolist()
+    counts = {c: n for c, n in zip(classes, rows) if n}
+    per_class = {c: h / n for c, n, h in zip(classes, rows, hits) if n}
 
     def group_mean(group) -> float | None:
         members = [per_class[c] for c in sorted(group) if c in per_class]
@@ -114,7 +110,7 @@ def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
                          y_l_accuracy=group_mean(plan.linked_classes),
                          y_s_accuracy=group_mean(plan.shared_classes),
                          overall_accuracy=float(correct.mean()),
-                         excluded_classes=tuple(excluded))
+                         excluded_classes=tuple(c for c, n in zip(classes, rows) if not n))
 
 
 @dataclass(frozen=True)
@@ -229,7 +225,6 @@ class TrialRecord:
 @dataclass
 class SearchResult:
     best_index: int
-    best_hyper: dict[str, float]
     best_score: float | None
     trials: list[TrialRecord]
 
@@ -242,17 +237,12 @@ def random_search(space: HyperSpace, n_trials: int, seed, score_fn) -> SearchRes
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     rng = rng_for(seed, "hyper-draw")
     trials: list[TrialRecord] = []
-    best_index = 0
-    best_score = -math.inf
     for i in range(n_trials):
         hyper = space.sample(rng)
-        score = score_fn(hyper)
-        trials.append(TrialRecord(index=i, hyper=hyper, score=score))
-        if score is not None and score > best_score:
-            best_score = score
-            best_index = i
-    return SearchResult(best_index=best_index, best_hyper=trials[best_index].hyper,
-                        best_score=trials[best_index].score, trials=trials)
+        trials.append(TrialRecord(index=i, hyper=hyper, score=score_fn(hyper)))
+    best = max((t for t in trials if t.score is not None), key=lambda t: t.score,
+               default=trials[0])   # max keeps the first of equal scores
+    return SearchResult(best_index=best.index, best_score=best.score, trials=trials)
 
 
 @dataclass(frozen=True)
@@ -335,6 +325,9 @@ def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
 
     Each block of rows is written before the next is computed."""
     from .floatrows import float_rows   # only the float-row writers load it
+    if params.config.num_classes != len(plan.classes):
+        raise ContractError(f"the model has {params.config.num_classes} classes, "
+                            f"the plan {len(plan.classes)}")
     plan.class_codes(dataset.labels)   # ContractError for a label the plan lacks
     linked = set(plan.linked_classes)
     ids, domains, labels = (a.tolist() for a in (dataset.ids, dataset.domains,

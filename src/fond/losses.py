@@ -304,7 +304,7 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
     deviation = np.abs(norms - 1.0)
     if not deviation.max() <= UNIT_NORM_TOL:         # NaN fails <= too
         worst = int(deviation.argmax())
-        raise ContractError(f"z row {worst} has norm {norms[worst]!r}, expected 1")
+        raise ContractError(f"z row {worst} has norm {norms[worst]}, expected 1")
 
     labels, domains = ann.labels, ann.domains
     by_row = n <= XDOM_BLOCK_ROWS

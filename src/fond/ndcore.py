@@ -13,7 +13,7 @@ enter a module:
 ``networks.backward_pass`` the upstream gradients, and the losses their
 labels; only ``networks`` calls the affine, ReLU and normalization-backward
 kernels, and only ``losses`` calls ``softmax_forward``. The one check left
-here is on the data: ``l2_normalize_rows`` rejects a zero-norm row.
+here is on the data: ``l2_normalize_rows`` rejects a zero or non-finite norm.
 
 The kernels write in place where the caller hands them the storage: the
 affine backward kernels write the parameter gradients into the buffers
@@ -98,12 +98,13 @@ def softmax_forward(logits: np.ndarray) -> np.ndarray:
 def l2_normalize_rows(x: np.ndarray):
     """Scale each row to unit Euclidean norm; returns (out, cache).
 
-    Zero-norm rows raise instead of being clamped.
+    A row whose norm is at most ``NORM_EPS``, or infinite or NaN (an
+    overflowed row), raises instead of being clamped.
     """
     norms = np.sqrt((x * x).sum(axis=1))
-    bad = np.flatnonzero(norms <= NORM_EPS)
+    bad = np.flatnonzero(~((norms > NORM_EPS) & (norms < np.inf)))   # NaN fails both
     if bad.size:
-        raise DegenerateInputError(f"row {bad[0]} has norm <= {NORM_EPS}, cannot normalize")
+        raise DegenerateInputError(f"row {bad[0]} has norm {norms[bad[0]]}, cannot normalize")
     out = x / norms[:, None]
     return out, (out, norms)
 

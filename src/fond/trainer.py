@@ -37,7 +37,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import datagen, evalsel, losses, ndcore, networks
-from .errors import ConfigError, ContractError, NonFiniteLossError, require_finite
+from .errors import (ConfigError, ContractError, DegenerateInputError, NonFiniteLossError,
+                     require_finite)
 from .seeding import rng_for, rng_states, subseed
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
@@ -259,7 +260,8 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     accuracy when the validation split contains no linked-class samples;
     with an empty ``val_set`` it is the final parameters. The loop ignores
     numpy's divide warning: an underflowed true-label probability gives a
-    cross-entropy of +inf, which raises ``NonFiniteLossError``.
+    cross-entropy of +inf, which raises ``NonFiniteLossError``; an overflowed
+    projection row raises ``DegenerateInputError``. Both name their step.
 
     With ``log_steps`` False the log keeps no step or eval rows (no
     ``grad_norm`` is summed), only ``best_step``; the parameters are the
@@ -301,9 +303,12 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
 
     with np.errstate(divide="ignore"):
         for step, batch_idx, drng in zip(range(1, max_steps + 1), batches, streams):
-            fp = networks.forward_pass(params, train_set.features[batch_idx],
-                                       dropout_rate=trainer_cfg.dropout,
-                                       dropout_rng=drng, project=project)
+            try:
+                fp = networks.forward_pass(params, train_set.features[batch_idx],
+                                           dropout_rate=trainer_cfg.dropout,
+                                           dropout_rng=drng, project=project)
+            except DegenerateInputError as exc:   # a projection row it cannot normalize
+                raise DegenerateInputError(f"step {step}: {exc}") from exc
             fl = losses.fond_loss(fp.logits, fp.z, annotations.take(batch_idx), loss_cfg,
                                   gram_buffer=gram_buffer)
             if not math.isfinite(fl.total):

@@ -644,6 +644,22 @@ class TestErrorExits:
         assert "labels [4, 5] are not in the plan" in payload["message"]
         assert not (out / "embeddings.csv").exists()
 
+    def test_dump_with_checkpoint_of_another_class_count_exit_2(self, tmp_path, capsys):
+        # a 5-class model dumped rows of 7 classes, with groups from a plan
+        # it was not trained on
+        assert run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "t1"),
+                       "--set", "trainer.max_steps=5", "--set", "trainer.eval_every=5") == 0
+        capsys.readouterr()
+        out = tmp_path / "d2"
+        code = run_cli("dump-embeddings", "--config", str(TINY), "--out", str(out),
+                       "--checkpoint", str(tmp_path / "t1" / "checkpoint_best.npz"),
+                       "--set", "dataset.synthetic.num_classes=7")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ContractError"
+        assert payload["message"] == "the model has 5 classes, the plan 7"
+        assert not (out / "embeddings.csv").exists()
+
     def test_missing_config_exit_4(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         assert run_cli("train", "--config", str(missing)) == cli.EXIT_IO
@@ -670,6 +686,21 @@ class TestErrorExits:
         payload = self.read_error(capsys)
         assert payload["type"] == "NonFiniteLossError"
         assert "non-finite loss at step" in payload["message"]
+
+    @pytest.mark.parametrize("overrides", [
+        ["trainer.learning_rate=1e300"],
+        ["trainer.optimizer=sgd", "trainer.learning_rate=1e150"]])
+    def test_overflowing_projection_exit_3_names_step(self, tmp_path, capsys, overrides):
+        # the activations overflow after step 1: the projection's non-finite
+        # row norm reached xdom_loss's unit-norm check and exited 2 as a
+        # contract error
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "div"), *sets)
+        assert code == cli.EXIT_NUMERIC
+        payload = self.read_error(capsys)
+        assert payload["type"] == "DegenerateInputError"
+        assert payload["message"].startswith("step 2: ")
+        assert "np.float64" not in payload["message"]
 
     @pytest.mark.parametrize("override", [
         "loss.lambda_xdom=NaN", "loss.lambda_fair=NaN", "loss.a=NaN",

@@ -54,6 +54,34 @@ class TestEvaluate:
         assert report.y_s_accuracy == expected_s
         assert report.excluded_classes == ()
 
+    def test_per_class_bits_match_masked_mean(self):
+        # quotients such as 1/3 and 2/7 round, so these pin the bits of each
+        # class accuracy, not just its value to a tolerance; class 3 of 6 is
+        # absent from every draw
+        plan = datagen.make_split_plan(range(6), 4, 0, "low", 3)
+        params = argmax_model(6)
+        rng = np.random.default_rng(25)
+        for draw in range(20):
+            if draw == 0:   # 1/3, 2/7, 3/5, 4/9, 5/11
+                sizes, hits = np.array([3, 7, 5, 0, 9, 11]), np.array([1, 2, 3, 0, 4, 5])
+            else:
+                sizes = rng.integers(1, 16, size=6)
+                sizes[3] = 0
+                hits = rng.integers(0, sizes + 1)
+            labels = np.repeat(np.arange(6), sizes)
+            flags = np.concatenate([np.arange(n) < h for n, h in zip(sizes, hits)])
+            perm = rng.permutation(len(labels))
+            labels, flags = labels[perm], flags[perm]
+            report = evalsel.evaluate(params, onehot_dataset(labels, flags, 6), plan)
+            present = [c for c in range(6) if (labels == c).any()]
+            assert {c: v.hex() for c, v in report.per_class_accuracy.items()} == {
+                c: float(flags[labels == c].mean()).hex() for c in present}
+            assert report.counts == {c: int((labels == c).sum()) for c in present}
+            assert report.excluded_classes == (3,)
+            if draw == 0:
+                assert report.per_class_accuracy[0] == 1 / 3
+                assert report.per_class_accuracy[1] == 2 / 7
+
     def test_group_mean_is_class_averaged_not_sample_averaged(self):
         # class 0: 1/1 correct, class 1: 0/9 correct; sample mean is 0.1
         # but each class contributes equally to its group mean
