@@ -252,6 +252,8 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
     provenance = {"config": to_provenance(cfg)}
     evalsel.write_results_csv(rows, out / "results.csv", provenance)
     evalsel.write_aggregate_csv(agg, out / "aggregate.csv", provenance)
+    paired = evalsel.pair_with_erm(rows)
+    evalsel.write_paired_csv(paired, out / "paired.csv", provenance)
     _write_json(out / "benchmark.json", {
         "config": to_provenance(cfg),
         "cells": [{"setting": r.setting, "variant": r.variant, "rep": r.rep,
@@ -266,6 +268,9 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
         y_s = "n/a" if row.y_s_mean is None else f"{row.y_s_mean:.4f}{se_s}"
         print(f"{row.dataset} {row.setting:>5} {row.variant:<9} "
               f"y_l {y_l:<20} y_s {y_s}")
+    for row in paired:
+        print(f"{row.dataset} {row.setting:>5} {row.variant:<9} beats {evalsel.BASELINE} on "
+              f"y_l in {row.y_l_wins}/{row.reps} reps, on y_s in {row.y_s_wins}/{row.reps}")
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Evaluation metrics, model selection, hyperparameter search, and
-cross-repetition aggregation.
+"""Evaluation metrics, model selection, hyperparameter search,
+cross-repetition aggregation, and each variant paired with ERM rep by rep.
 
 Prediction and the embedding dump run ``networks.forward_pass`` without
 the projection head on blocks of ``INFER_ROWS`` rows, so they hold one
@@ -301,6 +301,55 @@ def aggregate(rows: list[ResultRow]) -> list[AggregateRow]:
     return out
 
 
+# The variant every other one is paired with, rep by rep.
+BASELINE = "erm"
+
+
+@dataclass(frozen=True)
+class PairedRow:
+    """A variant against ``BASELINE`` on one (dataset, setting): over the
+    ``reps`` repetitions both ran, the mean and SE of each score's
+    differences (variant - baseline), and the repetitions where the
+    variant scored strictly higher."""
+
+    dataset: str
+    setting: str
+    variant: str
+    reps: int
+    y_l_diff_mean: float | None
+    y_l_diff_se: float | None
+    y_l_wins: int
+    y_s_diff_mean: float | None
+    y_s_diff_se: float | None
+    y_s_wins: int
+
+
+def pair_with_erm(rows: list[ResultRow]) -> list[PairedRow]:
+    """Each non-baseline row paired with the baseline's row of the same
+    (dataset, setting, rep), summarized per (dataset, setting, variant)
+    and sorted by that key; empty when no row is the baseline's. A rep
+    whose score is None on either side is left out of that score's
+    differences and wins."""
+    baseline = {(r.dataset, r.setting, r.rep): r for r in rows if r.variant == BASELINE}
+    cells: dict[tuple, list[tuple[ResultRow, ResultRow]]] = {}
+    for row in rows:
+        base = baseline.get((row.dataset, row.setting, row.rep))
+        if row.variant != BASELINE and base is not None:
+            cells.setdefault((row.dataset, row.setting, row.variant), []).append((row, base))
+
+    def diffs(pairs, score: str) -> list[float]:
+        both = ((getattr(row, score), getattr(base, score)) for row, base in pairs)
+        return [v - b for v, b in both if v is not None and b is not None]
+
+    out = []
+    for key in sorted(cells):
+        y_l, y_s = (diffs(cells[key], score) for score in ("y_l_accuracy", "y_s_accuracy"))
+        # v - b > 0 exactly when v > b, as floats subtract with gradual underflow
+        out.append(PairedRow(*key, len(cells[key]), *mean_and_se(y_l), sum(d > 0 for d in y_l),
+                             *mean_and_se(y_s), sum(d > 0 for d in y_s)))
+    return out
+
+
 def write_results_csv(rows: list[ResultRow], path, provenance: dict | None = None) -> None:
     classes = sorted({c for row in rows for c in row.per_class})
     header = ["dataset", "setting", "variant", "rep", "y_l_acc", "y_s_acc"]
@@ -312,11 +361,21 @@ def write_results_csv(rows: list[ResultRow], path, provenance: dict | None = Non
                                        for r in ordered), provenance)
 
 
+def _write_variant_table(row_type, rows, path, provenance: dict | None) -> None:
+    """One line per row of ``row_type``'s fields, sorted by (dataset,
+    setting, variant); the header alone when there are no rows."""
+    ordered = sorted(rows, key=lambda r: (r.dataset, r.setting, r.variant))
+    datagen.write_table(path, [f.name for f in fields(row_type)],
+                        map(astuple, ordered), provenance)
+
+
 def write_aggregate_csv(rows: list[AggregateRow], path,
                         provenance: dict | None = None) -> None:
-    ordered = sorted(rows, key=lambda r: (r.dataset, r.setting, r.variant))
-    datagen.write_table(path, [f.name for f in fields(AggregateRow)],
-                        map(astuple, ordered), provenance)
+    _write_variant_table(AggregateRow, rows, path, provenance)
+
+
+def write_paired_csv(rows: list[PairedRow], path, provenance: dict | None = None) -> None:
+    _write_variant_table(PairedRow, rows, path, provenance)
 
 
 def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,

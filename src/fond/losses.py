@@ -285,8 +285,8 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
 
     Memory is one B x B buffer (the Gram matrix, its rows padded by at
     most 15 values, overwritten row block by row block with d loss /
-    d Gram), the K x B tables (K <= B), and scratch for up to two blocks
-    of ``XDOM_BLOCK_ROWS`` rows (three under ``similarity_scale``). Blocks
+    d Gram), the K x B tables (K <= B), and scratch for one block of
+    ``XDOM_BLOCK_ROWS`` rows (two under ``similarity_scale``). Blocks
     split rows only, so every row reduction still runs over one whole
     contiguous row, and each element sees the same float operations in
     the same order as the plain full-matrix formula: the result does not
@@ -348,8 +348,7 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
     # triangle into the lower one down each column. Past one block, a row
     # stride of an odd number of 64-byte cache lines spreads that walk over
     # the cache sets; a power-of-two stride (B = 1024) sends a whole column
-    # to one set. Padded rows are not contiguous, so blocks then work on a
-    # contiguous copy.
+    # to one set. Each block works in place in its padded Gram rows.
     lines = -(-n // 8)                              # 64-byte lines per row
     row_len = n if by_row else 8 * (lines | 1)
     gram = (np.empty((n, row_len)) if gram_buffer is None
@@ -358,14 +357,13 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
     num_term = np.empty(n)
     log_denom = np.empty(n)
     h = min(XDOM_BLOCK_ROWS, n)
-    st_s = None if row_len == n else np.empty((h, n))
     tmp_s = np.empty((h, n))
     alpha_s = None if numerator_mode else np.empty((h, n))
     # Past one block, numpy's buffered iterator, at its default 8,192
     # elements, grows the inner loop of the column-broadcast ufuncs
-    # (st - shift[:, None], st / denom[:, None]) and of the copy out of the
-    # padded Gram across rows, copying the broadcast column or the strided
-    # rows through its buffer. A buffer one row long (rounded up to the
+    # (st - shift[:, None], st / denom[:, None]) and of the passes over the
+    # padded Gram rows across rows, copying the broadcast column or the
+    # strided rows through its buffer. A buffer one row long (rounded up to the
     # multiple of 16 that numpy requires) keeps each inner loop to one row,
     # with nothing copied; every row reduction still sees its whole row.
     bufsize = None if by_row else np.setbufsize(-(-n // 16) * 16)
@@ -373,11 +371,11 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
         for r0 in range(0, n, h):
             rows = slice(r0, min(r0 + h, n))
             m = rows.stop - r0
-            st = gram[rows] if st_s is None else st_s[:m]
+            st = gram[rows]
             tmp = tmp_s[:m]
             diag = (np.arange(m), np.arange(r0, rows.stop))
 
-            np.divide(gram[rows], cfg.temperature, out=st)
+            np.divide(st, cfg.temperature, out=st)
             pos = anchor_rows(pos_rows, rows, tmp)
             pos[diag] = 0.0
             if numerator_mode:
@@ -407,7 +405,7 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
             np.add(coef, st, out=st)
             if not all_valid:
                 st[~valid[rows]] = 0.0
-            np.divide(st, cfg.temperature, out=gram[rows])
+            np.divide(st, cfg.temperature, out=st)
     finally:
         if bufsize is not None:
             np.setbufsize(bufsize)

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,13 @@ def cfg_path(tmp_path):
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def csv_records(path):
+    """The data rows of a ``datagen.write_table`` file, as dicts of strings."""
+    lines = Path(path).read_text().splitlines()[1:]   # past the provenance line
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
 TINY = Path(__file__).resolve().parents[1] / "configs" / "tiny_benchmark.json"
@@ -383,8 +390,9 @@ class TestTrain:
         assert digests == self.GOLDEN_DROPOUT[variant]
 
     # The search and benchmark records on the tiny config: the trials and
-    # winner of `fond search`, and the per-cell rows, aggregates and cell
-    # records (winners included) of a one-trial `fond benchmark`.
+    # winner of `fond search`, and the per-cell rows, aggregates, pairings
+    # with erm and cell records (winners included) of a one-trial
+    # `fond benchmark`.
     GOLDEN_RECORDS = {
         "search": {
             "search.json": "b1bea8558402969e9fd01ff3c29d7bb5be71277575d7e90a1a001537cdee6489",
@@ -392,6 +400,7 @@ class TestTrain:
         "benchmark": {
             "results.csv": "9cc6c4fea6eebce735d3776266f9196705e5f5574beba7b5e406c678ae1b4488",
             "aggregate.csv": "64cb6466911ea81bec469bcca3169e30557aeac08a1855e476a0dc5b4af7e3b4",
+            "paired.csv": "1154e5e0a4f135e7f5adecb445ecb1363ab0389a9dd67fa3bb79dbbe364f6a5e",
             "benchmark.json":
                 "195ce7e0dec3fe78cb542f1003320ac0c45cff6a2b2bd6b3182c8ee450737e57",
         },
@@ -893,6 +902,34 @@ print(json.dumps({{"codes": codes, "masked": "numpy.ma" in sys.modules}}))
         assert isinstance(row.winner, evalsel.TrialRecord) and row.winner.index == 0
         assert cli.run_benchmark_cell(replace(cfg, search=config.SearchConfig(n_trials=0)),
                                       "low", "fond", 1).winner is None
+
+    def test_paired_table_matches_results_across_jobs_and_reruns(self, tmp_path, capsys):
+        runs = [tmp_path / "serial", tmp_path / "parallel", tmp_path / "rerun"]
+        for out, jobs in zip(runs, ("1", "2", "1")):
+            assert run_cli("benchmark", "--config", str(TINY), "--out", str(out),
+                           "--jobs", jobs) == 0
+        paired = (runs[0] / "paired.csv").read_bytes()
+        assert all((out / "paired.csv").read_bytes() == paired for out in runs[1:])
+        scores = {(r["setting"], r["variant"], r["rep"]): r["y_l_acc"]
+                  for r in csv_records(runs[0] / "results.csv")}
+        table = csv_records(runs[0] / "paired.csv")
+        assert len(table) == 5 * 2                     # non-erm variants x settings
+        for row in table:                              # one rep: the mean is its difference
+            key = (row["setting"], row["variant"], "0")
+            assert row["reps"] == "1" and row["y_l_diff_se"] == ""
+            assert float(row["y_l_diff_mean"]) \
+                == float(scores[key]) - float(scores[(row["setting"], "erm", "0")])
+        printed = re.findall(r"^synthetic +(\w+) (\w+) +beats erm on y_l in [01]/1 reps, "
+                             r"on y_s in [01]/1$", capsys.readouterr().out, re.MULTILINE)
+        assert printed == [(r["setting"], r["variant"]) for r in table] * 3
+
+    def test_paired_table_without_erm_is_its_header(self, cfg_path, tmp_path):
+        out = tmp_path / "b"
+        assert run_cli("benchmark", "--config", str(cfg_path), "--out", str(out),
+                       "--set", "search.n_trials=0", "--set", 'benchmark.variants=["fond"]') == 0
+        lines = (out / "paired.csv").read_text().splitlines()
+        assert lines[0].startswith("# provenance: ")
+        assert lines[1:] == [",".join(f.name for f in fields(evalsel.PairedRow))]
 
     def test_skipping_search_leaves_winner_empty(self, cfg_path, tmp_path):
         out = tmp_path / "nosearch"

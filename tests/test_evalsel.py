@@ -1,6 +1,7 @@
 import ast
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,24 @@ class TestAggregation:
     def test_single_rep_has_no_se(self):
         agg = evalsel.aggregate(self.rows([0.9]))
         assert agg[0].y_l_mean == 0.9 and agg[0].y_l_se is None
+
+    def test_pairing_with_erm_per_rep(self):
+        rows = (self.rows([0.5, 0.75, None, 0.25], "fond")
+                + self.rows([0.25, 0.75, 0.5], "erm")          # no rep 3: fond's goes unpaired
+                + self.rows([0.5], "supcon")
+                + [replace(r, setting="low") for r in self.rows([0.5], "fond")])
+        assert [(p.setting, p.variant) for p in evalsel.pair_with_erm(rows)] \
+            == [("high", "fond"), ("high", "supcon")]        # low has no erm row
+        fond, supcon = evalsel.pair_with_erm(rows)
+        assert fond.reps == 3
+        # y_l: rep 2's None is skipped; rep 1's tie is not a win
+        assert (fond.y_l_diff_mean, fond.y_l_wins) == (0.125, 1)
+        assert fond.y_l_diff_se == pytest.approx(0.125)
+        # y_s ties in every rep
+        assert (fond.y_s_diff_mean, fond.y_s_diff_se, fond.y_s_wins) == (0.0, 0.0, 0)
+        assert (supcon.reps, supcon.y_l_diff_mean, supcon.y_l_diff_se, supcon.y_l_wins) \
+            == (1, 0.25, None, 1)
+        assert evalsel.pair_with_erm([r for r in rows if r.variant != "erm"]) == []
 
 
 class TestCsvWriters:
