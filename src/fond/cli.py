@@ -48,9 +48,11 @@ def build_dataset(cfg: RunConfig) -> datagen.Dataset:
     return datagen.generate_synthetic(cfg.dataset.synthetic, subseed(cfg.seed, "dataset"))
 
 
-def build_plan(cfg: RunConfig, dataset: datagen.Dataset, setting) -> datagen.SplitPlan:
+def build_plan(cfg: RunConfig, dataset: datagen.Dataset | None, setting) -> datagen.SplitPlan:
+    """The plan file if one is named, checked against the config, else a seeded draw."""
     if cfg.split.plan_path is not None:
-        return datagen.SplitPlan.load(cfg.split.plan_path)
+        plan = datagen.SplitPlan.load(cfg.split.plan_path)
+        return plan.check_split(setting, cfg.split.target_domain)
     return datagen.make_split_plan(dataset.class_set(), dataset.domain_set(),
                                    cfg.split.target_domain, setting,
                                    subseed(cfg.seed, "plan", setting))
@@ -102,19 +104,7 @@ def cmd_split(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
-    dataset = build_dataset(cfg)
-    plan = build_plan(cfg, dataset, cfg.split.setting)
-    net_cfg = _network_config(cfg, dataset, plan)
-    pool, target = datagen.apply_split(dataset, plan)
-    del dataset                  # the loop holds only its split and the target
-    params = networks.init_params(net_cfg, subseed(cfg.seed, "init"))
-    trainer_cfg = replace(cfg.trainer, seed=subseed(cfg.seed, "train"))
-    train_set, val_set = trainer.train_val_split(pool, trainer_cfg)
-    del pool
-    final, best, log = trainer.train(params, train_set, plan, cfg.loss, trainer_cfg,
-                                     val_set=val_set)
-    report = evalsel.evaluate(best, target, plan)
-
+    plan, final, best, log, report, _ = train_on_split(cfg, cfg.split.setting, cfg.seed)
     networks.save_checkpoint(best, out / "checkpoint_best.npz")
     networks.save_checkpoint(final, out / "checkpoint_final.npz")
     log.write_jsonl(out / "trainlog.jsonl")
@@ -161,8 +151,7 @@ def cmd_search(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("search needs search.n_trials >= 1")
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset, cfg.split.setting)
-    net_cfg = _network_config(cfg, dataset, plan)
-    result = _search_one(cfg, dataset, plan, net_cfg, cfg.seed)
+    result = _search_one(cfg, dataset, plan, _network_config(cfg, dataset, plan), cfg.seed)
     _write_json(out / "search.json", {
         "config": to_provenance(cfg),
         "trials": [asdict(t) for t in result.trials],
@@ -170,6 +159,30 @@ def cmd_search(cfg: RunConfig, out: Path) -> int:
     })
     print(f"winner trial {result.best_index} score {result.best_score}")
     return 0
+
+
+def train_on_split(cfg: RunConfig, setting, seed_root: int, tag: str = "", *,
+                   search: bool = False, log_steps: bool = True):
+    """The recipe of ``fond train`` and each benchmark cell, seeded by ``tag + "init"`` and
+    ``tag + "train"`` under ``seed_root``, with the search's winning hypers if ``search``.
+    Returns (plan, final, best, log, best's target report, winning trial or None)."""
+    dataset = build_dataset(cfg)
+    plan = build_plan(cfg, dataset, setting)
+    net_cfg = _network_config(cfg, dataset, plan)
+    loss_cfg, trainer_cfg, winner = cfg.loss, cfg.trainer, None
+    if search:
+        result = _search_one(cfg, dataset, plan, net_cfg, seed_root)
+        winner = result.trials[result.best_index]
+        loss_cfg, trainer_cfg = evalsel.apply_hyper(loss_cfg, trainer_cfg, winner.hyper)
+    pool, target = datagen.apply_split(dataset, plan)
+    del dataset                  # the loop holds only its split and the target
+    params = networks.init_params(net_cfg, subseed(seed_root, tag + "init"))
+    trainer_cfg = replace(trainer_cfg, seed=subseed(seed_root, tag + "train"))
+    train_set, val_set = trainer.train_val_split(pool, trainer_cfg)
+    del pool
+    final, best, log = trainer.train(params, train_set, plan, loss_cfg, trainer_cfg,
+                                     val_set=val_set, log_steps=log_steps)
+    return plan, final, best, log, evalsel.evaluate(best, target, plan), winner
 
 
 def run_benchmark_cell(cfg: RunConfig, setting, variant: str,
@@ -181,29 +194,10 @@ def run_benchmark_cell(cfg: RunConfig, setting, variant: str,
     every variant trains from the same initialization on the same batch
     sequence, so per-repetition comparisons isolate the objective.
     """
-    dataset = build_dataset(cfg)
-    plan = build_plan(cfg, dataset, setting)
-    net_cfg = _network_config(cfg, dataset, plan)
     cell_seed = subseed(cfg.seed, "cell", setting, rep)
-
-    loss_cfg = replace(cfg.loss, variant=variant)
-    trainer_cfg = cfg.trainer
-    cell_cfg = replace(cfg, loss=loss_cfg)
-    winner = None
-    if cfg.search.n_trials >= 1:
-        result = _search_one(cell_cfg, dataset, plan, net_cfg, cell_seed)
-        winner = result.trials[result.best_index]
-        loss_cfg, trainer_cfg = evalsel.apply_hyper(loss_cfg, trainer_cfg, winner.hyper)
-
-    pool, target = datagen.apply_split(dataset, plan)
-    del dataset                  # the loop holds only its split and the target
-    params = networks.init_params(net_cfg, subseed(cell_seed, "final-init"))
-    final_cfg = replace(trainer_cfg, seed=subseed(cell_seed, "final-train"))
-    train_set, val_set = trainer.train_val_split(pool, final_cfg)
-    del pool
-    _, best, _ = trainer.train(params, train_set, plan, loss_cfg, final_cfg,
-                               val_set=val_set, log_steps=False)
-    report = evalsel.evaluate(best, target, plan)
+    cell_cfg = replace(cfg, loss=replace(cfg.loss, variant=variant))
+    *_, report, winner = train_on_split(cell_cfg, setting, cell_seed, "final-",
+                                        search=cfg.search.n_trials >= 1, log_steps=False)
     return evalsel.ResultRow(dataset=cfg.dataset.name, setting=str(setting),
                              variant=variant, rep=rep, y_l_accuracy=report.y_l_accuracy,
                              y_s_accuracy=report.y_s_accuracy,
@@ -217,15 +211,11 @@ def worker_count(jobs: int, cells: int, cpus: int | None) -> int:
 
 
 def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
-    # every setting's shared-class count, before the first cell trains; a
-    # plan file fixes the split of every cell, so each setting must name it
-    plan = None if cfg.split.plan_path is None else datagen.SplitPlan.load(cfg.split.plan_path)
-    num_classes = len(build_dataset(cfg).class_set() if plan is None else plan.classes)
+    # every setting's plan, before the first cell trains (a plan file must match each)
+    dataset = None if cfg.split.plan_path is not None else build_dataset(cfg)
     for setting in cfg.benchmark.settings:
-        shared = datagen.shared_class_count(num_classes, setting)
-        if plan is not None and shared != len(plan.shared_classes):
-            raise ConfigError(f"setting {setting!r} shares {shared} of {num_classes} classes, "
-                              f"but the plan file shares {len(plan.shared_classes)}")
+        build_plan(cfg, dataset, setting)
+    del dataset
     cells = [(setting, variant, rep)
              for setting in cfg.benchmark.settings
              for variant in cfg.benchmark.variants

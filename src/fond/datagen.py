@@ -45,7 +45,6 @@ _SHARED_PRESETS = {5: (2, 4), 7: (3, 5), 65: (25, 50)}
 _INGEST_ROWS = 64
 
 
-
 @dataclass
 class Dataset:
     """Columnar sample store. ids are stable across subsetting."""
@@ -291,6 +290,17 @@ class SplitPlan:
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ContractError(f"{path} is not a valid split plan: "
                                     f"{type(exc).__name__}: {exc}") from None
+
+    def check_split(self, setting, target_domain: int) -> "SplitPlan":
+        """This plan if it is of ``setting`` and holds out ``target_domain``; else ConfigError."""
+        n, shared = len(self.classes), len(self.shared_classes)
+        if shared_class_count(n, setting) != shared:
+            raise ConfigError(f"setting {setting!r} shares {shared_class_count(n, setting)} "
+                              f"of {n} classes, but the plan file shares {shared}")
+        if target_domain != self.target_domain:
+            raise ConfigError(f"split.target_domain is {target_domain}, "
+                              f"but the plan file holds out domain {self.target_domain}")
+        return self
 
 
 def shared_class_count(num_classes: int, setting) -> int:

@@ -463,14 +463,25 @@ class TestErrorExits:
         assert len(lines) == 1
         assert json.loads(lines[0])["message"].startswith("shared class count 99 invalid")
 
-    def benchmark_on_low_plan(self, tmp_path, *overrides):
+    def run_on_low_plan(self, tmp_path, command, *overrides):
         """`fond split` on the tiny config (setting low: 2 of 5 classes
-        shared), then a one-variant benchmark without search on that plan."""
+        shared; target domain 0), then ``command`` on that plan file, with
+        its output in ``tmp_path / "run"``."""
         assert run_cli("split", "--config", str(TINY), "--out", str(tmp_path / "sp")) == 0
         plan = json.dumps(str(tmp_path / "sp" / "plan.json"))
-        return run_cli("benchmark", "--config", str(TINY), "--out", str(tmp_path / "bench"),
-                       "--set", f"split.plan_path={plan}", "--set", 'benchmark.variants=["erm"]',
-                       "--set", "search.n_trials=0", *overrides)
+        argv = [command, "--config", str(TINY), "--out", str(tmp_path / "run"),
+                "--set", f"split.plan_path={plan}", *overrides]
+        if command == "dump-embeddings":
+            ckpt = tmp_path / "model.npz"
+            networks.save_checkpoint(networks.init_params(
+                networks.NetworkConfig(input_dim=8, num_classes=5), 0), ckpt)
+            argv += ["--checkpoint", str(ckpt)]
+        return run_cli(*argv)
+
+    def benchmark_on_low_plan(self, tmp_path, *overrides):
+        """A one-variant benchmark without search on the low plan."""
+        return self.run_on_low_plan(tmp_path, "benchmark", "--set", 'benchmark.variants=["erm"]',
+                                    "--set", "search.n_trials=0", *overrides)
 
     def test_plan_file_of_another_setting_exits_before_any_training(
             self, tmp_path, capsys, monkeypatch):
@@ -486,12 +497,46 @@ class TestErrorExits:
         assert payload["type"] == "ConfigError"
         assert payload["message"] == ("setting 'high' shares 4 of 5 classes, "
                                       "but the plan file shares 2")
-        assert not (tmp_path / "bench" / "results.csv").exists()
+        assert not (tmp_path / "run" / "results.csv").exists()
 
     def test_plan_file_of_the_named_setting_runs(self, tmp_path):
         assert self.benchmark_on_low_plan(tmp_path, "--set", 'benchmark.settings=["low"]') == 0
-        rows = (tmp_path / "bench" / "results.csv").read_text().splitlines()[2:]
+        rows = (tmp_path / "run" / "results.csv").read_text().splitlines()[2:]
         assert [row.split(",")[:4] for row in rows] == [["synthetic", "low", "erm", "0"]]
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_plan_file_of_another_target_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        # the run evaluated on the plan file's target, domain 0, while its
+        # provenance recorded target_domain 2
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        code = self.run_on_low_plan(tmp_path, command, "--set", "split.target_domain=2")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        assert payload["message"] == ("split.target_domain is 2, "
+                                      "but the plan file holds out domain 0")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "search", "dump-embeddings"])
+    def test_plan_file_of_another_setting_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        # `train` wrote run.json with setting "high" for a model trained on
+        # the plan file's low split
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        code = self.run_on_low_plan(tmp_path, command, "--set", "split.setting=high")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        assert payload["message"] == ("setting 'high' shares 4 of 5 classes, "
+                                      "but the plan file shares 2")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

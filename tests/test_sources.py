@@ -51,3 +51,19 @@ def test_one_writer_for_float_rows():
     assert sorted(name for name, text in sources.items() if "float_rows(" in text) \
         == ["fond/datagen.py", "fond/evalsel.py", "fond/floatrows.py"]
     assert [name for name, text in sources.items() if FLOATROWS_IMPORT.search(text)] == []
+
+
+def test_one_loader_for_split_plans_and_one_training_recipe():
+    # a plan file is loaded, and checked against split.setting and
+    # split.target_domain, in cli.build_plan alone; cmd_train and the
+    # benchmark cells share one recipe, so the cli splits a pool once
+    sources = {path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert [name for name, text in sources.items() if "SplitPlan.load(" in text] \
+        == ["fond/cli.py"]
+    cli_text = sources["fond/cli.py"]
+    build_plan = re.search(r"^def build_plan\(.*?(?=^\S)", cli_text, re.MULTILINE | re.DOTALL)
+    assert build_plan and "SplitPlan.load(" in build_plan.group(0)
+    assert cli_text.count("SplitPlan.load(") == 1
+    assert cli_text.count("trainer.train_val_split(") == 1
+    assert "datagen.shared_class_count(" not in cli_text
