@@ -48,7 +48,7 @@ def build_dataset(cfg: RunConfig) -> datagen.Dataset:
     return datagen.generate_synthetic(cfg.dataset.synthetic, subseed(cfg.seed, "dataset"))
 
 
-def build_plan(cfg: RunConfig, dataset: datagen.Dataset | None, setting) -> datagen.SplitPlan:
+def build_plan(cfg: RunConfig, dataset: datagen.Dataset, setting) -> datagen.SplitPlan:
     """The plan file if one is named, checked against the config, else a seeded draw."""
     if cfg.split.plan_path is not None:
         plan = datagen.SplitPlan.load(cfg.split.plan_path)
@@ -211,10 +211,10 @@ def worker_count(jobs: int, cells: int, cpus: int | None) -> int:
 
 
 def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
-    # every setting's plan, before the first cell trains (a plan file must match each)
-    dataset = None if cfg.split.plan_path is not None else build_dataset(cfg)
+    # every setting's plan, checked against the config and the data before the first cell
+    dataset = build_dataset(cfg)
     for setting in cfg.benchmark.settings:
-        build_plan(cfg, dataset, setting)
+        build_plan(cfg, dataset, setting).check_data(dataset)
     del dataset
     cells = [(setting, variant, rep)
              for setting in cfg.benchmark.settings

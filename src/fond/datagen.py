@@ -32,6 +32,7 @@ from .errors import (
     CsvFormatError,
     DegenerateInputError,
     PlanMismatchError,
+    require_finite,
 )
 from .seeding import rng_for
 
@@ -113,6 +114,7 @@ class SyntheticSpec:
     prototype_seed: int | None = None
 
     def __post_init__(self):
+        require_finite(shift=self.shift, noise_std=self.noise_std, label_noise=self.label_noise)
         if self.num_domains < 2:
             raise ConfigError(f"num_domains must be >= 2, got {self.num_domains}")
         if self.num_classes < 3:
@@ -302,6 +304,18 @@ class SplitPlan:
                               f"but the plan file holds out domain {self.target_domain}")
         return self
 
+    def check_data(self, dataset: Dataset) -> "SplitPlan":
+        """This plan if it plans every class of ``dataset`` and the data's domains are
+        exactly its target and its sources; else PlanMismatchError."""
+        unplanned = dataset.class_set() - self.classes
+        if unplanned:
+            raise PlanMismatchError(f"dataset classes {sorted(unplanned)} are not in the plan")
+        planned = sorted({self.target_domain, *self.source_domains})
+        if sorted(dataset.domain_set()) != planned:
+            raise PlanMismatchError(f"dataset domains {sorted(dataset.domain_set())} are not "
+                                    f"the plan's {planned} (target {self.target_domain})")
+        return self
+
 
 def shared_class_count(num_classes: int, setting) -> int:
     """Size of the shared group for a named setting or an explicit count.
@@ -385,19 +399,11 @@ def apply_split(dataset: Dataset, plan: SplitPlan):
     The pool keeps sample (x, y, s) iff s is a source domain that the
     plan assigns class y to; the target set keeps every target-domain
     sample. Availability restriction applies only to source domains.
+    ``SplitPlan.check_data`` first checks that the plan fits the data.
     """
-    data_classes = dataset.class_set()
-    plan_classes = set(plan.classes)
-    if not data_classes <= plan_classes:
-        missing = sorted(data_classes - plan_classes)
-        raise PlanMismatchError(f"dataset classes {missing} absent from the plan")
-    plan_domains = set(plan.source_domains) | {plan.target_domain}
-    extra = dataset.domain_set() - plan_domains
-    if extra:
-        raise PlanMismatchError(f"dataset domains {sorted(extra)} absent from the plan")
-
+    plan.check_data(dataset)
     keep = np.zeros(len(dataset), dtype=bool)
-    for c in plan_classes:
+    for c in plan.classes:
         allowed = np.isin(dataset.domains, sorted(plan.assignment[c]))
         keep |= (dataset.labels == c) & allowed
     source_pool = dataset.subset(np.flatnonzero(keep))

@@ -538,6 +538,80 @@ class TestErrorExits:
                                       "but the plan file shares 2")
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
+    def run_without_domain(self, tmp_path, monkeypatch, domain, command, *overrides):
+        """``command`` on the tiny config with a `fond split` plan (target 0,
+        sources 1-3) and its `fond generate` data minus the rows of
+        ``domain``; any training fails the test."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        assert run_cli("generate", "--config", str(TINY), "--out", str(tmp_path / "g")) == 0
+        assert run_cli("split", "--config", str(TINY), "--out", str(tmp_path / "sp")) == 0
+        lines = (tmp_path / "g" / "dataset.csv").read_text().splitlines(keepends=True)
+        csv = tmp_path / "partial.csv"
+        csv.write_text("".join(line for line in lines
+                               if not line[0].isdigit() or line.split(",")[1] != str(domain)))
+        monkeypatch.setattr(trainer, "train", no_training)
+        plan = json.dumps(str(tmp_path / "sp" / "plan.json"))
+        return run_cli(command, "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       "--set", "dataset.synthetic=null",
+                       "--set", f"dataset.csv_path={json.dumps(str(csv))}",
+                       "--set", f"split.plan_path={plan}", *overrides)
+
+    def assert_domain_mismatch(self, capsys, domain):
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "PlanMismatchError"
+        kept = sorted({0, 1, 2, 3} - {domain})
+        assert payload["message"] == (f"dataset domains {kept} are not the plan's "
+                                      f"[0, 1, 2, 3] (target 0)")
+
+    @pytest.mark.parametrize("domain", [0, 2], ids=["target", "source"])
+    @pytest.mark.parametrize("command", ["train", "search"])
+    def test_data_without_a_plan_domain_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, command, domain):
+        # without the target, `train` trained and exited 3 (cannot evaluate
+        # on an empty set) and `search` exited 0; without source 2, `train`
+        # exited 0 and `search` exited 3 after its folds trained
+        code = self.run_without_domain(tmp_path, monkeypatch, domain, command)
+        assert code == cli.EXIT_CONFIG
+        self.assert_domain_mismatch(capsys, domain)
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+    @pytest.mark.parametrize("domain", [0, 2], ids=["target", "source"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_benchmark_on_data_without_a_plan_domain_starts_no_cell(
+            self, tmp_path, capsys, monkeypatch, jobs, domain):
+        # the pre-check read no data for a plan file, so the cells started
+        # and, without the target, exited 3 at their first evaluation
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        monkeypatch.setattr(cli, "run_benchmark_cell", functools.partial(_mark_cell, markers))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code = self.run_without_domain(tmp_path, monkeypatch, domain, "benchmark",
+                                       "--jobs", jobs, "--set", "search.n_trials=0",
+                                       "--set", 'benchmark.settings=["low"]',
+                                       "--set", 'benchmark.variants=["erm"]',
+                                       "--set", "benchmark.reps=2")
+        assert code == cli.EXIT_CONFIG
+        self.assert_domain_mismatch(capsys, domain)
+        assert list(markers.iterdir()) == []
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+    @pytest.mark.parametrize("override", ["dataset.synthetic.shift=NaN",
+                                          "dataset.synthetic.noise_std=Infinity",
+                                          "dataset.synthetic.label_noise=NaN"])
+    def test_non_finite_synthetic_value_names_its_field(self, tmp_path, capsys, override):
+        # shift=NaN failed after generation with "features contain
+        # non-finite values", which names no field
+        code = run_cli("generate", "--config", str(TINY), "--out", str(tmp_path / "g"),
+                       "--set", override)
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        field, value = override.split(".")[-1].split("=")
+        assert payload["message"] == f"{field} must be finite, got {float(value)!r}"
+        assert not (tmp_path / "g" / "dataset.csv").exists()
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"trainer": {"lr": 1}}))
@@ -714,23 +788,37 @@ class TestErrorExits:
         assert payload["message"] == "the model has 5 classes, the plan 7"
         assert not (out / "embeddings.csv").exists()
 
+    def dump_tiny(self, tmp_path, params, *overrides):
+        """`dump-embeddings` on the tiny config with ``params`` as the
+        checkpoint, its output in ``tmp_path / "emb"``."""
+        ckpt = tmp_path / "model.npz"
+        networks.save_checkpoint(params, ckpt)
+        return run_cli("dump-embeddings", "--config", str(TINY), "--out", str(tmp_path / "emb"),
+                       "--checkpoint", str(ckpt), *overrides)
+
+    def test_dump_with_checkpoint_of_another_width_exit_2(self, tmp_path, capsys):
+        # the dump wrote its header, then the forward pass exited 3 with a ShapeError
+        params = networks.init_params(networks.NetworkConfig(input_dim=8, num_classes=5), 0)
+        code = self.dump_tiny(tmp_path, params, "--set", "dataset.synthetic.input_dim=6")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ContractError"
+        assert payload["message"] == "the model takes 8 input features, the data 6"
+        assert not (tmp_path / "emb" / "embeddings.csv").exists()
+
+    def test_failed_dump_leaves_no_embeddings_file(self, tmp_path, capsys):
+        # finite parameters that overflow in the first block: the dump
+        # exited 3 and left a file holding only the header
+        params = networks.init_params(networks.NetworkConfig(input_dim=8, num_classes=5), 0)
+        params.flat *= 1e200
+        assert self.dump_tiny(tmp_path, params) == cli.EXIT_NUMERIC
+        assert self.only_error_line(capsys)["error"] == "numerical"
+        assert not (tmp_path / "emb" / "embeddings.csv").exists()
+
     def test_missing_config_exit_4(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         assert run_cli("train", "--config", str(missing)) == cli.EXIT_IO
         assert self.read_error(capsys)["error"] == "io"
-
-    def test_shape_mismatch_exit_3(self, cfg_path, tmp_path, capsys):
-        # checkpoint trained for a different input width
-        other = networks.NetworkConfig(input_dim=5, num_classes=4, feature_dim=8,
-                                       projection_dim=4, f_hidden=(12,),
-                                       p_hidden=(16,))
-        ckpt = tmp_path / "mismatched.npz"
-        networks.save_checkpoint(networks.init_params(other, 0), ckpt)
-        out = tmp_path / "emb"
-        code = run_cli("dump-embeddings", "--config", str(cfg_path),
-                       "--out", str(out), "--checkpoint", str(ckpt))
-        assert code == cli.EXIT_NUMERIC
-        assert self.read_error(capsys)["error"] == "numerical"
 
     def test_divergence_exit_3_names_step(self, tmp_path, capsys):
         code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "div"),
@@ -838,6 +926,13 @@ def _fail_first_cell(marker_dir, cfg, setting, variant, rep):
     (Path(marker_dir) / f"started-{setting}-{variant}-{rep}").touch()
     time.sleep(0.1)
     return {}
+
+
+def _mark_cell(marker_dir, cfg, setting, variant, rep):
+    """Stand-in benchmark cell that leaves a marker file in ``marker_dir``
+    and fails: no test that uses it may start a cell."""
+    (Path(marker_dir) / f"started-{setting}-{variant}-{rep}").touch()
+    raise AssertionError("a benchmark cell started")
 
 
 class TestBenchmark:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -214,6 +215,28 @@ class TestSplitPlan:
         assert plan.class_codes(np.array([], dtype=np.int64)).tolist() == []
         with pytest.raises(ContractError, match=r"labels \[-1, 3, 9\] are not in the plan"):
             plan.class_codes([9, 3, 0, -1, 3])
+
+    def test_check_data_wants_planned_classes_and_exactly_the_plan_domains(self):
+        ds = datagen.generate_synthetic(small_spec(num_domains=4, num_classes=5), 21)
+        plan = datagen.make_split_plan(range(5), 4, 0, "low", 22)
+        assert plan.check_data(ds) is plan
+        # a planned class the data lacks is no mismatch
+        assert plan.check_data(ds.subset(np.flatnonzero(ds.labels != 3))) is plan
+        unplanned = datagen.make_split_plan(range(4), 4, 0, "low", 22)
+        with pytest.raises(PlanMismatchError, match=r"dataset classes \[4\] are not in the plan"):
+            unplanned.check_data(ds)
+        extra = datagen.make_split_plan(range(5), 3, 0, "low", 22)
+        with pytest.raises(PlanMismatchError,
+                           match=r"dataset domains \[0, 1, 2, 3\] are not the plan's "
+                                 r"\[0, 1, 2\] \(target 0\)"):
+            extra.check_data(ds)
+        for missing in (0, 2):
+            partial = ds.subset(np.flatnonzero(ds.domains != missing))
+            kept = sorted({0, 1, 2, 3} - {missing})
+            with pytest.raises(PlanMismatchError,
+                               match=re.escape(f"dataset domains {kept} are not the plan's "
+                                               f"[0, 1, 2, 3] (target 0)")):
+                plan.check_data(partial)
 
 
 class TestApplySplit:

@@ -67,3 +67,27 @@ def test_one_loader_for_split_plans_and_one_training_recipe():
     assert cli_text.count("SplitPlan.load(") == 1
     assert cli_text.count("trainer.train_val_split(") == 1
     assert "datagen.shared_class_count(" not in cli_text
+
+
+PLAN_MISMATCH = re.compile(r"(?<!class )\bPlanMismatchError\(")
+
+
+def test_one_rule_for_plan_versus_data():
+    # a plan that the data does not fit is reported by SplitPlan.check_data
+    # alone, and benchmark's pre-check runs it on the data for a plan file
+    # too, so it never branches on split.plan_path
+    sources = {path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert [name for name, text in sources.items() if PLAN_MISMATCH.search(text)] \
+        == ["fond/datagen.py"]
+    datagen_text = sources["fond/datagen.py"]
+    check_data = re.search(r"^    def check_data\(.*?(?=^    \S|^\S)", datagen_text,
+                           re.MULTILINE | re.DOTALL)
+    assert check_data
+    assert 0 < len(PLAN_MISMATCH.findall(check_data.group(0))) \
+        == len(PLAN_MISMATCH.findall(datagen_text))
+    cli_text = sources["fond/cli.py"]
+    cmd_benchmark = re.search(r"^def cmd_benchmark\(.*?(?=^\S)", cli_text, re.MULTILINE | re.DOTALL)
+    assert cmd_benchmark and "plan_path" not in cmd_benchmark.group(0)
+    build_plan = re.search(r"^def build_plan\(.*?(?=^\S)", cli_text, re.MULTILINE | re.DOTALL)
+    assert build_plan and "None" not in build_plan.group(0).split(":\n")[0]
