@@ -24,13 +24,18 @@ class ConfigError(ValueError):
 
 
 def require_finite(**values) -> None:
-    """Raise ConfigError naming the first value that is NaN or infinite.
+    """Raise ConfigError naming the first value that is NaN, infinite or
+    an integer too large for a float (where math.isfinite overflows).
 
     Range checks such as ``x < 0`` are false for NaN, so config classes
     call this before them.
     """
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be finite, got an int too large for a float") from None
+        if not finite:
             raise ConfigError(f"{name} must be finite, got {value!r}")
 
 

@@ -28,7 +28,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 import numpy as np
 
 from . import datagen, losses, ndcore, networks
-from .errors import ConfigError, ContractError, DegenerateInputError
+from .errors import ConfigError, ContractError, DegenerateInputError, require_finite
 from .seeding import rng_for, subseed
 
 
@@ -141,8 +141,9 @@ class HyperSpace:
     def __post_init__(self):
         for name in self._ORDER:
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ConfigError(f"{name} range ({lo}, {hi}) is inverted or not finite")
+            require_finite(**{f"{name}[0]": lo, f"{name}[1]": hi})
+            if not lo <= hi:
+                raise ConfigError(f"{name} range ({lo}, {hi}) is inverted")
             if name in self._LOG_FIELDS and lo <= 0:
                 raise ConfigError(f"{name} is drawn log-uniformly and needs lo > 0")
             if lo < self._MIN_LO.get(name, -math.inf):

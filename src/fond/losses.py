@@ -14,7 +14,9 @@ two scalars:
 ``alpha_mode`` selects where alpha enters: ``numerator_scale`` multiplies
 the numerator term (so it shifts the loss by a constant and leaves the
 gradient untouched), ``similarity_scale`` multiplies the similarity
-inside the exponential (so it reshapes the gradient too).
+inside the exponential (so it reshapes the gradient too). Either mode,
+and every alpha and beta, only set the values of ``xdom_loss``'s one
+positive-weight table and its beta table: all run one formula.
 
 Inputs are checked where they enter the objective: ``BatchAnnotations``
 checks its arrays' ranks and lengths (and, given ``num_classes``, the
@@ -274,23 +276,25 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
     but not its class, else 1. Anchors with no positives are skipped
     (an all-skipped batch scores 0). Returns (loss, grad_z).
 
-    Row i of every mask and weight matrix (positives, beta, alpha, the
-    gradient's -dnum / |P(i)| term and the log(a) row sum) depends only
-    on anchor i's (class, domain) pair, apart from its own diagonal
-    entry. So they are built once per call as tables with one row per
-    key, and each row block copies its anchors' rows out of them and
-    sets the diagonal. A batch that fits one block keys each row by
-    itself (the tables are then the masks, read in place); a larger one
-    keys rows by their distinct (class, domain) pairs, K of them.
+    Row i of each table (the positive weights, 1 on same-class pairs and
+    a on cross-domain ones under ``similarity_scale``, which serve both
+    the numerator sum and the gradient's -weight / |P(i)| term; beta; the
+    ``numerator_scale`` log(a) row sum) depends only on anchor i's (class,
+    domain) pair, apart from its own diagonal entry. So the tables have
+    one row per key, and each row block copies its anchors' rows out of
+    them and sets the diagonal; every alpha mode, a and b run one loop. A
+    batch that fits one block keys each row by itself (the tables are read
+    in place); a larger one keys rows by their distinct (class, domain)
+    pairs, K of them.
 
     Memory is one B x B buffer (the Gram matrix, its rows padded by at
     most 15 values, overwritten row block by row block with d loss /
     d Gram), the K x B tables (K <= B), and scratch for one block of
-    ``XDOM_BLOCK_ROWS`` rows (two under ``similarity_scale``). Blocks
-    split rows only, so every row reduction still runs over one whole
-    contiguous row, and each element sees the same float operations in
-    the same order as the plain full-matrix formula: the result does not
-    depend on the block height, the keying or the padding, bit for bit.
+    ``XDOM_BLOCK_ROWS`` rows. Blocks split rows only, so every row
+    reduction still runs over one whole contiguous row, and each element
+    sees the same float operations in the same order as the plain
+    full-matrix formula: the result does not depend on the block height,
+    the keying or the padding, bit for bit.
     The B x B buffer comes from ``gram_buffer`` when given (a training
     passes one for all its steps), else it is allocated for the call.
     """
@@ -318,22 +322,18 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
     valid = n_pos > 0
     if not valid.any():
         return 0.0, np.zeros_like(z)
-    all_valid = bool(valid.all())
     safe_npos = np.maximum(n_pos, 1.0)
     same_domain = domains[keys, None] == domains
     cross_pos = same_class > same_domain            # same class, other domain
-    numerator_mode = cfg.alpha_mode == "numerator_scale"
-    if numerator_mode:
-        # a == 1 adds log(1) = +0.0 per term, so each row sum is +0.0
-        log_alpha_sum = (0.0 if cfg.a == 1.0 else
-                         np.where(cross_pos, np.log(cfg.a), 0.0).sum(axis=1)[key_of])
-        dnum_rows = pos_rows
+    # positive weights: a across domains under similarity_scale, else 1
+    if cfg.alpha_mode == "numerator_scale":
+        log_alpha_sum = np.where(cross_pos, np.log(cfg.a), 0.0).sum(axis=1)[key_of]
     else:
-        alpha_rows = np.where(cross_pos, cfg.a, 1.0)
-        dnum_rows = np.where(same_class, alpha_rows, 0.0)
+        log_alpha_sum = -0.0                        # x + -0.0 is x, signed zeros too
+        pos_rows = np.where(cross_pos, cfg.a, pos_rows)
     # the gradient's -dnum / |P(i)|, as dnum / -|P(i)| (the same bits)
-    coef_rows = dnum_rows / -safe_npos[:, None]
-    beta_rows = None if cfg.b == 1.0 else np.where(same_domain > same_class, cfg.b, 1.0)
+    coef_rows = pos_rows / -safe_npos[:, None]
+    beta_rows = np.where(same_domain > same_class, cfg.b, 1.0)
     safe_npos, valid = safe_npos[key_of], valid[key_of]
 
     def anchor_rows(table, rows, out):
@@ -358,7 +358,6 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
     log_denom = np.empty(n)
     h = min(XDOM_BLOCK_ROWS, n)
     tmp_s = np.empty((h, n))
-    alpha_s = None if numerator_mode else np.empty((h, n))
     # Past one block, numpy's buffered iterator, at its default 8,192
     # elements, grows the inner loop of the column-broadcast ufuncs
     # (st - shift[:, None], st / denom[:, None]) and of the passes over the
@@ -378,13 +377,7 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
             np.divide(st, cfg.temperature, out=st)
             pos = anchor_rows(pos_rows, rows, tmp)
             pos[diag] = 0.0
-            if numerator_mode:
-                np.multiply(st, pos, out=tmp)
-            else:
-                alpha_st = np.multiply(anchor_rows(alpha_rows, rows, alpha_s[:m]), st,
-                                       out=alpha_s[:m])
-                np.multiply(alpha_st, pos, out=tmp)
-            num_term[rows] = tmp.sum(axis=1)
+            num_term[rows] = np.multiply(st, pos, out=tmp).sum(axis=1)
 
             # row-max shift over the denominator's index set (a != i) keeps
             # exp bounded; the -inf diagonal also makes exp give its 0 there.
@@ -393,8 +386,7 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
             shift = st.max(axis=1)
             np.subtract(st, shift[:, None], out=st)
             np.exp(st, out=st)
-            if beta_rows is not None:
-                np.multiply(anchor_rows(beta_rows, rows, tmp), st, out=st)
+            np.multiply(anchor_rows(beta_rows, rows, tmp), st, out=st)
             denom = st.sum(axis=1)
             log_denom[rows] = shift + np.log(denom)
 
@@ -403,38 +395,32 @@ def xdom_loss(z, ann: BatchAnnotations, cfg: LossConfig, *,
             coef[diag] = -0.0                            # 0.0 / -|P(i)|
             np.divide(st, denom[:, None], out=st)
             np.add(coef, st, out=st)
-            if not all_valid:
-                st[~valid[rows]] = 0.0
+            st[~valid[rows]] = 0.0
             np.divide(st, cfg.temperature, out=st)
     finally:
         if bufsize is not None:
             np.setbufsize(bufsize)
 
-    if numerator_mode:
-        num_term += log_alpha_sum
-    per_anchor = -num_term / safe_npos + log_denom
+    per_anchor = -(num_term + log_alpha_sum) / safe_npos + log_denom
     loss = float(per_anchor[valid].sum())
     grad_z = gram @ z + gram.T @ z
     return loss, grad_z
 
 
-def fair_loss(probs, labels, linked_mask, *, ce: np.ndarray | None = None,
-              resid: np.ndarray | None = None,
+def fair_loss(probs, labels, linked_mask, *, resid: np.ndarray | None = None,
               group_ce: tuple[float | None, float | None] | None = None):
     """Absolute gap between the two groups' mean cross-entropies.
 
     Groups are the linked-class samples and the rest (``linked_mask``, one
     flag per row). A batch missing either group scores 0 with zero
     gradient; at an exact tie the subgradient 0 is used. Gradient is wrt
-    logits. The inputs, ``ce`` and ``resid`` are as in ``task_loss``;
-    ``group_ce`` is ``_group_means(ce, linked_mask)`` when the caller has
-    it.
+    logits. The inputs and ``resid`` are as in ``task_loss``; ``group_ce``
+    is ``_group_means(_true_label_ce(probs, labels), linked_mask)`` when
+    the caller has it.
     """
     linked = np.asarray(linked_mask, dtype=bool)
     if group_ce is None:
-        if ce is None:
-            ce = _true_label_ce(probs, labels)
-        group_ce = _group_means(ce, linked)
+        group_ce = _group_means(_true_label_ce(probs, labels), linked)
     ce_l, ce_s = group_ce
     if ce_l is None or ce_s is None:
         return 0.0, np.zeros_like(probs)
@@ -517,7 +503,7 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig, *,
 
     fair = 0.0
     if cfg.lambda_fair > 0:
-        fair, g_fair = fair_loss(probs, labels, ann.linked_mask, ce=ce, resid=resid,
+        fair, g_fair = fair_loss(probs, labels, ann.linked_mask, resid=resid,
                                  group_ce=group_ce)
         g_fair *= cfg.lambda_fair
         grad_logits += g_fair

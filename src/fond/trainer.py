@@ -70,6 +70,12 @@ class TrainerConfig:
                        adam_eps=self.adam_eps)
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # beta = 1 divides a bias correction by 0, eps = 0 divides by sqrt(vhat) = 0
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.adam_eps <= 0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
         if not self.max_steps >= self.eval_every >= 1:
             raise ConfigError(
                 f"need max_steps >= eval_every >= 1, got {self.max_steps} / {self.eval_every}")

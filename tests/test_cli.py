@@ -859,6 +859,35 @@ class TestErrorExits:
         assert payload["type"] == "ConfigError"
         assert override.split("=")[0].split(".")[1] in payload["message"]
 
+    @pytest.mark.parametrize("key", ["loss.a", "dataset.synthetic.shift",
+                                     "trainer.learning_rate", "search.space.a"])
+    def test_integer_too_large_for_a_float_exit_2(self, tmp_path, capsys, key):
+        # math.isfinite raised OverflowError on such a JSON integer: exit 1
+        # with a traceback
+        huge = "1" + "0" * 400
+        value = f"[1, {huge}]" if key == "search.space.a" else huge
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "big"),
+                       "--set", f"{key}={value}")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        assert payload["message"].startswith(key.split(".")[-1])
+        assert "too large for a float" in payload["message"]
+
+    @pytest.mark.parametrize("override", [
+        "trainer.adam_beta1=1.0", "trainer.adam_beta2=1.0", "trainer.adam_eps=0",
+        "trainer.adam_beta1=1.5", "trainer.adam_beta2=2", "trainer.adam_eps=-1e-8"])
+    def test_adam_value_outside_adam_domain_exit_2(self, tmp_path, capsys, override):
+        # the first three exited 3 after step 1, the last three trained and
+        # exited 0
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "adam"),
+                       "--set", override)
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        assert payload["message"].startswith(override.split("=")[0].split(".")[1])
+        assert not (tmp_path / "adam" / "trainlog.jsonl").exists()
+
     def test_nonfinite_loss_error_pickles(self):
         # a --jobs worker's exception reaches the parent through pickle
         err = NonFiniteLossError(7, {"task": float("inf"), "total": float("inf")})

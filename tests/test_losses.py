@@ -522,3 +522,33 @@ def test_xdom_loss_bit_identical_to_frozen_full_matrix(n, d, seed, n_classes, n_
     ref_loss, ref_grad = ref_xdom_loss(z, ann, cfg)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert grad.tobytes() == ref_grad.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=st.lists(st.tuples(st.integers(2, 64), st.integers(65, 300), st.integers(2, 33),
+                                st.integers(0, 2**31), st.integers(1, 12), st.integers(1, 4),
+                                st.sampled_from([0.1, 0.23, 3.7]),
+                                st.sampled_from([1.0, 1.5, 2.7]),
+                                st.sampled_from([1.0, 1.9, 4.0])),
+                      min_size=4, max_size=8),
+       first_mode=st.integers(0, 1))
+def test_one_gram_buffer_across_calls_bit_identical_to_frozen(calls, first_mode):
+    # a training passes one GramBuffer to every step; here the calls switch
+    # alpha mode each time and batch size every second call, between the
+    # by-row path (at most 64 rows) and the keyed, padded one, so the buffer
+    # grows, shrinks and changes row length under both modes
+    buffer = losses.GramBuffer()
+    for k, (small, large, d, seed, n_classes, n_domains, temperature, a, b) \
+            in enumerate(calls):
+        n = small if k // 2 % 2 == 0 else large
+        rng = np.random.default_rng(seed)
+        z = random_unit_rows(rng, n, d)
+        ann = losses.BatchAnnotations(rng.integers(0, n_classes, size=n),
+                                      rng.integers(0, n_domains, size=n),
+                                      np.zeros(n, dtype=bool))
+        cfg = losses.LossConfig(temperature=temperature, a=a, b=b,
+                                alpha_mode=losses.ALPHA_MODES[(k + first_mode) % 2])
+        loss, grad = losses.xdom_loss(z, ann, cfg, gram_buffer=buffer)
+        ref_loss, ref_grad = ref_xdom_loss(z, ann, cfg)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes(), k
+        assert grad.tobytes() == ref_grad.tobytes(), k

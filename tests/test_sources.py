@@ -1,5 +1,6 @@
 """Rules about the program's source text itself."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -91,3 +92,28 @@ def test_one_rule_for_plan_versus_data():
     assert cmd_benchmark and "plan_path" not in cmd_benchmark.group(0)
     build_plan = re.search(r"^def build_plan\(.*?(?=^\S)", cli_text, re.MULTILINE | re.DOTALL)
     assert build_plan and "None" not in build_plan.group(0).split(":\n")[0]
+
+
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_one_path_per_loss_term():
+    # every alpha mode, a and b only set table values, so xdom_loss's row
+    # block loop reads none of them and branches on nothing; fair_loss takes
+    # the group means or computes them, with no per-sample ce to pass
+    tree = ast.parse((ROOT / "src" / "fond" / "losses.py").read_text(encoding="utf-8"))
+    loops = [node for node in ast.walk(_function(tree, "xdom_loss"))
+             if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+             and node.target.id == "r0"]
+    assert len(loops) == 1
+    body = list(ast.walk(loops[0]))
+    read = {f"cfg.{node.attr}" for node in body
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"}
+    read |= {node.id for node in body if isinstance(node, ast.Name)}
+    assert read & {"cfg.a", "cfg.b", "cfg.alpha_mode", "numerator_mode"} == set()
+    assert [node for node in body if isinstance(node, (ast.If, ast.IfExp))] == []
+    fair = _function(tree, "fair_loss").args
+    assert "ce" not in [arg.arg for arg in fair.args + fair.kwonlyargs]

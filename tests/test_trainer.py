@@ -65,6 +65,21 @@ class TestTrainerConfig:
                 with pytest.raises(ConfigError, match=field_name):
                     trainer.TrainerConfig(**{field_name: bad})
 
+    @pytest.mark.parametrize("field_name, bad", [
+        ("adam_beta1", 1.0), ("adam_beta1", 1.5), ("adam_beta1", -0.1),
+        ("adam_beta2", 1.0), ("adam_beta2", 2), ("adam_beta2", -1e-9),
+        ("adam_eps", 0), ("adam_eps", -1e-8)])
+    def test_adam_values_outside_adam_domain_rejected(self, field_name, bad):
+        # beta = 1 or eps = 0 made step 1 non-finite; beta > 1 or eps < 0
+        # trained without complaint
+        with pytest.raises(ConfigError, match=field_name):
+            trainer.TrainerConfig(**{field_name: bad})
+
+    def test_adam_domain_edges_accepted(self):
+        for kwargs in ({"adam_beta1": 0.0, "adam_beta2": 0.0}, {"adam_beta1": 1e-6},
+                       {"adam_beta2": 0.995}, {"adam_eps": 5e-324}):
+            trainer.TrainerConfig(**kwargs)
+
 
 def flat_grad(params, grads):
     """The flat gradient that ``networks.backward_pass`` writes for the
