@@ -24,7 +24,10 @@ round) on that block's features h as ``dump_embeddings`` writes them, next
 to the per-value ``repr`` join it reproduces, and ``datagen.ingest_csv``
 (one call per round) on the config's dataset, written by
 ``datagen.export_csv`` to a temporary file.
-The trainings use the train/validation split ``fond train`` draws. At
+The trainings use the train/validation split ``fond train`` draws, and
+``fond_loss`` and ``xdom_loss`` run as a training step runs them: on rows
+of annotations checked once against the class count, into one
+``losses.GramBuffer``. At
 each size one untimed step of each variant runs before any timing, so the
 variant timed first does not pay for the first use of that size's arrays.
 The output is one JSON object, stamped with the host (Python, numpy,
@@ -86,30 +89,35 @@ def trainer_config(cfg):
 def first_step(variant, cfg, train_set, plan, net_cfg):
     """The inputs and results of a training's first step under ``variant``:
     (loss config, trainer config, batch features, annotations, params,
-    forward pass, loss, gradient)."""
+    forward pass, loss, gradient, Gram buffer). As in ``trainer.train``, the
+    annotations are rows of the training set's, checked once against the
+    class count, and the contrastive term writes into one ``GramBuffer``
+    (None when P does not run)."""
     loss_cfg = replace(cfg.loss, variant=variant).resolved()
     tcfg = trainer_config(cfg)
-    linked = np.isin(train_set.labels, sorted(plan.linked_classes))
     sampler = datagen.BatchSampler(train_set, tcfg.batch_size,
                                    subseed(tcfg.seed, trainer.SEED_TAG_BATCHES))
     batch = sampler.epoch_batches(0)[0]
-    ann = losses.BatchAnnotations(labels=plan.class_codes(train_set.labels[batch]),
-                                  domains=train_set.domains[batch],
-                                  linked_mask=linked[batch])
+    ann = losses.BatchAnnotations(
+        labels=plan.class_codes(train_set.labels), domains=train_set.domains,
+        linked_mask=np.isin(train_set.labels, sorted(plan.linked_classes)),
+        num_classes=net_cfg.num_classes).take(batch)
     x = train_set.features[batch]
     params = networks.init_params(net_cfg, subseed(cfg.seed, "init"))
     drng = trainer.rng_for(tcfg.seed, trainer.SEED_TAG_DROPOUT, 1)
+    project = loss_cfg.lambda_xdom > 0
     fp = networks.forward_pass(params, x, dropout_rate=tcfg.dropout, dropout_rng=drng,
-                               project=loss_cfg.lambda_xdom > 0)
-    fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg)
+                               project=project)
+    gram = losses.GramBuffer() if project else None
+    fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg, gram_buffer=gram)
     grad = networks.backward_pass(fp, fl.grad_logits, fl.grad_z,
                                   networks.ModelParams(config=net_cfg, seed=0))
-    return loss_cfg, tcfg, x, ann, params, fp, fl, grad
+    return loss_cfg, tcfg, x, ann, params, fp, fl, grad, gram
 
 
 def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number):
-    loss_cfg, tcfg, x, ann, params, fp, fl, grad = first_step(variant, cfg, train_set,
-                                                              plan, net_cfg)
+    loss_cfg, tcfg, x, ann, params, fp, fl, grad, gram = first_step(
+        variant, cfg, train_set, plan, net_cfg)
     project = loss_cfg.lambda_xdom > 0
     drng = trainer.rng_for(tcfg.seed, trainer.SEED_TAG_DROPOUT, 1)
     buffer = networks.ModelParams(config=net_cfg, seed=0)
@@ -120,11 +128,11 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
     out["forward_pass"] = best_us(lambda: networks.forward_pass(
         params, x, dropout_rate=tcfg.dropout, dropout_rng=drng, project=project),
         repeat, number)
-    out["fond_loss"] = best_us(lambda: losses.fond_loss(fp.logits, fp.z, ann, loss_cfg),
-                               repeat, number)
+    out["fond_loss"] = best_us(lambda: losses.fond_loss(fp.logits, fp.z, ann, loss_cfg,
+                                                        gram_buffer=gram), repeat, number)
     if project:
-        out["xdom_loss"] = best_us(lambda: losses.xdom_loss(fp.z, ann, loss_cfg),
-                                   repeat, number)
+        out["xdom_loss"] = best_us(lambda: losses.xdom_loss(fp.z, ann, loss_cfg,
+                                                            gram_buffer=gram), repeat, number)
     out["backward_pass"] = best_us(lambda: networks.backward_pass(
         fp, fl.grad_logits, fl.grad_z, buffer), repeat, number)
     out["grad_norm"] = best_us(lambda: trainer.grad_norm(params, grad), repeat, number)
@@ -138,7 +146,7 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
 def time_optimizers(cfg, train_set, plan, net_cfg, repeat, number):
     """optimizer_step under each optimizer, on a copy of a FOND step's whole
     gradient, made in the timed call since the step overwrites it."""
-    _, tcfg, _, _, params, _, _, grad = first_step("fond", cfg, train_set, plan, net_cfg)
+    _, tcfg, _, _, params, _, _, grad, _ = first_step("fond", cfg, train_set, plan, net_cfg)
     work = np.empty_like(grad)
 
     def step(state, ocfg):

@@ -96,7 +96,7 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
 def cmd_split(cfg: RunConfig, out: Path) -> int:
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset, cfg.split.setting)
-    plan.save(out / "plan.json")
+    _write_json(out / "plan.json", plan.to_doc())
     _write_json(out / "plan_provenance.json", {"config": to_provenance(cfg)})
     print(f"wrote {out / 'plan.json'} "
           f"(shared {len(plan.shared_classes)}, linked {len(plan.linked_classes)})")
@@ -111,8 +111,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     log.write_summary_csv(out / "trainlog.csv")
     _write_json(out / "metrics.json",
                 {"metrics": _metrics_payload(report), "best_step": log.best_step})
-    _write_json(out / "run.json", {"config": to_provenance(cfg),
-                                   "plan": json.loads(plan.to_json())})
+    _write_json(out / "run.json", {"config": to_provenance(cfg), "plan": plan.to_doc()})
     print(f"target y_l={report.y_l_accuracy} y_s={report.y_s_accuracy} "
           f"overall={report.overall_accuracy}")
     return 0

@@ -159,7 +159,8 @@ def _build(cls, doc: dict, path: str):
 
 def parse_override(text: str):
     """'a.b.c=value' -> (['a','b','c'], parsed value); values parse as
-    JSON when possible, otherwise stay strings."""
+    JSON when possible, otherwise stay strings (also JSON that the decoder
+    cannot convert: an integer past Python's digit limit, deep nesting)."""
     if "=" not in text:
         raise ConfigError(f"override {text!r} must look like key.path=value")
     key, raw = text.split("=", 1)
@@ -168,7 +169,7 @@ def parse_override(text: str):
         raise ConfigError(f"override {text!r} has an empty key")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         value = raw
     return key.split("."), value
 
@@ -194,7 +195,9 @@ def load_config(path, overrides=None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # malformed JSON, non-UTF-8 bytes, an integer past Python's digit
+            # limit (ValueErrors all), or nesting too deep to decode
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return config_from_dict(apply_overrides(doc, overrides))
 

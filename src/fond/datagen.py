@@ -13,7 +13,8 @@ into *linked* classes (each available in exactly one source domain) and
 *shared* classes (each available in all but one source domain). Linked
 and shared classes are assigned to domains round-robin over a seeded
 domain order, which guarantees no single source domain expresses the
-full class set.
+full class set. A plan's one serialized form is ``SplitPlan.to_doc``, the
+``plan.json`` that ``SplitPlan.load`` reads back.
 """
 
 from __future__ import annotations
@@ -202,7 +203,12 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Which classes each source domain expresses, plus the held-out target."""
+    """Which classes each source domain expresses, plus the held-out target.
+
+    ``__post_init__`` alone normalizes and checks a plan, from any iterables
+    of int-like ids (a draw's lists, ``plan.json``'s string keys); ``to_doc``
+    is its one dict form, the object that ``plan.json`` holds.
+    """
 
     target_domain: int
     source_domains: tuple[int, ...]
@@ -261,35 +267,22 @@ class SplitPlan:
             if all(s in self.assignment[c] for c in self.classes):
                 raise ContractError(f"source domain {s} expresses every class")
 
-    def to_json(self) -> str:
-        doc = {
-            "target_domain": self.target_domain,
-            "source_domains": list(self.source_domains),
-            "shared_classes": sorted(self.shared_classes),
-            "linked_classes": sorted(self.linked_classes),
-            "assignment": {str(c): sorted(self.assignment[c]) for c in sorted(self.assignment)},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SplitPlan":
-        doc = json.loads(text)
-        return cls(target_domain=doc["target_domain"],
-                   source_domains=tuple(doc["source_domains"]),
-                   shared_classes=frozenset(doc["shared_classes"]),
-                   linked_classes=frozenset(doc["linked_classes"]),
-                   assignment={int(c): frozenset(v) for c, v in doc["assignment"].items()})
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+    def to_doc(self) -> dict:
+        """The JSON object of a ``plan.json``; ``SplitPlan(**doc)`` is this plan again."""
+        return {"target_domain": self.target_domain,
+                "source_domains": list(self.source_domains),
+                "shared_classes": sorted(self.shared_classes),
+                "linked_classes": sorted(self.linked_classes),
+                "assignment": {str(c): sorted(doms) for c, doms in self.assignment.items()}}
 
     @classmethod
     def load(cls, path) -> "SplitPlan":
+        """The plan a ``to_doc`` JSON file holds; ContractError naming ``path`` for a
+        file that is not one (a missing or unknown key, JSON it cannot decode)."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                return cls.from_json(fh.read())
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                return cls(**json.load(fh))
+            except (ValueError, TypeError, AttributeError, RecursionError) as exc:
                 raise ContractError(f"{path} is not a valid split plan: "
                                     f"{type(exc).__name__}: {exc}") from None
 
@@ -374,22 +367,15 @@ def make_split_plan(classes, domains, target_domain: int, setting, seed) -> Spli
     n_s = shared_class_count(n, setting)
 
     rng = rng_for(seed, "split")
-    order = list(np.array(classes)[rng.permutation(n)])
-    shared = [int(c) for c in order[:n_s]]
-    linked = [int(c) for c in order[n_s:]]
+    order = [classes[i] for i in rng.permutation(n)]
     sources = [s for s in domains if s != target_domain]
-    dom_order = list(np.array(sources)[rng.permutation(len(sources))])
     k = len(sources)
-
-    assignment: dict[int, frozenset[int]] = {}
-    for j, c in enumerate(linked):
-        assignment[c] = frozenset({int(dom_order[j % k])})
-    for j, c in enumerate(shared):
-        excluded = int(dom_order[j % k])
-        assignment[c] = frozenset(s for s in sources if s != excluded)
-
-    return SplitPlan(target_domain=int(target_domain), source_domains=tuple(sources),
-                     shared_classes=frozenset(shared), linked_classes=frozenset(linked),
+    dom_order = [sources[i] for i in rng.permutation(k)]
+    assignment = {c: [dom_order[j % k]] for j, c in enumerate(order[n_s:])}
+    assignment.update({c: [s for s in sources if s != dom_order[j % k]]
+                       for j, c in enumerate(order[:n_s])})
+    return SplitPlan(target_domain=int(target_domain), source_domains=sources,
+                     shared_classes=order[:n_s], linked_classes=order[n_s:],
                      assignment=assignment)
 
 

@@ -119,9 +119,9 @@ class HyperSpace:
     """Sampling ranges for the searched hyperparameters.
 
     learning_rate and temperature are drawn log-uniformly, the rest
-    uniformly. Draw order is fixed so a seed pins the whole trial
-    sequence. Every range must lie where its target config accepts each
-    value, so no draw can fail that config's checks.
+    uniformly. Draws follow the field order, so a seed pins the whole
+    trial sequence. Every range must lie where its target config accepts
+    each value, so no draw can fail that config's checks.
     """
 
     learning_rate: tuple[float, float] = (1e-5, 1e-2)
@@ -135,11 +135,9 @@ class HyperSpace:
     _LOG_FIELDS = ("learning_rate", "temperature")
     # the lowest value LossConfig/TrainerConfig accept; dropout also stays below 1
     _MIN_LO = {"lambda_xdom": 0.0, "lambda_fair": 0.0, "a": 1.0, "b": 1.0, "dropout": 0.0}
-    _ORDER = ("learning_rate", "lambda_xdom", "lambda_fair", "temperature",
-              "a", "b", "dropout")
 
     def __post_init__(self):
-        for name in self._ORDER:
+        for name in [f.name for f in fields(self)]:
             lo, hi = getattr(self, name)
             require_finite(**{f"{name}[0]": lo, f"{name}[1]": hi})
             if not lo <= hi:
@@ -153,7 +151,7 @@ class HyperSpace:
 
     def sample(self, rng: np.random.Generator) -> dict[str, float]:
         out = {}
-        for name in self._ORDER:
+        for name in [f.name for f in fields(self)]:
             lo, hi = getattr(self, name)
             if name in self._LOG_FIELDS:
                 # clamped, as exp(log(x)) can miss x by an ulp
@@ -164,15 +162,13 @@ class HyperSpace:
 
 
 def apply_hyper(loss_cfg: losses.LossConfig, trainer_cfg, hyper: dict):
-    """Route sampled values into the two configs they parameterize."""
-    loss_keys = {"lambda_xdom", "lambda_fair", "temperature", "a", "b"}
-    trainer_keys = {"learning_rate", "dropout"}
-    unknown = set(hyper) - loss_keys - trainer_keys
+    """Route each sampled value, named by a ``HyperSpace`` field, into the
+    config that has a field of that name."""
+    unknown = set(hyper) - {f.name for f in fields(HyperSpace)}
     if unknown:
         raise ConfigError(f"unknown hyperparameters {sorted(unknown)}")
-    loss_cfg = replace(loss_cfg, **{k: hyper[k] for k in loss_keys & set(hyper)})
-    trainer_cfg = replace(trainer_cfg, **{k: hyper[k] for k in trainer_keys & set(hyper)})
-    return loss_cfg, trainer_cfg
+    return tuple(replace(cfg, **{f.name: hyper[f.name] for f in fields(cfg) if f.name in hyper})
+                 for cfg in (loss_cfg, trainer_cfg))
 
 
 @dataclass

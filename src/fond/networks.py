@@ -340,7 +340,7 @@ def load_checkpoint(path) -> ModelParams:
     try:
         meta = json.loads(raw.pop(_META_KEY).tobytes().decode("utf-8"))
         version = meta.get("version")
-    except (ValueError, AttributeError) as exc:
+    except (ValueError, AttributeError, RecursionError) as exc:
         raise ContractError(f"{path} metadata is not a JSON object: {exc}") from None
     if version != CHECKPOINT_VERSION:
         raise ContractError(f"unsupported checkpoint version {version}")

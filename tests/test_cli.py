@@ -104,14 +104,14 @@ class TestConfig:
                 "synthetic": {"num_classes": 4, "input_dim": 3}}})
 
     def test_list_fields_become_tuples(self):
-        space = {name: [0.1, 0.2] for name in evalsel.HyperSpace._ORDER}
+        space = {f.name: [0.1, 0.2] for f in fields(evalsel.HyperSpace)}
         space.update(a=[1.1, 1.2], b=[1.1, 1.2])   # a and b start at 1
         cfg = config.config_from_dict({"network": {"f_hidden": [8, 4]},
                                        "benchmark": {"settings": ["low", 2]},
                                        "search": {"space": space}})
         assert cfg.network.f_hidden == (8, 4)
         assert cfg.benchmark.settings == ("low", 2)
-        for name in evalsel.HyperSpace._ORDER:
+        for name in space:
             assert getattr(cfg.search.space, name) == tuple(space[name]), name
 
     def test_float_field_takes_int_as_given(self):
@@ -301,7 +301,7 @@ class TestTrain:
         assert 0.0 <= report["overall_accuracy"] <= 1.0
         run_doc = json.loads((out / "run.json").read_text())
         assert run_doc["config"]["seed"] == 5
-        datagen.SplitPlan.from_json(json.dumps(run_doc["plan"]))
+        datagen.SplitPlan(**run_doc["plan"])
         lines = (out / "trainlog.jsonl").read_text().splitlines()
         assert sum(json.loads(l)["kind"] == "step" for l in lines) == 12
 
@@ -415,6 +415,26 @@ class TestTrain:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in self.GOLDEN_RECORDS[command]}
         assert digests == self.GOLDEN_RECORDS[command]
+
+    # The plan records on the tiny config: `fond split`'s plan.json at
+    # each named setting, and the `run.json` sidecar of `fond train`
+    # (resolved config and plan)
+    GOLDEN_PLAN_RECORDS = {
+        ("split", "low", "plan.json"):
+            "32c1e60448a9768e82ff692a2d833d95b43ccd9c9e67779edafc974727ab4c1c",
+        ("split", "high", "plan.json"):
+            "fe3f4e8a3ea1ba9b73caa76ad2520df17e051e613ce25fcadb22402071551544",
+        ("train", "low", "run.json"):
+            "25d86b06561bdadf19589d9489663fe9ebdee28f1360289c26a9b5502e418952",
+    }
+
+    @pytest.mark.parametrize("command,setting,name", sorted(GOLDEN_PLAN_RECORDS))
+    def test_tiny_plan_records_match_recorded_digests(self, tmp_path, command, setting,
+                                                      name):
+        assert run_cli(command, "--config", str(TINY), "--out", str(tmp_path),
+                       "--set", f"split.setting={setting}") == 0
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_PLAN_RECORDS[command, setting, name]
 
     # The float-row files on the tiny config: `fond generate`'s dataset.csv
     # and the `fond dump-embeddings` embeddings.csv of its trained model,
@@ -536,6 +556,24 @@ class TestErrorExits:
         assert payload["type"] == "ConfigError"
         assert payload["message"] == ("setting 'high' shares 4 of 5 classes, "
                                       "but the plan file shares 2")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+    def test_plan_file_with_an_unknown_key_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the key was ignored, and the run trained and exited 0
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        assert run_cli("split", "--config", str(TINY), "--out", str(tmp_path / "sp")) == 0
+        plan = tmp_path / "sp" / "plan.json"
+        plan.write_text(json.dumps({**json.loads(plan.read_text()), "note": "low"}))
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       "--set", f"split.plan_path={json.dumps(str(plan))}")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ContractError"
+        assert payload["message"].startswith(f"{plan} is not a valid split plan: TypeError")
+        assert "'note'" in payload["message"]
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
     def run_without_domain(self, tmp_path, monkeypatch, domain, command, *overrides):
@@ -686,6 +724,32 @@ class TestErrorExits:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1, lines
         return json.loads(lines[0])
+
+    @pytest.mark.parametrize("body", ['{"seed": 1' + "0" * 5000 + "}",
+                                      "[" * 50_000 + "]" * 50_000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_config_json_the_decoder_cannot_convert_exit_2(self, tmp_path, capsys, body):
+        # a ValueError or RecursionError traceback, exit 1
+        path = tmp_path / "config.json"
+        path.write_text(body)
+        code = run_cli("train", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        assert payload["message"].startswith(f"{path} is not valid JSON")
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 5000, "[" * 3000 + "]" * 3000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_override_json_the_decoder_cannot_convert_exit_2(self, tmp_path, capsys, value):
+        # a ValueError or RecursionError traceback, exit 1; the value now stays
+        # the raw string, as any other non-JSON value does, and loss.a rejects it
+        assert config.parse_override(f"loss.a={value}") == (["loss", "a"], value)
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       "--set", f"loss.a={value}")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        assert payload["message"].startswith("loss.a must be float")
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -928,7 +992,10 @@ class TestErrorExits:
         code = run_cli("dump-embeddings", "--config", str(cfg_path), "--out", str(out))
         assert code == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("text", ["not json", '{"target_domain": 0}', "[0, 1]"])
+    @pytest.mark.parametrize("text", [
+        "not json", '{"target_domain": 0}', "[0, 1]",
+        # a RecursionError traceback, exit 1
+        pytest.param("[" * 50_000 + "]" * 50_000, id="deep-nesting")])
     @pytest.mark.parametrize("command", ["train", "dump-embeddings"])
     def test_malformed_plan_file_exit_2(self, cfg_path, tmp_path, capsys, text, command):
         plan = tmp_path / "plan.json"

@@ -1,7 +1,7 @@
 import ast
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -163,8 +163,9 @@ class TestHyperSpace:
         rng = rng_for(0)
         for _ in range(200):
             draw = space.sample(rng)
-            assert set(draw) == set(space._ORDER)
-            for name in space._ORDER:
+            names = [f.name for f in fields(space)]
+            assert list(draw) == names
+            for name in names:
                 lo, hi = getattr(space, name)
                 assert lo <= draw[name] <= hi, name
 

@@ -472,8 +472,10 @@ class TestCheckpoint:
         (json_edit(lambda m: m.update(config=list(m["config"].values()))), "mapping"),
         (lambda raw: raw[:-1], "not a JSON object"),
         (lambda raw: "[1]", "not a JSON object"),
+        # a RecursionError traceback, exit 1
+        (lambda raw: "[" * 3000 + "]" * 3000, "not a JSON object"),
     ], ids=["no-seed", "unknown-config-key", "scalar-width", "config-not-object",
-            "not-json", "meta-not-object"])
+            "not-json", "meta-not-object", "deep-nesting"])
     def test_malformed_metadata_exits_2(self, tmp_path, capsys, edit, words):
         ckpt = self.edited_checkpoint(tmp_path, self.set_meta(edit))
         with pytest.raises(ContractError) as info:

@@ -117,3 +117,22 @@ def test_one_path_per_loss_term():
     assert [node for node in body if isinstance(node, (ast.If, ast.IfExp))] == []
     fair = _function(tree, "fair_loss").args
     assert "ce" not in [arg.arg for arg in fair.args + fair.kwonlyargs]
+
+
+def test_one_writer_for_json_documents():
+    # every indented JSON document a command writes (plan.json, run.json,
+    # metrics.json, ...) goes through cli._write_json; a plan has one dict
+    # form, SplitPlan.to_doc, which goes into run.json with no text round trip
+    sources = {path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert [name for name, text in sources.items() for _ in re.finditer(r"\bindent=", text)] \
+        == ["fond/cli.py"]
+    cli_text = sources["fond/cli.py"]
+    write_json = ast.get_source_segment(cli_text, _function(ast.parse(cli_text), "_write_json"))
+    assert "indent=2, sort_keys=True" in write_json
+    assert "json.loads(" not in cli_text
+    plan = next(node for node in ast.walk(ast.parse(sources["fond/datagen.py"]))
+                if isinstance(node, ast.ClassDef) and node.name == "SplitPlan")
+    methods = {node.name for node in plan.body if isinstance(node, ast.FunctionDef)}
+    assert "to_doc" in methods
+    assert methods & {"to_json", "from_json", "save"} == set()
