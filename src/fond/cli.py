@@ -209,6 +209,12 @@ def worker_count(jobs: int, cells: int, cpus: int | None) -> int:
     return max(1, min(jobs, cells, cpus or 1))
 
 
+def _mean_se(mean: float | None, se: float | None) -> str:
+    if mean is None:
+        return "n/a"
+    return f"{mean:.4f}" if se is None else f"{mean:.4f} +- {se:.4f}"
+
+
 def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
     # every setting's plan, checked against the config and the data before the first cell
     dataset = build_dataset(cfg)
@@ -244,19 +250,16 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
     paired = evalsel.pair_with_erm(rows)
     evalsel.write_paired_csv(paired, out / "paired.csv", provenance)
     _write_json(out / "benchmark.json", {
-        "config": to_provenance(cfg),
+        **provenance,
         "cells": [{"setting": r.setting, "variant": r.variant, "rep": r.rep,
                    "y_l": r.y_l_accuracy, "y_s": r.y_s_accuracy,
                    "winner": None if r.winner is None else asdict(r.winner)}
                   for r in rows],
     })
     for row in agg:
-        se_l = "" if row.y_l_se is None else f" +- {row.y_l_se:.4f}"
-        se_s = "" if row.y_s_se is None else f" +- {row.y_s_se:.4f}"
-        y_l = "n/a" if row.y_l_mean is None else f"{row.y_l_mean:.4f}{se_l}"
-        y_s = "n/a" if row.y_s_mean is None else f"{row.y_s_mean:.4f}{se_s}"
         print(f"{row.dataset} {row.setting:>5} {row.variant:<9} "
-              f"y_l {y_l:<20} y_s {y_s}")
+              f"y_l {_mean_se(row.y_l_mean, row.y_l_se):<20} "
+              f"y_s {_mean_se(row.y_s_mean, row.y_s_se)}")
     for row in paired:
         print(f"{row.dataset} {row.setting:>5} {row.variant:<9} beats {evalsel.BASELINE} on "
               f"y_l in {row.y_l_wins}/{row.reps} reps, on y_s in {row.y_s_wins}/{row.reps}")

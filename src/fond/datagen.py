@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -201,12 +202,23 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
                    ids=np.arange(n, dtype=np.int64))
 
 
+def _plan_id(value, name: str, key: bool = False) -> int:
+    """``value``, an id in a plan's ``name``, as an int: an integer (numpy's
+    too, never a bool) or, for an ``assignment`` key, the decimal string of one."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if key and isinstance(value, str) and re.fullmatch(r"0|-?[1-9][0-9]*", value):
+        return int(value)
+    raise ContractError(f"{name} holds {value!r}, not an integer id")
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Which classes each source domain expresses, plus the held-out target.
 
-    ``__post_init__`` alone normalizes and checks a plan, from any iterables
-    of int-like ids (a draw's lists, ``plan.json``'s string keys); ``to_doc``
+    ``__post_init__`` alone normalizes and checks a plan, from iterables of
+    integer ids (numpy's too, never a bool; an ``assignment`` key may also
+    be the decimal string that a ``plan.json`` object key is); ``to_doc``
     is its one dict form, the object that ``plan.json`` holds.
     """
 
@@ -217,11 +229,16 @@ class SplitPlan:
     assignment: dict[int, frozenset[int]] = field(hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "source_domains", tuple(sorted(int(s) for s in self.source_domains)))
-        object.__setattr__(self, "shared_classes", frozenset(int(c) for c in self.shared_classes))
-        object.__setattr__(self, "linked_classes", frozenset(int(c) for c in self.linked_classes))
+        object.__setattr__(self, "target_domain", _plan_id(self.target_domain, "target_domain"))
+        object.__setattr__(self, "source_domains", tuple(sorted(
+            _plan_id(s, "source_domains") for s in self.source_domains)))
+        object.__setattr__(self, "shared_classes", frozenset(
+            _plan_id(c, "shared_classes") for c in self.shared_classes))
+        object.__setattr__(self, "linked_classes", frozenset(
+            _plan_id(c, "linked_classes") for c in self.linked_classes))
         object.__setattr__(self, "assignment",
-                           {int(c): frozenset(int(s) for s in doms)
+                           {_plan_id(c, "assignment", key=True):
+                            frozenset(_plan_id(s, "assignment") for s in doms)
                             for c, doms in self.assignment.items()})
         self.validate()
 
@@ -244,6 +261,8 @@ class SplitPlan:
 
     def validate(self) -> None:
         k = len(self.source_domains)
+        if k < 2:   # a shared class is expressed by k - 1 sources; validation holds one out
+            raise ContractError(f"need at least 2 source domains, got {k}")
         if self.target_domain in self.source_domains:
             raise ContractError("target domain listed among source domains")
         if self.shared_classes & self.linked_classes:
@@ -374,7 +393,7 @@ def make_split_plan(classes, domains, target_domain: int, setting, seed) -> Spli
     assignment = {c: [dom_order[j % k]] for j, c in enumerate(order[n_s:])}
     assignment.update({c: [s for s in sources if s != dom_order[j % k]]
                        for j, c in enumerate(order[:n_s])})
-    return SplitPlan(target_domain=int(target_domain), source_domains=sources,
+    return SplitPlan(target_domain=target_domain, source_domains=sources,
                      shared_classes=order[:n_s], linked_classes=order[n_s:],
                      assignment=assignment)
 

@@ -103,13 +103,10 @@ def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
     counts = {c: n for c, n in zip(classes, rows) if n}
     per_class = {c: h / n for c, n, h in zip(classes, rows, hits) if n}
 
-    def group_mean(group) -> float | None:
-        members = [per_class[c] for c in sorted(group) if c in per_class]
-        return float(np.mean(members)) if members else None
-
+    y_l, y_s = (_mean([per_class[c] for c in sorted(group) if c in per_class])
+                for group in (plan.linked_classes, plan.shared_classes))
     return MetricsReport(per_class_accuracy=per_class, counts=counts,
-                         y_l_accuracy=group_mean(plan.linked_classes),
-                         y_s_accuracy=group_mean(plan.shared_classes),
+                         y_l_accuracy=y_l, y_s_accuracy=y_s,
                          overall_accuracy=float(correct.mean()),
                          excluded_classes=tuple(c for c, n in zip(classes, rows) if not n))
 
@@ -193,8 +190,6 @@ def training_domain_validation(dataset: datagen.Dataset, plan: datagen.SplitPlan
     net_cfg, loss_cfg, trainer_cfg, fold_seed) -> MetricsReport`` does the
     training and the evaluation of one fold.
     """
-    if len(plan.source_domains) < 2:
-        raise ConfigError("need at least 2 source domains to hold one out")
     source_pool, _ = datagen.apply_split(dataset, plan)
 
     scores = []
@@ -210,7 +205,7 @@ def training_domain_validation(dataset: datagen.Dataset, plan: datagen.SplitPlan
                              loss_cfg, trainer_cfg, fold_seed)
         if report.y_l_accuracy is not None:
             scores.append(report.y_l_accuracy)
-    return ValidationResult(score=float(np.mean(scores)) if scores else None)
+    return ValidationResult(score=_mean(scores))
 
 
 @dataclass
@@ -270,33 +265,36 @@ class AggregateRow:
     y_s_se: float | None
 
 
+def _mean(values: list[float]) -> float | None:
+    """The mean of ``values``; None when there are none."""
+    return float(np.mean(values)) if values else None
+
+
 def mean_and_se(values: list[float]):
-    """(mean, standard error); SE is None for a single value."""
-    if not values:
-        return None, None
-    mean = float(np.mean(values))
+    """(mean, standard error); SE is None for fewer than two values."""
     if len(values) < 2:
-        return mean, None
-    return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
+        return _mean(values), None
+    return _mean(values), float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
+def _grouped(scored):
+    """``(key, tuple count, present y_l values, present y_s values)`` per
+    (dataset, setting, variant) key of the ``(dataset, setting, variant,
+    y_l, y_s)`` tuples ``scored``, sorted by key; values keep input order."""
+    cells: dict[tuple, list[tuple]] = {}
+    for *key, y_l, y_s in scored:
+        cells.setdefault(tuple(key), []).append((y_l, y_s))
+    for key in sorted(cells):
+        y_l, y_s = ([v for v in score if v is not None] for score in zip(*cells[key]))
+        yield key, len(cells[key]), y_l, y_s
 
 
 def aggregate(rows: list[ResultRow]) -> list[AggregateRow]:
     """Mean and standard error per (dataset, setting, variant) cell,
     sorted by that key."""
-    cells: dict[tuple, list[ResultRow]] = {}
-    for row in rows:
-        cells.setdefault((row.dataset, row.setting, row.variant), []).append(row)
-    out = []
-    for key in sorted(cells):
-        members = cells[key]
-        y_l = [r.y_l_accuracy for r in members if r.y_l_accuracy is not None]
-        y_s = [r.y_s_accuracy for r in members if r.y_s_accuracy is not None]
-        l_mean, l_se = mean_and_se(y_l)
-        s_mean, s_se = mean_and_se(y_s)
-        out.append(AggregateRow(dataset=key[0], setting=key[1], variant=key[2],
-                                reps=len(members), y_l_mean=l_mean, y_l_se=l_se,
-                                y_s_mean=s_mean, y_s_se=s_se))
-    return out
+    scored = ((r.dataset, r.setting, r.variant, r.y_l_accuracy, r.y_s_accuracy) for r in rows)
+    return [AggregateRow(*key, reps, *mean_and_se(y_l), *mean_and_se(y_s))
+            for key, reps, y_l, y_s in _grouped(scored)]
 
 
 # The variant every other one is paired with, rep by rep.
@@ -329,23 +327,18 @@ def pair_with_erm(rows: list[ResultRow]) -> list[PairedRow]:
     whose score is None on either side is left out of that score's
     differences and wins."""
     baseline = {(r.dataset, r.setting, r.rep): r for r in rows if r.variant == BASELINE}
-    cells: dict[tuple, list[tuple[ResultRow, ResultRow]]] = {}
+    diffs = []
     for row in rows:
         base = baseline.get((row.dataset, row.setting, row.rep))
         if row.variant != BASELINE and base is not None:
-            cells.setdefault((row.dataset, row.setting, row.variant), []).append((row, base))
-
-    def diffs(pairs, score: str) -> list[float]:
-        both = ((getattr(row, score), getattr(base, score)) for row, base in pairs)
-        return [v - b for v, b in both if v is not None and b is not None]
-
-    out = []
-    for key in sorted(cells):
-        y_l, y_s = (diffs(cells[key], score) for score in ("y_l_accuracy", "y_s_accuracy"))
-        # v - b > 0 exactly when v > b, as floats subtract with gradual underflow
-        out.append(PairedRow(*key, len(cells[key]), *mean_and_se(y_l), sum(d > 0 for d in y_l),
-                             *mean_and_se(y_s), sum(d > 0 for d in y_s)))
-    return out
+            both = ((row.y_l_accuracy, base.y_l_accuracy),
+                    (row.y_s_accuracy, base.y_s_accuracy))
+            diffs.append((row.dataset, row.setting, row.variant,
+                          *(None if v is None or b is None else v - b for v, b in both)))
+    # v - b > 0 exactly when v > b, as floats subtract with gradual underflow
+    return [PairedRow(*key, reps, *mean_and_se(y_l), sum(d > 0 for d in y_l),
+                      *mean_and_se(y_s), sum(d > 0 for d in y_s))
+            for key, reps, y_l, y_s in _grouped(diffs)]
 
 
 def write_results_csv(rows: list[ResultRow], path, provenance: dict | None = None) -> None:

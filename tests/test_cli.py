@@ -190,6 +190,21 @@ class TestConfig:
         for block in blocks:
             config.config_from_dict(json.loads(block))
 
+    def test_readme_commands_run(self, tmp_path):
+        # the "Command line" block, in order, on the tiny config with the
+        # optional --jobs left out
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
+        lines = [line.split("#")[0].replace("[--jobs N]", "") for line in block.splitlines()]
+        assert len(lines) == 6
+        for line in lines:
+            argv = line.replace("cfg.json", str(TINY)).replace("runs/", f"{tmp_path}/").split()
+            assert argv[0] == "fond"
+            assert run_cli(*argv[1:]) == 0, line
+        for name in ("g/dataset.csv", "s/plan.json", "t/checkpoint_best.npz", "h/search.json",
+                     "b/results.csv", "e/embeddings.csv"):
+            assert (tmp_path / name).is_file(), name
+
 
 class TestGenerateSplit:
     def test_generate_writes_deterministic_csv(self, cfg_path, tmp_path, capsys):
@@ -574,6 +589,71 @@ class TestErrorExits:
         assert payload["type"] == "ContractError"
         assert payload["message"].startswith(f"{plan} is not a valid split plan: TypeError")
         assert "'note'" in payload["message"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+    # five classes on domains 0 (target) and 1, the only source: no source
+    # domain is left to express the shared classes
+    ONE_SOURCE_PLAN = {"target_domain": 0, "source_domains": [1], "shared_classes": [0, 1],
+                       "linked_classes": [2, 3, 4],
+                       "assignment": {"0": [], "1": [], "2": [1], "3": [1], "4": [1]}}
+
+    @pytest.mark.parametrize("command", ["split", "train", "search", "benchmark",
+                                         "dump-embeddings"])
+    def test_plan_file_with_one_source_domain_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        # only `search` refused it; `train` and the benchmark's erm cells
+        # trained without the shared classes, exited 0 and read y_s=0.0
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(self.ONE_SOURCE_PLAN))
+        argv = [command, "--config", str(TINY), "--out", str(tmp_path / "run"),
+                "--set", "dataset.synthetic.num_domains=2", "--set", "split.setting=2",
+                "--set", f"split.plan_path={json.dumps(str(plan))}"]
+        if command == "benchmark":
+            argv += ["--set", "benchmark.settings=[2]", "--set", "search.n_trials=0"]
+        if command == "dump-embeddings":
+            ckpt = tmp_path / "model.npz"
+            networks.save_checkpoint(networks.init_params(
+                networks.NetworkConfig(input_dim=8, num_classes=5), 0), ckpt)
+            argv += ["--checkpoint", str(ckpt)]
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ContractError"
+        assert payload["message"] == (f"{plan} is not a valid split plan: ContractError: "
+                                      f"need at least 2 source domains, got 1")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+    @pytest.mark.parametrize("field,edit,named", [
+        ("linked_classes", lambda ids: [ids[0] + 0.9, *ids[1:]], "linked_classes"),
+        ("source_domains", lambda ids: [ids[0] + 0.5, *ids[1:]], "source_domains"),
+        ("target_domain", lambda target: float(target), "target_domain"),
+        ("target_domain", lambda target: bool(target), "target_domain"),
+    ], ids=["float-class", "float-domain", "float-target", "bool-target"])
+    def test_plan_file_with_a_non_integer_id_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                     field, edit, named):
+        # int() truncated each float id to the plan's own id (and kept
+        # target_domain as given), so the run trained, exited 0 and wrote
+        # the float or boolean into run.json
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        assert run_cli("split", "--config", str(TINY), "--out", str(tmp_path / "sp")) == 0
+        plan = tmp_path / "sp" / "plan.json"
+        doc = json.loads(plan.read_text())
+        bad = edit(doc[field])
+        plan.write_text(json.dumps({**doc, field: bad}))
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       "--set", f"split.plan_path={json.dumps(str(plan))}")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ContractError"
+        value = bad if field == "target_domain" else bad[0]
+        assert payload["message"] == (f"{plan} is not a valid split plan: ContractError: "
+                                      f"{named} holds {value!r}, not an integer id")
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
     def run_without_domain(self, tmp_path, monkeypatch, domain, command, *overrides):

@@ -207,6 +207,22 @@ class TestSplitPlan:
         assert datagen.SplitPlan.load(path) == plan
         assert datagen.SplitPlan.load(path).to_doc() == doc
 
+    def test_ids_are_integers_and_keys_their_decimal_strings(self):
+        doc = datagen.make_split_plan(range(6), 4, 1, "high", 10).to_doc()
+        as_numpy = {**doc, "target_domain": np.int64(doc["target_domain"]),
+                    "source_domains": np.array(doc["source_domains"])}
+        plan = datagen.SplitPlan(**as_numpy)
+        assert plan.to_doc() == doc and type(plan.target_domain) is int
+        key = next(iter(doc["assignment"]))
+        for name, bad in (("source_domains", [str(s) for s in doc["source_domains"]]),
+                          ("shared_classes", [True] + doc["shared_classes"][1:]),
+                          ("assignment", {f"0{key}" if k == key else k: v
+                                          for k, v in doc["assignment"].items()}),
+                          ("assignment", {float(k) if k == key else k: v
+                                          for k, v in doc["assignment"].items()})):
+            with pytest.raises(ContractError, match=rf"^{name} holds .*, not an integer id$"):
+                datagen.SplitPlan(**{**doc, name: bad})
+
     def test_class_codes_are_ranks_among_the_planned_classes(self):
         plan = datagen.make_split_plan([8, 0, 6, 2, 4], 4, 0, "low", 3)
         codes = plan.class_codes(np.array([8, 0, 4, 4, 2, 6]))

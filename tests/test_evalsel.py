@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fond import cli, datagen, evalsel, losses, ndcore, networks, trainer
 from fond.errors import ConfigError, ContractError, DegenerateInputError
 from fond.seeding import rng_for
+from summary_frozen import ref_aggregate, ref_pair_with_erm
 
 
 def argmax_model(num_classes):
@@ -493,6 +496,25 @@ class TestAggregation:
         assert (supcon.reps, supcon.y_l_diff_mean, supcon.y_l_diff_se, supcon.y_l_wins) \
             == (1, 0.25, None, 1)
         assert evalsel.pair_with_erm([r for r in rows if r.variant != "erm"]) == []
+
+    # scores with ties (the sampled values) and Nones on either side of a pair
+    SCORE = st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(st.tuples(st.sampled_from(["desk", "synthetic"]),
+                                    st.sampled_from(["high", "low"]),
+                                    st.sampled_from(["erm", "fond", "supcon"]),
+                                    st.integers(0, 4), SCORE, SCORE),
+                          unique_by=lambda cell: cell[:4], max_size=40),
+           no_erm=st.sets(st.sampled_from(["high", "low"])))
+    def test_tables_match_the_frozen_reference(self, cells, no_erm):
+        # two datasets and two settings, in any input order, erm dropped from
+        # the settings in ``no_erm`` and reps missing at random; rows compare
+        # field by field, so floats by ==
+        rows = [evalsel.ResultRow(*cell) for cell in cells
+                if not (cell[2] == "erm" and cell[1] in no_erm)]
+        assert evalsel.aggregate(rows) == ref_aggregate(rows)
+        assert evalsel.pair_with_erm(rows) == ref_pair_with_erm(rows)
 
 
 class TestCsvWriters:

@@ -136,3 +136,28 @@ def test_one_writer_for_json_documents():
     methods = {node.name for node in plan.body if isinstance(node, ast.FunctionDef)}
     assert "to_doc" in methods
     assert methods & {"to_json", "from_json", "save"} == set()
+
+
+def test_one_grouping_and_one_mean_in_evalsel():
+    # aggregate and pair_with_erm share evalsel._grouped, and every mean of
+    # present scores (group accuracies, fold scores, table cells) is _mean's
+    text = (ROOT / "src" / "fond" / "evalsel.py").read_text(encoding="utf-8")
+    assert text.count(".setdefault(") == 1
+    assert text.count("np.mean(") == 1
+
+
+# "need at least 2 source domains", "(2 sources)"
+SOURCE_COUNT = re.compile(r"\b\d+ sources?\b")
+
+
+def test_only_datagen_raises_on_the_number_of_source_domains():
+    # a plan needs two source domains, a rule of SplitPlan.validate that
+    # every command reading a plan runs; make_split_plan checks its domain
+    # count before drawing
+    raising = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        raising += [path.relative_to(ROOT / "src").as_posix()
+                    for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Raise)
+                    and SOURCE_COUNT.search(ast.get_source_segment(text, node))]
+    assert raising == ["fond/datagen.py", "fond/datagen.py"]
