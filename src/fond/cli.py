@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: generate, split, train, search, benchmark, dump-embeddings.
+Subcommands (``COMMANDS``): generate, split, train, search, benchmark,
+dump-embeddings.
 Every command takes --config PATH plus optional --set overrides, --out
 (default runs/out) and --seed; benchmark also takes --jobs, and
 dump-embeddings --checkpoint. Failures print one machine-parsable
@@ -83,7 +84,7 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def cmd_generate(cfg: RunConfig, out: Path) -> int:
+def cmd_generate(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     if cfg.dataset.synthetic is None:
         raise ConfigError("generate needs a dataset.synthetic section")
     dataset = build_dataset(cfg)
@@ -93,9 +94,9 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_split(cfg: RunConfig, out: Path) -> int:
+def cmd_split(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     dataset = build_dataset(cfg)
-    plan = build_plan(cfg, dataset, cfg.split.setting)
+    plan = build_plan(cfg, dataset, cfg.split.setting).check_data(dataset)
     _write_json(out / "plan.json", plan.to_doc())
     _write_json(out / "plan_provenance.json", {"config": to_provenance(cfg)})
     print(f"wrote {out / 'plan.json'} "
@@ -103,7 +104,7 @@ def cmd_split(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig, out: Path) -> int:
+def cmd_train(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     plan, final, best, log, report, _ = train_on_split(cfg, cfg.split.setting, cfg.seed)
     networks.save_checkpoint(best, out / "checkpoint_best.npz")
     networks.save_checkpoint(final, out / "checkpoint_final.npz")
@@ -145,9 +146,7 @@ def _search_one(cfg: RunConfig, dataset, plan, net_cfg, seed_root):
                                  subseed(seed_root, "hyper"), score_fn)
 
 
-def cmd_search(cfg: RunConfig, out: Path) -> int:
-    if cfg.search.n_trials < 1:
-        raise ConfigError("search needs search.n_trials >= 1")
+def cmd_search(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset, cfg.split.setting)
     result = _search_one(cfg, dataset, plan, _network_config(cfg, dataset, plan), cfg.seed)
@@ -215,7 +214,7 @@ def _mean_se(mean: float | None, se: float | None) -> str:
     return f"{mean:.4f}" if se is None else f"{mean:.4f} +- {se:.4f}"
 
 
-def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
+def cmd_benchmark(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     # every setting's plan, checked against the config and the data before the first cell
     dataset = build_dataset(cfg)
     for setting in cfg.benchmark.settings:
@@ -226,7 +225,7 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
              for variant in cfg.benchmark.variants
              for rep in range(cfg.benchmark.reps)]
 
-    workers = worker_count(jobs, len(cells), os.cpu_count())
+    workers = worker_count(args.jobs, len(cells), os.cpu_count())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
 
@@ -266,10 +265,10 @@ def cmd_benchmark(cfg: RunConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_dump_embeddings(cfg: RunConfig, out: Path, checkpoint: str | None) -> int:
-    if checkpoint is None:
+def cmd_dump_embeddings(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
+    if args.checkpoint is None:
         raise ConfigError("dump-embeddings needs --checkpoint")
-    params = networks.load_checkpoint(checkpoint)
+    params = networks.load_checkpoint(args.checkpoint)
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset, cfg.split.setting)
     evalsel.dump_embeddings(params, dataset, plan, out / "embeddings.csv")
@@ -277,35 +276,34 @@ def cmd_dump_embeddings(cfg: RunConfig, out: Path, checkpoint: str | None) -> in
     return 0
 
 
+# each subcommand's name and function; the parser and main both read it
+COMMANDS = {
+    "generate": cmd_generate,
+    "split": cmd_split,
+    "train": cmd_train,
+    "search": cmd_search,
+    "benchmark": cmd_benchmark,
+    "dump-embeddings": cmd_dump_embeddings,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fond",
         description="Contrastive multi-domain training and evaluation harness")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted-path config override")
         p.add_argument("--out", default="runs/out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        return p
-
-    for name in ("generate", "split", "train", "search"):
-        common(sub.add_parser(name))
-    common(sub.add_parser("benchmark")).add_argument(
-        "--jobs", type=int, default=1, help="parallel worker count")
-    common(sub.add_parser("dump-embeddings")).add_argument(
-        "--checkpoint", default=None, help="model checkpoint file")
+        if command is cmd_benchmark:
+            p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+        if command is cmd_dump_embeddings:
+            p.add_argument("--checkpoint", default=None, help="model checkpoint file")
     return parser
-
-
-_COMMANDS = {
-    "generate": cmd_generate,
-    "split": cmd_split,
-    "train": cmd_train,
-    "search": cmd_search,
-}
 
 
 def _fail(kind: str, exc: BaseException, code: int) -> int:
@@ -323,11 +321,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with np.errstate(all="ignore"):   # see the module docstring
-            if args.command == "benchmark":
-                return cmd_benchmark(cfg, out, args.jobs)
-            if args.command == "dump-embeddings":
-                return cmd_dump_embeddings(cfg, out, args.checkpoint)
-            return _COMMANDS[args.command](cfg, out)
+            return COMMANDS[args.command](cfg, out, args)
     except _NUMERIC_ERRORS as exc:
         return _fail("numerical", exc, EXIT_NUMERIC)
     except _CONFIG_ERRORS as exc:

@@ -212,14 +212,24 @@ def _plan_id(value, name: str, key: bool = False) -> int:
     raise ContractError(f"{name} holds {value!r}, not an integer id")
 
 
+def _plan_ids(values, name: str) -> list[int]:
+    """The ids of a plan's list ``name``, each read by ``_plan_id``; ContractError
+    naming the list and the id if one repeats."""
+    ids = [_plan_id(v, name) for v in values]
+    if len(set(ids)) < len(ids):
+        raise ContractError(f"{name} repeats id {next(i for i in ids if ids.count(i) > 1)}")
+    return ids
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Which classes each source domain expresses, plus the held-out target.
 
     ``__post_init__`` alone normalizes and checks a plan, from iterables of
     integer ids (numpy's too, never a bool; an ``assignment`` key may also
-    be the decimal string that a ``plan.json`` object key is); ``to_doc``
-    is its one dict form, the object that ``plan.json`` holds.
+    be the decimal string that a ``plan.json`` object key is), none repeated
+    within its list; ``to_doc`` is its one dict form, the object that
+    ``plan.json`` holds.
     """
 
     target_domain: int
@@ -230,15 +240,15 @@ class SplitPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "target_domain", _plan_id(self.target_domain, "target_domain"))
-        object.__setattr__(self, "source_domains", tuple(sorted(
-            _plan_id(s, "source_domains") for s in self.source_domains)))
-        object.__setattr__(self, "shared_classes", frozenset(
-            _plan_id(c, "shared_classes") for c in self.shared_classes))
-        object.__setattr__(self, "linked_classes", frozenset(
-            _plan_id(c, "linked_classes") for c in self.linked_classes))
+        object.__setattr__(self, "source_domains",
+                           tuple(sorted(_plan_ids(self.source_domains, "source_domains"))))
+        object.__setattr__(self, "shared_classes",
+                           frozenset(_plan_ids(self.shared_classes, "shared_classes")))
+        object.__setattr__(self, "linked_classes",
+                           frozenset(_plan_ids(self.linked_classes, "linked_classes")))
         object.__setattr__(self, "assignment",
                            {_plan_id(c, "assignment", key=True):
-                            frozenset(_plan_id(s, "assignment") for s in doms)
+                            frozenset(_plan_ids(doms, f"assignment[{c}]"))
                             for c, doms in self.assignment.items()})
         self.validate()
 

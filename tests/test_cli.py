@@ -498,11 +498,15 @@ class TestErrorExits:
         assert len(lines) == 1
         assert json.loads(lines[0])["message"].startswith("shared class count 99 invalid")
 
-    def run_on_low_plan(self, tmp_path, command, *overrides):
+    def run_on_low_plan(self, tmp_path, command, *overrides, edit=None):
         """`fond split` on the tiny config (setting low: 2 of 5 classes
         shared; target domain 0), then ``command`` on that plan file, with
-        its output in ``tmp_path / "run"``."""
+        its output in ``tmp_path / "run"``; ``edit`` updates the plan's
+        document in between."""
         assert run_cli("split", "--config", str(TINY), "--out", str(tmp_path / "sp")) == 0
+        if edit is not None:
+            path = tmp_path / "sp" / "plan.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
         plan = json.dumps(str(tmp_path / "sp" / "plan.json"))
         argv = [command, "--config", str(TINY), "--out", str(tmp_path / "run"),
                 "--set", f"split.plan_path={plan}", *overrides]
@@ -656,6 +660,47 @@ class TestErrorExits:
                                       f"{named} holds {value!r}, not an integer id")
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
+    # edits of the tiny config's low plan (linked classes 0-2 on sources
+    # 1-3; shared classes 3 on [2, 3] and 4 on [1, 2]) that repeat one id;
+    # the repeated source domain also puts both shared classes on every
+    # source, which passed the "k - 1 domains" rule because k counted it
+    REPEATED_IDS = {
+        "source_domains": ({"source_domains": [1, 2, 2, 3],
+                            "assignment": {"0": [2], "1": [3], "2": [1],
+                                           "3": [1, 2, 3], "4": [1, 2, 3]}},
+                           "source_domains repeats id 2"),
+        "shared_classes": ({"shared_classes": [3, 4, 3]}, "shared_classes repeats id 3"),
+        "linked_classes": ({"linked_classes": [0, 1, 1, 2]}, "linked_classes repeats id 1"),
+        "assignment": ({"assignment": {"0": [2], "1": [3], "2": [1], "3": [2, 3],
+                                       "4": [1, 2, 1]}},
+                       "assignment[4] repeats id 1"),
+    }
+
+    @pytest.mark.parametrize("command,field", [
+        *[(command, "source_domains") for command in ("split", "train", "search", "benchmark",
+                                                      "dump-embeddings")],
+        ("train", "shared_classes"), ("train", "linked_classes"), ("train", "assignment")])
+    def test_plan_file_with_a_repeated_id_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  command, field):
+        # every command exited 0 on the repeated source domain (`train` read
+        # y_s=0.9375 and recorded [1, 2, 2, 3] in run.json), and a frozenset
+        # merged a repeated class or assigned domain without a word
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        edit, message = self.REPEATED_IDS[field]
+        overrides = []
+        if command == "benchmark":
+            overrides = ["--set", 'benchmark.settings=["low"]',
+                         "--set", 'benchmark.variants=["erm"]', "--set", "search.n_trials=0"]
+        assert self.run_on_low_plan(tmp_path, command, *overrides, edit=edit) == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ContractError"
+        assert payload["message"] == (f"{tmp_path / 'sp' / 'plan.json'} is not a valid split "
+                                      f"plan: ContractError: {message}")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
     def run_without_domain(self, tmp_path, monkeypatch, domain, command, *overrides):
         """``command`` on the tiny config with a `fond split` plan (target 0,
         sources 1-3) and its `fond generate` data minus the rows of
@@ -684,12 +729,13 @@ class TestErrorExits:
                                       f"[0, 1, 2, 3] (target 0)")
 
     @pytest.mark.parametrize("domain", [0, 2], ids=["target", "source"])
-    @pytest.mark.parametrize("command", ["train", "search"])
+    @pytest.mark.parametrize("command", ["split", "train", "search"])
     def test_data_without_a_plan_domain_exits_2_before_training(
             self, tmp_path, capsys, monkeypatch, command, domain):
         # without the target, `train` trained and exited 3 (cannot evaluate
         # on an empty set) and `search` exited 0; without source 2, `train`
-        # exited 0 and `search` exited 3 after its folds trained
+        # exited 0 and `search` exited 3 after its folds trained; `split`
+        # wrote the plan file back and exited 0 either way
         code = self.run_without_domain(tmp_path, monkeypatch, domain, command)
         assert code == cli.EXIT_CONFIG
         self.assert_domain_mismatch(capsys, domain)
@@ -887,6 +933,19 @@ class TestErrorExits:
         assert code == cli.EXIT_CONFIG
         assert "seed must be in" in self.only_error_line(capsys)["message"]
         assert not (out / "checkpoint_best.npz").exists()
+
+    def test_search_without_trials_exit_2(self, tmp_path, capsys, monkeypatch):
+        # evalsel.random_search's check, run before any trial trains
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        code = run_cli("search", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       "--set", "search.n_trials=0")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError" and "n_trials" in payload["message"]
+        assert not (tmp_path / "run" / "search.json").exists()
 
     def test_search_range_outside_its_config_exit_2(self, tmp_path, capsys):
         # a draw of a < 1 failed only on some seeds, after the earlier trials trained

@@ -161,3 +161,28 @@ def test_only_datagen_raises_on_the_number_of_source_domains():
                     for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Raise)
                     and SOURCE_COUNT.search(ast.get_source_segment(text, node))]
     assert raising == ["fond/datagen.py", "fond/datagen.py"]
+
+
+COMMAND_NAMES = ("generate", "split", "train", "search", "benchmark", "dump-embeddings")
+
+
+def test_each_command_declared_once():
+    # cli.COMMANDS alone names each subcommand: the parser is built from it
+    # and main dispatches through it, so cli.py never compares args.command
+    # (a seed label such as subseed(..., "train") is not a command name);
+    # cmd_search leaves the trial-count rule to evalsel.random_search
+    text = (ROOT / "src" / "fond" / "cli.py").read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    seed_labels = {id(node) for call in ast.walk(tree)
+                   if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "subseed"
+                   for node in ast.walk(call)}
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and id(node) not in seed_labels]
+    assert {name: strings.count(name) for name in COMMAND_NAMES} \
+        == dict.fromkeys(COMMAND_NAMES, 1)
+    compared = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for part in ast.walk(node)
+                if isinstance(part, ast.Attribute) and part.attr == "command"
+                and isinstance(part.value, ast.Name) and part.value.id == "args"]
+    assert compared == []
+    assert "n_trials" not in ast.get_source_segment(text, _function(tree, "cmd_search"))
