@@ -89,7 +89,7 @@ def trainer_config(cfg):
 def first_step(variant, cfg, train_set, plan, net_cfg):
     """The inputs and results of a training's first step under ``variant``:
     (loss config, trainer config, batch features, annotations, params,
-    forward pass, loss, gradient, Gram buffer). As in ``trainer.train``, the
+    forward pass, loss, gradient buffer, Gram buffer). As in ``trainer.train``, the
     annotations are rows of the training set's, checked once against the
     class count, and the contrastive term writes into one ``GramBuffer``
     (None when P does not run)."""
@@ -110,13 +110,13 @@ def first_step(variant, cfg, train_set, plan, net_cfg):
                                project=project)
     gram = losses.GramBuffer() if project else None
     fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg, gram_buffer=gram)
-    grad = networks.backward_pass(fp, fl.grad_logits, fl.grad_z,
-                                  networks.ModelParams(config=net_cfg, seed=0))
-    return loss_cfg, tcfg, x, ann, params, fp, fl, grad, gram
+    grads = networks.ModelParams(config=net_cfg, seed=0)
+    networks.backward_pass(fp, fl.grad_logits, fl.grad_z, grads)
+    return loss_cfg, tcfg, x, ann, params, fp, fl, grads, gram
 
 
 def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number):
-    loss_cfg, tcfg, x, ann, params, fp, fl, grad, gram = first_step(
+    loss_cfg, tcfg, x, ann, params, fp, fl, grads, gram = first_step(
         variant, cfg, train_set, plan, net_cfg)
     project = loss_cfg.lambda_xdom > 0
     drng = trainer.rng_for(tcfg.seed, trainer.SEED_TAG_DROPOUT, 1)
@@ -135,7 +135,7 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
                                                             gram_buffer=gram), repeat, number)
     out["backward_pass"] = best_us(lambda: networks.backward_pass(
         fp, fl.grad_logits, fl.grad_z, buffer), repeat, number)
-    out["grad_norm"] = best_us(lambda: trainer.grad_norm(params, grad), repeat, number)
+    out["grad_norm"] = best_us(lambda: trainer.grad_norm(grads, project), repeat, number)
     for key, logged in (("step", True), ("step_unlogged", False)):
         out[key] = best_us(lambda: trainer.train(
             networks.init_params(net_cfg, subseed(cfg.seed, "init")), train_set, plan,
@@ -146,7 +146,8 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
 def time_optimizers(cfg, train_set, plan, net_cfg, repeat, number):
     """optimizer_step under each optimizer, on a copy of a FOND step's whole
     gradient, made in the timed call since the step overwrites it."""
-    _, tcfg, _, _, params, _, _, grad, _ = first_step("fond", cfg, train_set, plan, net_cfg)
+    _, tcfg, _, _, params, _, _, grads, _ = first_step("fond", cfg, train_set, plan, net_cfg)
+    grad = grads.flat
     work = np.empty_like(grad)
 
     def step(state, ocfg):

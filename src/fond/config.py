@@ -8,12 +8,11 @@ can be reproduced from the file alone.
 
 from __future__ import annotations
 
-import json
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .datagen import SyntheticSpec
-from .errors import ConfigError
+from .errors import ConfigError, strict_json
 from .evalsel import HyperSpace
 from .losses import VARIANTS, LossConfig
 from .trainer import TrainerConfig
@@ -160,7 +159,8 @@ def _build(cls, doc: dict, path: str):
 def parse_override(text: str):
     """'a.b.c=value' -> (['a','b','c'], parsed value); values parse as
     JSON when possible, otherwise stay strings (also JSON that the decoder
-    cannot convert: an integer past Python's digit limit, deep nesting)."""
+    cannot convert: an integer past Python's digit limit, deep nesting).
+    An object that repeats a key is a ConfigError, not a string."""
     if "=" not in text:
         raise ConfigError(f"override {text!r} must look like key.path=value")
     key, raw = text.split("=", 1)
@@ -168,7 +168,9 @@ def parse_override(text: str):
     if not key:
         raise ConfigError(f"override {text!r} has an empty key")
     try:
-        value = json.loads(raw)
+        value = strict_json(raw, ConfigError)
+    except ConfigError as exc:
+        raise ConfigError(f"override {text!r}: {exc}") from None
     except (ValueError, RecursionError):
         value = raw
     return key.split("."), value
@@ -194,10 +196,10 @@ def config_from_dict(doc: dict) -> RunConfig:
 def load_config(path, overrides=None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = strict_json(fh.read(), ConfigError)
         except (ValueError, RecursionError) as exc:
             # malformed JSON, non-UTF-8 bytes, an integer past Python's digit
-            # limit (ValueErrors all), or nesting too deep to decode
+            # limit, a repeated key (ValueErrors all), or too deep nesting
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return config_from_dict(apply_overrides(doc, overrides))
 

@@ -35,6 +35,7 @@ from .errors import (
     DegenerateInputError,
     PlanMismatchError,
     require_finite,
+    strict_json,
 )
 from .seeding import rng_for
 
@@ -307,10 +308,10 @@ class SplitPlan:
     @classmethod
     def load(cls, path) -> "SplitPlan":
         """The plan a ``to_doc`` JSON file holds; ContractError naming ``path`` for a
-        file that is not one (a missing or unknown key, JSON it cannot decode)."""
+        file that is not one (a missing, unknown or repeated key, undecodable JSON)."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                return cls(**json.load(fh))
+                return cls(**strict_json(fh.read(), ContractError))
             except (ValueError, TypeError, AttributeError, RecursionError) as exc:
                 raise ContractError(f"{path} is not a valid split plan: "
                                     f"{type(exc).__name__}: {exc}") from None
@@ -474,12 +475,12 @@ def write_table(path, header, rows, provenance: dict | None = None) -> None:
 def export_csv(dataset: Dataset, path, provenance: dict | None = None) -> None:
     """Write `id,domain,label,f0..f{d-1}` rows; floats as ``repr`` writes
     them, so the ingest round trip is bit-exact. Optional provenance JSON
-    rides along as a leading comment line."""
-    from .floatrows import float_rows   # only the float-row writers load it
+    rides along as a leading comment line. A failed export leaves no file."""
+    from .floatrows import float_rows, output_file   # only the float-row writers load it
     header = "id,domain,label," + ",".join(f"f{j}" for j in range(dataset.input_dim))
     prefixes = [f"{i},{domain},{label}," for i, domain, label in zip(
         dataset.ids.tolist(), dataset.domains.tolist(), dataset.labels.tolist())]
-    with open(path, "wb") as fh:
+    with output_file(path) as fh:
         fh.write((provenance_line(provenance) + header + "\n").encode("utf-8"))
         fh.writelines(float_rows(prefixes, dataset.features))
 

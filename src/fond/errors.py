@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import json
 import math
 
 
@@ -37,6 +38,18 @@ def require_finite(**values) -> None:
             raise ConfigError(f"{name} must be finite, got an int too large for a float") from None
         if not finite:
             raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def strict_json(text, error: type[ValueError]):
+    """The value of JSON document ``text``, except that an object that repeats
+    a key raises ``error`` naming the key (plain ``json`` keeps the last copy)."""
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise error(f"JSON object repeats key {next(k for k in keys if keys.count(k) > 1)!r}")
+        return obj
+    return json.loads(text, object_pairs_hook=unique)
 
 
 class PlanMismatchError(ValueError):

@@ -22,7 +22,6 @@ argmax.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -375,7 +374,7 @@ def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
 
     Each block of rows is written before the next is computed; a dump
     that fails removes its partly written file."""
-    from .floatrows import float_rows   # only the float-row writers load it
+    from .floatrows import float_rows, output_file   # only the float-row writers load it
     if params.config.num_classes != len(plan.classes):
         raise ContractError(f"the model has {params.config.num_classes} classes, "
                             f"the plan {len(plan.classes)}")
@@ -386,16 +385,11 @@ def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
     linked = set(plan.linked_classes)
     ids, domains, labels = (a.tolist() for a in (dataset.ids, dataset.domains,
                                                  dataset.labels))
-    fh = open(path, "wb")
-    try:
-        with fh:
-            cols = ",".join(f"h_{j}" for j in range(params.config.feature_dim))
-            fh.write(f"id,domain,label,group,{cols}\n".encode("utf-8"))
-            for rows, block in _row_blocks(params, dataset.features, "h"):
-                prefixes = [f"{ids[i]},{domains[i]},{labels[i]},"
-                            f"{'linked' if labels[i] in linked else 'shared'},"
-                            for i in range(rows.start, rows.stop)]
-                fh.writelines(float_rows(prefixes, block))
-    except BaseException:
-        os.remove(path)
-        raise
+    with output_file(path) as fh:
+        cols = ",".join(f"h_{j}" for j in range(params.config.feature_dim))
+        fh.write(f"id,domain,label,group,{cols}\n".encode("utf-8"))
+        for rows, block in _row_blocks(params, dataset.features, "h"):
+            prefixes = [f"{ids[i]},{domains[i]},{labels[i]},"
+                        f"{'linked' if labels[i] in linked else 'shared'},"
+                        for i in range(rows.start, rows.stop)]
+            fh.writelines(float_rows(prefixes, block))

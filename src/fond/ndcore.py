@@ -1,9 +1,9 @@
 """Dense float64 tensor ops with hand-written backward passes.
 
 The network topology used here is static, so there is no autodiff graph:
-each differentiable op is a forward function returning ``(output, cache)``
-and a matching backward function consuming the cache. Everything is 64-bit
-and deterministic.
+each differentiable op is a forward function returning arrays and a
+matching backward function taking the forward's arrays that it reads,
+which the caller keeps. Everything is 64-bit and deterministic.
 
 The ops are plain kernels: they take 2-D float64 ``numpy.ndarray`` values
 (1-D for a bias) of matching shapes, and they check neither their inputs
@@ -46,43 +46,42 @@ def check_finite(a: np.ndarray, name: str) -> None:
         raise DegenerateInputError(f"{name} contains non-finite values")
 
 
-def affine_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray):
-    """out[i, j] = sum_k x[i, k] * w[k, j] + bias[j]; returns (out, cache).
-    The bias is added into the product's own storage."""
+def affine_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """out[i, j] = sum_k x[i, k] * w[k, j] + bias[j]; the bias is added
+    into the product's own storage."""
     out = x @ w
     out += bias
-    return out, (x, w)
+    return out
 
 
-def affine_backward(upstream: np.ndarray, cache, grad_w: np.ndarray,
-                    grad_bias: np.ndarray) -> np.ndarray:
-    """Gradients of the affine map: writes the parameter gradients into
-    ``grad_w`` and ``grad_bias`` (C-contiguous, of the weight's and the
-    bias's shapes) and returns grad_x."""
-    affine_param_backward(upstream, cache, grad_w, grad_bias)
-    return upstream @ cache[1].T
+def affine_backward(upstream: np.ndarray, x: np.ndarray, w: np.ndarray,
+                    grad_w: np.ndarray, grad_bias: np.ndarray) -> np.ndarray:
+    """Gradients of the affine map of ``x`` by ``w``: writes the parameter
+    gradients into ``grad_w`` and ``grad_bias`` (C-contiguous, of the
+    weight's and the bias's shapes) and returns grad_x."""
+    affine_param_backward(upstream, x, grad_w, grad_bias)
+    return upstream @ w.T
 
 
-def affine_param_backward(upstream: np.ndarray, cache, grad_w: np.ndarray,
+def affine_param_backward(upstream: np.ndarray, x: np.ndarray, grad_w: np.ndarray,
                           grad_bias: np.ndarray) -> None:
     """The parameter half of ``affine_backward``, for a layer whose input
     needs no gradient: x.T @ upstream into ``grad_w`` and the column sums
     of ``upstream`` into ``grad_bias``."""
-    np.matmul(cache[0].T, upstream, out=grad_w)
+    np.matmul(x.T, upstream, out=grad_w)
     np.add.reduce(upstream, axis=0, out=grad_bias)
 
 
-def relu_forward(x: np.ndarray):
-    """max(x, 0); the cache is the output itself, since ``out > 0``
-    exactly where ``x > 0`` (NaN and -0.0 included) and the next layer
-    holds ``out`` anyway, so no copy of the input is kept."""
-    out = np.maximum(x, 0.0)
-    return out, out
+def relu_forward(x: np.ndarray) -> np.ndarray:
+    """max(x, 0)."""
+    return np.maximum(x, 0.0)
 
 
-def relu_backward(upstream: np.ndarray, cache) -> np.ndarray:
-    """Zeroes ``upstream`` where the unit was off, in place; returns it."""
-    upstream *= cache > 0.0
+def relu_backward(upstream: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Zeroes ``upstream`` where the unit was off, in place; returns it.
+    ``out`` is the forward's output: ``out > 0`` exactly where ``x > 0``
+    (NaN and -0.0 included), and the next layer holds it anyway."""
+    upstream *= out > 0.0
     return upstream
 
 
@@ -96,7 +95,7 @@ def softmax_forward(logits: np.ndarray) -> np.ndarray:
 
 
 def l2_normalize_rows(x: np.ndarray):
-    """Scale each row to unit Euclidean norm; returns (out, cache).
+    """Scale each row to unit Euclidean norm; returns (out, norms).
 
     A row whose norm is at most ``NORM_EPS``, or infinite or NaN (an
     overflowed row), raises instead of being clamped.
@@ -105,12 +104,10 @@ def l2_normalize_rows(x: np.ndarray):
     bad = np.flatnonzero(~((norms > NORM_EPS) & (norms < np.inf)))   # NaN fails both
     if bad.size:
         raise DegenerateInputError(f"row {bad[0]} has norm {norms[bad[0]]}, cannot normalize")
-    out = x / norms[:, None]
-    return out, (out, norms)
+    return x / norms[:, None], norms
 
 
-def l2_normalize_backward(upstream: np.ndarray, cache) -> np.ndarray:
-    """Backward of row normalization: (g - (g.y) y) / ||x|| per row."""
-    y, norms = cache
-    dot = (upstream * y).sum(axis=1, keepdims=True)
-    return (upstream - dot * y) / norms[:, None]
+def l2_normalize_backward(upstream: np.ndarray, out: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Backward of row normalization: (g - (g.out) out) / norms per row."""
+    dot = (upstream * out).sum(axis=1, keepdims=True)
+    return (upstream - dot * out) / norms[:, None]

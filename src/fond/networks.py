@@ -15,7 +15,7 @@ when the objective has a contrastive term, with P; prediction and
 embedding dumps run it with ``project=False`` and no dropout on one row
 block at a time (``evalsel``), reading ``logits`` or ``h``. It computes
 no softmax: the training loss (``losses.fond_loss``) takes the logits.
-``backward_pass`` consumes its caches.
+It records each layer's input, which ``backward_pass`` reads.
 
 Parameters live in one flat float64 vector with named views into it
 (``f.w0``, ``p.b1``, ``g.w``, ...), so the optimizer updates the whole
@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import ndcore
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, strict_json
 
 CHECKPOINT_VERSION = 1
 
@@ -115,19 +115,15 @@ class ModelParams:
     names like ``f.w0``, ``f.b0``, ``g.w`` to reshaped views of it in
     ``param_layout`` order, so writing through a view writes ``flat``,
     and the optimizer updates the whole model in one elementwise pass.
-    ``segments`` maps each name to its slice of ``flat``, also in
-    ``param_layout`` order, and ``head_segments`` maps each head ("f",
-    "p", "g") to its tensors' slices in that order. The storage itself
-    holds F and G first and P last: F and G fill ``flat[:fg_size]``, so a
-    step that does not train P (the ``p.*`` tensors) updates one
-    contiguous prefix.
+    ``_heads`` maps each head ("f", "p", "g") to its layers' ``(w, b)``
+    views, input layer first. The storage itself holds F and G first and
+    P last: F and G fill ``flat[:fg_size]``, so a step that does not train
+    P (the ``p.*`` tensors) updates one contiguous prefix.
     """
 
     config: NetworkConfig
     seed: int
     flat: np.ndarray | None = None
-    segments: dict[str, slice] = field(init=False, repr=False)
-    head_segments: dict[str, tuple[slice, ...]] = field(init=False, repr=False)
     fg_size: int = field(init=False, repr=False)
     _views: MappingProxyType = field(init=False, repr=False)
     _heads: dict[str, list] = field(init=False, repr=False)
@@ -143,22 +139,15 @@ class ModelParams:
                              f"{size} values, got {self.flat.dtype} {self.flat.shape}")
         self.fg_size = size - sum(math.prod(shape) for name, shape in layout
                                   if name.startswith("p."))
-        starts = {"fg": 0, "p": self.fg_size}
-        self.segments, views = {}, {}
-        for name, shape in layout:
-            part = "p" if name.startswith("p.") else "fg"
-            start, stop = starts[part], starts[part] + math.prod(shape)
-            self.segments[name] = slice(start, stop)
-            views[name] = self.flat[start:stop].reshape(shape)
-            starts[part] = stop
-        self.head_segments = {head: tuple(segment for name, segment in self.segments.items()
-                                          if name[0] == head) for head in "fpg"}
-        self._views = MappingProxyType(views)
-        self._heads = {prefix: [(views[f"{prefix}.w{i}"], views[f"{prefix}.b{i}"])
-                                for i in range(len(dims))]
-                       for prefix, dims in (("f", self.config.f_layer_dims()),
-                                            ("p", self.config.p_layer_dims()))}
-        self._heads["g"] = [(views["g.w"], views["g.b"])]
+        views, start = {}, 0      # in storage order: F, G, then P
+        for name, shape in sorted(layout, key=lambda item: item[0].startswith("p.")):
+            views[name] = self.flat[start:start + math.prod(shape)].reshape(shape)
+            start += math.prod(shape)
+        self._views = MappingProxyType({name: views[name] for name, _ in layout})
+        self._heads = {head: [] for head in "fpg"}
+        tensors = iter(views.items())
+        for (name, w), (_, b) in zip(tensors, tensors):    # each weight, then its bias
+            self._heads[name[0]].append((w, b))
 
     def tensors(self) -> Mapping[str, np.ndarray]:
         """Read-only name -> view mapping; write values in place."""
@@ -183,49 +172,45 @@ def init_params(config: NetworkConfig, seed: int) -> ModelParams:
     return params
 
 
-def _mlp_forward(x, layers):
-    """Affine stack with ReLU between layers; returns (out, caches)."""
-    caches = []
-    out = x
+def _mlp_forward(x, layers, inputs: list):
+    """Affine stack with ReLU between layers; appends each layer's input
+    (``x``, then each ReLU's output) to ``inputs`` and returns the output."""
     for i, (w, b) in enumerate(layers):
-        out, aff_cache = ndcore.affine_forward(out, w, b)
+        inputs.append(x)
+        x = ndcore.affine_forward(x, w, b)
         if i < len(layers) - 1:
-            out, relu_cache = ndcore.relu_forward(out)
-        else:
-            relu_cache = None
-        caches.append((aff_cache, relu_cache))
-    return out, caches
+            x = ndcore.relu_forward(x)
+    return x
 
 
-def _mlp_backward(upstream, caches, grads, input_grad: bool = True):
-    """Writes each layer's gradients into its ``(grad_w, grad_b)`` views in
-    ``grads``; returns the gradient at the stack's input, or None with
-    ``input_grad=False``, which leaves it uncomputed. ``upstream`` is
-    only read: the last layer has no ReLU, and every gradient the ReLU
-    backward overwrites is one this loop made."""
-    g = upstream
-    for i in reversed(range(len(caches))):      # layer 0 reads the input
-        (aff_cache, relu_cache), (gw, gb) = caches[i], grads[i]
-        if relu_cache is not None:
-            g = ndcore.relu_backward(g, relu_cache)
+def _mlp_backward(upstream, fp, head: str, out, input_grad: bool = True):
+    """Writes the gradients of ``head``'s layers, as ``fp`` ran them, into
+    their ``(grad_w, grad_b)`` views in ``out``; returns the gradient at the
+    head's input, or None with ``input_grad=False``, which leaves it
+    uncomputed. ``upstream`` is only read: the last layer has no ReLU, and
+    every gradient the ReLU backward overwrites is one this loop made."""
+    g, inputs, layers = upstream, fp._inputs[head], fp._params._heads[head]
+    for i in reversed(range(len(layers))):      # layer 0 reads the input
+        gw, gb = out._heads[head][i]
         if i > 0 or input_grad:
-            g = ndcore.affine_backward(g, aff_cache, gw, gb)
+            g = ndcore.affine_backward(g, inputs[i], layers[i][0], gw, gb)
         else:
-            ndcore.affine_param_backward(g, aff_cache, gw, gb)
+            ndcore.affine_param_backward(g, inputs[0], gw, gb)
+        if i > 0:    # layer i's input is the output of layer i - 1's ReLU
+            g = ndcore.relu_backward(g, inputs[i])
     return g if input_grad else None
 
 
 @dataclass
 class ForwardPass:
-    """Activations and caches of one forward evaluation."""
+    """Activations of one forward evaluation, and what its backward reads."""
 
     h: np.ndarray            # post-dropout features fed to both heads
     z: np.ndarray | None     # unit-norm projections; None when P was skipped
     logits: np.ndarray
-    _f_caches: list
-    _p_caches: list | None
-    _norm_cache: tuple | None
-    _g_caches: list
+    _params: ModelParams
+    _inputs: dict[str, list]     # head -> its layers' inputs, none for a skipped P
+    _z_norms: np.ndarray | None
     _dropout_mask: np.ndarray | None
 
 
@@ -247,7 +232,8 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
         raise ShapeError(
             f"x_batch has {x.shape[1]} columns, config expects {params.config.input_dim}"
         )
-    h, f_caches = _mlp_forward(x, params._heads["f"])
+    inputs = {head: [] for head in "fpg"}
+    h = _mlp_forward(x, params._heads["f"], inputs["f"])
 
     mask = None
     if dropout_rate > 0.0:
@@ -256,16 +242,13 @@ def forward_pass(params: ModelParams, x_batch, dropout_rate: float = 0.0,
         mask = (dropout_rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
         h = h * mask if h is x else np.multiply(h, mask, out=h)   # identity F: h is x
 
-    z = p_caches = norm_cache = None
+    z = norms = None
     if project:
-        pre, p_caches = _mlp_forward(h, params._heads["p"])
-        z, norm_cache = ndcore.l2_normalize_rows(pre)
+        z, norms = ndcore.l2_normalize_rows(_mlp_forward(h, params._heads["p"], inputs["p"]))
 
-    logits, g_caches = _mlp_forward(h, params._heads["g"])
-    return ForwardPass(h=h, z=z, logits=logits,
-                       _f_caches=f_caches, _p_caches=p_caches,
-                       _norm_cache=norm_cache, _g_caches=g_caches,
-                       _dropout_mask=mask)
+    logits = _mlp_forward(h, params._heads["g"], inputs["g"])
+    return ForwardPass(h=h, z=z, logits=logits, _params=params, _inputs=inputs,
+                       _z_norms=norms, _dropout_mask=mask)
 
 
 def _check_upstream(name: str, grad: np.ndarray, output: np.ndarray) -> None:
@@ -293,17 +276,17 @@ def backward_pass(fp: ForwardPass, grad_logits, grad_z, out: ModelParams) -> np.
         if fp.z is None:
             raise ContractError("grad_z given, but the forward pass skipped the projection head")
         _check_upstream("grad_z", grad_z, fp.z)
-        grad_pre = ndcore.l2_normalize_backward(grad_z, fp._norm_cache)
-        grad_h_from_p = _mlp_backward(grad_pre, fp._p_caches, out._heads["p"])
+        grad_pre = ndcore.l2_normalize_backward(grad_z, fp.z, fp._z_norms)
+        grad_h_from_p = _mlp_backward(grad_pre, fp, "p", out)
 
     # G is one affine layer, so grad_h is a new array that this pass owns
-    grad_h = _mlp_backward(grad_logits, fp._g_caches, out._heads["g"])
+    grad_h = _mlp_backward(grad_logits, fp, "g", out)
     if grad_h_from_p is not None:
         grad_h += grad_h_from_p
         del grad_h_from_p
     if fp._dropout_mask is not None:
         grad_h *= fp._dropout_mask
-    _mlp_backward(grad_h, fp._f_caches, out._heads["f"], input_grad=False)
+    _mlp_backward(grad_h, fp, "f", out, input_grad=False)
     return out.flat if grad_z is not None else out.flat[:out.fg_size]
 
 
@@ -338,7 +321,7 @@ def load_checkpoint(path) -> ModelParams:
     if _META_KEY not in raw:
         raise ContractError(f"{path} is not a model checkpoint (missing metadata)")
     try:
-        meta = json.loads(raw.pop(_META_KEY).tobytes().decode("utf-8"))
+        meta = strict_json(raw.pop(_META_KEY).tobytes().decode("utf-8"), ContractError)
         version = meta.get("version")
     except (ValueError, AttributeError, RecursionError) as exc:
         raise ContractError(f"{path} metadata is not a JSON object: {exc}") from None

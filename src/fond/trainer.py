@@ -173,21 +173,14 @@ def optimizer_step(params: networks.ModelParams, grad: np.ndarray, state: OptSta
     return state
 
 
-def grad_norm(params: networks.ModelParams, grad: np.ndarray) -> float:
-    """Euclidean norm of ``grad``, read before ``optimizer_step`` overwrites it.
-
-    Each tensor's segment of g * g is summed on its own, and the sums are
-    added P (when ``grad`` covers it), G, F, in layout order within each
-    head (``params.head_segments``, worked out once per model). That
-    order, kept for the logged bits, is the only thing left of the
-    name-keyed gradient dict ``backward_pass`` once returned. One reduction
-    over g * g would change only the logged ``grad_norm`` bits.
-    """
-    sq, segments = grad * grad, params.head_segments
-    order = segments["g"] + segments["f"]
-    if len(grad) == params.flat.size:
-        order = segments["p"] + order
-    return math.sqrt(sum(float(sq[segment].sum()) for segment in order))
+def grad_norm(grads: networks.ModelParams, with_p: bool) -> float:
+    """Euclidean norm of the gradient ``backward_pass`` wrote into ``grads``
+    (P's part only ``with_p``), read before ``optimizer_step`` overwrites it.
+    Each tensor's g * g is summed on its own, and the sums are added P, G, F,
+    in layout order within each head (``grads._heads``): the logged bits
+    depend on that order."""
+    return math.sqrt(sum(float((v * v).sum()) for head in ("pgf" if with_p else "gf")
+                         for layer in grads._heads[head] for v in layer))
 
 
 @dataclass
@@ -324,7 +317,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
             if log_steps:
                 log.steps.append(StepRecord(
                     step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
-                    grad_norm=grad_norm(params, grad),
+                    grad_norm=grad_norm(grad_buffer, project),
                     linked_ce=fl.linked_ce, shared_ce=fl.shared_ce))
             # nothing reads the step's forward pass or loss after this: free
             # them now. Left bound, they stay alive through the evaluation

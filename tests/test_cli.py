@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -876,6 +877,66 @@ class TestErrorExits:
         payload = self.only_error_line(capsys)
         assert payload["type"] == "ConfigError"
         assert payload["message"].startswith("loss.a must be float")
+
+    def repeated_key_argv(self, tmp_path, source):
+        """argv of a command whose JSON input from ``source`` repeats an
+        object key, and that key."""
+        argv = ["--config", str(TINY), "--out", str(tmp_path / "run")]
+        if source == "config":
+            doc = json.loads(TINY.read_text())
+            del doc["seed"]
+            path = tmp_path / "config.json"
+            path.write_text('{"seed": 7, "seed": 8, ' + json.dumps(doc)[1:])
+            return ["train", "--config", str(path), "--out", str(tmp_path / "run")], "seed"
+        if source == "override":
+            return ["train", *argv, "--set",
+                    'trainer={"max_steps":1,"max_steps":2,"eval_every":1}'], "max_steps"
+        if source == "plan":
+            assert run_cli("split", *argv[:2], "--out", str(tmp_path / "sp")) == 0
+            path = tmp_path / "sp" / "plan.json"
+            doc = json.loads(path.read_text())
+            assignment = json.dumps(doc.pop("assignment"))
+            key = next(iter(json.loads(assignment)))
+            path.write_text(json.dumps(doc)[:-1] + f', "assignment": {{"{key}": [1], '
+                            + assignment[1:] + "}")
+            return ["train", *argv, "--set", f"split.plan_path={json.dumps(str(path))}"], key
+        params = networks.init_params(networks.NetworkConfig(
+            input_dim=8, num_classes=5, feature_dim=16, projection_dim=8,
+            f_hidden=(16,), p_hidden=(32,)), 0)
+        meta = json.dumps({"version": 1, "seed": 0, "seed": 1,
+                           "config": dataclasses.asdict(params.config)})
+        assert meta.count('"seed"') == 1   # json.dumps cannot write a repeat
+        meta = meta.replace('"seed": 1', '"seed": 0, "seed": 1')
+        path = tmp_path / "model.npz"
+        np.savez(path, **params.tensors(),
+                 __meta__=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8))
+        return ["dump-embeddings", *argv, "--checkpoint", str(path)], "seed"
+
+    @pytest.mark.parametrize("source, error", [("config", "ConfigError"),
+                                               ("override", "ConfigError"),
+                                               ("plan", "ContractError"),
+                                               ("checkpoint", "ContractError")])
+    def test_json_input_with_a_repeated_key_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                    source, error):
+        # the decoder kept the last copy of the key, and each command exited
+        # 0: the config trained with seed 8, the override trained 2 steps,
+        # the plan trained on its second list and the checkpoint was dumped
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        argv, key = self.repeated_key_argv(tmp_path, source)
+        capsys.readouterr()
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == error
+        assert f"repeats key {key!r}" in payload["message"]
+        assert list((tmp_path / "run").glob("*")) == []
+
+    def test_override_with_a_repeated_key_stays_an_error(self):
+        # any other ValueError of the decoder leaves the value a string
+        with pytest.raises(ConfigError, match="repeats key 'max_steps'"):
+            config.parse_override('trainer={"max_steps": 1, "max_steps": 2}')
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

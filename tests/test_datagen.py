@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 import warnings
@@ -320,6 +321,26 @@ class TestCsv:
         assert np.array_equal(back.labels, ds.labels)
         assert np.array_equal(back.domains, ds.domains)
         assert np.array_equal(back.ids, ds.ids)
+
+    def test_export_that_fails_leaves_no_file(self, tmp_path, monkeypatch):
+        # a full disk on the third row block left the rows written so far: a
+        # valid dataset of 1,024 rows where 4,000 were exported
+        from fond import floatrows
+        ds = datagen.generate_synthetic(small_spec(input_dim=8, samples_per_cell=334), 22)
+        assert len(ds) >= 4000
+        real = floatrows.float_rows
+
+        def full_disk(prefixes, values):   # sub-blocks of 512 rows of 8 values
+            blocks = real(prefixes, values)
+            yield next(blocks)
+            yield next(blocks)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(floatrows, "float_rows", full_disk)
+        path = tmp_path / "dataset.csv"
+        with pytest.raises(OSError, match="No space left"):
+            datagen.export_csv(ds, path)
+        assert not path.exists()
 
     def test_write_table_bytes(self, tmp_path):
         # csv.writer's CRLF ends and quoting, csv_cell's empty None and repr floats

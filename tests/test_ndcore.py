@@ -13,38 +13,39 @@ def arrays(rng, *shape):
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
-def affine_grads(upstream, cache):
+def affine_grads(upstream, x, w):
     """(grad_x, grad_w, grad_bias) of ``ndcore.affine_backward``, which
     writes the parameter gradients into buffers it is given."""
-    w = cache[1]
     grad_w, grad_b = np.empty_like(w), np.empty(w.shape[1])
-    return ndcore.affine_backward(upstream, cache, grad_w, grad_b), grad_w, grad_b
+    return ndcore.affine_backward(upstream, x, w, grad_w, grad_b), grad_w, grad_b
 
 
 class TestAffine:
     def test_identity_weights(self):
-        out, _ = ndcore.affine_forward([[1.0, 2.0]], np.eye(2), [0.0, 0.0])
+        out = ndcore.affine_forward([[1.0, 2.0]], np.eye(2), [0.0, 0.0])
         assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_zero_input_passes_bias(self):
-        out, _ = ndcore.affine_forward(np.array([[0.0, 0.0]]),
-                                       np.array([[5.0, -1.0], [2.0, 7.0]]), np.array([3.0, 4.0]))
+        out = ndcore.affine_forward(np.array([[0.0, 0.0]]),
+                                    np.array([[5.0, -1.0], [2.0, 7.0]]), np.array([3.0, 4.0]))
         assert np.array_equal(out, [[3.0, 4.0]])
 
     def test_hand_multiply(self):
-        out, _ = ndcore.affine_forward(np.array([[1.0, 1.0]]),
-                                       np.array([[2.0, 3.0], [4.0, 5.0]]), np.array([1.0, 1.0]))
+        out = ndcore.affine_forward(np.array([[1.0, 1.0]]),
+                                    np.array([[2.0, 3.0], [4.0, 5.0]]), np.array([1.0, 1.0]))
         assert np.array_equal(out, [[7.0, 9.0]])
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(0)
-        out, cache = ndcore.affine_forward(arrays(rng, 3, 4), arrays(rng, 4, 2), arrays(rng, 2))
-        gx, gw, gb = affine_grads(np.zeros_like(out), cache)
+        x, w = arrays(rng, 3, 4), arrays(rng, 4, 2)
+        out = ndcore.affine_forward(x, w, arrays(rng, 2))
+        gx, gw, gb = affine_grads(np.zeros_like(out), x, w)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_backward_scalar_chain(self):
-        out, cache = ndcore.affine_forward(np.array([[2.0]]), np.array([[3.0]]), np.array([0.0]))
-        gx, gw, gb = affine_grads(np.array([[1.0]]), cache)
+        x, w = np.array([[2.0]]), np.array([[3.0]])
+        out = ndcore.affine_forward(x, w, np.array([0.0]))
+        gx, gw, gb = affine_grads(np.array([[1.0]]), x, w)
         assert gw[0, 0] == 2.0 and gx[0, 0] == 3.0 and gb[0] == 1.0
 
     def test_backward_matches_finite_differences(self):
@@ -53,11 +54,10 @@ class TestAffine:
         upstream = arrays(rng, 3, 2)
 
         def scalar(xx, ww, bb):
-            out, _ = ndcore.affine_forward(xx, ww, bb)
+            out = ndcore.affine_forward(xx, ww, bb)
             return float((out * upstream).sum())
 
-        _, cache = ndcore.affine_forward(x, w, b)
-        gx, gw, gb = affine_grads(upstream, cache)
+        gx, gw, gb = affine_grads(upstream, x, w)
         assert rel_error(central_difference(lambda v: scalar(v, w, b), x.copy()), gx) < 1e-6
         assert rel_error(central_difference(lambda v: scalar(x, v, b), w.copy()), gw) < 1e-6
         assert rel_error(central_difference(lambda v: scalar(x, w, v), b.copy()), gb) < 1e-6
@@ -68,16 +68,16 @@ class TestAffine:
         rng = np.random.default_rng(9)
         x, w, b = arrays(rng, 64, 23), arrays(rng, 23, 17), arrays(rng, 17)
         upstream = arrays(rng, 64, 17)
-        out, cache = ndcore.affine_forward(x, w, b)
+        out = ndcore.affine_forward(x, w, b)
         assert out.tobytes() == (x @ w + b).tobytes()
         flat = np.full(1 + w.size + b.size, np.nan)
         grad_w, grad_b = flat[1:1 + w.size].reshape(w.shape), flat[1 + w.size:]
-        gx = ndcore.affine_backward(upstream, cache, grad_w, grad_b)
+        gx = ndcore.affine_backward(upstream, x, w, grad_w, grad_b)
         assert gx.tobytes() == (upstream @ w.T).tobytes()
         assert grad_w.tobytes() == (x.T @ upstream).tobytes()
         assert grad_b.tobytes() == upstream.sum(axis=0).tobytes()
         flat[:] = np.nan
-        assert ndcore.affine_param_backward(upstream, cache, grad_w, grad_b) is None
+        assert ndcore.affine_param_backward(upstream, x, grad_w, grad_b) is None
         assert grad_w.tobytes() == (x.T @ upstream).tobytes()
         assert grad_b.tobytes() == upstream.sum(axis=0).tobytes()
         assert np.isnan(flat[0])
@@ -85,7 +85,7 @@ class TestAffine:
 
 class TestReluSoftmax:
     def test_relu_clips_negatives(self):
-        out, _ = ndcore.relu_forward([[-1.0, 0.0, 2.0]])
+        out = ndcore.relu_forward([[-1.0, 0.0, 2.0]])
         assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_relu_backward_finite_differences(self):
@@ -93,11 +93,11 @@ class TestReluSoftmax:
         x = arrays(rng, 4, 3)
         x[np.abs(x) < 1e-3] = 0.5  # keep probes away from the kink
         upstream = arrays(rng, 4, 3)
-        _, cache = ndcore.relu_forward(x)
-        grad = ndcore.relu_backward(upstream.copy(), cache)
+        out = ndcore.relu_forward(x)
+        grad = ndcore.relu_backward(upstream.copy(), out)
 
         def scalar(v):
-            out, _ = ndcore.relu_forward(v)
+            out = ndcore.relu_forward(v)
             return float((out * upstream).sum())
 
         assert rel_error(central_difference(scalar, x.copy()), grad) < 1e-6
@@ -105,10 +105,10 @@ class TestReluSoftmax:
         # at the kink: exact zeros, -0.0 and NaN pass no gradient, bit for bit
         x = np.array([[0.0, -0.0, np.nan, 5e-324, -5e-324, 2.0]])
         upstream = np.array([[1.5, -2.0, 3.0, -4.0, 5.0, -6.0]])
-        _, cache = ndcore.relu_forward(x)
+        out = ndcore.relu_forward(x)
         want = upstream * (x > 0.0)
         # in place: the result is the upstream array itself
-        assert ndcore.relu_backward(upstream, cache) is upstream
+        assert ndcore.relu_backward(upstream, out) is upstream
         assert upstream.tobytes() == want.tobytes()
 
     def test_softmax_symmetry(self):
@@ -154,8 +154,8 @@ class TestNormalize:
         rng = np.random.default_rng(7)
         x = arrays(rng, 4, 3) + 0.5
         upstream = arrays(rng, 4, 3)
-        _, cache = ndcore.l2_normalize_rows(x)
-        grad = ndcore.l2_normalize_backward(upstream, cache)
+        out, norms = ndcore.l2_normalize_rows(x)
+        grad = ndcore.l2_normalize_backward(upstream, out, norms)
 
         def scalar(v):
             out, _ = ndcore.l2_normalize_rows(v)
@@ -168,8 +168,8 @@ class TestDeterminismAndValidation:
     def test_forward_ops_bit_identical(self):
         rng = np.random.default_rng(8)
         x, w, b = arrays(rng, 3, 3), arrays(rng, 3, 2), arrays(rng, 2)
-        a1, _ = ndcore.affine_forward(x, w, b)
-        a2, _ = ndcore.affine_forward(x.copy(), w.copy(), b.copy())
+        a1 = ndcore.affine_forward(x, w, b)
+        a2 = ndcore.affine_forward(x.copy(), w.copy(), b.copy())
         assert np.array_equal(a1, a2)
         s1 = ndcore.softmax_forward(x)
         s2 = ndcore.softmax_forward(x.copy())
@@ -191,11 +191,10 @@ def test_affine_backward_property(rows, inner, cols, seed):
     rng = np.random.default_rng(seed)
     x, w, b = arrays(rng, rows, inner), arrays(rng, inner, cols), arrays(rng, cols)
     upstream = arrays(rng, rows, cols)
-    _, cache = ndcore.affine_forward(x, w, b)
-    gx, gw, gb = affine_grads(upstream, cache)
+    gx, gw, gb = affine_grads(upstream, x, w)
 
     def scalar(xx, ww, bb):
-        out, _ = ndcore.affine_forward(xx, ww, bb)
+        out = ndcore.affine_forward(xx, ww, bb)
         return float((out * upstream).sum())
 
     assert rel_error(central_difference(lambda v: scalar(v, w, b), x.copy()), gx) < 1e-4
@@ -210,8 +209,8 @@ def test_normalize_backward_property(rows, cols, seed):
     x = rng.uniform(-1.0, 1.0, size=(rows, cols))
     x[np.abs(x).sum(axis=1) < 0.5] += 1.0  # keep rows well away from zero norm
     upstream = rng.uniform(-1.0, 1.0, size=(rows, cols))
-    _, cache = ndcore.l2_normalize_rows(x)
-    grad = ndcore.l2_normalize_backward(upstream, cache)
+    out, norms = ndcore.l2_normalize_rows(x)
+    grad = ndcore.l2_normalize_backward(upstream, out, norms)
 
     def scalar(v):
         out, _ = ndcore.l2_normalize_rows(v)

@@ -12,6 +12,15 @@ SMALL = networks.NetworkConfig(input_dim=5, num_classes=4, feature_dim=6,
                                projection_dim=3, f_hidden=(7,), p_hidden=(16,))
 
 
+def segment(params, name):
+    """The slice of ``params.flat`` that tensor ``name`` views, read from
+    the view's offset into the vector."""
+    view = params.tensors()[name]
+    start = (view.__array_interface__["data"][0]
+             - params.flat.__array_interface__["data"][0]) // params.flat.itemsize
+    return slice(start, start + view.size)
+
+
 class TestConfig:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ConfigError):
@@ -134,16 +143,24 @@ class TestForward:
         assert np.array_equal(ndcore.softmax_forward(a.logits),
                               ndcore.softmax_forward(b.logits))
 
-    def test_relu_cache_is_next_layer_input(self):
-        # the ReLU output is the next affine layer's input; caching it
-        # instead of the pre-activation keeps no extra copy per layer
+    def test_relu_cache_is_next_layer_input(self, monkeypatch):
+        # each hidden layer's recorded input is the ReLU output object
+        # itself, which the ReLU backward reads: no extra copy per layer
         cfg = networks.NetworkConfig(input_dim=5, num_classes=4, feature_dim=6,
                                      projection_dim=3, f_hidden=(7, 8), p_hidden=(9,))
+        relu_outputs = []
+
+        def relu_forward(x, _kernel=ndcore.relu_forward):
+            relu_outputs.append(_kernel(x))
+            return relu_outputs[-1]
+
+        monkeypatch.setattr(ndcore, "relu_forward", relu_forward)
         fp = networks.forward_pass(networks.init_params(cfg, 1),
                                    np.random.default_rng(5).normal(size=(4, 5)))
-        assert fp._f_caches[0][1] is fp._f_caches[1][0][0]
-        assert fp._f_caches[1][1] is fp._f_caches[2][0][0]
-        assert fp._p_caches[0][1] is fp._p_caches[1][0][0]
+        assert len(relu_outputs) == 3
+        assert fp._inputs["f"][1] is relu_outputs[0]
+        assert fp._inputs["f"][2] is relu_outputs[1]
+        assert fp._inputs["p"][1] is relu_outputs[2]
 
 
 class TestGradients:
@@ -163,7 +180,7 @@ class TestGradients:
         fp = networks.forward_pass(params, x)
         from fond.networks import _mlp_backward
         grads = networks.ModelParams(config=SMALL, seed=0)
-        _mlp_backward(upstream_h, fp._f_caches, grads._heads["f"])
+        _mlp_backward(upstream_h, fp, "f", grads)
         for name in ("f.w0", "f.w1"):
             fd = central_difference(
                 lambda th, nm=name: scalar(th, nm), params.tensors()[name].copy())
@@ -294,8 +311,8 @@ class TestDropout:
         params = networks.init_params(SMALL, 12)
         x = np.random.default_rng(12).normal(size=(4, 5))
         fp = networks.forward_pass(params, x, 0.5, np.random.default_rng(3))
-        logits, _ = ndcore.affine_forward(fp.h, params.tensors()["g.w"],
-                                          params.tensors()["g.b"])
+        logits = ndcore.affine_forward(fp.h, params.tensors()["g.w"],
+                                       params.tensors()["g.b"])
         assert np.array_equal(logits, fp.logits)
 
 
@@ -307,13 +324,14 @@ class TestFlatStorage:
         assert params.flat.size == sum(v.size for v in params.tensors().values())
         for name, view in params.tensors().items():
             assert np.shares_memory(view, params.flat)
-            assert np.array_equal(view.ravel(), params.flat[params.segments[name]])
+            assert np.array_equal(view.ravel(), params.flat[segment(params, name)])
         # storage order is F, G, then P, so F and G form the prefix
         p_names = [k for k, _ in layout if k.startswith("p.")]
-        starts = sorted((s.start, s.stop, k) for k, s in params.segments.items())
+        segments = {k: segment(params, k) for k in params.tensors()}
+        starts = sorted((s.start, s.stop, k) for k, s in segments.items())
         assert [k for *_, k in starts] == [k for k, _ in layout if k[0] != "p"] + p_names
         assert all(a[1] == b[0] for a, b in zip(starts, starts[1:]))
-        assert params.segments[p_names[0]].start == params.fg_size
+        assert segments[p_names[0]].start == params.fg_size
 
     def test_tensors_cannot_be_rebound(self):
         params = networks.init_params(SMALL, 31)
@@ -327,7 +345,7 @@ class TestFlatStorage:
         assert not np.shares_memory(other.flat, params.flat)
         other.tensors()["f.w0"][...] = 7.0
         assert np.array_equal(params.flat, before)
-        assert np.all(other.flat[other.segments["f.w0"]] == 7.0)
+        assert np.all(other.flat[segment(other, "f.w0")] == 7.0)
 
     def test_loaded_checkpoints_have_independent_storage(self, tmp_path):
         path = tmp_path / "model.npz"
@@ -335,7 +353,7 @@ class TestFlatStorage:
         a, b = networks.load_checkpoint(path), networks.load_checkpoint(path)
         assert not np.shares_memory(a.flat, b.flat)
         a.tensors()["g.b"][...] = 3.0
-        assert np.all(a.flat[a.segments["g.b"]] == 3.0)
+        assert np.all(a.flat[segment(a, "g.b")] == 3.0)
         assert not b.tensors()["g.b"].any()
 
     def test_rejects_wrong_flat_vector(self):

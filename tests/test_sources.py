@@ -1,8 +1,11 @@
 """Rules about the program's source text itself."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
+
+from fond import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,6 +36,21 @@ def test_one_csv_writer_for_every_output_table():
     assert sorted(name for name, text in sources.items() if CSV_IMPORT.search(text)) \
         == ["fond/datagen.py"]
     assert sum(text.count("csv.writer(") for text in sources.values()) == 1
+
+
+JSON_READ = re.compile(r"\bjson\.loads?\(|^\s*from\s+json\s+import\b", re.MULTILINE)
+
+
+def test_one_json_reader_for_every_input_file():
+    # config files, overrides, plan files and checkpoint metadata are all
+    # decoded by errors.strict_json, which rejects a repeated object key
+    # that json.load would keep the last copy of
+    sources = {path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    reads = [(name, match.group(0)) for name, text in sources.items()
+             for match in JSON_READ.finditer(text)]
+    assert reads == [("fond/errors.py", "json.loads(")]
+    assert JSON_READ.search(inspect.getsource(errors.strict_json))
 
 
 FLOATROWS_IMPORT = re.compile(r"^(?:from\s+\S*\s+)?import\s+.*floatrows|^from\s+\S*floatrows\s",

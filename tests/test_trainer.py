@@ -82,15 +82,16 @@ class TestTrainerConfig:
 
 
 def flat_grad(params, grads):
-    """The flat gradient that ``networks.backward_pass`` writes for the
-    name -> array dict ``grads``: the whole vector, or only its F and G
-    prefix when ``grads`` has no P tensors."""
+    """The gradient buffer that ``networks.backward_pass`` writes for the
+    name -> array dict ``grads``, and the flat gradient it returns: the
+    whole vector, or only its F and G prefix when ``grads`` has no P
+    tensors."""
     buffer = networks.ModelParams(config=params.config, seed=0)
     for name, grad in grads.items():
         buffer.tensors()[name][...] = grad
     if any(name.startswith("p.") for name in grads):
-        return buffer.flat
-    return buffer.flat[:buffer.fg_size]
+        return buffer, buffer.flat
+    return buffer, buffer.flat[:buffer.fg_size]
 
 
 class TestOptimizerStep:
@@ -197,10 +198,10 @@ def test_optimizer_step_bit_identical_to_frozen_per_tensor(
         if p_head != "given":   # zero: the reference's view of an ERM step
             grads.update({k: np.zeros_like(g) for k, g in grads.items() if k[0] == "p"})
         # absent: the F and G prefix backward_pass gives without grad_z, as on ERM steps
-        grad = flat_grad(params, {k: g for k, g in grads.items()
-                                  if p_head != "absent" or k[0] != "p"})
+        buffer, grad = flat_grad(params, {k: g for k, g in grads.items()
+                                          if p_head != "absent" or k[0] != "p"})
         # grad_norm reads the gradient before the step overwrites it
-        assert trainer.grad_norm(params, grad) == ref_grad_norm(grads)
+        assert trainer.grad_norm(buffer, p_head != "absent") == ref_grad_norm(grads)
         trainer.optimizer_step(params, grad, state, tcfg)
         ref_optimizer_step(ref, grads, ref_state, tcfg)
     assert state.step == ref_state.step == steps
@@ -208,8 +209,9 @@ def test_optimizer_step_bit_identical_to_frozen_per_tensor(
         assert v.tobytes() == ref[k].tobytes(), k
     for flat, slots in ((state.m, ref_state.m), (state.v, ref_state.v)):
         assert (flat is None) == (not slots)
-        for k, slot in slots.items():
-            assert flat[params.segments[k]].tobytes() == slot.tobytes(), k
+        for k, slot in slots.items():   # read through views laid out as the parameters
+            view = networks.ModelParams(config=params.config, seed=0, flat=flat).tensors()[k]
+            assert view.tobytes() == slot.tobytes(), k
 
 
 class TestTrainLoop:
@@ -528,21 +530,17 @@ class TestStepArraysReleased:
 
 class TestKernelInputs:
     """The ndcore kernels check nothing: every array the package hands them
-    must already be float64 with the rank the kernel documents (a tuple
-    entry is a cache, checked item by item)."""
+    must already be float64 with the rank the kernel documents."""
 
-    RANKS = {"affine_forward": (2, 2, 1), "affine_backward": (2, (2, 2), 2, 1),
-             "affine_param_backward": (2, (2, 2), 2, 1),
+    RANKS = {"affine_forward": (2, 2, 1), "affine_backward": (2, 2, 2, 2, 1),
+             "affine_param_backward": (2, 2, 2, 1),
              "relu_forward": (2,), "relu_backward": (2, 2),
              "softmax_forward": (2,), "l2_normalize_rows": (2,),
-             "l2_normalize_backward": (2, (2, 1))}
+             "l2_normalize_backward": (2, 2, 1)}
 
-    def check(self, value, rank, where):
-        if isinstance(rank, tuple):
-            assert isinstance(value, tuple) and len(value) == len(rank), where
-            for item, item_rank in zip(value, rank):
-                self.check(item, item_rank, where)
-        else:
+    def check(self, values, ranks, where):
+        assert len(values) == len(ranks), where
+        for value, rank in zip(values, ranks):
             assert type(value) is np.ndarray, (where, type(value))
             assert (value.dtype, value.ndim) == (np.float64, rank), (where, value.dtype,
                                                                      value.shape)
