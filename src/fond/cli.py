@@ -13,6 +13,7 @@ boundaries report every non-finite value as exit 3 instead.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ from .errors import (
     NonFiniteLossError,
     PlanMismatchError,
     ShapeError,
+    write_output,
 )
 from .seeding import subseed
 
@@ -79,9 +81,7 @@ def _metrics_payload(report: evalsel.MetricsReport) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_output(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def cmd_generate(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
@@ -230,17 +230,13 @@ def cmd_benchmark(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
         from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
 
         # warnings off in each worker too: a forked one inherits main's
-        # floating-point state, a spawned one does not
+        # floating-point state, a spawned one does not; map yields in
+        # submission order, and a cell that raises cancels those not started
         with ProcessPoolExecutor(max_workers=workers, initializer=np.seterr,
                                  initargs=("ignore",)) as pool:
-            futures = [pool.submit(run_benchmark_cell, cfg, *cell) for cell in cells]
-            try:
-                rows = [f.result() for f in futures]   # submission order, not completion
-            except BaseException:
-                pool.shutdown(cancel_futures=True)   # the run has failed: start no more cells
-                raise
+            rows = list(pool.map(run_benchmark_cell, itertools.repeat(cfg), *zip(*cells)))
     else:
-        rows = [run_benchmark_cell(cfg, *cell) for cell in cells]
+        rows = list(map(run_benchmark_cell, itertools.repeat(cfg), *zip(*cells)))
 
     agg = evalsel.aggregate(rows)
     provenance = {"config": to_provenance(cfg)}

@@ -20,6 +20,8 @@ full class set. A plan's one serialized form is ``SplitPlan.to_doc``, the
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 import re
@@ -36,6 +38,7 @@ from .errors import (
     PlanMismatchError,
     require_finite,
     strict_json,
+    write_output,
 )
 from .seeding import rng_for
 
@@ -465,24 +468,23 @@ def provenance_line(provenance: dict | None) -> str:
 def write_table(path, header, rows, provenance: dict | None = None) -> None:
     """Write an output table: the provenance line when given, the header,
     then one CSV record of ``csv_cell`` values per row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(provenance_line(provenance))
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(map(csv_cell, row) for row in rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(map(csv_cell, row) for row in rows)
+    write_output(path, [(provenance_line(provenance) + text.getvalue()).encode("utf-8")])
 
 
 def export_csv(dataset: Dataset, path, provenance: dict | None = None) -> None:
     """Write `id,domain,label,f0..f{d-1}` rows; floats as ``repr`` writes
     them, so the ingest round trip is bit-exact. Optional provenance JSON
     rides along as a leading comment line. A failed export leaves no file."""
-    from .floatrows import float_rows, output_file   # only the float-row writers load it
+    from .floatrows import float_rows   # only the float-row writers load it
     header = "id,domain,label," + ",".join(f"f{j}" for j in range(dataset.input_dim))
     prefixes = [f"{i},{domain},{label}," for i, domain, label in zip(
         dataset.ids.tolist(), dataset.domains.tolist(), dataset.labels.tolist())]
-    with output_file(path) as fh:
-        fh.write((provenance_line(provenance) + header + "\n").encode("utf-8"))
-        fh.writelines(float_rows(prefixes, dataset.features))
+    head = (provenance_line(provenance) + header + "\n").encode("utf-8")
+    write_output(path, itertools.chain([head], float_rows(prefixes, dataset.features)))
 
 
 def _csv_lines(fh):

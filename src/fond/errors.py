@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 
 class ShapeError(ValueError):
@@ -50,6 +51,20 @@ def strict_json(text, error: type[ValueError]):
             raise error(f"JSON object repeats key {next(k for k in keys if keys.count(k) > 1)!r}")
         return obj
     return json.loads(text, object_pairs_hook=unique)
+
+
+def write_output(path, chunks) -> None:
+    """Write the byte chunks of the iterable ``chunks`` to ``path``, the one
+    way every output file is written. Any exception, from a write or from
+    the code that yields the chunks, removes the file and propagates: the
+    rows written so far would read as a valid but shorter file."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 class PlanMismatchError(ValueError):

@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 import numpy as np
 
 from . import datagen, losses, ndcore, networks
-from .errors import ConfigError, ContractError, DegenerateInputError, require_finite
+from .errors import ConfigError, ContractError, DegenerateInputError, require_finite, write_output
 from .seeding import rng_for, subseed
 
 
@@ -374,7 +374,7 @@ def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
 
     Each block of rows is written before the next is computed; a dump
     that fails removes its partly written file."""
-    from .floatrows import float_rows, output_file   # only the float-row writers load it
+    from .floatrows import float_rows   # only the float-row writers load it
     if params.config.num_classes != len(plan.classes):
         raise ContractError(f"the model has {params.config.num_classes} classes, "
                             f"the plan {len(plan.classes)}")
@@ -385,11 +385,14 @@ def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,
     linked = set(plan.linked_classes)
     ids, domains, labels = (a.tolist() for a in (dataset.ids, dataset.domains,
                                                  dataset.labels))
-    with output_file(path) as fh:
+
+    def chunks():
         cols = ",".join(f"h_{j}" for j in range(params.config.feature_dim))
-        fh.write(f"id,domain,label,group,{cols}\n".encode("utf-8"))
+        yield f"id,domain,label,group,{cols}\n".encode("utf-8")
         for rows, block in _row_blocks(params, dataset.features, "h"):
             prefixes = [f"{ids[i]},{domains[i]},{labels[i]},"
                         f"{'linked' if labels[i] in linked else 'shared'},"
                         for i in range(rows.start, rows.stop)]
-            fh.writelines(float_rows(prefixes, block))
+            yield from float_rows(prefixes, block)
+
+    write_output(path, chunks())

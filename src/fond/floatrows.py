@@ -29,9 +29,7 @@ or 3.0, and for every double from 2**49 up (there q <= 2).
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 
 import numpy as np
 
@@ -244,16 +242,3 @@ def float_rows(prefixes, values):
     rows = max(1, SUB_VALUES // values.shape[1])
     for start in range(0, len(values), rows):
         yield _sub_block(prefixes[start:start + rows], values[start:start + rows])
-
-
-@contextlib.contextmanager
-def output_file(path):
-    """``path`` opened to write bytes; a write that fails removes the file,
-    whose rows so far would read as a valid but smaller table."""
-    fh = open(path, "wb")
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        os.remove(path)
-        raise

@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import ndcore
-from .errors import ConfigError, ContractError, ShapeError, strict_json
+from .errors import ConfigError, ContractError, ShapeError, strict_json, write_output
 
 CHECKPOINT_VERSION = 1
 
@@ -302,8 +302,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     arrays[_META_KEY] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    write_output(path, [buf.getvalue()])
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import datagen, evalsel, losses, ndcore, networks
 from .errors import (ConfigError, ContractError, DegenerateInputError, NonFiniteLossError,
-                     require_finite)
+                     require_finite, write_output)
 from .seeding import rng_for, rng_states, subseed
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
@@ -211,11 +211,9 @@ class TrainLog:
     best_step: int | None = None
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.steps:
-                fh.write(json.dumps({"kind": "step", **rec.__dict__}) + "\n")
-            for rec in self.evals:
-                fh.write(json.dumps({"kind": "eval", **rec.__dict__}) + "\n")
+        write_output(path, (json.dumps({"kind": kind, **rec.__dict__}).encode("utf-8") + b"\n"
+                            for kind, recs in (("step", self.steps), ("eval", self.evals))
+                            for rec in recs))
 
     def write_summary_csv(self, path) -> None:
         evals = {e.step: [e.y_l_accuracy, e.y_s_accuracy, e.overall_accuracy]

@@ -1375,6 +1375,35 @@ print(json.dumps({{"codes": codes, "masked": "numpy.ma" in sys.modules}}))
         assert all(c["winner"] is None for c in doc["cells"])
 
 
+class TestFailedWrites:
+    """A write that fails removes its file: the lines written so far would
+    read as a valid but shorter document or table."""
+
+    def test_json_document_that_fails_leaves_no_file(self, tmp_path, full_disk):
+        path = tmp_path / "doc.json"
+        full_disk(10)
+        with pytest.raises(OSError, match="No space left"):
+            cli._write_json(path, {"a": list(range(20))})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("generate", []),
+        ("split", []),
+        ("train", []),
+        ("search", []),
+        ("benchmark", ["--set", "search.n_trials=0", "--set", "benchmark.reps=1"]),
+    ])
+    def test_command_whose_write_fails_exits_4(self, cfg_path, tmp_path, capsys, full_disk,
+                                               command, overrides):
+        out = tmp_path / "out"
+        full_disk(10)
+        code = run_cli(command, "--config", str(cfg_path), "--out", str(out), *overrides)
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[-1])["error"] == "io"
+        assert list(out.iterdir()) == []
+
+
 class TestReleasedData:
     """Training commands free the dataset and the source pool before the loop."""
 

@@ -342,6 +342,18 @@ class TestCsv:
             datagen.export_csv(ds, path)
         assert not path.exists()
 
+    def test_table_that_fails_leaves_no_file(self, tmp_path):
+        # a full disk after two rows left a valid table of two rows
+        def rows():
+            yield ["a", 0.5]
+            yield ["b", None]
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        path = tmp_path / "table.csv"
+        with pytest.raises(OSError, match="No space left"):
+            datagen.write_table(path, ["name", "x"], rows(), provenance={"seed": 1})
+        assert not path.exists()
+
     def test_write_table_bytes(self, tmp_path):
         # csv.writer's CRLF ends and quoting, csv_cell's empty None and repr floats
         path = tmp_path / "table.csv"

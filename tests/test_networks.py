@@ -362,6 +362,14 @@ class TestFlatStorage:
 
 
 class TestCheckpoint:
+    def test_checkpoint_that_fails_leaves_no_file(self, tmp_path, full_disk):
+        # a full disk left a truncated archive under the checkpoint's name
+        path = tmp_path / "model.npz"
+        full_disk(100)
+        with pytest.raises(OSError, match="No space left"):
+            networks.save_checkpoint(networks.init_params(SMALL, 21), path)
+        assert not path.exists()
+
     def test_round_trip_bit_exact(self, tmp_path):
         params = networks.init_params(SMALL, 21)
         # make values less regular than raw init

@@ -204,3 +204,29 @@ def test_each_command_declared_once():
                 and isinstance(part.value, ast.Name) and part.value.id == "args"]
     assert compared == []
     assert "n_trials" not in ast.get_source_segment(text, _function(tree, "cmd_search"))
+
+
+def _write_mode_opens(tree):
+    """The ``open(...)`` calls of ``tree`` whose mode writes (w, a, x or +)."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+")
+                   for mode in modes):
+                calls.append(node)
+    return calls
+
+
+def test_one_opener_for_every_output_file():
+    # tables, JSON documents, logs, checkpoints and float rows all reach
+    # disk through errors.write_output, so a write that fails removes its
+    # file in one place
+    trees = {path.relative_to(ROOT / "src").as_posix():
+             ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert [name for name, tree in trees.items() for _ in _write_mode_opens(tree)] \
+        == ["fond/errors.py"]
+    assert _write_mode_opens(_function(trees["fond/errors.py"], "write_output"))
+    assert "output_file" not in {node.name for node in ast.walk(trees["fond/floatrows.py"])
+                                 if isinstance(node, ast.FunctionDef)}

@@ -641,3 +641,13 @@ class TestTrainLogOutput:
         row1 = lines[1].split(",")
         assert row1[-3:] == ["", "", ""]
         assert float(row1[1]) == log.steps[0].task  # repr round-trips
+
+    @pytest.mark.parametrize("writer", ["write_jsonl", "write_summary_csv"])
+    def test_log_that_fails_leaves_no_file(self, tmp_path, full_disk, writer):
+        # a full disk mid-log left the lines written so far
+        log = self.build_log()
+        path = tmp_path / "trainlog"
+        full_disk(100)
+        with pytest.raises(OSError, match="No space left"):
+            getattr(log, writer)(path)
+        assert not path.exists()
