@@ -25,11 +25,10 @@ to the per-value ``repr`` join it reproduces, and ``datagen.ingest_csv``
 (one call per round) on the config's dataset, written by
 ``datagen.export_csv`` to a temporary file.
 The trainings use the train/validation split ``fond train`` draws, and
-``fond_loss`` and ``xdom_loss`` run as a training step runs them: on rows
-of annotations checked once against the class count, into one
-``losses.GramBuffer``. At
-each size one untimed step of each variant runs before any timing, so the
-variant timed first does not pay for the first use of that size's arrays.
+the pieces run on the trainer's own step inputs (``trainer.start`` and
+``trainer.step_inputs``), into one ``losses.GramBuffer``. At each size one
+untimed step of each variant runs before any timing, so the variant
+timed first does not pay for the first use of that size's arrays.
 The output is one JSON object, stamped with the host (Python, numpy,
 BLAS, the BLAS thread count from the environment, None when unpinned).
 All inputs come from the config's seed, so two runs time the same work.
@@ -53,7 +52,6 @@ import numpy as np
 
 from fond import cli, datagen, evalsel, floatrows, losses, networks, trainer
 from fond.config import load_config
-from fond.seeding import subseed
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIMED_VARIANTS = ("erm", "fond")
@@ -81,30 +79,15 @@ def host() -> dict:
             "machine": platform.machine(), "cpu_count": os.cpu_count()}
 
 
-def trainer_config(cfg):
-    """The trainer config ``fond train`` runs: the run seed's "train" subseed."""
-    return replace(cfg.trainer, seed=subseed(cfg.seed, "train"))
-
-
 def first_step(variant, cfg, train_set, plan, net_cfg):
-    """The inputs and results of a training's first step under ``variant``:
-    (loss config, trainer config, batch features, annotations, params,
-    forward pass, loss, gradient buffer, Gram buffer). As in ``trainer.train``, the
-    annotations are rows of the training set's, checked once against the
-    class count, and the contrastive term writes into one ``GramBuffer``
-    (None when P does not run)."""
+    """The inputs and results of ``fond train``'s first step under ``variant``:
+    (loss config, trainer config, batch features, annotations, dropout
+    generator or None, params, forward pass, loss, gradient buffer, Gram
+    buffer). As in ``trainer.train``, the contrastive term writes into one
+    ``GramBuffer`` (None when P does not run)."""
     loss_cfg = replace(cfg.loss, variant=variant).resolved()
-    tcfg = trainer_config(cfg)
-    sampler = datagen.BatchSampler(train_set, tcfg.batch_size,
-                                   subseed(tcfg.seed, trainer.SEED_TAG_BATCHES))
-    batch = sampler.epoch_batches(0)[0]
-    ann = losses.BatchAnnotations(
-        labels=plan.class_codes(train_set.labels), domains=train_set.domains,
-        linked_mask=np.isin(train_set.labels, sorted(plan.linked_classes)),
-        num_classes=net_cfg.num_classes).take(batch)
-    x = train_set.features[batch]
-    params = networks.init_params(net_cfg, subseed(cfg.seed, "init"))
-    drng = trainer.rng_for(tcfg.seed, trainer.SEED_TAG_DROPOUT, 1)
+    params, tcfg = trainer.start(net_cfg, cfg.trainer, cfg.seed)
+    x, ann, drng = next(trainer.step_inputs(params, train_set, plan, tcfg))
     project = loss_cfg.lambda_xdom > 0
     fp = networks.forward_pass(params, x, dropout_rate=tcfg.dropout, dropout_rng=drng,
                                project=project)
@@ -112,14 +95,13 @@ def first_step(variant, cfg, train_set, plan, net_cfg):
     fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg, gram_buffer=gram)
     grads = networks.ModelParams(config=net_cfg, seed=0)
     networks.backward_pass(fp, fl.grad_logits, fl.grad_z, grads)
-    return loss_cfg, tcfg, x, ann, params, fp, fl, grads, gram
+    return loss_cfg, tcfg, x, ann, drng, params, fp, fl, grads, gram
 
 
 def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number):
-    loss_cfg, tcfg, x, ann, params, fp, fl, grads, gram = first_step(
+    loss_cfg, tcfg, x, ann, drng, params, fp, fl, grads, gram = first_step(
         variant, cfg, train_set, plan, net_cfg)
     project = loss_cfg.lambda_xdom > 0
-    drng = trainer.rng_for(tcfg.seed, trainer.SEED_TAG_DROPOUT, 1)
     buffer = networks.ModelParams(config=net_cfg, seed=0)
 
     out = {}
@@ -138,7 +120,7 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
     out["grad_norm"] = best_us(lambda: trainer.grad_norm(grads, project), repeat, number)
     for key, logged in (("step", True), ("step_unlogged", False)):
         out[key] = best_us(lambda: trainer.train(
-            networks.init_params(net_cfg, subseed(cfg.seed, "init")), train_set, plan,
+            trainer.start(net_cfg, cfg.trainer, cfg.seed)[0], train_set, plan,
             loss_cfg, tcfg, val_set=val_set, log_steps=logged), repeat, 1) / tcfg.max_steps
     return {name: round(us, 2) for name, us in out.items()}
 
@@ -146,7 +128,7 @@ def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number
 def time_optimizers(cfg, train_set, plan, net_cfg, repeat, number):
     """optimizer_step under each optimizer, on a copy of a FOND step's whole
     gradient, made in the timed call since the step overwrites it."""
-    _, tcfg, _, _, params, _, _, grads, _ = first_step("fond", cfg, train_set, plan, net_cfg)
+    _, tcfg, _, _, _, params, _, _, grads, _ = first_step("fond", cfg, train_set, plan, net_cfg)
     grad = grads.flat
     work = np.empty_like(grad)
 
@@ -208,7 +190,8 @@ def main() -> int:
     plan = cli.build_plan(cfg, dataset, cfg.benchmark.settings[0])
     net_cfg = cli._network_config(cfg, dataset, plan)
     pool, _ = datagen.apply_split(dataset, plan)
-    train_set, val_set = trainer.train_val_split(pool, trainer_config(cfg))
+    params, tcfg = trainer.start(net_cfg, cfg.trainer, cfg.seed)
+    train_set, val_set = trainer.train_val_split(pool, tcfg)
     too_big = [b for b in sizes if b > len(train_set)]
     if too_big:
         parser.error(f"batch sizes {too_big} exceed the {len(train_set)} training rows")
@@ -222,7 +205,6 @@ def main() -> int:
                                                   net_cfg, args.repeat, args.number)
                             for variant in TIMED_VARIANTS}
     block = pool.subset(np.arange(min(evalsel.INFER_ROWS, len(pool))))
-    params = networks.init_params(net_cfg, subseed(cfg.seed, "init"))
     result = {
         "config": Path(args.config).name,
         "host": host(),

@@ -13,7 +13,6 @@ boundaries report every non-finite value as exit 3 instead.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -52,13 +51,14 @@ def build_dataset(cfg: RunConfig) -> datagen.Dataset:
 
 
 def build_plan(cfg: RunConfig, dataset: datagen.Dataset, setting) -> datagen.SplitPlan:
-    """The plan file if one is named, checked against the config, else a seeded draw."""
+    """The plan file if one is named, checked against the config, else a seeded
+    draw; either way checked against ``dataset`` (``SplitPlan.check_data``)."""
     if cfg.split.plan_path is not None:
         plan = datagen.SplitPlan.load(cfg.split.plan_path)
-        return plan.check_split(setting, cfg.split.target_domain)
+        return plan.check_split(setting, cfg.split.target_domain).check_data(dataset)
     return datagen.make_split_plan(dataset.class_set(), dataset.domain_set(),
                                    cfg.split.target_domain, setting,
-                                   subseed(cfg.seed, "plan", setting))
+                                   subseed(cfg.seed, "plan", setting)).check_data(dataset)
 
 
 def _network_config(cfg: RunConfig, dataset: datagen.Dataset,
@@ -84,6 +84,16 @@ def _write_json(path, payload: dict) -> None:
     write_output(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
+def _write_outputs(out: Path, writers: dict) -> None:
+    """Call ``write(out / name)`` for each ``name: write`` in order, once every
+    named file an earlier run left in ``out`` is removed: a write that fails
+    then leaves only this run's files, never two runs' files side by side."""
+    for name in writers:
+        (out / name).unlink(missing_ok=True)
+    for name, write in writers.items():
+        write(out / name)
+
+
 def cmd_generate(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     if cfg.dataset.synthetic is None:
         raise ConfigError("generate needs a dataset.synthetic section")
@@ -96,9 +106,11 @@ def cmd_generate(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
 
 def cmd_split(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     dataset = build_dataset(cfg)
-    plan = build_plan(cfg, dataset, cfg.split.setting).check_data(dataset)
-    _write_json(out / "plan.json", plan.to_doc())
-    _write_json(out / "plan_provenance.json", {"config": to_provenance(cfg)})
+    plan = build_plan(cfg, dataset, cfg.split.setting)
+    _write_outputs(out, {
+        "plan.json": lambda path: _write_json(path, plan.to_doc()),
+        "plan_provenance.json": lambda path: _write_json(path, {"config": to_provenance(cfg)}),
+    })
     print(f"wrote {out / 'plan.json'} "
           f"(shared {len(plan.shared_classes)}, linked {len(plan.linked_classes)})")
     return 0
@@ -106,13 +118,16 @@ def cmd_split(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
 
 def cmd_train(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     plan, final, best, log, report, _ = train_on_split(cfg, cfg.split.setting, cfg.seed)
-    networks.save_checkpoint(best, out / "checkpoint_best.npz")
-    networks.save_checkpoint(final, out / "checkpoint_final.npz")
-    log.write_jsonl(out / "trainlog.jsonl")
-    log.write_summary_csv(out / "trainlog.csv")
-    _write_json(out / "metrics.json",
-                {"metrics": _metrics_payload(report), "best_step": log.best_step})
-    _write_json(out / "run.json", {"config": to_provenance(cfg), "plan": plan.to_doc()})
+    _write_outputs(out, {
+        "checkpoint_best.npz": lambda path: networks.save_checkpoint(best, path),
+        "checkpoint_final.npz": lambda path: networks.save_checkpoint(final, path),
+        "trainlog.jsonl": log.write_jsonl,
+        "trainlog.csv": log.write_summary_csv,
+        "metrics.json": lambda path: _write_json(
+            path, {"metrics": _metrics_payload(report), "best_step": log.best_step}),
+        "run.json": lambda path: _write_json(
+            path, {"config": to_provenance(cfg), "plan": plan.to_doc()}),
+    })
     print(f"target y_l={report.y_l_accuracy} y_s={report.y_s_accuracy} "
           f"overall={report.overall_accuracy}")
     return 0
@@ -125,9 +140,8 @@ def train_fold(held_out_domain: int, train_set: datagen.Dataset,
                fold_seed: int) -> evalsel.MetricsReport:
     """The search's fold runner: train one fold model and evaluate its
     best snapshot on the held-out domain."""
-    params = networks.init_params(net_cfg, subseed(fold_seed, "init"))
-    fold_trainer_cfg = replace(trainer_cfg, seed=subseed(fold_seed, "train"))
-    _, best, _ = trainer.train(params, train_set, plan, loss_cfg, fold_trainer_cfg,
+    params, trainer_cfg = trainer.start(net_cfg, trainer_cfg, fold_seed)
+    _, best, _ = trainer.train(params, train_set, plan, loss_cfg, trainer_cfg,
                                val_set=val_set, log_steps=False)
     return evalsel.evaluate(best, eval_set, plan)
 
@@ -161,8 +175,8 @@ def cmd_search(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
 
 def train_on_split(cfg: RunConfig, setting, seed_root: int, tag: str = "", *,
                    search: bool = False, log_steps: bool = True):
-    """The recipe of ``fond train`` and each benchmark cell, seeded by ``tag + "init"`` and
-    ``tag + "train"`` under ``seed_root``, with the search's winning hypers if ``search``.
+    """The recipe of ``fond train`` and each benchmark cell, seeded by ``trainer.start``
+    with ``tag`` under ``seed_root``, with the search's winning hypers if ``search``.
     Returns (plan, final, best, log, best's target report, winning trial or None)."""
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset, setting)
@@ -174,8 +188,7 @@ def train_on_split(cfg: RunConfig, setting, seed_root: int, tag: str = "", *,
         loss_cfg, trainer_cfg = evalsel.apply_hyper(loss_cfg, trainer_cfg, winner.hyper)
     pool, target = datagen.apply_split(dataset, plan)
     del dataset                  # the loop holds only its split and the target
-    params = networks.init_params(net_cfg, subseed(seed_root, tag + "init"))
-    trainer_cfg = replace(trainer_cfg, seed=subseed(seed_root, tag + "train"))
+    params, trainer_cfg = trainer.start(net_cfg, trainer_cfg, seed_root, tag)
     train_set, val_set = trainer.train_val_split(pool, trainer_cfg)
     del pool
     final, best, log = trainer.train(params, train_set, plan, loss_cfg, trainer_cfg,
@@ -208,6 +221,23 @@ def worker_count(jobs: int, cells: int, cpus: int | None) -> int:
     return max(1, min(jobs, cells, cpus or 1))
 
 
+def run_cells(cfg: RunConfig, cells, jobs: int) -> list[evalsel.ResultRow]:
+    """``run_benchmark_cell(cfg, setting, variant, rep)`` of each cell, in the
+    order given: in this process, or in ``worker_count`` worker processes.
+    A cell that raises cancels the cells not yet started and propagates."""
+    args = [cfg] * len(cells), *zip(*cells)
+    workers = worker_count(jobs, len(cells), os.cpu_count())
+    if workers == 1:
+        return list(map(run_benchmark_cell, *args))
+    from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
+
+    # warnings off in each worker too: a forked one inherits main's
+    # floating-point state, a spawned one does not
+    with ProcessPoolExecutor(max_workers=workers, initializer=np.seterr,
+                             initargs=("ignore",)) as pool:
+        return list(pool.map(run_benchmark_cell, *args))
+
+
 def _mean_se(mean: float | None, se: float | None) -> str:
     if mean is None:
         return "n/a"
@@ -218,38 +248,27 @@ def cmd_benchmark(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     # every setting's plan, checked against the config and the data before the first cell
     dataset = build_dataset(cfg)
     for setting in cfg.benchmark.settings:
-        build_plan(cfg, dataset, setting).check_data(dataset)
+        build_plan(cfg, dataset, setting)
     del dataset
-    cells = [(setting, variant, rep)
-             for setting in cfg.benchmark.settings
-             for variant in cfg.benchmark.variants
-             for rep in range(cfg.benchmark.reps)]
-
-    workers = worker_count(args.jobs, len(cells), os.cpu_count())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
-
-        # warnings off in each worker too: a forked one inherits main's
-        # floating-point state, a spawned one does not; map yields in
-        # submission order, and a cell that raises cancels those not started
-        with ProcessPoolExecutor(max_workers=workers, initializer=np.seterr,
-                                 initargs=("ignore",)) as pool:
-            rows = list(pool.map(run_benchmark_cell, itertools.repeat(cfg), *zip(*cells)))
-    else:
-        rows = list(map(run_benchmark_cell, itertools.repeat(cfg), *zip(*cells)))
+    rows = run_cells(cfg, [(setting, variant, rep)
+                           for setting in cfg.benchmark.settings
+                           for variant in cfg.benchmark.variants
+                           for rep in range(cfg.benchmark.reps)], args.jobs)
 
     agg = evalsel.aggregate(rows)
-    provenance = {"config": to_provenance(cfg)}
-    evalsel.write_results_csv(rows, out / "results.csv", provenance)
-    evalsel.write_aggregate_csv(agg, out / "aggregate.csv", provenance)
     paired = evalsel.pair_with_erm(rows)
-    evalsel.write_paired_csv(paired, out / "paired.csv", provenance)
-    _write_json(out / "benchmark.json", {
-        **provenance,
-        "cells": [{"setting": r.setting, "variant": r.variant, "rep": r.rep,
-                   "y_l": r.y_l_accuracy, "y_s": r.y_s_accuracy,
-                   "winner": None if r.winner is None else asdict(r.winner)}
-                  for r in rows],
+    provenance = {"config": to_provenance(cfg)}
+    _write_outputs(out, {
+        "results.csv": lambda path: evalsel.write_results_csv(rows, path, provenance),
+        "aggregate.csv": lambda path: evalsel.write_aggregate_csv(agg, path, provenance),
+        "paired.csv": lambda path: evalsel.write_paired_csv(paired, path, provenance),
+        "benchmark.json": lambda path: _write_json(path, {
+            **provenance,
+            "cells": [{"setting": r.setting, "variant": r.variant, "rep": r.rep,
+                       "y_l": r.y_l_accuracy, "y_s": r.y_s_accuracy,
+                       "winner": None if r.winner is None else asdict(r.winner)}
+                      for r in rows],
+        }),
     })
     for row in agg:
         print(f"{row.dataset} {row.setting:>5} {row.variant:<9} "

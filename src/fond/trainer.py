@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -235,6 +235,34 @@ def dropout_streams(seed: int, steps: int):
         yield gen
 
 
+def start(net_cfg: networks.NetworkConfig, trainer_cfg: TrainerConfig, seed_root, tag=""):
+    """(params drawn from ``subseed(seed_root, tag + "init")``, ``trainer_cfg``
+    seeded with ``subseed(seed_root, tag + "train")``): every training's start."""
+    return (networks.init_params(net_cfg, subseed(seed_root, tag + "init")),
+            replace(trainer_cfg, seed=subseed(seed_root, tag + "train")))
+
+
+def step_inputs(params: networks.ModelParams, train_set: datagen.Dataset,
+                plan: datagen.SplitPlan, trainer_cfg: TrainerConfig):
+    """Yield the (batch features, annotations, dropout generator or None) of
+    steps 1..``max_steps``, as ``train`` feeds them. The annotation columns
+    are checked once, before step 1 (``ContractError``): G is trained on
+    dense class codes, each label's rank in ``sorted(plan.classes)`` (a label
+    the plan lacks raises), checked against G's ``num_classes``; each step's
+    annotations are rows of those columns."""
+    sampler = datagen.BatchSampler(train_set, trainer_cfg.batch_size,
+                                   subseed(trainer_cfg.seed, SEED_TAG_BATCHES))
+    annotations = losses.BatchAnnotations(
+        labels=plan.class_codes(train_set.labels), domains=train_set.domains,
+        linked_mask=np.isin(train_set.labels, sorted(plan.linked_classes)),
+        num_classes=params.config.num_classes)
+    batches = itertools.chain.from_iterable(map(sampler.epoch_batches, itertools.count()))
+    streams = (dropout_streams(trainer_cfg.seed, trainer_cfg.max_steps)
+               if trainer_cfg.dropout > 0.0 else itertools.repeat(None))
+    for _, batch, drng in zip(range(trainer_cfg.max_steps), batches, streams):
+        yield train_set.features[batch], annotations.take(batch), drng
+
+
 def train_val_split(pool: datagen.Dataset, trainer_cfg: TrainerConfig):
     """(train set, validation set): the 80/20 per-domain split that ``train``
     draws from ``pool`` when it is given no ``val_set``. A caller that splits
@@ -264,12 +292,8 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     ``grad_norm`` is summed), only ``best_step``; the parameters are the
     same bit for bit. Callers that discard the log pass False.
 
-    The per-step inputs are checked here, once: the loss config is
-    resolved, and the training set's annotation columns are validated
-    (``ContractError`` before step 1). G is trained on dense class codes:
-    each label's rank in ``sorted(plan.classes)`` (a label the plan lacks
-    raises), checked against G's ``num_classes``. Each step's annotations
-    are rows of those columns.
+    The loss config is resolved once; each step's inputs come from
+    ``step_inputs``, which checks the annotation columns before step 1.
 
     A step's activations and loss gradients do not outlive its backward
     pass and its step record: the loop drops them before the optimizer
@@ -282,16 +306,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
         train_set = source_pool
 
     project = loss_cfg.lambda_xdom > 0   # z feeds nothing but the contrastive term
-    sampler = datagen.BatchSampler(train_set, trainer_cfg.batch_size,
-                                   subseed(trainer_cfg.seed, SEED_TAG_BATCHES))
-    annotations = losses.BatchAnnotations(
-        labels=plan.class_codes(train_set.labels), domains=train_set.domains,
-        linked_mask=np.isin(train_set.labels, sorted(plan.linked_classes)),
-        num_classes=params.config.num_classes)
     max_steps, eval_every = trainer_cfg.max_steps, trainer_cfg.eval_every
-    batches = itertools.chain.from_iterable(map(sampler.epoch_batches, itertools.count()))
-    streams = (dropout_streams(trainer_cfg.seed, max_steps)
-               if trainer_cfg.dropout > 0.0 else itertools.repeat(None))
     state = OptState()
     grad_buffer = networks.ModelParams(config=params.config, seed=params.seed)
     gram_buffer = losses.GramBuffer() if project else None
@@ -299,15 +314,13 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     best_params, best_score = None, -math.inf
 
     with np.errstate(divide="ignore"):
-        for step, batch_idx, drng in zip(range(1, max_steps + 1), batches, streams):
+        for step, (x, ann, drng) in enumerate(step_inputs(params, train_set, plan, trainer_cfg), 1):
             try:
-                fp = networks.forward_pass(params, train_set.features[batch_idx],
-                                           dropout_rate=trainer_cfg.dropout,
+                fp = networks.forward_pass(params, x, dropout_rate=trainer_cfg.dropout,
                                            dropout_rng=drng, project=project)
             except DegenerateInputError as exc:   # a projection row it cannot normalize
                 raise DegenerateInputError(f"step {step}: {exc}") from exc
-            fl = losses.fond_loss(fp.logits, fp.z, annotations.take(batch_idx), loss_cfg,
-                                  gram_buffer=gram_buffer)
+            fl = losses.fond_loss(fp.logits, fp.z, ann, loss_cfg, gram_buffer=gram_buffer)
             if not math.isfinite(fl.total):
                 raise NonFiniteLossError(step, {"task": fl.task, "xdom": fl.xdom,
                                                 "fair": fl.fair, "total": fl.total})
@@ -317,11 +330,11 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
                     step=step, task=fl.task, xdom=fl.xdom, fair=fl.fair, total=fl.total,
                     grad_norm=grad_norm(grad_buffer, project),
                     linked_ce=fl.linked_ce, shared_ce=fl.shared_ce))
-            # nothing reads the step's forward pass or loss after this: free
-            # them now. Left bound, they stay alive through the evaluation
-            # below and the next step's forward pass and loss, so two steps'
-            # arrays share the heap and the peak RSS grows
-            del fp, fl
+            # nothing reads the step's inputs, forward pass or loss after
+            # this: free them now. Left bound, they stay alive through the
+            # evaluation below and the next step's forward pass and loss, so
+            # two steps' arrays share the heap and the peak RSS grows
+            del x, ann, fp, fl
             optimizer_step(params, grad, state, trainer_cfg)
             ndcore.check_finite(params.flat, f"parameters after step {step}")
             if len(val_set) and (step % eval_every == 0 or step == max_steps):

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import functools
 import gc
 import hashlib
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fond import cli, config, datagen, evalsel, networks, trainer
-from fond.errors import ConfigError, NonFiniteLossError
+from fond.errors import ConfigError, DegenerateInputError, NonFiniteLossError
 
 
 def base_doc(**extra):
@@ -1018,7 +1019,8 @@ class TestErrorExits:
         assert not (out / "search.json").exists()
 
     def test_dump_with_classes_the_plan_lacks_exit_2(self, cfg_path, tmp_path, capsys):
-        # the dump wrote the plan-less class's rows with group "shared"
+        # the dump wrote the plan-less class's rows with group "shared";
+        # build_plan now checks the plan against the data, before the dump
         assert run_cli("split", "--config", str(cfg_path), "--out", str(tmp_path / "sp")) == 0
         plan = tmp_path / "sp" / "plan.json"
         ckpt = tmp_path / "model.npz"
@@ -1032,8 +1034,8 @@ class TestErrorExits:
                        "--set", f"split.plan_path={json.dumps(str(plan))}")
         assert code == cli.EXIT_CONFIG
         payload = self.only_error_line(capsys)
-        assert payload["type"] == "ContractError"
-        assert "labels [4, 5] are not in the plan" in payload["message"]
+        assert payload["type"] == "PlanMismatchError"
+        assert payload["message"] == "dataset classes [4, 5] are not in the plan"
         assert not (out / "embeddings.csv").exists()
 
     def test_dump_with_checkpoint_of_another_class_count_exit_2(self, tmp_path, capsys):
@@ -1068,6 +1070,22 @@ class TestErrorExits:
         payload = self.only_error_line(capsys)
         assert payload["type"] == "ContractError"
         assert payload["message"] == "the model takes 8 input features, the data 6"
+        assert not (tmp_path / "emb" / "embeddings.csv").exists()
+
+    def test_dump_on_data_the_plan_does_not_fit_exits_2(self, tmp_path, capsys):
+        # the dump wrote all 160 rows, grouped by a plan of domains 0-2, and
+        # exited 0, while `fond split` on the same plan file exited 2
+        assert run_cli("split", "--config", str(TINY), "--out", str(tmp_path / "sp"),
+                       "--set", "dataset.synthetic.num_domains=3") == 0
+        capsys.readouterr()
+        params = networks.init_params(networks.NetworkConfig(input_dim=8, num_classes=5), 0)
+        plan = json.dumps(str(tmp_path / "sp" / "plan.json"))
+        code = self.dump_tiny(tmp_path, params, "--set", f"split.plan_path={plan}")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "PlanMismatchError"
+        assert payload["message"] == ("dataset domains [0, 1, 2, 3] are not the plan's "
+                                      "[0, 1, 2] (target 0)")
         assert not (tmp_path / "emb" / "embeddings.csv").exists()
 
     def test_failed_dump_leaves_no_embeddings_file(self, tmp_path, capsys):
@@ -1402,6 +1420,51 @@ class TestFailedWrites:
         err = capsys.readouterr().err.strip().splitlines()
         assert json.loads(err[-1])["error"] == "io"
         assert list(out.iterdir()) == []
+
+    TRAIN_OUTPUTS = ["checkpoint_best.npz", "checkpoint_final.npz", "metrics.json", "run.json",
+                     "trainlog.csv", "trainlog.jsonl"]
+
+    def train_twice(self, cfg_path, tmp_path):
+        """`fond train --seed 1` into ``tmp_path / "out"``, and `--seed 2`
+        into ``tmp_path / "fresh"``; returns the two directories."""
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for seed, where in (("1", out), ("2", fresh)):
+            assert run_cli("train", "--config", str(cfg_path), "--out", str(where),
+                           "--seed", seed) == 0
+        assert sorted(p.name for p in out.iterdir()) == self.TRAIN_OUTPUTS
+        return out, fresh
+
+    def test_failed_rerun_leaves_no_file_of_the_earlier_run(self, cfg_path, tmp_path, capsys,
+                                                            monkeypatch):
+        # the checkpoints held seed 2's model while run.json, metrics.json,
+        # trainlog.jsonl and trainlog.csv still described seed 1's run
+        out, fresh = self.train_twice(cfg_path, tmp_path)
+
+        def full_disk(log, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(trainer.TrainLog, "write_jsonl", full_disk)
+        capsys.readouterr()
+        code = run_cli("train", "--config", str(cfg_path), "--out", str(out), "--seed", "2")
+        assert code == cli.EXIT_IO
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "io"
+        assert sorted(p.name for p in out.iterdir()) == self.TRAIN_OUTPUTS[:2]
+        for name in self.TRAIN_OUTPUTS[:2]:
+            assert networks.load_checkpoint(out / name).flat.tobytes() \
+                == networks.load_checkpoint(fresh / name).flat.tobytes()
+
+    def test_rerun_that_fails_before_writing_leaves_the_earlier_run(self, cfg_path, tmp_path,
+                                                                   monkeypatch):
+        out, _ = self.train_twice(cfg_path, tmp_path)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def fail(*args, **kwargs):
+            raise DegenerateInputError("cannot evaluate")
+
+        monkeypatch.setattr(evalsel, "evaluate", fail)
+        code = run_cli("train", "--config", str(cfg_path), "--out", str(out), "--seed", "2")
+        assert code == cli.EXIT_NUMERIC
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestReleasedData:

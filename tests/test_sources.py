@@ -230,3 +230,48 @@ def test_one_opener_for_every_output_file():
     assert _write_mode_opens(_function(trees["fond/errors.py"], "write_output"))
     assert "output_file" not in {node.name for node in ast.walk(trees["fond/floatrows.py"])
                                  if isinstance(node, ast.FunctionDef)}
+
+
+def _calls_by_function(tree):
+    """(innermost enclosing function name or None, call) for each call in ``tree``."""
+    calls = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                calls.append((function, child))
+            visit(child, function)
+
+    visit(tree, None)
+    return calls
+
+
+SEED_FUNCTIONS = ("subseed", "rng_for", "rng_states")
+
+
+def test_one_start_and_one_step_feed_for_every_training():
+    # trainer.start alone draws a training's parameters and seeds its
+    # trainer config (the tag + "init" and tag + "train" subseeds), and
+    # trainer.step_inputs alone builds its batch sampler and its checked
+    # annotation columns, so the cli and scripts/bench_step.py seed and
+    # feed a training as trainer.train does
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+    found = []
+    for path in sources:
+        for function, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name in SEED_FUNCTIONS and any(
+                    isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.endswith(("init", "train"))
+                    for arg in call.args for node in ast.walk(arg)):
+                name = "seed"
+            if name in ("init_params", "seed", "BatchSampler", "BatchAnnotations"):
+                found.append((path.relative_to(ROOT).as_posix(), function, name))
+    assert sorted(found) == [("src/fond/trainer.py", "start", "init_params"),
+                             ("src/fond/trainer.py", "start", "seed"),
+                             ("src/fond/trainer.py", "start", "seed"),
+                             ("src/fond/trainer.py", "step_inputs", "BatchAnnotations"),
+                             ("src/fond/trainer.py", "step_inputs", "BatchSampler")]

@@ -489,6 +489,72 @@ class TestTrainingBoundary:
                    and ann.labels.dtype == np.int64 for ann in seen)
 
 
+class TestStepInputs:
+    def test_inputs_are_what_training_feeds_each_step(self, monkeypatch):
+        # the batch features, the annotation rows and the dropout generator
+        # (its state, so the masks it draws) that train passes to each step,
+        # bit for bit; 5 steps of 16 rows run past the first epoch
+        pool, _, plan, net_cfg = make_setup()
+        cfg = trainer.TrainerConfig(max_steps=5, eval_every=5, batch_size=16, seed=3,
+                                    learning_rate=0.01, dropout=0.1)
+        train_set, val_set = trainer.train_val_split(pool, cfg)
+        assert len(train_set) < 5 * 16
+        forwards, anns = [], []
+        forward_pass, fond_loss = networks.forward_pass, losses.fond_loss
+
+        def watched_forward(params, x, **kwargs):
+            if "dropout_rng" in kwargs:              # a training step, not an evaluation
+                forwards.append((x.tobytes(), kwargs["dropout_rng"].bit_generator.state))
+            return forward_pass(params, x, **kwargs)
+
+        def watched_loss(logits, z, ann, loss_cfg, **kwargs):
+            anns.append(ann)
+            return fond_loss(logits, z, ann, loss_cfg, **kwargs)
+
+        monkeypatch.setattr(networks, "forward_pass", watched_forward)
+        monkeypatch.setattr(losses, "fond_loss", watched_loss)
+        trainer.train(networks.init_params(net_cfg, 7), train_set, plan, default_loss(), cfg,
+                      val_set=val_set)
+
+        fed = [(x.tobytes(), drng.bit_generator.state, ann) for x, ann, drng
+               in trainer.step_inputs(networks.init_params(net_cfg, 7), train_set, plan, cfg)]
+        assert len(fed) == len(forwards) == len(anns) == 5
+        for (x, state, ann), (x_fed, state_fed), ann_fed in zip(fed, forwards, anns):
+            assert x == x_fed and state == state_fed
+            assert ann.num_classes == ann_fed.num_classes == net_cfg.num_classes
+            for name in ("labels", "domains", "linked_mask"):
+                got, want = getattr(ann, name), getattr(ann_fed, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # step 1 against its own draws: the first batch of epoch 0 under the
+        # "batches" subseed, and the dropout stream rng_for gives step 1
+        x, ann, drng = next(trainer.step_inputs(networks.init_params(net_cfg, 7), train_set,
+                                                plan, cfg))
+        batch = datagen.BatchSampler(train_set, 16, subseed(3, trainer.SEED_TAG_BATCHES)) \
+            .epoch_batches(0)[0]
+        assert x.tobytes() == train_set.features[batch].tobytes()
+        assert ann.labels.tobytes() == plan.class_codes(train_set.labels)[batch].tobytes()
+        assert ann.domains.tobytes() == train_set.domains[batch].tobytes()
+        assert drng.random(64).tobytes() \
+            == rng_for(3, trainer.SEED_TAG_DROPOUT, 1).random(64).tobytes()
+
+    def test_no_dropout_feeds_no_generator(self):
+        pool, _, plan, net_cfg = make_setup()
+        cfg = trainer.TrainerConfig(max_steps=3, eval_every=3, batch_size=16, seed=3)
+        fed = list(trainer.step_inputs(networks.init_params(net_cfg, 7), pool, plan, cfg))
+        assert len(fed) == 3 and all(drng is None for _, _, drng in fed)
+
+
+class TestStart:
+    def test_start_draws_the_tagged_seeds(self):
+        _, _, _, net_cfg = make_setup()
+        cfg = trainer.TrainerConfig(seed=99, learning_rate=0.01)
+        params, seeded = trainer.start(net_cfg, cfg, 11, "final-")
+        assert params.flat.tobytes() \
+            == networks.init_params(net_cfg, subseed(11, "final-init")).flat.tobytes()
+        assert seeded == replace(cfg, seed=subseed(11, "final-train"))
+        assert trainer.start(net_cfg, cfg, 11)[1].seed == subseed(11, "train")
+
+
 class TestStepArraysReleased:
     """A step's forward pass and loss are unreachable once its backward pass
     and step record have read them: the next step's forward pass and every
