@@ -24,6 +24,8 @@ round) on that block's features h as ``dump_embeddings`` writes them, next
 to the per-value ``repr`` join it reproduces, and ``datagen.ingest_csv``
 (one call per round) on the config's dataset, written by
 ``datagen.export_csv`` to a temporary file.
+Each variant runs the config of a benchmark cell of the config's first
+``benchmark.settings`` entry (``cli.cell_config``), on that setting's plan.
 The trainings use the train/validation split ``fond train`` draws, and
 the pieces run on the trainer's own step inputs (``trainer.start`` and
 ``trainer.step_inputs``), into one ``losses.GramBuffer``. At each size one
@@ -85,7 +87,7 @@ def first_step(variant, cfg, train_set, plan, net_cfg):
     generator or None, params, forward pass, loss, gradient buffer, Gram
     buffer). As in ``trainer.train``, the contrastive term writes into one
     ``GramBuffer`` (None when P does not run)."""
-    loss_cfg = replace(cfg.loss, variant=variant).resolved()
+    loss_cfg = cli.cell_config(cfg, cfg.split.setting, variant).loss.resolved()
     params, tcfg = trainer.start(net_cfg, cfg.trainer, cfg.seed)
     x, ann, drng = next(trainer.step_inputs(params, train_set, plan, tcfg))
     project = loss_cfg.lambda_xdom > 0
@@ -185,9 +187,10 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = load_config(args.config, args.overrides)
+    cfg = cli.cell_config(cfg, cfg.benchmark.settings[0], cfg.loss.variant)
     sizes = args.batch_sizes or [cfg.trainer.batch_size]
     dataset = cli.build_dataset(cfg)
-    plan = cli.build_plan(cfg, dataset, cfg.benchmark.settings[0])
+    plan = cli.build_plan(cfg, dataset)
     net_cfg = cli._network_config(cfg, dataset, plan)
     pool, _ = datagen.apply_split(dataset, plan)
     params, tcfg = trainer.start(net_cfg, cfg.trainer, cfg.seed)

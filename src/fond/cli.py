@@ -50,9 +50,18 @@ def build_dataset(cfg: RunConfig) -> datagen.Dataset:
     return datagen.generate_synthetic(cfg.dataset.synthetic, subseed(cfg.seed, "dataset"))
 
 
-def build_plan(cfg: RunConfig, dataset: datagen.Dataset, setting) -> datagen.SplitPlan:
-    """The plan file if one is named, checked against the config, else a seeded
-    draw; either way checked against ``dataset`` (``SplitPlan.check_data``)."""
+def cell_config(cfg: RunConfig, setting, variant: str) -> RunConfig:
+    """``cfg`` with a benchmark cell's ``setting`` as ``split.setting`` and its
+    ``variant`` as ``loss.variant``: the whole config that the cell runs."""
+    return replace(cfg, split=replace(cfg.split, setting=setting),
+                   loss=replace(cfg.loss, variant=variant))
+
+
+def build_plan(cfg: RunConfig, dataset: datagen.Dataset) -> datagen.SplitPlan:
+    """The plan of ``cfg.split``: the plan file if one is named, checked against
+    the config, else a seeded draw; either way checked against ``dataset``
+    (``SplitPlan.check_data``)."""
+    setting = cfg.split.setting
     if cfg.split.plan_path is not None:
         plan = datagen.SplitPlan.load(cfg.split.plan_path)
         return plan.check_split(setting, cfg.split.target_domain).check_data(dataset)
@@ -106,7 +115,7 @@ def cmd_generate(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
 
 def cmd_split(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     dataset = build_dataset(cfg)
-    plan = build_plan(cfg, dataset, cfg.split.setting)
+    plan = build_plan(cfg, dataset)
     _write_outputs(out, {
         "plan.json": lambda path: _write_json(path, plan.to_doc()),
         "plan_provenance.json": lambda path: _write_json(path, {"config": to_provenance(cfg)}),
@@ -117,7 +126,7 @@ def cmd_split(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
-    plan, final, best, log, report, _ = train_on_split(cfg, cfg.split.setting, cfg.seed)
+    plan, final, best, log, report, _ = train_on_split(cfg, cfg.seed)
     _write_outputs(out, {
         "checkpoint_best.npz": lambda path: networks.save_checkpoint(best, path),
         "checkpoint_final.npz": lambda path: networks.save_checkpoint(final, path),
@@ -162,7 +171,7 @@ def _search_one(cfg: RunConfig, dataset, plan, net_cfg, seed_root):
 
 def cmd_search(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     dataset = build_dataset(cfg)
-    plan = build_plan(cfg, dataset, cfg.split.setting)
+    plan = build_plan(cfg, dataset)
     result = _search_one(cfg, dataset, plan, _network_config(cfg, dataset, plan), cfg.seed)
     _write_json(out / "search.json", {
         "config": to_provenance(cfg),
@@ -173,13 +182,13 @@ def cmd_search(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     return 0
 
 
-def train_on_split(cfg: RunConfig, setting, seed_root: int, tag: str = "", *,
+def train_on_split(cfg: RunConfig, seed_root: int, tag: str = "", *,
                    search: bool = False, log_steps: bool = True):
     """The recipe of ``fond train`` and each benchmark cell, seeded by ``trainer.start``
     with ``tag`` under ``seed_root``, with the search's winning hypers if ``search``.
     Returns (plan, final, best, log, best's target report, winning trial or None)."""
     dataset = build_dataset(cfg)
-    plan = build_plan(cfg, dataset, setting)
+    plan = build_plan(cfg, dataset)
     net_cfg = _network_config(cfg, dataset, plan)
     loss_cfg, trainer_cfg, winner = cfg.loss, cfg.trainer, None
     if search:
@@ -198,16 +207,16 @@ def train_on_split(cfg: RunConfig, setting, seed_root: int, tag: str = "", *,
 
 def run_benchmark_cell(cfg: RunConfig, setting, variant: str,
                        rep: int) -> evalsel.ResultRow:
-    """One (setting, variant, repetition) cell; pure function of its
-    arguments so cells can run in any process in any order.
+    """One (setting, variant, repetition) cell, which trains
+    ``cell_config(cfg, setting, variant)``; pure function of its arguments
+    so cells can run in any process in any order.
 
     The cell seed deliberately excludes the variant: within a repetition
     every variant trains from the same initialization on the same batch
     sequence, so per-repetition comparisons isolate the objective.
     """
     cell_seed = subseed(cfg.seed, "cell", setting, rep)
-    cell_cfg = replace(cfg, loss=replace(cfg.loss, variant=variant))
-    *_, report, winner = train_on_split(cell_cfg, setting, cell_seed, "final-",
+    *_, report, winner = train_on_split(cell_config(cfg, setting, variant), cell_seed, "final-",
                                         search=cfg.search.n_trials >= 1, log_steps=False)
     return evalsel.ResultRow(dataset=cfg.dataset.name, setting=str(setting),
                              variant=variant, rep=rep, y_l_accuracy=report.y_l_accuracy,
@@ -221,21 +230,21 @@ def worker_count(jobs: int, cells: int, cpus: int | None) -> int:
     return max(1, min(jobs, cells, cpus or 1))
 
 
-def run_cells(cfg: RunConfig, cells, jobs: int) -> list[evalsel.ResultRow]:
-    """``run_benchmark_cell(cfg, setting, variant, rep)`` of each cell, in the
-    order given: in this process, or in ``worker_count`` worker processes.
-    A cell that raises cancels the cells not yet started and propagates."""
-    args = [cfg] * len(cells), *zip(*cells)
+def run_cells(cells, jobs: int) -> list[evalsel.ResultRow]:
+    """``run_benchmark_cell(cfg, setting, variant, rep)`` of each cell, a tuple
+    of those four, so each cell carries its own config; in the order given, in
+    this process or in ``worker_count`` worker processes. A cell that raises
+    cancels the cells not yet started and propagates."""
     workers = worker_count(jobs, len(cells), os.cpu_count())
     if workers == 1:
-        return list(map(run_benchmark_cell, *args))
+        return [run_benchmark_cell(*cell) for cell in cells]
     from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
 
     # warnings off in each worker too: a forked one inherits main's
     # floating-point state, a spawned one does not
     with ProcessPoolExecutor(max_workers=workers, initializer=np.seterr,
                              initargs=("ignore",)) as pool:
-        return list(pool.map(run_benchmark_cell, *args))
+        return list(pool.map(run_benchmark_cell, *zip(*cells)))
 
 
 def _mean_se(mean: float | None, se: float | None) -> str:
@@ -245,15 +254,16 @@ def _mean_se(mean: float | None, se: float | None) -> str:
 
 
 def cmd_benchmark(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
-    # every setting's plan, checked against the config and the data before the first cell
+    # every setting's plan, built from the config its cells run and checked
+    # against the config and the data before the first cell
     dataset = build_dataset(cfg)
     for setting in cfg.benchmark.settings:
-        build_plan(cfg, dataset, setting)
+        build_plan(cell_config(cfg, setting, cfg.loss.variant), dataset)
     del dataset
-    rows = run_cells(cfg, [(setting, variant, rep)
-                           for setting in cfg.benchmark.settings
-                           for variant in cfg.benchmark.variants
-                           for rep in range(cfg.benchmark.reps)], args.jobs)
+    rows = run_cells([(cfg, setting, variant, rep)
+                      for setting in cfg.benchmark.settings
+                      for variant in cfg.benchmark.variants
+                      for rep in range(cfg.benchmark.reps)], args.jobs)
 
     agg = evalsel.aggregate(rows)
     paired = evalsel.pair_with_erm(rows)
@@ -285,7 +295,7 @@ def cmd_dump_embeddings(cfg: RunConfig, out: Path, args: argparse.Namespace) -> 
         raise ConfigError("dump-embeddings needs --checkpoint")
     params = networks.load_checkpoint(args.checkpoint)
     dataset = build_dataset(cfg)
-    plan = build_plan(cfg, dataset, cfg.split.setting)
+    plan = build_plan(cfg, dataset)
     evalsel.dump_embeddings(params, dataset, plan, out / "embeddings.csv")
     print(f"wrote {out / 'embeddings.csv'} ({len(dataset)} rows)")
     return 0

@@ -99,6 +99,10 @@ class Dataset:
                        domains=self.domains[idx], ids=self.ids[idx])
 
 
+# float64 values generate_synthetic may allocate (1 GiB)
+MAX_SYNTHETIC_FLOATS = 2**27
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Geometry of the generated multi-domain mixture.
@@ -140,6 +144,16 @@ class SyntheticSpec:
             raise ConfigError(f"label_noise must be in [0, 1), got {self.label_noise}")
         if self.samples_per_cell < 1:
             raise ConfigError("samples_per_cell must be >= 1")
+        # checked before generate_synthetic allocates, so an oversized spec
+        # exits as a config error, never as numpy's allocation failure
+        k, c, d = self.num_domains, self.num_classes, self.input_dim
+        floats = k * c * self.samples_per_cell * d + k * d * d + k * d + c * d
+        if floats > MAX_SYNTHETIC_FLOATS:
+            raise ConfigError(
+                f"num_domains={k}, num_classes={c}, input_dim={d} and "
+                f"samples_per_cell={self.samples_per_cell} generate {floats} float64 values "
+                f"(features, domain transforms and offsets, class prototypes), "
+                f"over the cap of 2**27")
 
 
 def _domain_transform(family: str, d: int, shift: float, rng: np.random.Generator):

@@ -293,7 +293,7 @@ class TestGenerateSplit:
                                  domains=np.repeat(domain_ids, n_classes),
                                  ids=np.arange(k * n_classes))
             doc = base_doc(seed=seed, split={"setting": setting, "target_domain": target})
-            return cli.build_plan(config.config_from_dict(doc), ds, setting)
+            return cli.build_plan(config.config_from_dict(doc), ds)
 
         plan = plan_for(np.arange(k), t)
         moved = plan_for(ids, ids[t])
@@ -499,6 +499,23 @@ class TestErrorExits:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["message"].startswith("shared class count 99 invalid")
+
+    @pytest.mark.parametrize("override,field", [
+        ("dataset.synthetic.num_domains=2147483648", "num_domains"),
+        ("dataset.synthetic.samples_per_cell=9007199254740993", "samples_per_cell"),
+    ], ids=["num-domains", "samples-per-cell"])
+    def test_oversized_synthetic_spec_exits_2(self, tmp_path, capsys, override, field):
+        # numpy refused the arrays up front (1 TiB of domain transforms, and
+        # "array is too big"), and the traceback exited 1
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       "--set", override)
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        value = override.rsplit("=", 1)[1]
+        assert f"{field}={value}" in payload["message"]
+        assert payload["message"].endswith("over the cap of 2**27")
+        assert not (tmp_path / "run").exists()
 
     def run_on_low_plan(self, tmp_path, command, *overrides, edit=None):
         """`fond split` on the tiny config (setting low: 2 of 5 classes
@@ -1346,6 +1363,50 @@ print(json.dumps({{"codes": codes, "masked": "numpy.ma" in sys.modules}}))
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result == {"codes": [0, 0, 0, 0], "masked": False}
+
+    def test_cells_of_two_master_seeds_in_one_call(self, tmp_path, monkeypatch):
+        # each cell carries its own config, so one run_cells call can mix
+        # master seeds and give each seed's cells the rows of its own benchmark
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        overrides = ["search.n_trials=0", "benchmark.reps=1"]
+        base = config.load_config(TINY, overrides)
+        cfgs = [replace(base, seed=seed) for seed in (3, 4)]
+        cells = [(cfg, setting, variant, rep) for cfg in cfgs
+                 for setting in base.benchmark.settings
+                 for variant in base.benchmark.variants
+                 for rep in range(base.benchmark.reps)]
+        rows = cli.run_cells(cells, 1)
+        assert cli.run_cells(cells, 2) == rows
+        per_seed = len(cells) // len(cfgs)
+        for i, cfg in enumerate(cfgs):
+            out = tmp_path / str(cfg.seed)
+            assert run_cli("benchmark", "--config", str(TINY), "--out", str(out),
+                           "--seed", str(cfg.seed),
+                           *(arg for text in overrides for arg in ("--set", text))) == 0
+            mine = tmp_path / f"cells-{cfg.seed}.csv"
+            evalsel.write_results_csv(rows[i * per_seed:(i + 1) * per_seed], mine,
+                                      {"config": config.to_provenance(cfg)})
+            assert mine.read_bytes() == (out / "results.csv").read_bytes()
+
+    def test_every_plan_comes_from_a_config_of_its_setting(self, tmp_path, monkeypatch):
+        # the cells and the pre-check handed build_plan each setting apart
+        # from a config whose split.setting stayed the benchmark's "high"
+        built = []
+        build_plan = cli.build_plan
+
+        def recording(cfg, *args):
+            plan = build_plan(cfg, *args)
+            built.append((cfg.split.setting, len(plan.shared_classes)))
+            return plan
+
+        monkeypatch.setattr(cli, "build_plan", recording)
+        assert run_cli("benchmark", "--config", str(TINY), "--out", str(tmp_path),
+                       "--set", 'benchmark.settings=["low", "high"]',
+                       "--set", "split.setting=high", "--set", "search.n_trials=0",
+                       "--set", 'benchmark.variants=["erm", "fond"]') == 0
+        # the tiny config shares 2 of its 5 classes in low and 4 in high;
+        # the pre-check's plans, then the cells' in order
+        assert built == [("low", 2), ("high", 4)] + [("low", 2)] * 2 + [("high", 4)] * 2
 
     def test_cell_returns_its_row_with_the_winning_trial(self, cfg_path):
         cfg = config.load_config(cfg_path)

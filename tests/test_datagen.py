@@ -39,6 +39,14 @@ class TestSyntheticSpec:
         with pytest.raises(ConfigError):
             small_spec(transform_family="warp")
 
+    def test_generated_float_count_is_capped(self):
+        # 2 x 3 x 2 x p feature values plus 8 + 4 + 6 for the transforms,
+        # offsets and prototypes: 12 p + 18 reaches 2**27 between p and p + 1
+        p = (datagen.MAX_SYNTHETIC_FLOATS - 18) // 12
+        small_spec(num_domains=2, num_classes=3, input_dim=2, samples_per_cell=p)
+        with pytest.raises(ConfigError, match=r"generate 134217738 float64 values"):
+            small_spec(num_domains=2, num_classes=3, input_dim=2, samples_per_cell=p + 1)
+
 
 def latents(spec, seed):
     """The prototypes, transforms and offsets ``generate_synthetic`` draws

@@ -275,3 +275,27 @@ def test_one_start_and_one_step_feed_for_every_training():
                              ("src/fond/trainer.py", "start", "seed"),
                              ("src/fond/trainer.py", "step_inputs", "BatchAnnotations"),
                              ("src/fond/trainer.py", "step_inputs", "BatchSampler")]
+
+
+def test_one_cell_config_and_every_plan_read_from_a_config():
+    # cli.cell_config alone writes a benchmark cell's setting into
+    # split.setting and its variant into loss.variant, and build_plan reads
+    # the setting from the config it is given, so a cell, the benchmark's
+    # pre-check and scripts/bench_step.py cannot plan apart from the config
+    # that the cell runs
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+    replaced, plan_calls = [], []
+    for path in sources:
+        for function, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name == "replace":
+                replaced += [(path.relative_to(ROOT).as_posix(), function, keyword.arg)
+                             for keyword in call.keywords
+                             if keyword.arg in ("setting", "variant")]
+            if name == "build_plan":
+                plan_calls.append((path.relative_to(ROOT).as_posix(), function,
+                                   len(call.args), len(call.keywords)))
+    assert sorted(replaced) == [("src/fond/cli.py", "cell_config", "setting"),
+                                ("src/fond/cli.py", "cell_config", "variant")]
+    assert plan_calls and all(args == 2 and not keywords
+                              for _, _, args, keywords in plan_calls), plan_calls
