@@ -79,14 +79,10 @@ def _network_config(cfg: RunConfig, dataset: datagen.Dataset,
 
 
 def _metrics_payload(report: evalsel.MetricsReport) -> dict:
-    return {
-        "y_l_accuracy": report.y_l_accuracy,
-        "y_s_accuracy": report.y_s_accuracy,
-        "overall_accuracy": report.overall_accuracy,
-        "per_class_accuracy": {str(k): v for k, v in sorted(report.per_class_accuracy.items())},
-        "counts": {str(k): v for k, v in sorted(report.counts.items())},
-        "excluded_classes": list(report.excluded_classes),
-    }
+    """``report``'s fields, each dict's class keys as text, so ``_write_json``
+    sorts them as text ("10" before "2")."""
+    return {name: {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
+            for name, value in asdict(report).items()}
 
 
 def _write_json(path, payload: dict) -> None:

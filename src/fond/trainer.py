@@ -9,7 +9,6 @@ snapshot with the best validation accuracy over linked classes.
 Optimizer recurrences (eta = learning rate, g = gradient):
 
   sgd        theta <- theta - eta * g
-  momentum   v <- mu * v + g;  theta <- theta - eta * v          (v0 = 0)
   adam       m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2;
              mhat = m/(1-b1^t);  vhat = v/(1-b2^t);
              theta <- theta - eta * mhat / (sqrt(vhat) + eps)    (t from 1)
@@ -41,7 +40,11 @@ from .errors import (ConfigError, ContractError, DegenerateInputError, NonFinite
                      require_finite, write_output)
 from .seeding import rng_for, rng_states, subseed
 
-OPTIMIZERS = ("sgd", "momentum", "adam")
+OPTIMIZERS = ("sgd", "adam")
+
+# Fields no training reads, kept only because the "# provenance:" line of
+# every output table names them: each must hold its value here.
+PROVENANCE_ONLY = {"stratified_batches": False, "momentum": 0.9}
 
 SEED_TAG_BATCHES = "batches"
 SEED_TAG_DROPOUT = "dropout"
@@ -57,17 +60,16 @@ class TrainerConfig:
     eval_every: int = 50
     seed: int = 0
     dropout: float = 0.0
-    stratified_batches: bool = False   # must stay False; the provenance names it
+    stratified_batches: bool = False   # PROVENANCE_ONLY
     selection_metric: str = "y_l"   # snapshot criterion: "y_l" or "overall"
-    momentum: float = 0.9
+    momentum: float = 0.9   # PROVENANCE_ONLY
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        require_finite(learning_rate=self.learning_rate, momentum=self.momentum,
-                       adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2,
-                       adam_eps=self.adam_eps)
+        require_finite(learning_rate=self.learning_rate, adam_beta1=self.adam_beta1,
+                       adam_beta2=self.adam_beta2, adam_eps=self.adam_eps)
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         # beta = 1 divides a bias correction by 0, eps = 0 divides by sqrt(vhat) = 0
@@ -88,19 +90,19 @@ class TrainerConfig:
         if self.selection_metric not in ("y_l", "overall"):
             raise ConfigError(f"selection_metric must be 'y_l' or 'overall', "
                               f"got {self.selection_metric!r}")
-        if self.stratified_batches:
-            raise ConfigError("stratified_batches must stay false: batches are always "
-                              "drawn from the shuffled pool")
+        for name, required in PROVENANCE_ONLY.items():
+            if getattr(self, name) != required:
+                raise ConfigError(f"{name} must stay {json.dumps(required)}: no training "
+                                  f"reads it, got {getattr(self, name)!r}")
 
 
 @dataclass
 class OptState:
     """Optimizer state over the flat parameter vector.
 
-    ``m``/``v`` are the slot vectors (momentum keeps its velocity in ``v``;
-    sgd has none) and ``scratch`` is Adam's one work vector. Every vector
-    is allocated on the first step that needs it, sized to the model, and
-    reused after.
+    ``m``/``v`` are Adam's slot vectors and ``scratch`` its one work
+    vector; sgd has none. Each is allocated on Adam's first step, sized to
+    the model, and reused after.
     """
 
     step: int = 0
@@ -139,13 +141,6 @@ def optimizer_step(params: networks.ModelParams, grad: np.ndarray, state: OptSta
     lr = cfg.learning_rate
     if cfg.optimizer == "sgd":
         grad *= lr
-    elif cfg.optimizer == "momentum":
-        if state.v is None:
-            state.v = np.zeros_like(params.flat)
-        v = state.v[:size]
-        v *= cfg.momentum
-        v += grad
-        np.multiply(v, lr, out=grad)
     else:
         if state.m is None:
             state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
@@ -264,29 +259,27 @@ def step_inputs(params: networks.ModelParams, train_set: datagen.Dataset,
 
 
 def train_val_split(pool: datagen.Dataset, trainer_cfg: TrainerConfig):
-    """(train set, validation set): the 80/20 per-domain split that ``train``
-    draws from ``pool`` when it is given no ``val_set``. A caller that splits
-    first can free the pool before the loop."""
+    """(train set, validation set): the 80/20 per-domain split of ``pool``
+    under ``trainer_cfg``'s seed, the one every command trains on."""
     return datagen.split_train_val(pool, subseed(trainer_cfg.seed, SEED_TAG_VAL_SPLIT))
 
 
-def train(params: networks.ModelParams, source_pool: datagen.Dataset,
+def train(params: networks.ModelParams, train_set: datagen.Dataset,
           plan: datagen.SplitPlan, loss_cfg: losses.LossConfig,
           trainer_cfg: TrainerConfig, val_set: datagen.Dataset | None = None,
           *, log_steps: bool = True):
     """Run the loop; returns (final params, best-validation params, log).
 
-    When ``val_set`` is None the pool is split by ``train_val_split``;
-    otherwise the pool is used for training as given. One loop runs steps
-    1..max_steps over lazily drawn epochs and evaluates a non-empty
-    ``val_set`` after every ``eval_every``-th step and after the last, once
-    each. The best snapshot maximizes validation accuracy over linked
-    classes (strict improvement, earliest wins), falling back to overall
-    accuracy when the validation split contains no linked-class samples;
-    with an empty ``val_set`` it is the final parameters. The loop ignores
-    numpy's divide warning: an underflowed true-label probability gives a
-    cross-entropy of +inf, which raises ``NonFiniteLossError``; an overflowed
-    projection row raises ``DegenerateInputError``. Both name their step.
+    One loop runs steps 1..max_steps over lazily drawn epochs of
+    ``train_set`` and evaluates a non-empty ``val_set`` after every
+    ``eval_every``-th step and after the last, once each. The best snapshot
+    maximizes validation accuracy over linked classes (strict improvement,
+    earliest wins), falling back to overall accuracy when the validation
+    split contains no linked-class samples; with no ``val_set`` (None or
+    empty) it is the final parameters. The loop ignores numpy's divide
+    warning: an underflowed true-label probability gives a cross-entropy of
+    +inf, which raises ``NonFiniteLossError``; an overflowed projection row
+    raises ``DegenerateInputError``. Both name their step.
 
     With ``log_steps`` False the log keeps no step or eval rows (no
     ``grad_norm`` is summed), only ``best_step``; the parameters are the
@@ -300,11 +293,6 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
     update, so the next step and each evaluation reuse their memory.
     """
     loss_cfg = loss_cfg.resolved()
-    if val_set is None:
-        train_set, val_set = train_val_split(source_pool, trainer_cfg)
-    else:
-        train_set = source_pool
-
     project = loss_cfg.lambda_xdom > 0   # z feeds nothing but the contrastive term
     max_steps, eval_every = trainer_cfg.max_steps, trainer_cfg.eval_every
     state = OptState()
@@ -337,7 +325,7 @@ def train(params: networks.ModelParams, source_pool: datagen.Dataset,
             del x, ann, fp, fl
             optimizer_step(params, grad, state, trainer_cfg)
             ndcore.check_finite(params.flat, f"parameters after step {step}")
-            if len(val_set) and (step % eval_every == 0 or step == max_steps):
+            if val_set and (step % eval_every == 0 or step == max_steps):
                 report = evalsel.evaluate(params, val_set, plan)
                 score = report.y_l_accuracy
                 if trainer_cfg.selection_metric == "overall" or score is None:

@@ -31,11 +31,6 @@ def ref_optimizer_step(tensors: dict, grads: dict, state: RefOptState, cfg) -> R
             raise ShapeError(f"gradient {name} shape {g.shape} != parameter {theta.shape}")
         if cfg.optimizer == "sgd":
             theta -= cfg.learning_rate * g
-        elif cfg.optimizer == "momentum":
-            v = state.v.setdefault(name, np.zeros_like(theta))
-            v *= cfg.momentum
-            v += g
-            theta -= cfg.learning_rate * v
         else:
             m = state.m.setdefault(name, np.zeros_like(theta))
             v = state.v.setdefault(name, np.zeros_like(theta))

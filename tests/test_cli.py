@@ -322,6 +322,21 @@ class TestTrain:
         lines = (out / "trainlog.jsonl").read_text().splitlines()
         assert sum(json.loads(l)["kind"] == "step" for l in lines) == 12
 
+    def test_metrics_payload_holds_the_report_with_class_keys_as_text(self, tmp_path):
+        # one key per MetricsReport field; with 12 classes the class keys
+        # sort as text in metrics.json, "10" and "11" before "2"
+        report = evalsel.MetricsReport(
+            per_class_accuracy={c: c / 12 for c in range(12)}, counts={c: c + 1 for c in range(12)},
+            y_l_accuracy=None, y_s_accuracy=0.5, overall_accuracy=0.25, excluded_classes=(7,))
+        payload = cli._metrics_payload(report)
+        assert set(payload) == {f.name for f in fields(evalsel.MetricsReport)}
+        cli._write_json(tmp_path / "metrics.json", payload)
+        doc = json.loads((tmp_path / "metrics.json").read_text())
+        text_order = sorted(map(str, range(12)))
+        assert list(doc["per_class_accuracy"]) == list(doc["counts"]) == text_order
+        assert doc["per_class_accuracy"]["11"] == 11 / 12 and doc["counts"]["2"] == 3
+        assert doc["excluded_classes"] == [7] and doc["y_l_accuracy"] is None
+
     def test_disabled_contrastive_terms_reproduce_plain_training(self, cfg_path,
                                                                  tmp_path):
         erm_out = tmp_path / "erm"
@@ -847,6 +862,20 @@ class TestErrorExits:
         payload = json.loads(lines[0])
         assert payload["type"] == "ConfigError"
         assert "stratified_batches" in payload["message"]
+
+    @pytest.mark.parametrize("override, field", [
+        ("trainer.optimizer=momentum", "optimizer"), ("trainer.momentum=0.5", "momentum"),
+    ], ids=["momentum-optimizer", "momentum-value"])
+    def test_momentum_exits_2(self, tmp_path, capsys, override, field):
+        # the momentum optimizer is gone and trainer.momentum stays only for
+        # the provenance line; both used to train and exit 0
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       "--set", override)
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        assert field in payload["message"]
+        assert not (tmp_path / "run").exists()
 
     def test_overflow_after_last_step_exit_3(self, tmp_path, capsys):
         # one finite but enormous update: no later loss sees the new

@@ -299,3 +299,24 @@ def test_one_cell_config_and_every_plan_read_from_a_config():
                                 ("src/fond/cli.py", "cell_config", "variant")]
     assert plan_calls and all(args == 2 and not keywords
                               for _, _, args, keywords in plan_calls), plan_calls
+
+
+def test_every_training_is_given_its_split():
+    # trainer.train trains on exactly the rows it is given, so every caller
+    # passes its validation set; trainer.train_val_split draws a training's
+    # split and evalsel.training_domain_validation each fold's, and no other
+    # code splits a pool
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+    trainings, splits = [], []
+    for path in sources:
+        for function, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            where = (path.relative_to(ROOT).as_posix(), function)
+            if name == "train" and getattr(getattr(call.func, "value", None), "id", None) \
+                    == "trainer":
+                trainings.append((*where, "val_set" in {kw.arg for kw in call.keywords}))
+            if name == "split_train_val":
+                splits.append(where)
+    assert trainings and all(given for *_, given in trainings), trainings
+    assert sorted(splits) == [("src/fond/evalsel.py", "training_domain_validation"),
+                              ("src/fond/trainer.py", "train_val_split")]

@@ -33,6 +33,13 @@ def make_setup(seed=0, num_classes=4, num_domains=4, input_dim=8,
     return pool, target, plan, net_cfg
 
 
+def train_on_split(params, pool, plan, loss_cfg, cfg, **kwargs):
+    """``trainer.train`` on the halves of ``trainer.train_val_split(pool, cfg)``,
+    as every command trains."""
+    train_set, val_set = trainer.train_val_split(pool, cfg)
+    return trainer.train(params, train_set, plan, loss_cfg, cfg, val_set=val_set, **kwargs)
+
+
 def default_loss():
     return losses.LossConfig(temperature=0.2, a=2.0, b=2.0, lambda_xdom=0.5,
                              lambda_fair=0.3, variant="fond")
@@ -58,9 +65,15 @@ class TestTrainerConfig:
         with pytest.raises(ConfigError, match="stratified_batches"):
             trainer.TrainerConfig(stratified_batches=True)
 
+    @pytest.mark.parametrize("value", [0.5, 0.0, float("nan"), -float("inf")])
+    def test_momentum_must_stay_as_the_provenance_names_it(self, value):
+        # no optimizer reads it; the key stays only for the provenance line
+        with pytest.raises(ConfigError, match="momentum must stay 0.9"):
+            trainer.TrainerConfig(momentum=value)
+        trainer.TrainerConfig(momentum=0.9)
+
     def test_nonfinite_hyperparameters_rejected(self):
-        for field_name in ("learning_rate", "momentum", "adam_beta1", "adam_beta2",
-                           "adam_eps"):
+        for field_name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
             for bad in (float("nan"), float("inf"), -float("inf")):
                 with pytest.raises(ConfigError, match=field_name):
                     trainer.TrainerConfig(**{field_name: bad})
@@ -124,20 +137,6 @@ class TestOptimizerStep:
         expected = before - 0.01 * grad / (np.abs(grad) + cfg.adam_eps)
         assert np.abs(params.flat - expected).max() < 1e-12
 
-    def test_momentum_two_steps_hand_computed(self):
-        params = self.params()
-        before = params.flat.copy()
-        rng = np.random.default_rng(4)
-        g1, g2 = rng.normal(size=(2, params.flat.size))
-        cfg = trainer.TrainerConfig(optimizer="momentum", learning_rate=0.1,
-                                    momentum=0.5)
-        state = trainer.OptState()
-        trainer.optimizer_step(params, g1.copy(), state, cfg)
-        trainer.optimizer_step(params, g2.copy(), state, cfg)
-        assert state.step == 2
-        expected = before - 0.1 * g1 - 0.1 * (0.5 * g1 + g2)
-        assert np.abs(params.flat - expected).max() < 1e-12
-
     def test_wrong_length_gradient_raises(self):
         # a flat gradient spans the whole model or its F and G prefix
         params = self.params()
@@ -188,7 +187,7 @@ def test_optimizer_step_bit_identical_to_frozen_per_tensor(
     params = networks.init_params(net_cfg, seed)
     ref = {k: v.copy() for k, v in params.tensors().items()}
     tcfg = trainer.TrainerConfig(optimizer=optimizer, learning_rate=0.003,
-                                 momentum=0.8, adam_beta1=beta1, adam_beta2=0.995)
+                                 adam_beta1=beta1, adam_beta2=0.995)
     state, ref_state = trainer.OptState(), RefOptState()
     names = sorted(ref, key=lambda k: "pgf".index(k[0]))
     rng = np.random.default_rng(seed)
@@ -220,7 +219,7 @@ class TestTrainLoop:
         params = networks.init_params(net_cfg, 1)
         cfg = trainer.TrainerConfig(max_steps=20, eval_every=10, batch_size=16,
                                     seed=2, learning_rate=0.01)
-        _, _, log = trainer.train(params, pool, plan, default_loss(), cfg)
+        _, _, log = train_on_split(params, pool, plan, default_loss(), cfg)
         assert len(log.steps) == 20
         for rec in log.steps:
             combined = rec.task + 0.5 * rec.xdom + 0.3 * rec.fair
@@ -233,7 +232,7 @@ class TestTrainLoop:
         runs = []
         for _ in range(2):
             params = networks.init_params(net_cfg, 7)
-            runs.append(trainer.train(params, pool, plan, default_loss(), cfg))
+            runs.append(train_on_split(params, pool, plan, default_loss(), cfg))
         (fa, ba, la), (fb, bb, lb) = runs
         for k in fa.tensors():
             assert np.array_equal(fa.tensors()[k], fb.tensors()[k])
@@ -249,7 +248,7 @@ class TestTrainLoop:
             params = networks.init_params(net_cfg, 7)
             cfg = trainer.TrainerConfig(max_steps=5, eval_every=5, batch_size=16,
                                         seed=3, learning_rate=0.01, dropout=rate)
-            logs.append(trainer.train(params, pool, plan, default_loss(), cfg)[2])
+            logs.append(train_on_split(params, pool, plan, default_loss(), cfg)[2])
         assert logs[0].steps[0].task != logs[1].steps[0].task
 
     def test_dropout_training_calls_rng_for_once(self, monkeypatch):
@@ -263,7 +262,7 @@ class TestTrainLoop:
         pool, _, plan, net_cfg = make_setup()
         cfg = trainer.TrainerConfig(max_steps=12, eval_every=6, batch_size=16,
                                     seed=3, learning_rate=0.01, dropout=0.2)
-        trainer.train(networks.init_params(net_cfg, 7), pool, plan, default_loss(), cfg)
+        train_on_split(networks.init_params(net_cfg, 7), pool, plan, default_loss(), cfg)
         assert calls == [(3, trainer.SEED_TAG_DROPOUT, 1)]
 
     def test_dropout_streams_draw_what_rng_for_draws(self):
@@ -300,7 +299,7 @@ class TestTrainLoop:
         cfg = trainer.TrainerConfig(max_steps=400, eval_every=100, batch_size=32,
                                     seed=10, learning_rate=0.01, optimizer="adam")
         loss_cfg = losses.LossConfig(variant="erm", lambda_xdom=1.0, lambda_fair=1.0)
-        final, _, log = trainer.train(params, pool, plan, loss_cfg, cfg)
+        final, _, log = train_on_split(params, pool, plan, loss_cfg, cfg)
         from fond import evalsel
         report = evalsel.evaluate(final, pool, plan)
         assert report.overall_accuracy == 1.0
@@ -319,7 +318,7 @@ class TestTrainLoop:
         monkeypatch.setattr(losses, "fond_loss", bad_loss)
         cfg = trainer.TrainerConfig(max_steps=5, eval_every=5, batch_size=8, seed=0)
         with pytest.raises(NonFiniteLossError) as err:
-            trainer.train(params, pool, plan, default_loss(), cfg)
+            train_on_split(params, pool, plan, default_loss(), cfg)
         assert err.value.step == 1
 
     def test_nonfinite_update_names_step(self, monkeypatch):
@@ -338,7 +337,7 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer, "optimizer_step", bad_step)
         cfg = trainer.TrainerConfig(max_steps=6, eval_every=6, batch_size=8, seed=0)
         with pytest.raises(DegenerateInputError, match=r"parameters after step 3\b"):
-            trainer.train(params, pool, plan, default_loss(), cfg)
+            train_on_split(params, pool, plan, default_loss(), cfg)
 
     def test_divergence_raises_nonfinite_with_step(self):
         # at this rate the logits blow up until a true-label probability
@@ -348,7 +347,7 @@ class TestTrainLoop:
         cfg = trainer.TrainerConfig(optimizer="sgd", learning_rate=1e6, max_steps=20,
                                     eval_every=20, batch_size=16, seed=0)
         with pytest.raises(NonFiniteLossError) as err:
-            trainer.train(params, pool, plan, default_loss(), cfg)
+            train_on_split(params, pool, plan, default_loss(), cfg)
         assert err.value.step > 1
         assert not math.isfinite(err.value.components["total"])
 
@@ -366,31 +365,11 @@ class TestTrainLoop:
                 for name, tensor in params.tensors().items():
                     if name.startswith("p."):
                         tensor[...] = 0.0
-            _, _, log = trainer.train(params, pool, plan, loss_cfg, cfg)
+            _, _, log = train_on_split(params, pool, plan, loss_cfg, cfg)
             path = tmp_path / f"trainlog_{zero_p}.jsonl"
             log.write_jsonl(path)
             logs.append(path.read_bytes())
         assert logs[0] == logs[1]
-
-    def test_given_split_matches_the_default_split(self, tmp_path):
-        # callers that free the pool before the loop pass train_val_split's
-        # halves; the run must be the one train draws from the pool itself
-        pool, _, plan, net_cfg = make_setup()
-        cfg = trainer.TrainerConfig(max_steps=12, eval_every=5, batch_size=16,
-                                    seed=4, learning_rate=0.01, dropout=0.2)
-        train_set, val_set = trainer.train_val_split(pool, cfg)
-        runs = [trainer.train(networks.init_params(net_cfg, 3), pool, plan,
-                              default_loss(), cfg),
-                trainer.train(networks.init_params(net_cfg, 3), train_set, plan,
-                              default_loss(), cfg, val_set=val_set)]
-        outputs = []
-        for i, (final, best, log) in enumerate(runs):
-            log.write_jsonl(tmp_path / f"log{i}.jsonl")
-            log.write_summary_csv(tmp_path / f"log{i}.csv")
-            outputs.append((final.flat.tobytes(), best.flat.tobytes(), log.best_step,
-                            (tmp_path / f"log{i}.jsonl").read_bytes(),
-                            (tmp_path / f"log{i}.csv").read_bytes()))
-        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("variant", ["erm", "fond"])
     def test_unlogged_run_matches_logged_run(self, variant):
@@ -401,7 +380,7 @@ class TestTrainLoop:
                                      lambda_fair=0.3, variant=variant)
         cfg = trainer.TrainerConfig(max_steps=23, eval_every=4, batch_size=16,
                                     seed=4, learning_rate=0.05, dropout=0.2)
-        logged, unlogged = (trainer.train(networks.init_params(net_cfg, 3), pool, plan,
+        logged, unlogged = (train_on_split(networks.init_params(net_cfg, 3), pool, plan,
                                           loss_cfg, cfg, log_steps=flag)
                             for flag in (True, False))
         for a, b in zip(logged[:2], unlogged[:2]):
@@ -422,17 +401,18 @@ class TestTrainLoop:
                                   val_set=target)
         assert [e.step for e in log.evals] == expected
 
-    def test_empty_validation_set_returns_final_as_best(self):
+    def test_empty_validation_set_returns_final_as_best(self, monkeypatch):
+        # None trains the same way: on exactly the rows given, evaluating nothing
         pool, _, plan, net_cfg = make_setup()
-        params = networks.init_params(net_cfg, 1)
         empty = pool.subset(np.array([], dtype=np.int64))
         cfg = trainer.TrainerConfig(max_steps=10, eval_every=5, batch_size=16,
                                     seed=1, learning_rate=0.01)
-        final, best, log = trainer.train(params, pool, plan, default_loss(), cfg,
-                                         val_set=empty)
-        assert log.evals == [] and log.best_step == 10
-        for k in final.tensors():
-            assert np.array_equal(final.tensors()[k], best.tensors()[k])
+        monkeypatch.setattr(datagen, "split_train_val", None)   # nothing splits the pool
+        runs = [trainer.train(networks.init_params(net_cfg, 1), pool, plan, default_loss(),
+                              cfg, val_set=val_set) for val_set in (empty, None)]
+        for final, best, log in runs:
+            assert log.evals == [] and log.best_step == 10
+            assert final.flat.tobytes() == best.flat.tobytes() == runs[0][0].flat.tobytes()
 
 
 class TestTrainingBoundary:
@@ -446,7 +426,7 @@ class TestTrainingBoundary:
                             lambda *a, **k: forwards.append(1))
         cfg = trainer.TrainerConfig(max_steps=4, eval_every=2, batch_size=16, seed=1)
         with pytest.raises(ContractError, match=r"labels must lie in \[0, 3\)"):
-            trainer.train(networks.init_params(small, 1), pool, plan, default_loss(), cfg)
+            train_on_split(networks.init_params(small, 1), pool, plan, default_loss(), cfg)
         assert forwards == []
 
     def test_label_the_plan_lacks_raises_before_step_one(self, monkeypatch):
@@ -482,7 +462,7 @@ class TestTrainingBoundary:
         monkeypatch.setattr(losses, "_check_label_range",
                             lambda labels, g: (range_checks.append(g), check(labels, g)))
         cfg = trainer.TrainerConfig(max_steps=3, eval_every=3, batch_size=16, seed=1)
-        trainer.train(networks.init_params(net_cfg, 1), pool, plan, default_loss(), cfg)
+        train_on_split(networks.init_params(net_cfg, 1), pool, plan, default_loss(), cfg)
         assert len(seen) == 3 and range_checks == [net_cfg.num_classes]
         assert len(buffers) == 1             # one Gram buffer for the training
         assert all(ann.num_classes == net_cfg.num_classes and len(ann) == 16
@@ -588,7 +568,7 @@ class TestStepArraysReleased:
         pool, _, plan, net_cfg = make_setup()
         loss_cfg = replace(default_loss(), variant=variant)
         cfg = trainer.TrainerConfig(max_steps=7, eval_every=2, batch_size=16, seed=1)
-        trainer.train(networks.init_params(net_cfg, 1), pool, plan, loss_cfg, cfg,
+        train_on_split(networks.init_params(net_cfg, 1), pool, plan, loss_cfg, cfg,
                       log_steps=log_steps)
         assert seen["evaluate"] == [[]] * 4      # after steps 2, 4, 6 and 7
         assert len(seen["forward_pass"]) == 7 + 4 and not any(seen["forward_pass"])
@@ -623,7 +603,7 @@ class TestKernelInputs:
         pool, target, plan, net_cfg = make_setup()
         cfg = trainer.TrainerConfig(max_steps=6, eval_every=3, batch_size=16, seed=4,
                                     learning_rate=0.01, dropout=0.2)
-        _, best, log = trainer.train(networks.init_params(net_cfg, 1), pool, plan,
+        _, best, log = train_on_split(networks.init_params(net_cfg, 1), pool, plan,
                                      default_loss(), cfg)
         assert all(rec.xdom > 0 for rec in log.steps)     # P ran at every step
         assert all(calls.values()), calls
