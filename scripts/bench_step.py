@@ -19,7 +19,9 @@ cell's or a search fold's training runs. Once
 for all sizes it times ``optimizer_step`` under each optimizer (each call
 on a fresh copy of the gradient, which the step overwrites; the copy is
 timed too), ``evalsel.evaluate`` on one block of ``evalsel.INFER_ROWS``
-source rows, the float-row writer (``floatrows.float_rows``, one call per
+source rows, with its two parts on that block next to it: ``predict``
+(the forward passes and argmax) and ``score`` (the counting, on
+``predict``'s output), the float-row writer (``floatrows.float_rows``, one call per
 round) on that block's features h as ``dump_embeddings`` writes them, next
 to the per-value ``repr`` join it reproduces, and ``datagen.ingest_csv``
 (one call per round) on the config's dataset, written by
@@ -156,6 +158,16 @@ def time_ingest(dataset, repeat):
                 "us": round(best_us(lambda: datagen.ingest_csv(path), repeat, 1), 2)}
 
 
+def time_evaluate(params, block, plan, repeat, number):
+    """``evalsel.evaluate`` on ``block``, and its parts: ``predict`` and ``score``."""
+    predicted = evalsel.predict(params, block.features)
+    timed = {"us": lambda: evalsel.evaluate(params, block, plan),
+             "predict_us": lambda: evalsel.predict(params, block.features),
+             "score_us": lambda: evalsel.score(predicted, block, plan)}
+    return {"rows": len(block),
+            **{key: round(best_us(fn, repeat, number), 2) for key, fn in timed.items()}}
+
+
 def time_float_rows(params, block, repeat):
     """``floatrows.float_rows`` on ``block``'s features h (one call per
     round), with the row prefixes ``dump_embeddings`` writes, and the
@@ -215,9 +227,7 @@ def main() -> int:
         "batch_sizes": per_size,
         "optimizer_step": time_optimizers(cfg, train_set, plan, net_cfg,
                                           args.repeat, args.number),
-        "evaluate": {"rows": len(block),
-                     "us": round(best_us(lambda: evalsel.evaluate(params, block, plan),
-                                         args.repeat, args.number), 2)},
+        "evaluate": time_evaluate(params, block, plan, args.repeat, args.number),
         "float_rows": time_float_rows(params, block, args.repeat),
         "ingest_csv": time_ingest(dataset, args.repeat),
     }

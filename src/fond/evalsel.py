@@ -78,22 +78,26 @@ def _row_blocks(params: networks.ModelParams, features, output: str):
         yield slice(r0, r1), out
 
 
+def logits(params: networks.ModelParams, features) -> np.ndarray:
+    """G's logits for every row of ``features``, joined from ``_row_blocks``."""
+    return np.concatenate([out for _, out in _row_blocks(params, features, "logits")])
+
+
 def predict(params: networks.ModelParams, features) -> np.ndarray:
     """Predicted output units (class codes, ``SplitPlan.class_codes``);
     argmax ties resolve to the lowest unit."""
-    return np.concatenate([np.argmax(logits, axis=1)
-                           for _, logits in _row_blocks(params, features, "logits")])
+    return np.argmax(logits(params, features), axis=1)
 
 
-def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
-             plan: datagen.SplitPlan) -> MetricsReport:
-    """Accuracies keyed by class id. A prediction is right when its output
-    unit is the label's class code (``SplitPlan.class_codes``): the argmax
-    mapped back to class ids, ties to the lowest id."""
+def score(pred_codes, test_set: datagen.Dataset, plan: datagen.SplitPlan) -> MetricsReport:
+    """Accuracies keyed by class id of ``pred_codes``, any read-out's output unit per row
+    of ``test_set``: right where it is the label's class code (``SplitPlan.class_codes``)."""
     if len(test_set) == 0:
         raise DegenerateInputError("cannot evaluate on an empty set")
+    if len(pred_codes) != len(test_set):
+        raise ContractError(f"{len(pred_codes)} predictions for {len(test_set)} rows")
     codes = plan.class_codes(test_set.labels)
-    correct = predict(params, test_set.features) == codes
+    correct = np.asarray(pred_codes) == codes
     # rows and hits per class code; each accuracy, the rounded quotient of
     # two exact counts, has the bits of the class's masked mean
     classes = sorted(plan.classes)
@@ -108,6 +112,12 @@ def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
                          y_l_accuracy=y_l, y_s_accuracy=y_s,
                          overall_accuracy=float(correct.mean()),
                          excluded_classes=tuple(c for c, n in zip(classes, rows) if not n))
+
+
+def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
+             plan: datagen.SplitPlan) -> MetricsReport:
+    """``score`` of the model's predictions (``predict``) on ``test_set``."""
+    return score(predict(params, test_set.features), test_set, plan)
 
 
 @dataclass(frozen=True)

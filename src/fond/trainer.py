@@ -3,8 +3,8 @@
 One step: sample batch -> features h = F(x) -> projections z = P(h) and
 logits = G(h) -> combined loss on (logits, z) -> backprop -> optimizer
 update. ``train`` runs the steps as one loop, which evaluates a validation
-split after every ``eval_every``-th step and the last, and keeps the
-snapshot with the best validation accuracy over linked classes.
+split after every ``eval_every``-th step and the last, and keeps each
+selection rule's best snapshot: by linked-class or by overall accuracy.
 
 Optimizer recurrences (eta = learning rate, g = gradient):
 
@@ -37,10 +37,11 @@ import numpy as np
 
 from . import datagen, evalsel, losses, ndcore, networks
 from .errors import (ConfigError, ContractError, DegenerateInputError, NonFiniteLossError,
-                     require_finite, write_output)
+                     ShapeError, require_finite, write_output)
 from .seeding import rng_for, rng_states, subseed
 
 OPTIMIZERS = ("sgd", "adam")
+SELECTION_METRICS = ("y_l", "overall")   # snapshot rules, each kept by every training
 
 # Fields no training reads, kept only because the "# provenance:" line of
 # every output table names them: each must hold its value here.
@@ -87,8 +88,8 @@ class TrainerConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.selection_metric not in ("y_l", "overall"):
-            raise ConfigError(f"selection_metric must be 'y_l' or 'overall', "
+        if self.selection_metric not in SELECTION_METRICS:
+            raise ConfigError(f"selection_metric must be one of {SELECTION_METRICS}, "
                               f"got {self.selection_metric!r}")
         for name, required in PROVENANCE_ONLY.items():
             if getattr(self, name) != required:
@@ -204,6 +205,7 @@ class TrainLog:
     steps: list[StepRecord] = field(default_factory=list)
     evals: list[EvalRecord] = field(default_factory=list)
     best_step: int | None = None
+    snapshots: dict[str, tuple] = field(default_factory=dict)   # rule -> (step, params)
 
     def write_jsonl(self, path) -> None:
         write_output(path, (json.dumps({"kind": kind, **rec.__dict__}).encode("utf-8") + b"\n"
@@ -272,18 +274,22 @@ def train(params: networks.ModelParams, train_set: datagen.Dataset,
 
     One loop runs steps 1..max_steps over lazily drawn epochs of
     ``train_set`` and evaluates a non-empty ``val_set`` after every
-    ``eval_every``-th step and after the last, once each. The best snapshot
-    maximizes validation accuracy over linked classes (strict improvement,
-    earliest wins), falling back to overall accuracy when the validation
-    split contains no linked-class samples; with no ``val_set`` (None or
-    empty) it is the final parameters. The loop ignores numpy's divide
+    ``eval_every``-th step and after the last, once each; its labels and
+    width are checked before step 1. ``log.snapshots`` maps each rule of
+    ``SELECTION_METRICS`` to the (step, snapshot) that maximizes its
+    validation score (strict improvement, earliest wins; rules that improve
+    at one evaluation share one snapshot): "overall" accuracy, or "y_l", the
+    accuracy over linked classes, falling back to overall when the split
+    holds none. With no ``val_set`` (None or empty) every rule maps to
+    (max_steps, the final parameters). The returned best snapshot and
+    ``log.best_step`` are ``selection_metric``'s. The loop ignores numpy's divide
     warning: an underflowed true-label probability gives a cross-entropy of
     +inf, which raises ``NonFiniteLossError``; an overflowed projection row
     raises ``DegenerateInputError``. Both name their step.
 
     With ``log_steps`` False the log keeps no step or eval rows (no
-    ``grad_norm`` is summed), only ``best_step``; the parameters are the
-    same bit for bit. Callers that discard the log pass False.
+    ``grad_norm`` is summed), only ``best_step`` and ``snapshots``; the
+    parameters are the same bit for bit. Callers that discard the log pass False.
 
     The loss config is resolved once; each step's inputs come from
     ``step_inputs``, which checks the annotation columns before step 1.
@@ -299,7 +305,12 @@ def train(params: networks.ModelParams, train_set: datagen.Dataset,
     grad_buffer = networks.ModelParams(config=params.config, seed=params.seed)
     gram_buffer = losses.GramBuffer() if project else None
     log = TrainLog()
-    best_params, best_score = None, -math.inf
+    best_scores = dict.fromkeys(SELECTION_METRICS, -math.inf)
+    if val_set:   # first scored after eval_every steps: check its labels and width now
+        plan.class_codes(val_set.labels)
+        if val_set.input_dim != params.config.input_dim:
+            raise ShapeError(f"val_set has {val_set.input_dim} columns, "
+                             f"config expects {params.config.input_dim}")
 
     with np.errstate(divide="ignore"):
         for step, (x, ann, drng) in enumerate(step_inputs(params, train_set, plan, trainer_cfg), 1):
@@ -327,18 +338,19 @@ def train(params: networks.ModelParams, train_set: datagen.Dataset,
             ndcore.check_finite(params.flat, f"parameters after step {step}")
             if val_set and (step % eval_every == 0 or step == max_steps):
                 report = evalsel.evaluate(params, val_set, plan)
-                score = report.y_l_accuracy
-                if trainer_cfg.selection_metric == "overall" or score is None:
-                    score = report.overall_accuracy
-                selected = score > best_score
-                if selected:
-                    best_params, best_score, log.best_step = params.clone(), score, step
+                overall = report.overall_accuracy
+                scores = {"y_l": overall if report.y_l_accuracy is None else report.y_l_accuracy,
+                          "overall": overall}
+                improved = [rule for rule in SELECTION_METRICS if scores[rule] > best_scores[rule]]
+                if improved:   # one clone; a replaced snapshot no rule holds is dropped
+                    best_scores.update((rule, scores[rule]) for rule in improved)
+                    log.snapshots.update(dict.fromkeys(improved, (step, params.clone())))
                 if log_steps:
                     log.evals.append(EvalRecord(
                         step=step, y_l_accuracy=report.y_l_accuracy,
-                        y_s_accuracy=report.y_s_accuracy,
-                        overall_accuracy=report.overall_accuracy, selected=selected))
+                        y_s_accuracy=report.y_s_accuracy, overall_accuracy=overall,
+                        selected=trainer_cfg.selection_metric in improved))
 
-    if best_params is None:
-        best_params, log.best_step = params.clone(), max_steps
-    return params, best_params, log
+    log.snapshots = log.snapshots or dict.fromkeys(SELECTION_METRICS, (max_steps, params.clone()))
+    log.best_step, best = log.snapshots[trainer_cfg.selection_metric]
+    return params, best, log

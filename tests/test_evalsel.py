@@ -144,6 +144,16 @@ class TestEvaluate:
         with pytest.raises(DegenerateInputError):
             evalsel.evaluate(self.params, ds, self.plan)
 
+    def test_score_takes_one_prediction_per_row(self):
+        ds = onehot_dataset([0, 1, 2, 3, 1, 0], [1] * 6, 4)
+        predicted = evalsel.predict(self.params, ds.features)
+        assert evalsel.score(predicted, ds, self.plan).overall_accuracy == 1.0
+        for wrong in (predicted[:5], np.append(predicted, 0)):
+            with pytest.raises(ContractError, match=f"{len(wrong)} predictions for 6 rows"):
+                evalsel.score(wrong, ds, self.plan)
+        with pytest.raises(DegenerateInputError, match="empty set"):
+            evalsel.score(predicted[:0], ds.subset(np.array([], dtype=np.int64)), self.plan)
+
     def test_label_outside_plan_rejected(self):
         ds = datagen.Dataset(features=np.zeros((1, 4)), labels=np.array([7]),
                              domains=np.zeros(1, dtype=np.int64), ids=np.arange(1))
@@ -621,6 +631,20 @@ class TestRowBlocks:
         path = tmp_path / "emb.csv"
         evalsel.dump_embeddings(params, ds, plan, path)
         assert path.read_bytes() == whole_matrix_embeddings(params, ds, plan)
+
+    def test_score_of_predictions_is_evaluate(self):
+        # 2 * INFER_ROWS + 1 rows end in a block that holds the joined 1-row tail
+        params, ds, plan = block_problem(2 * evalsel.INFER_ROWS + 1)
+        logits = evalsel.logits(params, ds.features)
+        predicted = evalsel.predict(params, ds.features)
+        assert logits.shape == (len(ds), 5)
+        assert predicted.tobytes() == np.argmax(logits, axis=1).tobytes()
+        scored = evalsel.score(predicted, ds, plan)
+        evaluated = evalsel.evaluate(params, ds, plan)
+        for f in fields(evalsel.MetricsReport):
+            assert repr(getattr(scored, f.name)) == repr(getattr(evaluated, f.name)), f.name
+        # any read-out's predictions are scored, here a constant one
+        assert evalsel.score([0] * len(ds), ds, plan).per_class_accuracy[0] == 1.0
 
     def test_dump_peak_memory_does_not_grow_with_rows(self, tmp_path):
         peaks = []

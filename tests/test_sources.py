@@ -320,3 +320,35 @@ def test_every_training_is_given_its_split():
     assert trainings and all(given for *_, given in trainings), trainings
     assert sorted(splits) == [("src/fond/evalsel.py", "training_domain_validation"),
                               ("src/fond/trainer.py", "train_val_split")]
+
+
+
+def _nodes_by_function(tree):
+    """(innermost enclosing function name or None, node) for each node of ``tree``."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            yield inner, child
+            yield from visit(child, inner)
+    return visit(tree, None)
+
+
+def test_one_scorer_for_every_report_and_one_loop_for_every_snapshot_rule():
+    # evalsel.score alone builds a MetricsReport, so every report, whatever
+    # read-out made its predictions, is counted one way; only trainer.train
+    # and TrainerConfig.__post_init__'s check name selection_metric, so
+    # every rule's snapshot comes from the one training loop, never from a
+    # second training with the field set another way
+    reports, named = [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        name = path.relative_to(ROOT / "src").as_posix()
+        for function, node in _nodes_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "MetricsReport" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                reports.append((name, function))
+            if "selection_metric" in (getattr(node, "attr", None), getattr(node, "arg", None),
+                                      getattr(node, "value", None)):
+                named.append((name, function))
+    assert reports == [("fond/evalsel.py", "score")]
+    assert sorted(set(named)) == [("fond/trainer.py", "__post_init__"),
+                                  ("fond/trainer.py", "train")]

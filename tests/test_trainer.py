@@ -3,6 +3,7 @@ import json
 import math
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fond import datagen, evalsel, losses, ndcore, networks, trainer
-from fond.errors import ConfigError, ContractError, DegenerateInputError, NonFiniteLossError
+from fond import cli, datagen, evalsel, losses, ndcore, networks, trainer
+from fond.config import load_config
+from fond.errors import (ConfigError, ContractError, DegenerateInputError, NonFiniteLossError,
+                         ShapeError)
 from fond.seeding import rng_for, subseed
 
 from optim_frozen import RefOptState, ref_grad_norm, ref_optimizer_step
+
+TINY = Path(__file__).resolve().parents[1] / "configs" / "tiny_benchmark.json"
 
 
 def make_setup(seed=0, num_classes=4, num_domains=4, input_dim=8,
@@ -444,6 +449,30 @@ class TestTrainingBoundary:
                           val_set=pool)
         assert forwards == []
 
+    @pytest.mark.parametrize("fault", ["label", "width"])
+    def test_unscoreable_validation_set_raises_before_step_one(self, monkeypatch, fault):
+        # a validation label the plan lacks, or too few columns, raised only
+        # at the first evaluation, after eval_every optimizer steps
+        pool, target, plan, net_cfg = make_setup()
+        features, labels = target.features, target.labels.copy()
+        if fault == "label":
+            labels[0] = 7
+            error, match = ContractError, r"labels \[7\] are not in the plan"
+        else:
+            features = features[:, :3]
+            error, match = ShapeError, "val_set has 3 columns, config expects 8"
+        val_set = datagen.Dataset(features=features, labels=labels, domains=target.domains,
+                                  ids=target.ids)
+        steps = []
+        optimizer_step = trainer.optimizer_step
+        monkeypatch.setattr(trainer, "optimizer_step",
+                            lambda *args: (steps.append(1), optimizer_step(*args))[1])
+        cfg = trainer.TrainerConfig(max_steps=40, eval_every=20, batch_size=16, seed=1)
+        with pytest.raises(error, match=match):
+            trainer.train(networks.init_params(net_cfg, 1), pool, plan, default_loss(), cfg,
+                          val_set=val_set)
+        assert steps == []
+
     def test_steps_take_rows_of_the_checked_columns(self, monkeypatch):
         # each step's annotations are rows of the training set's columns,
         # checked once against G, so fond_loss skips the range check; every
@@ -615,7 +644,7 @@ class TestKernelInputs:
 
 class TestSnapshotSelection:
     def run_with_scores(self, monkeypatch, y_l_scores, overall_scores,
-                        selection_metric="y_l"):
+                        selection_metric="y_l", whole=False):
         from fond import evalsel
         pool, target, plan, net_cfg = make_setup()
         params = networks.init_params(net_cfg, 1)
@@ -630,8 +659,8 @@ class TestSnapshotSelection:
         cfg = trainer.TrainerConfig(max_steps=40, eval_every=10, batch_size=16,
                                     seed=1, learning_rate=0.01,
                                     selection_metric=selection_metric)
-        return trainer.train(params, pool, plan, default_loss(), cfg,
-                             val_set=target)[2]
+        out = trainer.train(params, pool, plan, default_loss(), cfg, val_set=target)
+        return out if whole else out[2]
 
     def test_earliest_strict_maximum_wins(self, monkeypatch):
         log = self.run_with_scores(monkeypatch, [0.2, 0.5, 0.5, 0.4],
@@ -649,6 +678,54 @@ class TestSnapshotSelection:
                                    [0.1, 0.2, 0.8, 0.3],
                                    selection_metric="overall")
         assert log.best_step == 30
+
+    @pytest.mark.parametrize("selection_metric", trainer.SELECTION_METRICS)
+    def test_one_run_keeps_every_rules_snapshot(self, monkeypatch, selection_metric):
+        _, best, log = self.run_with_scores(monkeypatch, [0.2, 0.5, 0.5, 0.4],
+                                            [0.1, 0.2, 0.8, 0.3], selection_metric, whole=True)
+        assert {rule: step for rule, (step, _) in log.snapshots.items()} \
+            == {"y_l": 20, "overall": 30}
+        step, snapshot = log.snapshots[selection_metric]
+        assert log.best_step == step and best is snapshot
+        assert [e.selected for e in log.evals] == (
+            [True, True, False, False] if selection_metric == "y_l" else [True] * 3 + [False])
+
+    def test_rules_improving_together_share_one_snapshot(self, monkeypatch):
+        # both rules last improve at step 20, so they hold one clone
+        final, _, log = self.run_with_scores(monkeypatch, [0.2, 0.5, 0.5, 0.4],
+                                             [0.1, 0.2, 0.2, 0.2], whole=True)
+        (y_l_step, y_l_params), (overall_step, overall_params) = (
+            log.snapshots[rule] for rule in trainer.SELECTION_METRICS)
+        assert y_l_step == overall_step == 20
+        assert y_l_params is overall_params and y_l_params is not final
+
+    def test_no_validation_maps_every_rule_to_the_final_parameters(self):
+        pool, _, plan, net_cfg = make_setup()
+        cfg = trainer.TrainerConfig(max_steps=10, eval_every=5, batch_size=16,
+                                    seed=1, learning_rate=0.01)
+        final, best, log = trainer.train(networks.init_params(net_cfg, 1), pool, plan,
+                                         default_loss(), cfg, val_set=None)
+        assert set(log.snapshots) == set(trainer.SELECTION_METRICS)
+        for step, snapshot in log.snapshots.values():
+            assert step == 10 and snapshot is best and snapshot is not final
+            assert snapshot.flat.tobytes() == final.flat.tobytes()
+
+    def test_overall_snapshot_is_an_overall_configured_runs_best(self):
+        # one y_l-configured training holds the snapshot that a second
+        # training under selection_metric="overall" returns, bit for bit
+        base = load_config(TINY, ["seed=1", "trainer.max_steps=120"])   # steps 20 and 40
+        runs = {rule: cli.train_on_split(
+                    replace(base, trainer=replace(base.trainer, selection_metric=rule)), base.seed)
+                for rule in trainer.SELECTION_METRICS}
+        plan, _, _, log, _, _ = runs["y_l"]
+        _, _, overall_best, overall_log, overall_report, _ = runs["overall"]
+        step, snapshot = log.snapshots["overall"]
+        assert step == overall_log.best_step != log.best_step
+        assert snapshot.flat.tobytes() == overall_best.flat.tobytes()
+        target = datagen.apply_split(cli.build_dataset(base), plan)[1]
+        assert evalsel.evaluate(snapshot, target, plan) == overall_report
+        assert log.snapshots["y_l"][1].flat.tobytes() \
+            == overall_log.snapshots["y_l"][1].flat.tobytes()
 
 
 class TestTrainLogOutput:
