@@ -92,7 +92,7 @@ def first_step(variant, cfg, train_set, plan, net_cfg):
     loss_cfg = cli.cell_config(cfg, cfg.split.setting, variant).loss.resolved()
     params, tcfg = trainer.start(net_cfg, cfg.trainer, cfg.seed)
     x, ann, drng = next(trainer.step_inputs(params, train_set, plan, tcfg))
-    project = loss_cfg.lambda_xdom > 0
+    project = loss_cfg.contrastive
     fp = networks.forward_pass(params, x, dropout_rate=tcfg.dropout, dropout_rng=drng,
                                project=project)
     gram = losses.GramBuffer() if project else None
@@ -105,7 +105,7 @@ def first_step(variant, cfg, train_set, plan, net_cfg):
 def time_variant(variant, cfg, train_set, val_set, plan, net_cfg, repeat, number):
     loss_cfg, tcfg, x, ann, drng, params, fp, fl, grads, gram = first_step(
         variant, cfg, train_set, plan, net_cfg)
-    project = loss_cfg.lambda_xdom > 0
+    project = loss_cfg.contrastive
     buffer = networks.ModelParams(config=net_cfg, seed=0)
 
     out = {}
@@ -203,7 +203,7 @@ def main() -> int:
     sizes = args.batch_sizes or [cfg.trainer.batch_size]
     dataset = cli.build_dataset(cfg)
     plan = cli.build_plan(cfg, dataset)
-    net_cfg = cli._network_config(cfg, dataset, plan)
+    net_cfg = cli.network_config(cfg, dataset, plan)
     pool, _ = datagen.apply_split(dataset, plan)
     params, tcfg = trainer.start(net_cfg, cfg.trainer, cfg.seed)
     train_set, val_set = trainer.train_val_split(pool, tcfg)

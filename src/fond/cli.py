@@ -70,8 +70,8 @@ def build_plan(cfg: RunConfig, dataset: datagen.Dataset) -> datagen.SplitPlan:
                                    subseed(cfg.seed, "plan", setting)).check_data(dataset)
 
 
-def _network_config(cfg: RunConfig, dataset: datagen.Dataset,
-                    plan: datagen.SplitPlan) -> networks.NetworkConfig:
+def network_config(cfg: RunConfig, dataset: datagen.Dataset,
+                   plan: datagen.SplitPlan) -> networks.NetworkConfig:
     """G has one output per planned class, in class-code order
     (``SplitPlan.class_codes``), whatever the class ids."""
     return networks.NetworkConfig(input_dim=dataset.input_dim, num_classes=len(plan.classes),
@@ -168,7 +168,7 @@ def _search_one(cfg: RunConfig, dataset, plan, net_cfg, seed_root):
 def cmd_search(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset)
-    result = _search_one(cfg, dataset, plan, _network_config(cfg, dataset, plan), cfg.seed)
+    result = _search_one(cfg, dataset, plan, network_config(cfg, dataset, plan), cfg.seed)
     _write_json(out / "search.json", {
         "config": to_provenance(cfg),
         "trials": [asdict(t) for t in result.trials],
@@ -185,7 +185,7 @@ def train_on_split(cfg: RunConfig, seed_root: int, tag: str = "", *,
     Returns (plan, final, best, log, best's target report, winning trial or None)."""
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset)
-    net_cfg = _network_config(cfg, dataset, plan)
+    net_cfg = network_config(cfg, dataset, plan)
     loss_cfg, trainer_cfg, winner = cfg.loss, cfg.trainer, None
     if search:
         result = _search_one(cfg, dataset, plan, net_cfg, seed_root)
@@ -264,10 +264,11 @@ def cmd_benchmark(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
     agg = evalsel.aggregate(rows)
     paired = evalsel.pair_with_erm(rows)
     provenance = {"config": to_provenance(cfg)}
+    table = evalsel.write_variant_table
     _write_outputs(out, {
         "results.csv": lambda path: evalsel.write_results_csv(rows, path, provenance),
-        "aggregate.csv": lambda path: evalsel.write_aggregate_csv(agg, path, provenance),
-        "paired.csv": lambda path: evalsel.write_paired_csv(paired, path, provenance),
+        "aggregate.csv": lambda path: table(evalsel.AggregateRow, agg, path, provenance),
+        "paired.csv": lambda path: table(evalsel.PairedRow, paired, path, provenance),
         "benchmark.json": lambda path: _write_json(path, {
             **provenance,
             "cells": [{"setting": r.setting, "variant": r.variant, "rep": r.rep,

@@ -361,21 +361,13 @@ def write_results_csv(rows: list[ResultRow], path, provenance: dict | None = Non
                                        for r in ordered), provenance)
 
 
-def _write_variant_table(row_type, rows, path, provenance: dict | None) -> None:
-    """One line per row of ``row_type``'s fields, sorted by (dataset,
-    setting, variant); the header alone when there are no rows."""
+def write_variant_table(row_type, rows, path, provenance: dict | None = None) -> None:
+    """A per-variant table (``AggregateRow`` or ``PairedRow``): one line per
+    row of ``row_type``'s fields, sorted by (dataset, setting, variant); the
+    header alone when there are no rows."""
     ordered = sorted(rows, key=lambda r: (r.dataset, r.setting, r.variant))
     datagen.write_table(path, [f.name for f in fields(row_type)],
                         map(astuple, ordered), provenance)
-
-
-def write_aggregate_csv(rows: list[AggregateRow], path,
-                        provenance: dict | None = None) -> None:
-    _write_variant_table(AggregateRow, rows, path, provenance)
-
-
-def write_paired_csv(rows: list[PairedRow], path, provenance: dict | None = None) -> None:
-    _write_variant_table(PairedRow, rows, path, provenance)
 
 
 def dump_embeddings(params: networks.ModelParams, dataset: datagen.Dataset,

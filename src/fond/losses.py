@@ -40,11 +40,6 @@ from .errors import BatchTooSmallError, ConfigError, ContractError, require_fini
 
 ALPHA_MODES = ("numerator_scale", "similarity_scale")
 
-# Ablation lattice: each variant removes ingredients from the full
-# objective. The suffix letters name what is removed: F the fairness
-# term, B the beta weighting, A the alpha weighting.
-VARIANTS = ("fond", "fond_f", "fond_fb", "fond_fba", "erm", "supcon")
-
 # Unit-norm check tolerance. Loose enough that finite-difference probes
 # (h ~ 1e-5) of a normalized batch still pass the precondition.
 UNIT_NORM_TOL = 1e-4
@@ -58,14 +53,18 @@ UNIT_NORM_TOL = 1e-4
 # at most this many rows is one block and keys each row by itself.
 XDOM_BLOCK_ROWS = 64
 
-# The values each variant forces on its config (``LossConfig.resolved``).
-_FORCED = {
-    "erm": {"lambda_xdom": 0.0, "lambda_fair": 0.0},
-    "supcon": {"a": 1.0, "b": 1.0, "lambda_fair": 0.0},
-    "fond_fba": {"a": 1.0, "b": 1.0, "lambda_fair": 0.0},
-    "fond_fb": {"b": 1.0, "lambda_fair": 0.0},
-    "fond_f": {"lambda_fair": 0.0},
-}
+# Ablation lattice: the values each variant forces on its config
+# (``LossConfig.resolved``). Each rung removes one more ingredient of the
+# full objective; the suffix letters name what is removed: F the fairness
+# term, B the beta weighting, A the alpha weighting. erm drops both
+# auxiliary terms, and supcon (Khosla et al. 2020) is fond_fba's forcing.
+_FORCED = {"fond": {}}
+_FORCED["fond_f"] = {"lambda_fair": 0.0}
+_FORCED["fond_fb"] = {**_FORCED["fond_f"], "b": 1.0}
+_FORCED["fond_fba"] = {**_FORCED["fond_fb"], "a": 1.0}
+_FORCED["erm"] = {"lambda_xdom": 0.0, "lambda_fair": 0.0}
+_FORCED["supcon"] = _FORCED["fond_fba"]
+VARIANTS = tuple(_FORCED)
 
 
 @dataclass(frozen=True)
@@ -95,18 +94,21 @@ class LossConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
     def resolved(self) -> "LossConfig":
-        """Apply the variant's forcing rules and return the effective config.
+        """The effective config: the variant's values of ``_FORCED`` set.
 
-        erm drops both auxiliary terms; supcon and fond_fba disable the
-        pair weightings; fond_fb disables beta only; every variant other
-        than fond drops the fairness term. Idempotent, and a config whose
-        values already obey its rules is returned as is, so the per-step
-        call in ``fond_loss`` builds nothing.
+        Idempotent, and a config whose values already obey its rules is
+        returned as is, so the per-step call in ``fond_loss`` builds nothing.
         """
-        forced = _FORCED.get(self.variant, {})
+        forced = _FORCED[self.variant]
         if all(getattr(self, key) == value for key, value in forced.items()):
             return self
         return replace(self, **forced)
+
+    @property
+    def contrastive(self) -> bool:
+        """Whether the effective objective has the contrastive term, the one
+        reader of the projection z: the projection head P runs exactly then."""
+        return self.resolved().lambda_xdom > 0
 
 
 @dataclass(frozen=True)
@@ -493,7 +495,7 @@ def fond_loss(logits, z, ann: BatchAnnotations, cfg: LossConfig, *,
 
     xdom = 0.0
     grad_z = None
-    if cfg.lambda_xdom > 0:
+    if cfg.contrastive:
         if len(labels) >= 2:
             xdom, grad_z = xdom_loss(z, ann, cfg, gram_buffer=gram_buffer)
             grad_z *= cfg.lambda_xdom

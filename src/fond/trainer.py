@@ -299,7 +299,7 @@ def train(params: networks.ModelParams, train_set: datagen.Dataset,
     update, so the next step and each evaluation reuse their memory.
     """
     loss_cfg = loss_cfg.resolved()
-    project = loss_cfg.lambda_xdom > 0   # z feeds nothing but the contrastive term
+    project = loss_cfg.contrastive
     max_steps, eval_every = trainer_cfg.max_steps, trainer_cfg.eval_every
     state = OptState()
     grad_buffer = networks.ModelParams(config=params.config, seed=params.seed)

@@ -115,6 +115,14 @@ class TestConfig:
         assert cfg.benchmark.settings == ("low", 2)
         for name in space:
             assert getattr(cfg.search.space, name) == tuple(space[name]), name
+        with pytest.raises(ConfigError, match=r"network\.f_hidden must be tuple"):
+            config.config_from_dict({"network": {"f_hidden": 5}})
+
+    def test_missing_field_and_negative_trial_count_rejected(self):
+        with pytest.raises(ConfigError, match=r"bad dataset\.synthetic\. section: .*num_classes"):
+            config.config_from_dict({"dataset": {"synthetic": {"input_dim": 4}}})
+        with pytest.raises(ConfigError, match="n_trials must be >= 0, got -1"):
+            config.config_from_dict({"search": {"n_trials": -1}})
 
     def test_float_field_takes_int_as_given(self):
         # nothing is coerced, so the provenance records the value as written
@@ -234,6 +242,14 @@ class TestGenerateSplit:
         got = datagen.ingest_csv(out / "dataset.csv")
         for name in ("ids", "domains", "labels", "features"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_generate_on_a_csv_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "csv.json"
+        path.write_text(json.dumps({"dataset": {"csv_path": "d.csv", "synthetic": None}}))
+        code = run_cli("generate", "--config", str(path), "--out", str(tmp_path / "g"))
+        assert code == cli.EXIT_CONFIG
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["message"] == "generate needs a dataset.synthetic section"
 
     def test_generate_seed_flag_changes_data(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -662,6 +678,24 @@ class TestErrorExits:
         assert payload["type"] == "ContractError"
         assert payload["message"] == (f"{plan} is not a valid split plan: ContractError: "
                                       f"need at least 2 source domains, got 1")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+    def test_plan_file_that_breaks_a_plan_rule_exits_2(self, tmp_path, capsys, monkeypatch):
+        # source 3 expresses all three classes; every other plan rule holds
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"target_domain": 0, "source_domains": [1, 2, 3],
+                                    "shared_classes": [0, 1], "linked_classes": [2],
+                                    "assignment": {"0": [2, 3], "1": [2, 3], "2": [3]}}))
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       "--set", f"split.plan_path={json.dumps(str(plan))}")
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["message"] == (f"{plan} is not a valid split plan: ContractError: "
+                                      f"source domain 3 expresses every class")
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
     @pytest.mark.parametrize("field,edit,named", [

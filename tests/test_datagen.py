@@ -38,6 +38,12 @@ class TestSyntheticSpec:
             small_spec(label_noise=1.0)
         with pytest.raises(ConfigError):
             small_spec(transform_family="warp")
+        with pytest.raises(ConfigError, match="input_dim"):
+            small_spec(input_dim=1)
+        with pytest.raises(ConfigError, match="noise_std"):
+            small_spec(noise_std=-0.1)
+        with pytest.raises(ConfigError, match="samples_per_cell"):
+            small_spec(samples_per_cell=0)
 
     def test_generated_float_count_is_capped(self):
         # 2 x 3 x 2 x p feature values plus 8 + 4 + 6 for the transforms,
@@ -58,6 +64,22 @@ def latents(spec, seed):
     return prototypes, np.array([m for m, _ in pairs]), np.array([o for _, o in pairs])
 
 
+class TestDataset:
+    @pytest.mark.parametrize("columns, message", [
+        (dict(features=np.zeros((2, 1, 1))), "features must be 2-D"),
+        (dict(domains=[0, 0, 0]), r"domains shape \(3,\) does not match 2 samples"),
+        (dict(features=[[0.0], [np.inf]]), "non-finite"),
+        (dict(labels=[0, -1]), "non-negative"),
+        (dict(domains=[-2, 0]), "non-negative"),
+    ], ids=["3-d-features", "column-length", "non-finite", "negative-label",
+            "negative-domain"])
+    def test_columns_checked(self, columns, message):
+        base = dict(features=np.zeros((2, 1)), labels=[0, 1], domains=[0, 1], ids=[0, 1])
+        datagen.Dataset(**base)
+        with pytest.raises(ContractError, match=message):
+            datagen.Dataset(**{**base, **columns})
+
+
 class TestGenerate:
     def test_deterministic(self):
         a = datagen.generate_synthetic(small_spec(), 42)
@@ -69,6 +91,17 @@ class TestGenerate:
     def test_seed_changes_data(self):
         a = datagen.generate_synthetic(small_spec(), 1)
         b = datagen.generate_synthetic(small_spec(), 2)
+        assert not np.array_equal(a.features, b.features)
+
+    def test_prototype_seed_fixes_the_class_prototypes(self):
+        # with no domain shift and no noise a sample is its class prototype,
+        # so two dataset seeds give the same features exactly when they share
+        # the prototypes
+        spec = small_spec(shift=0.0, noise_std=0.0, prototype_seed=7)
+        a, b = (datagen.generate_synthetic(spec, seed) for seed in (1, 2))
+        assert np.array_equal(a.features, b.features)
+        spec = small_spec(shift=0.0, noise_std=0.0)
+        a, b = (datagen.generate_synthetic(spec, seed) for seed in (1, 2))
         assert not np.array_equal(a.features, b.features)
 
     def test_no_shift_no_noise_collapses_domains(self):
@@ -146,6 +179,8 @@ class TestSplitPlan:
             datagen.shared_class_count(6, 0)
         with pytest.raises(ConfigError):
             datagen.shared_class_count(6, "medium")
+        with pytest.raises(ConfigError):
+            datagen.shared_class_count(6, True)
 
     def test_table_examples(self):
         plan = datagen.make_split_plan(range(7), 4, 0, "high", 1)
@@ -183,6 +218,34 @@ class TestSplitPlan:
                               shared_classes=frozenset({0, 1}),
                               linked_classes=frozenset({0, 2}),
                               assignment={0: {1, 2}, 1: {1, 2}, 2: {3}})
+
+    # target 0; sources 1-3; shared 0 on {1, 2} and 1 on {2, 3}; linked 2 on {3}
+    BASE_PLAN = dict(target_domain=0, source_domains=[1, 2, 3], shared_classes=[0, 1],
+                     linked_classes=[2], assignment={0: [1, 2], 1: [2, 3], 2: [3]})
+
+    @pytest.mark.parametrize("edit, message", [
+        (dict(assignment={0: [1, 2], 1: [2, 3]}),
+         "assignment does not cover the class set exactly"),
+        (dict(shared_classes=[0, 1, 2], linked_classes=[],
+              assignment={0: [1, 2], 1: [2, 3], 2: [1, 3]}),
+         "both class groups must be non-empty"),
+        (dict(assignment={0: [1, 2], 1: [2, 3], 2: [1, 3]}),
+         "linked class 2 assigned to 2 domains"),
+        (dict(assignment={0: [1, 2], 1: [2, 3], 2: []}),
+         "linked class 2 assigned to 0 domains"),
+        (dict(assignment={0: [1], 1: [2, 3], 2: [3]}),
+         "shared class 0 assigned to 1 domains, expected 2"),
+        (dict(assignment={0: [1, 2], 1: [2, 3], 2: [0]}),
+         "class 2 assigned outside the source domains"),
+        (dict(assignment={0: [2, 3], 1: [2, 3], 2: [3]}),
+         "source domain 3 expresses every class"),
+    ], ids=["uncovered-class", "empty-group", "linked-twice", "linked-nowhere",
+            "shared-once", "outside-sources", "source-with-every-class"])
+    def test_each_plan_rule_refuses_the_plan_that_breaks_only_it(self, edit, message):
+        datagen.SplitPlan(**self.BASE_PLAN)
+        with pytest.raises(ContractError) as info:
+            datagen.SplitPlan(**{**self.BASE_PLAN, **edit})
+        assert str(info.value) == message
 
     def test_no_source_domain_holds_every_class(self):
         for seed in range(50):
@@ -309,6 +372,13 @@ class TestTrainValSplit:
             n_dom = int((ds.domains == s).sum())
             n_train = int((train.domains == s).sum())
             assert n_train == round(0.8 * n_dom)
+
+    def test_domain_of_one_row_goes_to_the_train_side(self):
+        ds = datagen.Dataset(features=np.arange(6.0)[:, None], labels=[0, 1, 0, 1, 0, 1],
+                             domains=[0, 1, 1, 1, 1, 1], ids=range(6))
+        train, val = datagen.split_train_val(ds, 3)
+        assert (train.domains == 0).sum() == 1 and 0 not in val.domain_set()
+        assert (train.domains == 1).sum() == 4 and (val.domains == 1).sum() == 1
 
     def test_deterministic_in_seed(self):
         ds = datagen.generate_synthetic(small_spec(), 21)
@@ -491,6 +561,21 @@ class TestCsvParsePaths:
             fast, slow = read_both(path)
             assert fast is None
             assert dataset_bytes(datagen.ingest_csv(path)) == expected, row
+
+    def test_line_parser_grows_past_its_first_allocation(self, tmp_path):
+        # more rows than the line parser's first matrices hold; one value
+        # only int() reads sends the whole file down that path
+        n = 200
+        assert n > datagen._INGEST_ROWS
+        rows = [f"{i},{i % 3},{i % 4},{i / 7!r},{-i}.5" for i in range(n)]
+        path = tmp_path / "grow.csv"
+        path.write_text("id,domain,label,f0,f1\n" + "\n".join(rows) + "\n")
+        want = datagen.ingest_csv(path)
+        assert len(want) == n and datagen._read_csv(path, datagen._load_rows) is not None
+        rows[10] = rows[10].replace("10,", "1_0,", 1)
+        path.write_text("id,domain,label,f0,f1\n" + "\n".join(rows) + "\n")
+        assert datagen._read_csv(path, datagen._load_rows) is None
+        assert dataset_bytes(datagen.ingest_csv(path)) == dataset_bytes(want)
 
     def test_rejected_rows_never_pass_the_fast_path(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -553,7 +553,7 @@ class TestCsvWriters:
                                      variant="fond", reps=3, y_l_mean=0.5,
                                      y_l_se=0.05, y_s_mean=0.8, y_s_se=None)]
         path = tmp_path / "aggregate.csv"
-        evalsel.write_aggregate_csv(rows, path)
+        evalsel.write_variant_table(evalsel.AggregateRow, rows, path)
         lines = path.read_text().splitlines()
         assert lines[0].split(",") == ["dataset", "setting", "variant", "reps",
                                        "y_l_mean", "y_l_se", "y_s_mean", "y_s_se"]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -69,6 +70,30 @@ class TestLossConfig:
         fond = losses.LossConfig(variant="fond", **base).resolved()
         assert fond == losses.LossConfig(variant="fond", **base)
 
+    def test_each_rung_adds_one_forcing_and_supcon_is_fond_fba(self):
+        assert losses.VARIANTS == tuple(losses._FORCED) == (
+            "fond", "fond_f", "fond_fb", "fond_fba", "erm", "supcon")
+        assert losses._FORCED["fond"] == {}
+        for upper, lower, added in (("fond", "fond_f", {"lambda_fair": 0.0}),
+                                    ("fond_f", "fond_fb", {"b": 1.0}),
+                                    ("fond_fb", "fond_fba", {"a": 1.0})):
+            assert losses._FORCED[lower] == {**losses._FORCED[upper], **added}
+        assert losses._FORCED["supcon"] is losses._FORCED["fond_fba"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(1.0, 8.0), b=st.floats(1.0, 8.0), lambda_xdom=st.floats(0.0, 4.0),
+           lambda_fair=st.floats(0.0, 4.0), alpha_mode=st.sampled_from(losses.ALPHA_MODES))
+    def test_supcon_resolves_to_fond_fba(self, **values):
+        supcon = losses.LossConfig(variant="supcon", **values).resolved()
+        fba = losses.LossConfig(variant="fond_fba", **values).resolved()
+        assert replace(supcon, variant="fond_fba") == fba
+
+    @pytest.mark.parametrize("variant", losses.VARIANTS)
+    def test_contrastive_exactly_when_the_effective_objective_has_the_term(self, variant):
+        assert not losses.LossConfig(variant=variant, lambda_xdom=0.0).contrastive
+        assert losses.LossConfig(variant=variant, lambda_xdom=0.5).contrastive \
+            == (variant != "erm")
+
     def test_resolved_idempotent(self):
         cfg = losses.LossConfig(variant="supcon", a=2.0, lambda_fair=0.7).resolved()
         assert cfg.resolved() == cfg
@@ -85,6 +110,8 @@ class TestAnnotations:
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
             losses.BatchAnnotations(labels=[0, 1], domains=[0], linked_mask=[True, False])
+        with pytest.raises(ContractError, match="must be 1-D"):
+            losses.BatchAnnotations(labels=[[0, 1]], domains=[0, 1], linked_mask=[True, False])
 
     def test_class_count_checks_labels_once(self):
         with pytest.raises(ContractError, match=r"labels must lie in \[0, 3\)"):
@@ -221,6 +248,10 @@ class TestXdomLoss:
     def test_too_small_batch(self):
         with pytest.raises(BatchTooSmallError):
             losses.xdom_loss(np.ones((1, 2)), losses.BatchAnnotations([0], [0], [False]),
+                             losses.LossConfig())
+        z = random_unit_rows(np.random.default_rng(3), 3, 2)
+        with pytest.raises(ContractError, match="annotations cover 2 samples, z has 3"):
+            losses.xdom_loss(z, losses.BatchAnnotations([0, 1], [0, 0], [False] * 2),
                              losses.LossConfig())
 
     def test_non_unit_rows_rejected(self):
@@ -453,6 +484,9 @@ class TestFondLoss:
         ann = losses.BatchAnnotations([0, 3], [0, 0], [True, False])
         with pytest.raises(ContractError):
             losses.fond_loss(np.zeros((2, 3)), None, ann, losses.LossConfig())
+        with pytest.raises(ContractError, match="empty batch"):
+            losses.fond_loss(np.zeros((0, 3)), None, losses.BatchAnnotations([], [], []),
+                             losses.LossConfig())
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,6 +40,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             networks.NetworkConfig(input_dim=4, num_classes=3, feature_dim=4,
                                    projection_dim=3, identity_projection=True)
+        with pytest.raises(ConfigError, match="identity features require"):
+            networks.NetworkConfig(input_dim=4, num_classes=3, feature_dim=5,
+                                   projection_dim=3, identity_features=True)
 
     def test_layer_dims(self):
         assert SMALL.f_layer_dims() == [(5, 7), (7, 6)]
@@ -493,6 +496,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit, words", [
         (json_edit(lambda m: m.pop("seed")), "KeyError: 'seed'"),
+        (json_edit(lambda m: m.update(version=2)), "unsupported checkpoint version 2"),
         (json_edit(lambda m: m["config"].update(bogus=1)), "'bogus'"),
         (json_edit(lambda m: m["config"].update(f_hidden=7)), "TypeError"),
         (json_edit(lambda m: m.update(config=list(m["config"].values()))), "mapping"),
@@ -500,7 +504,7 @@ class TestCheckpoint:
         (lambda raw: "[1]", "not a JSON object"),
         # a RecursionError traceback, exit 1
         (lambda raw: "[" * 3000 + "]" * 3000, "not a JSON object"),
-    ], ids=["no-seed", "unknown-config-key", "scalar-width", "config-not-object",
+    ], ids=["no-seed", "other-version", "unknown-config-key", "scalar-width", "config-not-object",
             "not-json", "meta-not-object", "deep-nesting"])
     def test_malformed_metadata_exits_2(self, tmp_path, capsys, edit, words):
         ckpt = self.edited_checkpoint(tmp_path, self.set_meta(edit))

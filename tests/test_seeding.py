@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fond.seeding import rng_for, rng_states
+from fond.seeding import rng_for, rng_states, subseed
 
 SEEDS = st.integers(0, 2**32 - 1)
 INDICES = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6)
@@ -23,3 +24,11 @@ class TestRngStates:
 
     def test_no_indices_give_no_states(self):
         assert list(rng_states(1, "dropout", range(2, 2))) == []
+
+
+def test_subseed_takes_only_integer_and_text_parts():
+    # a bool is an int to Python, and a float would be truncated
+    with pytest.raises(TypeError, match="bool"):
+        subseed(True)
+    with pytest.raises(TypeError, match="float"):
+        subseed(1.5)

@@ -352,3 +352,23 @@ def test_one_scorer_for_every_report_and_one_loop_for_every_snapshot_rule():
     assert reports == [("fond/evalsel.py", "score")]
     assert sorted(set(named)) == [("fond/trainer.py", "__post_init__"),
                                   ("fond/trainer.py", "train")]
+
+
+def test_one_projection_rule_and_one_per_variant_table_writer():
+    # the projection head P runs exactly when the effective objective has the
+    # contrastive term; LossConfig.contrastive alone states that as
+    # lambda_xdom > 0, and the loss, the training loop and the step timer
+    # read it. aggregate.csv and paired.csv come from one writer.
+    rules, defined = [], set()
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+    for path in sources:
+        name = path.relative_to(ROOT).as_posix()
+        for function, node in _nodes_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Compare) and getattr(node.left, "attr", None)
+                    == "lambda_xdom" and isinstance(node.ops[0], ast.Gt)):
+                rules.append((name, function))
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+    assert rules == [("src/fond/losses.py", "contrastive")]
+    assert "write_variant_table" in defined
+    assert not defined & {"write_aggregate_csv", "write_paired_csv"}
