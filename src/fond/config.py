@@ -132,8 +132,9 @@ def _build(cls, doc: dict, path: str):
     the provenance records what was given), and a JSON list becomes a
     tuple exactly where the field is a ``tuple[...]``.
     """
+    section = path.rstrip(".") or "config"    # path is "" or ends in "."
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config'} must be an object, got {type(doc).__name__}")
+        raise ConfigError(f"{section} must be an object, got {type(doc).__name__}")
     hints = typing.get_type_hints(cls)
     unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
@@ -153,7 +154,7 @@ def _build(cls, doc: dict, path: str):
     try:
         return cls(**kwargs)
     except TypeError as exc:
-        raise ConfigError(f"bad {path or 'config'} section: {exc}") from None
+        raise ConfigError(f"bad {section} section: {exc}") from None
 
 
 def parse_override(text: str):

@@ -48,9 +48,6 @@ TRANSFORM_FAMILIES = ("rotation", "affine", "channel_bias")
 # whose published splits do not follow the 1/3 and 2/3 rounding rule
 _SHARED_PRESETS = {5: (2, 4), 7: (3, 5), 65: (25, 50)}
 
-# Rows that ``ingest_csv`` allocates first; the matrices double when full.
-_INGEST_ROWS = 64
-
 
 @dataclass
 class Dataset:
@@ -577,38 +574,33 @@ def _load_rows(fh, lines, d: int):
 
 def _parse_rows(fh, lines, d: int):
     """The data rows, line by line: (int64 (id, domain, label) rows,
-    float64 features). Each row goes straight into two growing matrices,
-    so no per-row objects outlive their line; ``int`` and ``float`` parse
-    the values. Errors carry the 1-based line number."""
-    feats, ints = np.empty((_INGEST_ROWS, d)), np.empty((_INGEST_ROWS, 3), np.int64)
-    n = 0
+    float64 features). ``int`` and ``float`` parse each line's values, and
+    the checked values are appended to two typed arrays, so no per-row
+    object outlives its line. Errors carry the 1-based line number."""
+    import array   # only the line parser loads it, on the files the C reader refuses
+    # "l" is C long, numpy's int64 on LP64 hosts; it overflows with the
+    # message numpy's int64 conversion gives
+    ints, feats = array.array("l"), array.array("d")
     for lineno, line in lines:
         parts = line.split(",")
         if len(parts) != d + 3:
             raise CsvFormatError(f"expected {d + 3} fields, found {len(parts)}", line=lineno)
-        if n == len(feats):
-            # in-place growth; refcheck is off because no view of
-            # either matrix exists yet
-            feats.resize((2 * n, d), refcheck=False)
-            ints.resize((2 * n, 3), refcheck=False)
         try:
-            ints[n] = int(parts[0]), int(parts[1]), int(parts[2])
+            ints.extend([int(parts[0]), int(parts[1]), int(parts[2])])
             values = [float(v) for v in parts[3:]]
         except (ValueError, OverflowError) as exc:   # overflow: beyond int64
             raise CsvFormatError(f"unparsable value ({exc})", line=lineno) from None
         if not all(map(math.isfinite, values)):
             raise CsvFormatError("non-finite feature value", line=lineno)
-        if ints[n, 1] < 0 or ints[n, 2] < 0:
+        if ints[-2] < 0 or ints[-1] < 0:
             raise CsvFormatError("domain and label must be non-negative", line=lineno)
-        feats[n] = values
-        n += 1
-    if n == 0:
+        feats.extend(values)
+    if not ints:
         raise CsvFormatError("no data rows")
-    feats.resize((n, d), refcheck=False)
-    ints.resize((n, 3), refcheck=False)
+    ints = np.frombuffer(ints, "l").reshape(-1, 3)
     if _has_duplicates(ints[:, 0]):
         raise CsvFormatError("duplicate sample ids")
-    return ints, feats
+    return ints, np.frombuffer(feats).reshape(-1, d)
 
 
 def ingest_csv(path) -> Dataset:

@@ -44,6 +44,11 @@ CHECKPOINT_VERSION = 1
 # key for the JSON metadata record inside a checkpoint archive
 _META_KEY = "__meta__"
 
+# parameters one model may have: the trainer holds seven model-sized
+# float64 vectors (parameters, gradient, three Adam slots, two
+# snapshots), 896 MiB at this cap
+MAX_PARAMS = 2**24
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -81,6 +86,15 @@ class NetworkConfig:
             raise ConfigError("identity features require feature_dim == input_dim")
         if self.identity_projection and self.projection_dim != self.feature_dim:
             raise ConfigError("identity projection requires projection_dim == feature_dim")
+        # checked before ModelParams allocates, so an oversized network
+        # exits as a config error, never as numpy's allocation failure
+        size = sum(math.prod(shape) for _, shape in param_layout(self))
+        if size > MAX_PARAMS:
+            raise ConfigError(
+                f"input_dim={self.input_dim}, num_classes={self.num_classes}, "
+                f"feature_dim={self.feature_dim}, projection_dim={self.projection_dim}, "
+                f"f_hidden={list(self.f_hidden)} and p_hidden={list(self.p_hidden)} "
+                f"lay out {size} parameters, over the cap of 2**24")
 
     def f_layer_dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per affine layer of F; empty for identity F."""

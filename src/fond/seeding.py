@@ -102,8 +102,10 @@ def rng_states(seed, tag: str, indices):
     Assigned to a PCG64 generator's ``bit_generator.state``, a state
     makes it draw exactly what ``rng_for(seed, tag, k)`` would. The hashing
     runs once, vectorized over all indices, at the first draw; each
-    state's 128-bit step and dict are made as it is yielded, so a pending
-    state takes 32 bytes.
+    state's 128-bit step and dict are made as it is yielded. The hashing's
+    arrays, about 110 bytes per index at the first draw and 92 after it,
+    live until the last state, so a caller with many indices passes them
+    in blocks.
     """
     ks = np.asarray(indices, dtype=np.int64)
     if not ks.size:

@@ -21,8 +21,8 @@ All randomness (batch order, dropout masks, validation split) derives
 from the trainer seed through tagged subseeds, so identical configs give
 bit-identical runs. Step k's dropout masks come from the stream
 ``rng_for(seed, "dropout", k)``. ``dropout_streams`` builds step 1's
-generator with ``rng_for`` and derives every later step's starting state
-in one pass (``seeding.rng_states``); each step reseeds the same
+generator with ``rng_for`` and derives the later steps' starting states
+in vectorized blocks (``seeding.rng_states``); each step reseeds the same
 generator with its state, so it draws the bits ``rng_for`` would give.
 """
 
@@ -221,15 +221,23 @@ class TrainLog:
                              + evals.get(rec.step, [None] * 3) for rec in self.steps))
 
 
+# steps whose dropout states one ``rng_states`` pass derives; its
+# vectorized hashing holds about 110 bytes per step while it runs
+DROPOUT_BLOCK = 4096
+
+
 def dropout_streams(seed: int, steps: int):
     """Yield step k's dropout generator for k = 1..``steps``: one
     generator, reseeded each step, whose draws equal those of
-    ``rng_for(seed, "dropout", k)`` bit for bit."""
+    ``rng_for(seed, "dropout", k)`` bit for bit. Steps 2.. derive their
+    states ``DROPOUT_BLOCK`` at a time."""
     gen = rng_for(seed, SEED_TAG_DROPOUT, 1)
     yield gen
-    for state in rng_states(seed, SEED_TAG_DROPOUT, range(2, steps + 1)):
-        gen.bit_generator.state = state
-        yield gen
+    for start in range(2, steps + 1, DROPOUT_BLOCK):
+        block = range(start, min(start + DROPOUT_BLOCK, steps + 1))
+        for state in rng_states(seed, SEED_TAG_DROPOUT, block):
+            gen.bit_generator.state = state
+            yield gen
 
 
 def start(net_cfg: networks.NetworkConfig, trainer_cfg: TrainerConfig, seed_root, tag=""):

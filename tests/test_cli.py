@@ -92,10 +92,25 @@ class TestConfig:
     def test_null_section_rejected_unless_optional(self):
         for doc, where in (({"trainer": None}, "trainer"), ({"network": None}, "network"),
                            ({"search": {"space": None}}, "search.space")):
-            with pytest.raises(ConfigError, match=rf"{where}\. must be an object"):
+            with pytest.raises(ConfigError, match=rf"^{where} must be an object"):
                 config.config_from_dict(doc)
         cfg = config.config_from_dict({"dataset": {"csv_path": "d.csv", "synthetic": None}})
         assert cfg.dataset.synthetic is None
+
+    def test_section_names_carry_no_trailing_dot(self):
+        # a section was named by its dotted prefix, trailing dot and all:
+        # "bad dataset.synthetic. section", "trainer. must be an object"
+        for doc, message in (
+                ({"dataset": {"synthetic": {"input_dim": 4}}}, "bad dataset.synthetic section: "),
+                ({"trainer": None}, "trainer must be an object, got NoneType"),
+                ({"search": {"space": 3}}, "search.space must be an object, got int"),
+                ({"trainer": {"lr": 1}}, "unknown key trainer.'lr'"),
+                ({"seed": 1, "x": 2}, "unknown key 'x'")):
+            with pytest.raises(ConfigError) as err:
+                config.config_from_dict(doc)
+            assert str(err.value).startswith(message), doc
+        with pytest.raises(ConfigError, match="^config must be an object, got list$"):
+            config.config_from_dict([])
 
     def test_dataset_needs_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -119,7 +134,7 @@ class TestConfig:
             config.config_from_dict({"network": {"f_hidden": 5}})
 
     def test_missing_field_and_negative_trial_count_rejected(self):
-        with pytest.raises(ConfigError, match=r"bad dataset\.synthetic\. section: .*num_classes"):
+        with pytest.raises(ConfigError, match=r"bad dataset\.synthetic section: .*num_classes"):
             config.config_from_dict({"dataset": {"synthetic": {"input_dim": 4}}})
         with pytest.raises(ConfigError, match="n_trials must be >= 0, got -1"):
             config.config_from_dict({"search": {"n_trials": -1}})
@@ -547,6 +562,36 @@ class TestErrorExits:
         assert f"{field}={value}" in payload["message"]
         assert payload["message"].endswith("over the cap of 2**27")
         assert not (tmp_path / "run").exists()
+
+    # a feature width whose parameter vector exceeds any address space:
+    # numpy refused the vector up front ("Unable to allocate 393. TiB"),
+    # and the traceback exited 1
+    HUGE_WIDTHS = {"feature_dim": 10**12, "projection_dim": 8}
+
+    def test_oversized_network_exits_2(self, tmp_path, capsys):
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       *[arg for key, value in self.HUGE_WIDTHS.items()
+                         for arg in ("--set", f"network.{key}={value}")])
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ConfigError"
+        assert "feature_dim=1000000000000" in payload["message"]
+        assert payload["message"].endswith("over the cap of 2**24")
+        assert list((tmp_path / "run").iterdir()) == []
+
+    def test_dump_with_checkpoint_of_an_oversized_network_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.npz"
+        meta = {"version": networks.CHECKPOINT_VERSION, "seed": 0,
+                "config": {"input_dim": 8, "num_classes": 5, **self.HUGE_WIDTHS}}
+        np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8))
+        code = run_cli("dump-embeddings", "--config", str(TINY), "--out", str(tmp_path / "emb"),
+                       "--checkpoint", str(ckpt))
+        assert code == cli.EXIT_CONFIG
+        payload = self.only_error_line(capsys)
+        assert payload["type"] == "ContractError"
+        assert "has malformed metadata: ConfigError" in payload["message"]
+        assert payload["message"].endswith("over the cap of 2**24")
+        assert list((tmp_path / "emb").iterdir()) == []
 
     def run_on_low_plan(self, tmp_path, command, *overrides, edit=None):
         """`fond split` on the tiny config (setting low: 2 of 5 classes

@@ -563,10 +563,9 @@ class TestCsvParsePaths:
             assert dataset_bytes(datagen.ingest_csv(path)) == expected, row
 
     def test_line_parser_grows_past_its_first_allocation(self, tmp_path):
-        # more rows than the line parser's first matrices hold; one value
-        # only int() reads sends the whole file down that path
+        # rows enough for the line parser's typed arrays to grow several
+        # times; one value only int() reads sends the whole file down that path
         n = 200
-        assert n > datagen._INGEST_ROWS
         rows = [f"{i},{i % 3},{i % 4},{i / 7!r},{-i}.5" for i in range(n)]
         path = tmp_path / "grow.csv"
         path.write_text("id,domain,label,f0,f1\n" + "\n".join(rows) + "\n")

@@ -43,6 +43,7 @@ def test_bench_step_times_every_piece():
     assert doc["float_rows"]["rows"] == doc["evaluate"]["rows"]
     assert doc["float_rows"]["us"] > 0 and doc["float_rows"]["repr_us"] > 0
     assert doc["ingest_csv"]["rows"] == 5 * 4 * 40 and doc["ingest_csv"]["us"] > 0
+    assert doc["ingest_csv"]["line_us"] > 0
     assert {"python", "numpy", "blas", "blas_threads"} <= set(doc["host"])
 
     proc = run_script("bench_step.py", "--config", str(TINY), "--batch-sizes", "100000")

@@ -372,3 +372,13 @@ def test_one_projection_rule_and_one_per_variant_table_writer():
     assert rules == [("src/fond/losses.py", "contrastive")]
     assert "write_variant_table" in defined
     assert not defined & {"write_aggregate_csv", "write_paired_csv"}
+
+
+def test_the_csv_line_parser_grows_no_matrix_by_hand():
+    # the line parser appends to typed arrays, which grow themselves; no
+    # preallocated row count and no in-place resize is left in the program
+    sources = {path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert [name for name, text in sources.items()
+            if "_INGEST_ROWS" in text or ".resize(" in text] == []
+    assert "array.array(" in sources["fond/datagen.py"]
