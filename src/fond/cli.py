@@ -13,6 +13,7 @@ boundaries report every non-finite value as exit 3 instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -334,13 +335,11 @@ def _fail(kind: str, exc: BaseException, code: int) -> int:
     return code
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args: argparse.Namespace, out: Path) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with np.errstate(all="ignore"):   # see the module docstring
             return COMMANDS[args.command](cfg, out, args)
@@ -350,6 +349,21 @@ def main(argv=None) -> int:
         return _fail("config", exc, EXIT_CONFIG)
     except OSError as exc:
         return _fail("io", exc, EXIT_IO)
+
+
+def main(argv=None) -> int:
+    """Run one command; a failed run removes each directory of its --out
+    path that the run made and that is still empty. A directory that was
+    there before the run stays."""
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
+    made = [path for path in (out, *out.parents) if not path.exists()]
+    code = _run(args, out)
+    if code:
+        for path in made:
+            with contextlib.suppress(OSError):   # absent, or no longer empty
+                path.rmdir()
+    return code
 
 
 if __name__ == "__main__":

@@ -20,10 +20,8 @@ which it overwrites as scratch (the next backward pass rewrites it).
 All randomness (batch order, dropout masks, validation split) derives
 from the trainer seed through tagged subseeds, so identical configs give
 bit-identical runs. Step k's dropout masks come from the stream
-``rng_for(seed, "dropout", k)``. ``dropout_streams`` builds step 1's
-generator with ``rng_for`` and derives the later steps' starting states
-in vectorized blocks (``seeding.rng_states``); each step reseeds the same
-generator with its state, so it draws the bits ``rng_for`` would give.
+``rng_for(seed, "dropout", k)``, which ``dropout_streams`` builds as
+step k is drawn.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import numpy as np
 from . import datagen, evalsel, losses, ndcore, networks
 from .errors import (ConfigError, ContractError, DegenerateInputError, NonFiniteLossError,
                      ShapeError, require_finite, write_output)
-from .seeding import rng_for, rng_states, subseed
+from .seeding import rng_for, subseed
 
 OPTIMIZERS = ("sgd", "adam")
 SELECTION_METRICS = ("y_l", "overall")   # snapshot rules, each kept by every training
@@ -221,23 +219,10 @@ class TrainLog:
                              + evals.get(rec.step, [None] * 3) for rec in self.steps))
 
 
-# steps whose dropout states one ``rng_states`` pass derives; its
-# vectorized hashing holds about 110 bytes per step while it runs
-DROPOUT_BLOCK = 4096
-
-
 def dropout_streams(seed: int, steps: int):
-    """Yield step k's dropout generator for k = 1..``steps``: one
-    generator, reseeded each step, whose draws equal those of
-    ``rng_for(seed, "dropout", k)`` bit for bit. Steps 2.. derive their
-    states ``DROPOUT_BLOCK`` at a time."""
-    gen = rng_for(seed, SEED_TAG_DROPOUT, 1)
-    yield gen
-    for start in range(2, steps + 1, DROPOUT_BLOCK):
-        block = range(start, min(start + DROPOUT_BLOCK, steps + 1))
-        for state in rng_states(seed, SEED_TAG_DROPOUT, block):
-            gen.bit_generator.state = state
-            yield gen
+    """Yield step k's dropout generator, ``rng_for(seed, "dropout", k)``,
+    for k = 1..``steps``, each built as it is drawn."""
+    return (rng_for(seed, SEED_TAG_DROPOUT, k) for k in range(1, steps + 1))
 
 
 def start(net_cfg: networks.NetworkConfig, trainer_cfg: TrainerConfig, seed_root, tag=""):

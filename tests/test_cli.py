@@ -567,16 +567,31 @@ class TestErrorExits:
     # numpy refused the vector up front ("Unable to allocate 393. TiB"),
     # and the traceback exited 1
     HUGE_WIDTHS = {"feature_dim": 10**12, "projection_dim": 8}
+    HUGE_SETS = [arg for key, value in HUGE_WIDTHS.items()
+                 for arg in ("--set", f"network.{key}={value}")]
 
     def test_oversized_network_exits_2(self, tmp_path, capsys):
         code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
-                       *[arg for key, value in self.HUGE_WIDTHS.items()
-                         for arg in ("--set", f"network.{key}={value}")])
+                       *self.HUGE_SETS)
         assert code == cli.EXIT_CONFIG
         payload = self.only_error_line(capsys)
         assert payload["type"] == "ConfigError"
         assert "feature_dim=1000000000000" in payload["message"]
         assert payload["message"].endswith("over the cap of 2**24")
+        assert not (tmp_path / "run").exists()
+
+    def test_failed_command_removes_every_directory_it_made(self, tmp_path):
+        code = run_cli("train", "--config", str(TINY), "--out",
+                       str(tmp_path / "a" / "b"), *self.HUGE_SETS)
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "a").exists()
+
+    def test_failed_command_leaves_an_empty_out_directory_that_was_there(self, tmp_path):
+        # a failed command removes its --out only if this run made it
+        (tmp_path / "run").mkdir()
+        code = run_cli("train", "--config", str(TINY), "--out", str(tmp_path / "run"),
+                       *self.HUGE_SETS)
+        assert code == cli.EXIT_CONFIG
         assert list((tmp_path / "run").iterdir()) == []
 
     def test_dump_with_checkpoint_of_an_oversized_network_exits_2(self, tmp_path, capsys):
@@ -591,7 +606,7 @@ class TestErrorExits:
         assert payload["type"] == "ContractError"
         assert "has malformed metadata: ConfigError" in payload["message"]
         assert payload["message"].endswith("over the cap of 2**24")
-        assert list((tmp_path / "emb").iterdir()) == []
+        assert not (tmp_path / "emb").exists()
 
     def run_on_low_plan(self, tmp_path, command, *overrides, edit=None):
         """`fond split` on the tiny config (setting low: 2 of 5 classes
@@ -653,7 +668,7 @@ class TestErrorExits:
         assert payload["type"] == "ConfigError"
         assert payload["message"] == ("split.target_domain is 2, "
                                       "but the plan file holds out domain 0")
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "search", "dump-embeddings"])
     def test_plan_file_of_another_setting_exits_2(self, tmp_path, capsys, monkeypatch,
@@ -670,7 +685,7 @@ class TestErrorExits:
         assert payload["type"] == "ConfigError"
         assert payload["message"] == ("setting 'high' shares 4 of 5 classes, "
                                       "but the plan file shares 2")
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     def test_plan_file_with_an_unknown_key_exits_2(self, tmp_path, capsys, monkeypatch):
         # the key was ignored, and the run trained and exited 0
@@ -688,7 +703,7 @@ class TestErrorExits:
         assert payload["type"] == "ContractError"
         assert payload["message"].startswith(f"{plan} is not a valid split plan: TypeError")
         assert "'note'" in payload["message"]
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     # five classes on domains 0 (target) and 1, the only source: no source
     # domain is left to express the shared classes
@@ -723,7 +738,7 @@ class TestErrorExits:
         assert payload["type"] == "ContractError"
         assert payload["message"] == (f"{plan} is not a valid split plan: ContractError: "
                                       f"need at least 2 source domains, got 1")
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     def test_plan_file_that_breaks_a_plan_rule_exits_2(self, tmp_path, capsys, monkeypatch):
         # source 3 expresses all three classes; every other plan rule holds
@@ -741,7 +756,7 @@ class TestErrorExits:
         payload = self.only_error_line(capsys)
         assert payload["message"] == (f"{plan} is not a valid split plan: ContractError: "
                                       f"source domain 3 expresses every class")
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field,edit,named", [
         ("linked_classes", lambda ids: [ids[0] + 0.9, *ids[1:]], "linked_classes"),
@@ -771,7 +786,7 @@ class TestErrorExits:
         value = bad if field == "target_domain" else bad[0]
         assert payload["message"] == (f"{plan} is not a valid split plan: ContractError: "
                                       f"{named} holds {value!r}, not an integer id")
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     # edits of the tiny config's low plan (linked classes 0-2 on sources
     # 1-3; shared classes 3 on [2, 3] and 4 on [1, 2]) that repeat one id;
@@ -812,7 +827,7 @@ class TestErrorExits:
         assert payload["type"] == "ContractError"
         assert payload["message"] == (f"{tmp_path / 'sp' / 'plan.json'} is not a valid split "
                                       f"plan: ContractError: {message}")
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     def run_without_domain(self, tmp_path, monkeypatch, domain, command, *overrides):
         """``command`` on the tiny config with a `fond split` plan (target 0,
@@ -852,7 +867,7 @@ class TestErrorExits:
         code = self.run_without_domain(tmp_path, monkeypatch, domain, command)
         assert code == cli.EXIT_CONFIG
         self.assert_domain_mismatch(capsys, domain)
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("domain", [0, 2], ids=["target", "source"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -872,7 +887,7 @@ class TestErrorExits:
         assert code == cli.EXIT_CONFIG
         self.assert_domain_mismatch(capsys, domain)
         assert list(markers.iterdir()) == []
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("override", ["dataset.synthetic.shift=NaN",
                                           "dataset.synthetic.noise_std=Infinity",
@@ -1588,7 +1603,7 @@ class TestFailedWrites:
         assert code == cli.EXIT_IO
         err = capsys.readouterr().err.strip().splitlines()
         assert json.loads(err[-1])["error"] == "io"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     TRAIN_OUTPUTS = ["checkpoint_best.npz", "checkpoint_final.npz", "metrics.json", "run.json",
                      "trainlog.csv", "trainlog.jsonl"]

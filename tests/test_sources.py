@@ -249,7 +249,7 @@ def _calls_by_function(tree):
     return calls
 
 
-SEED_FUNCTIONS = ("subseed", "rng_for", "rng_states")
+SEED_FUNCTIONS = ("subseed", "rng_for")
 
 
 def test_one_start_and_one_step_feed_for_every_training():

@@ -257,7 +257,7 @@ class TestTrainLoop:
             logs.append(train_on_split(params, pool, plan, default_loss(), cfg)[2])
         assert logs[0].steps[0].task != logs[1].steps[0].task
 
-    def test_dropout_training_calls_rng_for_once(self, monkeypatch):
+    def test_dropout_training_calls_rng_for_each_step(self, monkeypatch):
         calls = []
 
         def counted(*parts):
@@ -269,7 +269,7 @@ class TestTrainLoop:
         cfg = trainer.TrainerConfig(max_steps=12, eval_every=6, batch_size=16,
                                     seed=3, learning_rate=0.01, dropout=0.2)
         train_on_split(networks.init_params(net_cfg, 7), pool, plan, default_loss(), cfg)
-        assert calls == [(3, trainer.SEED_TAG_DROPOUT, 1)]
+        assert calls == [(3, trainer.SEED_TAG_DROPOUT, k) for k in range(1, 13)]
 
     def test_dropout_streams_draw_what_rng_for_draws(self):
         draws = [gen.random((4, 4)) for gen in trainer.dropout_streams(5, 9)]
@@ -278,9 +278,9 @@ class TestTrainLoop:
             expected = rng_for(5, trainer.SEED_TAG_DROPOUT, step).random((4, 4))
             assert drawn.tobytes() == expected.tobytes()
 
-    def test_dropout_streams_derive_their_states_a_block_at_a_time(self):
-        # the vectorized hashing for every step ran when step 2 was drawn,
-        # about 110 bytes per step: 88 MiB traced at a million steps
+    def test_dropout_streams_build_each_step_as_it_is_drawn(self):
+        # drawing three of a million steps builds three generators, not a
+        # million steps' worth of seeding
         tracemalloc.start()
         try:
             streams = trainer.dropout_streams(7, 10**6)
@@ -290,8 +290,7 @@ class TestTrainLoop:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        block = trainer.DROPOUT_BLOCK
-        checked = {1, 2, block + 1, block + 2, 3 * block + 5}
+        checked = {1, 2, 4097, 4098, 12293}
         for step, gen in enumerate(trainer.dropout_streams(7, max(checked)), start=1):
             if step in checked:
                 expected = rng_for(7, trainer.SEED_TAG_DROPOUT, step).random(3)
