@@ -25,8 +25,7 @@ source rows, with its two parts on that block next to it: ``predict``
 round) on that block's features h as ``dump_embeddings`` writes them, next
 to the per-value ``repr`` join it reproduces, and ``datagen.ingest_csv``
 (one call per round) on the config's dataset, written by
-``datagen.export_csv`` to a temporary file, next to the line parser it
-falls back to (``line_us``) on the same file.
+``datagen.export_csv`` to a temporary file.
 Each variant runs the config of a benchmark cell of the config's first
 ``benchmark.settings`` entry (``cli.cell_config``), on that setting's plan.
 The trainings use the train/validation split ``fond train`` draws, and
@@ -151,15 +150,12 @@ def time_optimizers(cfg, train_set, plan, net_cfg, repeat, number):
 
 
 def time_ingest(dataset, repeat):
-    """``datagen.ingest_csv`` on ``dataset`` as ``export_csv`` writes it, and
-    the line parser alone (``_read_csv(path, _parse_rows)``) on that file."""
+    """``datagen.ingest_csv`` on ``dataset`` as ``export_csv`` writes it (``us``)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
         datagen.export_csv(dataset, path)
-        timed = {"us": lambda: datagen.ingest_csv(path),
-                 "line_us": lambda: datagen._read_csv(path, datagen._parse_rows)}
         return {"rows": len(dataset),
-                **{key: round(best_us(fn, repeat, 1), 2) for key, fn in timed.items()}}
+                "us": round(best_us(lambda: datagen.ingest_csv(path), repeat, 1), 2)}
 
 
 def time_evaluate(params, block, plan, repeat, number):

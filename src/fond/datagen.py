@@ -513,11 +513,10 @@ def _csv_lines(fh):
             yield lineno, line
 
 
-def _read_csv(path, read_rows):
-    """Open a dataset CSV, check its header and hand the rest to
-    ``read_rows(fh, lines, d)``: the file, the ``_csv_lines`` generator
-    positioned after the header, and the feature count. A leading UTF-8
-    byte-order mark, as spreadsheet exports write, is skipped."""
+def _read_csv(path):
+    """Read a dataset CSV: check its header, then parse the data rows
+    (``_parse_rows``). A leading UTF-8 byte-order mark, as spreadsheet
+    exports write, is skipped."""
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = _csv_lines(fh)
         lineno, header = next(lines, (None, None))
@@ -528,7 +527,7 @@ def _read_csv(path, read_rows):
             raise CsvFormatError("header must start with id,domain,label,f0,...", line=lineno)
         if parts[3:] != [f"f{j}" for j in range(len(parts) - 3)]:
             raise CsvFormatError(f"feature columns must be f0..f{len(parts) - 4}", line=lineno)
-        return read_rows(fh, lines, len(parts) - 3)
+        return _parse_rows(lines, len(parts) - 3)
 
 
 def _has_duplicates(ids: np.ndarray) -> bool:
@@ -536,48 +535,12 @@ def _has_duplicates(ids: np.ndarray) -> bool:
     return bool((sorted_ids[1:] == sorted_ids[:-1]).any())
 
 
-def _printable_ascii(fh):
-    """The lines of ``fh``, raising ValueError at the first that holds a
-    character other than printable ASCII before its newline. numpy's C
-    reader strips the separators U+001C-U+001F around a number and reads
-    some non-ASCII letters as digits, where ``int`` and ``float`` refuse
-    them."""
-    for line in fh:
-        if not (line.isascii() and line.rstrip("\n").isprintable()):
-            raise ValueError("not printable ASCII")
-        yield line
-
-
-def _load_rows(fh, lines, d: int):
-    """The data rows through numpy's C reader: (int64 (id, domain, label)
-    rows, float64 features), or None when it cannot read them or they
-    break a check of ``_parse_rows`` (no rows, a non-finite feature, a
-    negative domain or label, a repeated id). A line with a character
-    other than printable ASCII, a comment line, a line of blanks or an
-    underscore also gives None, so this accepts no file that
-    ``_parse_rows`` rejects, and it rounds each decimal as ``float`` does."""
-    dtype = np.dtype([("ints", np.int64, (3,)), ("features", np.float64, (d,))])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")          # e.g. "input contained no data"
-            rows = np.loadtxt(_printable_ascii(fh), dtype=dtype, delimiter=",",
-                              comments=None, ndmin=1)
-    except (ValueError, OverflowError, Warning):
-        return None
-    ints = np.ascontiguousarray(rows["ints"])
-    if (not len(ints) or (ints[:, 1:] < 0).any() or _has_duplicates(ints[:, 0])
-            or not np.isfinite(rows["features"]).all()):
-        return None
-    features = np.ascontiguousarray(rows["features"])
-    return ints, features
-
-
-def _parse_rows(fh, lines, d: int):
+def _parse_rows(lines, d: int):
     """The data rows, line by line: (int64 (id, domain, label) rows,
     float64 features). ``int`` and ``float`` parse each line's values, and
     the checked values are appended to two typed arrays, so no per-row
     object outlives its line. Errors carry the 1-based line number."""
-    import array   # only the line parser loads it, on the files the C reader refuses
+    import array   # only ingestion loads it
     # "l" is C long, numpy's int64 on LP64 hosts; it overflows with the
     # message numpy's int64 conversion gives
     ints, feats = array.array("l"), array.array("d")
@@ -587,7 +550,7 @@ def _parse_rows(fh, lines, d: int):
             raise CsvFormatError(f"expected {d + 3} fields, found {len(parts)}", line=lineno)
         try:
             ints.extend([int(parts[0]), int(parts[1]), int(parts[2])])
-            values = [float(v) for v in parts[3:]]
+            values = list(map(float, parts[3:]))
         except (ValueError, OverflowError) as exc:   # overflow: beyond int64
             raise CsvFormatError(f"unparsable value ({exc})", line=lineno) from None
         if not all(map(math.isfinite, values)):
@@ -607,15 +570,10 @@ def ingest_csv(path) -> Dataset:
     """Parse a dataset CSV; '#' lines are comments. Errors carry the
     1-based line number. Warns when per-class counts differ by > 10x.
 
-    The leading comments and the header are read line by line; the data
-    rows then go through numpy's C text reader (``_load_rows``). A file
-    that reader refuses or whose rows break a check is read again by the
-    line parser (``_parse_rows``), the specification of the format: it
-    raises the error with its line, or reads the few values that ``int``
-    and ``float`` take and the C reader does not (``1_0``, non-ASCII
-    digits). Both round each decimal exactly as ``export_csv``'s ``repr``
-    expects, so a file gives the same bytes either way."""
-    ints, feats = _read_csv(path, _load_rows) or _read_csv(path, _parse_rows)
+    Each line is read as Python's ``int`` and ``float`` read its values, so
+    a decimal rounds exactly as ``export_csv``'s ``repr`` expects and an
+    exported dataset ingests to the same bytes."""
+    ints, feats = _read_csv(path)
     dataset = Dataset(features=feats, labels=ints[:, 2], domains=ints[:, 1], ids=ints[:, 0])
     counts = np.unique(dataset.labels, return_counts=True)[1]
     if len(counts) > 1 and counts.max() > 10 * counts.min():

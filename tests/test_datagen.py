@@ -518,26 +518,7 @@ class TestCsv:
         assert all(type(c) is int for c in ds.class_set() | ds.domain_set())
         assert ds.ids.tolist() == [far, 3, far + 1]
 
-
-def read_both(path):
-    """The dataset bytes that each parse path gives for ``path``: the C
-    reader's (None when it declines) and the line parser's."""
-    def as_bytes(columns):
-        return None if columns is None else tuple(a.tobytes() for a in columns)
-    return (as_bytes(datagen._read_csv(path, datagen._load_rows)),
-            as_bytes(datagen._read_csv(path, datagen._parse_rows)))
-
-
-def dataset_bytes(ds):
-    return tuple(a.tobytes() for a in (ds.ids, ds.domains, ds.labels, ds.features))
-
-
-class TestCsvParsePaths:
-    """``ingest_csv`` reads data rows with numpy's C reader and falls back to
-    the line parser; both must give the same bytes, and the C reader must
-    accept nothing that the line parser rejects."""
-
-    def test_byte_order_mark_is_skipped_on_both_paths(self, tmp_path):
+    def test_byte_order_mark_is_skipped(self, tmp_path):
         # spreadsheet exports lead with U+FEFF; the header behind it is valid
         path = tmp_path / "bom.csv"
         plain = "id,domain,label,f0\n0,0,0,1.5\n1,2,1,-2.0\n"
@@ -545,48 +526,55 @@ class TestCsvParsePaths:
             path.write_text("\ufeff" + text, encoding="utf-8")
             ds = datagen.ingest_csv(path)
             assert ds.ids.tolist() == [0, 1] and ds.features[:, 0].tolist() == [1.5, -2.0]
-            fast, slow = read_both(path)
-            assert slow is not None and fast in (None, slow)
 
-    def test_line_parser_only_values_still_ingest(self, tmp_path):
-        # int() and float() take underscores and non-ASCII digits; the C
-        # reader does not, so these files go through the line parser
+    def test_crlf_file_ingests_like_its_lf_twin(self, tmp_path):
+        # spreadsheet exports and write_table end lines with \r\n
+        rows = ["# provenance: {}", "id,domain,label,f0,f1", "0,1,2,0.1,-3.5",
+                "# a comment", "", "7,0,1,1e-05,2.0"]
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(("\n".join(rows) + "\n").encode("utf-8"))
+        crlf.write_bytes(("\ufeff" + "\r\n".join(rows) + "\r\n").encode("utf-8"))
+        ds = datagen.ingest_csv(crlf)
+        assert dataset_bytes(ds) == dataset_bytes(datagen.ingest_csv(lf))
+        assert ds.ids.tolist() == [0, 7] and ds.features[1].tolist() == [1e-05, 2.0]
+
+    def test_values_only_python_reads_still_ingest(self, tmp_path):
+        # int() and float() take underscores and non-ASCII digits
         path = tmp_path / "odd.csv"
-        want = "id,domain,label,f0\n10,1,3,10.5\n"
-        path.write_text(want)
+        path.write_text("id,domain,label,f0\n10,1,3,10.5\n")
         expected = dataset_bytes(datagen.ingest_csv(path))
         for row in ("1_0,1,3,10.5", "\u0661\u0660,1,\u0663,10.5", "10,1,3,1_0.5",
                     "10,\u0661,3,\u0661\u0660.5"):
             path.write_text(f"id,domain,label,f0\n{row}\n", encoding="utf-8")
-            fast, slow = read_both(path)
-            assert fast is None
             assert dataset_bytes(datagen.ingest_csv(path)) == expected, row
 
     def test_line_parser_grows_past_its_first_allocation(self, tmp_path):
-        # rows enough for the line parser's typed arrays to grow several
-        # times; one value only int() reads sends the whole file down that path
+        # rows enough for the line parser's typed arrays to grow several times
         n = 200
         rows = [f"{i},{i % 3},{i % 4},{i / 7!r},{-i}.5" for i in range(n)]
         path = tmp_path / "grow.csv"
         path.write_text("id,domain,label,f0,f1\n" + "\n".join(rows) + "\n")
         want = datagen.ingest_csv(path)
-        assert len(want) == n and datagen._read_csv(path, datagen._load_rows) is not None
+        assert want.ids.tolist() == list(range(n))
+        assert want.features[:, 0].tolist() == [i / 7 for i in range(n)]
         rows[10] = rows[10].replace("10,", "1_0,", 1)
         path.write_text("id,domain,label,f0,f1\n" + "\n".join(rows) + "\n")
-        assert datagen._read_csv(path, datagen._load_rows) is None
         assert dataset_bytes(datagen.ingest_csv(path)) == dataset_bytes(want)
 
-    def test_rejected_rows_never_pass_the_fast_path(self, tmp_path):
+    def test_rejected_edge_rows_raise_at_their_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        # numpy's reader strips \x1c-\x1f and reads U+01FE as a digit;
-        # int() and float() refuse both
+        # int() and float() refuse \x1c-\x1f around a number and U+01FE,
+        # which numpy's text reader would strip or read as a digit
         for row in ("1,0,1,nan", "1,0,1,1e999", "1,-1,1,2.0", "1,0,-3,2.0", "0,0,1,2.0",
                     "1.0,0,1,2.0", f"{2**63},0,1,2.0", "1,0,1,", "1,0,1,0x10",
                     "1\x1c,0,1,2.0", "1,0,1,2.0\x1f", "1\u01fe,0,1,2.0"):
             path.write_text(f"id,domain,label,f0\n0,0,0,1.5\n{row}\n", encoding="utf-8")
-            assert datagen._read_csv(path, datagen._load_rows) is None, row
             with pytest.raises(CsvFormatError, match="line 3: |duplicate sample ids"):
                 datagen.ingest_csv(path)
+
+
+def dataset_bytes(ds):
+    return tuple(a.tobytes() for a in (ds.ids, ds.domains, ds.labels, ds.features))
 
 
 _IDS = st.integers(0, 2**62)
@@ -599,6 +587,7 @@ _FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(1, 12), st.integers(1, 4), st.booleans())
 def test_parse_paths_give_the_same_dataset(tmp_path_factory, data, n, d, provenance):
+    # an exported dataset ingests to its own bytes
     ids = data.draw(st.lists(_IDS, min_size=n, max_size=n, unique=True))
     ds = datagen.Dataset(
         features=np.array(data.draw(st.lists(st.lists(_FLOATS, min_size=d, max_size=d),
@@ -608,8 +597,6 @@ def test_parse_paths_give_the_same_dataset(tmp_path_factory, data, n, d, provena
         ids=ids)
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     datagen.export_csv(ds, path, provenance={"seed": 1} if provenance else None)
-    fast, slow = read_both(path)
-    assert fast is not None and fast == slow
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")           # the class-imbalance warning
         back = datagen.ingest_csv(path)

@@ -5,7 +5,7 @@ import inspect
 import re
 from pathlib import Path
 
-from fond import errors
+from fond import datagen, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -382,3 +382,13 @@ def test_the_csv_line_parser_grows_no_matrix_by_hand():
     assert [name for name, text in sources.items()
             if "_INGEST_ROWS" in text or ".resize(" in text] == []
     assert "array.array(" in sources["fond/datagen.py"]
+
+
+def test_one_reader_for_dataset_csv_rows():
+    # the line parser is the format's specification and reads every file;
+    # numpy's text readers strip and read characters int() and float() refuse
+    sources = {path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert [name for name, text in sources.items()
+            if "loadtxt" in text or "genfromtxt" in text] == []
+    assert list(inspect.signature(datagen._read_csv).parameters) == ["path"]
