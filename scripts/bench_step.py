@@ -21,9 +21,11 @@ on a fresh copy of the gradient, which the step overwrites; the copy is
 timed too), ``evalsel.evaluate`` on one block of ``evalsel.INFER_ROWS``
 source rows, with its two parts on that block next to it: ``predict``
 (the forward passes and argmax) and ``score`` (the counting, on
-``predict``'s output), the float-row writer (``floatrows.float_rows``, one call per
-round) on that block's features h as ``dump_embeddings`` writes them, next
-to the per-value ``repr`` join it reproduces, and ``datagen.ingest_csv``
+``predict``'s output), ``evalsel.read_outs`` (``read_outs_us``, one call
+per round) of one unlogged training of the config's cell on its target, the
+float-row writer (``floatrows.float_rows``, one call per round) on that
+block's features h as ``dump_embeddings`` writes them, next to the
+per-value ``repr`` join it reproduces, and ``datagen.ingest_csv``
 (one call per round) on the config's dataset, written by
 ``datagen.export_csv`` to a temporary file.
 Each variant runs the config of a benchmark cell of the config's first
@@ -168,6 +170,15 @@ def time_evaluate(params, block, plan, repeat, number):
             **{key: round(best_us(fn, repeat, number), 2) for key, fn in timed.items()}}
 
 
+def time_read_outs(cfg, net_cfg, tcfg, train_set, val_set, target, plan, repeat):
+    """``evalsel.read_outs`` of one unlogged training of ``cfg``'s cell, as a
+    benchmark cell reads it out."""
+    final, _, log = trainer.train(trainer.start(net_cfg, cfg.trainer, cfg.seed)[0], train_set,
+                                  plan, cfg.loss, tcfg, val_set=val_set, log_steps=False)
+    return round(best_us(lambda: evalsel.read_outs(final, log.snapshots, (train_set, val_set),
+                                                   target, plan), repeat, 1), 2)
+
+
 def time_float_rows(params, block, repeat):
     """``floatrows.float_rows`` on ``block``'s features h (one call per
     round), with the row prefixes ``dump_embeddings`` writes, and the
@@ -204,7 +215,7 @@ def main() -> int:
     dataset = cli.build_dataset(cfg)
     plan = cli.build_plan(cfg, dataset)
     net_cfg = cli.network_config(cfg, dataset, plan)
-    pool, _ = datagen.apply_split(dataset, plan)
+    pool, target = datagen.apply_split(dataset, plan)
     params, tcfg = trainer.start(net_cfg, cfg.trainer, cfg.seed)
     train_set, val_set = trainer.train_val_split(pool, tcfg)
     too_big = [b for b in sizes if b > len(train_set)]
@@ -228,6 +239,8 @@ def main() -> int:
         "optimizer_step": time_optimizers(cfg, train_set, plan, net_cfg,
                                           args.repeat, args.number),
         "evaluate": time_evaluate(params, block, plan, args.repeat, args.number),
+        "read_outs_us": time_read_outs(cfg, net_cfg, tcfg, train_set, val_set, target, plan,
+                                       args.repeat),
         "float_rows": time_float_rows(params, block, args.repeat),
         "ingest_csv": time_ingest(dataset, args.repeat),
     }

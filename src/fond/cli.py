@@ -123,14 +123,16 @@ def cmd_split(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: Path, args: argparse.Namespace) -> int:
-    plan, final, best, log, report, _ = train_on_split(cfg, cfg.seed)
+    plan, final, log, target, _, _ = train_on_split(cfg, cfg.seed)
+    best_step, best = log.snapshots[cfg.trainer.selection_metric]
+    report = evalsel.evaluate(best, target, plan)
     _write_outputs(out, {
         "checkpoint_best.npz": lambda path: networks.save_checkpoint(best, path),
         "checkpoint_final.npz": lambda path: networks.save_checkpoint(final, path),
         "trainlog.jsonl": log.write_jsonl,
         "trainlog.csv": log.write_summary_csv,
         "metrics.json": lambda path: _write_json(
-            path, {"metrics": _metrics_payload(report), "best_step": log.best_step}),
+            path, {"metrics": _metrics_payload(report), "best_step": best_step}),
         "run.json": lambda path: _write_json(
             path, {"config": to_provenance(cfg), "plan": plan.to_doc()}),
     })
@@ -183,7 +185,8 @@ def train_on_split(cfg: RunConfig, seed_root: int, tag: str = "", *,
                    search: bool = False, log_steps: bool = True):
     """The recipe of ``fond train`` and each benchmark cell, seeded by ``trainer.start``
     with ``tag`` under ``seed_root``, with the search's winning hypers if ``search``.
-    Returns (plan, final, best, log, best's target report, winning trial or None)."""
+    Returns (plan, final, log, target, (train set, validation set), winning trial
+    or None); the train and validation rows are the source pool."""
     dataset = build_dataset(cfg)
     plan = build_plan(cfg, dataset)
     net_cfg = network_config(cfg, dataset, plan)
@@ -197,28 +200,33 @@ def train_on_split(cfg: RunConfig, seed_root: int, tag: str = "", *,
     params, trainer_cfg = trainer.start(net_cfg, trainer_cfg, seed_root, tag)
     train_set, val_set = trainer.train_val_split(pool, trainer_cfg)
     del pool
-    final, best, log = trainer.train(params, train_set, plan, loss_cfg, trainer_cfg,
-                                     val_set=val_set, log_steps=log_steps)
-    return plan, final, best, log, evalsel.evaluate(best, target, plan), winner
+    final, _, log = trainer.train(params, train_set, plan, loss_cfg, trainer_cfg,
+                                  val_set=val_set, log_steps=log_steps)
+    return plan, final, log, target, (train_set, val_set), winner
 
 
 def run_benchmark_cell(cfg: RunConfig, setting, variant: str,
                        rep: int) -> evalsel.ResultRow:
     """One (setting, variant, repetition) cell, which trains
     ``cell_config(cfg, setting, variant)``; pure function of its arguments
-    so cells can run in any process in any order.
+    so cells can run in any process in any order. The row carries every
+    read-out of the training (``evalsel.read_outs``) and scores the arm of
+    ``trainer.selection_metric``.
 
     The cell seed deliberately excludes the variant: within a repetition
     every variant trains from the same initialization on the same batch
     sequence, so per-repetition comparisons isolate the objective.
     """
     cell_seed = subseed(cfg.seed, "cell", setting, rep)
-    *_, report, winner = train_on_split(cell_config(cfg, setting, variant), cell_seed, "final-",
-                                        search=cfg.search.n_trials >= 1, log_steps=False)
+    plan, final, log, target, pool, winner = train_on_split(
+        cell_config(cfg, setting, variant), cell_seed, "final-",
+        search=cfg.search.n_trials >= 1, log_steps=False)
+    arms = evalsel.read_outs(final, log.snapshots, pool, target, plan)
+    report = arms[cfg.trainer.selection_metric]
     return evalsel.ResultRow(dataset=cfg.dataset.name, setting=str(setting),
                              variant=variant, rep=rep, y_l_accuracy=report.y_l_accuracy,
                              y_s_accuracy=report.y_s_accuracy,
-                             per_class=report.per_class_accuracy, winner=winner)
+                             per_class=report.per_class_accuracy, winner=winner, arms=arms)
 
 
 def worker_count(jobs: int, cells: int, cpus: int | None) -> int:

@@ -1,10 +1,10 @@
 """Evaluation metrics, model selection, hyperparameter search,
 cross-repetition aggregation, and each variant paired with ERM rep by rep.
 
-Prediction and the embedding dump run ``networks.forward_pass`` without
-the projection head on blocks of ``INFER_ROWS`` rows, so they hold one
-block of activations whatever the row count, and they never compute a
-softmax. Their outputs are bit-identical to one pass over every row.
+Prediction, the read-outs and the embedding dump run ``networks.forward_pass``
+without the projection head on blocks of rows (``INFER_ROWS``, ``POOL_ROWS``),
+so they hold one block of activations whatever the row count, and they never
+compute a softmax. Their outputs are bit-identical to one pass over every row.
 
 Accuracies are class-averaged: each class contributes its own accuracy,
 and a group score (linked vs shared classes) is the unweighted mean over
@@ -55,22 +55,21 @@ class MetricsReport:
 INFER_ROWS = 1024
 
 
-def _row_blocks(params: networks.ModelParams, features, output: str):
-    """``(rows, out)`` per block of at most ``INFER_ROWS`` rows
-    (``INFER_ROWS + 1`` for the last one), in row order, where ``out`` is
-    the ``output`` field ("h" or "logits") of
-    ``forward_pass(params, features[rows], project=False)``. Only that
-    array outlives its block's forward pass. An empty input is one empty
-    block. ``out`` is checked finite: finite parameters can still
+def _row_blocks(params: networks.ModelParams, features, output: str, size: int = INFER_ROWS):
+    """``(rows, out)`` per block of at most ``size`` rows (``size + 1`` for
+    the last one), in row order, where ``out`` is the ``output`` field ("h"
+    or "logits") of ``forward_pass(params, features[rows], project=False)``.
+    Only that array outlives its block's forward pass. An empty input is one
+    empty block. ``out`` is checked finite: finite parameters can still
     overflow, and no loss checks an inference pass."""
     x = ndcore.as_matrix(features, "x_batch")
     n = len(x)
-    starts = list(range(0, max(n, 1), INFER_ROWS))
+    starts = list(range(0, max(n, 1), size))
     # A 1-row matmul takes BLAS's matrix-vector path, whose sums can round
     # differently from the matrix-matrix path that every other block (and
     # the whole-matrix forward) takes; so a 1-row tail joins the block
     # before it, and only N == 1 runs a 1-row block.
-    if n > 1 and n % INFER_ROWS == 1:
+    if n > 1 and n % size == 1:
         starts.pop()
     for r0, r1 in zip(starts, starts[1:] + [n]):
         out = getattr(networks.forward_pass(params, x[r0:r1], project=False), output)
@@ -118,6 +117,59 @@ def evaluate(params: networks.ModelParams, test_set: datagen.Dataset,
              plan: datagen.SplitPlan) -> MetricsReport:
     """``score`` of the model's predictions (``predict``) on ``test_set``."""
     return score(predict(params, test_set.features), test_set, plan)
+
+
+TAUS = (0.5, 1, 2)   # the prior shifts tau of the ``y_l+tau{tau}`` read-outs
+# Rows per pool block in ``read_outs``: one block over the desk's 768 training
+# rows raised its benchmark's peak RSS by 0.5 MB, 256-row blocks by < 0.1 MB.
+POOL_ROWS = 256
+
+
+def read_outs(final: networks.ModelParams, snapshots: dict, pool, target: datagen.Dataset,
+              plan: datagen.SplitPlan) -> dict[str, MetricsReport]:
+    """Every read-out of one training, scored on ``target`` and keyed by arm:
+    ``y_l`` and ``overall``, the snapshots of ``snapshots`` (rule -> (step,
+    params), as ``TrainLog.snapshots`` holds them); ``final``; ``y_l+tau{tau}``
+    for each tau of ``TAUS``, ``argmax(logits - tau * log pi)`` of the ``y_l``
+    snapshot, where pi is the class frequency of the source pool in class-code
+    order; ``ncm_x`` and ``ncm_h``, the nearest source-pool class mean on x and
+    on the ``y_l`` snapshot's h. The pool is the rows of the datasets ``pool``
+    (the train and validation sets). The prior and mean arms choose only among
+    classes with a pool row; every argmax or argmin tie goes to the lowest code."""
+    y_l = snapshots["y_l"][1]
+    codes = [plan.class_codes(ds.labels) for ds in pool]
+    counts = sum(np.bincount(c, minlength=len(plan.classes)) for c in codes)
+    present = np.flatnonzero(counts)
+    y_l_logits = logits(y_l, target.features)
+    preds = {"y_l": np.argmax(y_l_logits, axis=1),
+             "overall": predict(snapshots["overall"][1], target.features),
+             "final": predict(final, target.features)}
+    log_prior = np.log(counts[present] / counts.sum())
+    for tau in TAUS:
+        shifted = y_l_logits[:, present] - tau * log_prior
+        preds[f"y_l+tau{tau:g}"] = present[np.argmax(shifted, axis=1)]
+    preds["ncm_x"] = _nearest_mean(zip(codes, (ds.features for ds in pool)),
+                                   [target.features], counts)
+    pool_h = ((c[rows], h) for c, ds in zip(codes, pool)
+              for rows, h in _row_blocks(y_l, ds.features, "h", POOL_ROWS))
+    preds["ncm_h"] = _nearest_mean(pool_h, (h for _, h in _row_blocks(y_l, target.features, "h")),
+                                   counts)
+    return {arm: score(pred, target, plan) for arm, pred in preds.items()}
+
+
+def _nearest_mean(pool_blocks, target_blocks, counts) -> np.ndarray:
+    """Per row of the ``target_blocks`` arrays, the code of the nearest
+    (Euclidean) class mean of the ``(class codes, rows)`` ``pool_blocks``,
+    among the classes whose pool ``counts`` are not 0. Sums and distances
+    are taken a block at a time, one class at a time."""
+    present = np.flatnonzero(counts)
+    sums = sum(np.eye(len(counts))[codes].T @ rows for codes, rows in pool_blocks)
+    means = sums[present] / counts[present, None]
+    nearest = []
+    for rows in target_blocks:
+        dist = np.stack([np.square(rows - mean).sum(axis=1) for mean in means], axis=1)
+        nearest.append(present[np.argmin(dist, axis=1)])
+    return np.concatenate(nearest)
 
 
 @dataclass(frozen=True)
@@ -250,7 +302,8 @@ def random_search(space: HyperSpace, n_trials: int, seed, score_fn) -> SearchRes
 @dataclass(frozen=True)
 class ResultRow:
     """One repetition's outcome for one benchmark cell; ``winner`` is the
-    search's winning trial, None when the cell ran no search."""
+    search's winning trial, None when the cell ran no search, and ``arms``
+    the cell's ``read_outs``."""
 
     dataset: str
     setting: str
@@ -260,6 +313,7 @@ class ResultRow:
     y_s_accuracy: float | None
     per_class: dict[int, float] = field(default_factory=dict, hash=False, compare=False)
     winner: TrialRecord | None = field(default=None, hash=False, compare=False)
+    arms: dict[str, MetricsReport] = field(default_factory=dict, hash=False, compare=False)
 
 
 @dataclass(frozen=True)

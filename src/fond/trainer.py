@@ -202,7 +202,6 @@ class EvalRecord:
 class TrainLog:
     steps: list[StepRecord] = field(default_factory=list)
     evals: list[EvalRecord] = field(default_factory=list)
-    best_step: int | None = None
     snapshots: dict[str, tuple] = field(default_factory=dict)   # rule -> (step, params)
 
     def write_jsonl(self, path) -> None:
@@ -274,15 +273,15 @@ def train(params: networks.ModelParams, train_set: datagen.Dataset,
     at one evaluation share one snapshot): "overall" accuracy, or "y_l", the
     accuracy over linked classes, falling back to overall when the split
     holds none. With no ``val_set`` (None or empty) every rule maps to
-    (max_steps, the final parameters). The returned best snapshot and
-    ``log.best_step`` are ``selection_metric``'s. The loop ignores numpy's divide
-    warning: an underflowed true-label probability gives a cross-entropy of
-    +inf, which raises ``NonFiniteLossError``; an overflowed projection row
-    raises ``DegenerateInputError``. Both name their step.
+    (max_steps, the final parameters). The returned best snapshot is
+    ``selection_metric``'s. The loop ignores numpy's divide warning: an
+    underflowed true-label probability gives a cross-entropy of +inf, which
+    raises ``NonFiniteLossError``; an overflowed projection row raises
+    ``DegenerateInputError``. Both name their step.
 
     With ``log_steps`` False the log keeps no step or eval rows (no
-    ``grad_norm`` is summed), only ``best_step`` and ``snapshots``; the
-    parameters are the same bit for bit. Callers that discard the log pass False.
+    ``grad_norm`` is summed), only ``snapshots``; the parameters are the
+    same bit for bit. Callers that discard the log pass False.
 
     The loss config is resolved once; each step's inputs come from
     ``step_inputs``, which checks the annotation columns before step 1.
@@ -345,5 +344,4 @@ def train(params: networks.ModelParams, train_set: datagen.Dataset,
                         selected=trainer_cfg.selection_metric in improved))
 
     log.snapshots = log.snapshots or dict.fromkeys(SELECTION_METRICS, (max_steps, params.clone()))
-    log.best_step, best = log.snapshots[trainer_cfg.selection_metric]
-    return params, best, log
+    return params, log.snapshots[trainer_cfg.selection_metric][1], log

@@ -62,6 +62,7 @@ def csv_records(path):
 
 
 TINY = Path(__file__).resolve().parents[1] / "configs" / "tiny_benchmark.json"
+DESK = TINY.with_name("desk_high.json")
 
 
 def run_python(*args):
@@ -1560,6 +1561,70 @@ print(json.dumps({{"codes": codes, "masked": "numpy.ma" in sys.modules}}))
                 "--set", "search.n_trials=0")
         doc = json.loads((out / "benchmark.json").read_text())
         assert all(c["winner"] is None for c in doc["cells"])
+
+
+class TestReadOutArms:
+    """Each benchmark cell carries every read-out of its one training."""
+
+    ARMS = ["y_l", "overall", "final", "y_l+tau0.5", "y_l+tau1", "y_l+tau2", "ncm_x", "ncm_h"]
+
+    @pytest.mark.parametrize("rule", trainer.SELECTION_METRICS)
+    def test_row_is_the_arm_of_its_selection_rule(self, rule):
+        cfg = config.load_config(TINY, ["search.n_trials=0",
+                                        f"trainer.selection_metric={json.dumps(rule)}"])
+        row = cli.run_benchmark_cell(cfg, "low", "fond", 0)
+        assert list(row.arms) == self.ARMS
+        arm = row.arms[rule]
+        assert repr((row.y_l_accuracy, row.y_s_accuracy, row.per_class)) \
+            == repr((arm.y_l_accuracy, arm.y_s_accuracy, arm.per_class_accuracy))
+
+    def test_snapshot_arms_are_evaluate_of_their_parameters(self):
+        cfg = config.load_config(TINY, ["search.n_trials=0"])
+        plan, final, log, target, pool, _ = cli.train_on_split(cfg, cfg.seed)
+        source = datagen.apply_split(cli.build_dataset(cfg), plan)[0]
+        assert sorted(np.concatenate([ds.ids for ds in pool]).tolist()) \
+            == sorted(source.ids.tolist())
+        arms = evalsel.read_outs(final, log.snapshots, pool, target, plan)
+        snapshots = {rule: params for rule, (_, params) in log.snapshots.items()}
+        for arm, params in {**snapshots, "final": final}.items():
+            assert repr(arms[arm]) == repr(evalsel.evaluate(params, target, plan)), arm
+
+    def test_arms_match_across_jobs(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cfg = config.load_config(TINY, ["search.n_trials=0"])
+        cells = [(cfg, setting, variant, 0) for setting in cfg.benchmark.settings
+                 for variant in ("erm", "fond")]
+        serial, parallel = ([row.arms for row in cli.run_cells(cells, jobs)] for jobs in (1, 2))
+        assert all(list(arms) == self.ARMS for arms in serial)
+        assert repr(serial) == repr(parallel)
+
+    def test_class_without_source_rows_is_never_read_out(self, tmp_path, monkeypatch):
+        # class 4 is only in the target domain: its log-prior is -inf and its
+        # pool mean is empty (a RuntimeWarning is an error here)
+        cfg = config.load_config(TINY, ["search.n_trials=0"])
+        dataset = cli.build_dataset(cfg)
+        csv = tmp_path / "no_source_4.csv"
+        datagen.export_csv(dataset.subset(np.flatnonzero(
+            (dataset.labels != 4) | (dataset.domains == cfg.split.target_domain))), csv)
+        cfg = config.load_config(TINY, ["search.n_trials=0", "dataset.synthetic=null",
+                                        f"dataset.csv_path={json.dumps(str(csv))}"])
+        predicted, score = [], evalsel.score
+        monkeypatch.setattr(evalsel, "score", lambda pred, test_set, plan: (
+            predicted.append(set(pred.tolist())), score(pred, test_set, plan))[1])
+        for setting in cfg.benchmark.settings:
+            row = cli.run_benchmark_cell(cfg, setting, "fond", 0)
+            assert row.arms["y_l"].counts[4] > 0
+            chosen = dict(zip(row.arms, predicted[-len(row.arms):]))
+            assert all(4 not in chosen[arm] for arm in self.ARMS[3:]), chosen
+
+    def test_read_outs_add_no_evaluate_call(self, tmp_path, monkeypatch):
+        calls, evaluate = [], evalsel.evaluate
+        monkeypatch.setattr(evalsel, "evaluate", lambda *args: (calls.append(args),
+                                                                evaluate(*args))[1])
+        assert run_cli("benchmark", "--config", str(DESK), "--out", str(tmp_path / "desk"),
+                       "--seed", "1") == 0
+        # 10 cells x 32 validation evaluations (800 steps, one every 25)
+        assert len(calls) == 10 * 32
 
 
 class TestFailedWrites:

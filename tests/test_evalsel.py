@@ -679,3 +679,77 @@ class TestRowBlocks:
         report = evalsel.evaluate(params, ds, plan)
         assert 0.0 <= report.overall_accuracy <= 1.0
         evalsel.dump_embeddings(params, ds, plan, tmp_path / "emb.csv")
+
+
+def linear_model(f_w, g_w):
+    """F: x @ ``f_w`` (one affine layer), G: h @ ``g_w``; no bias."""
+    cfg = networks.NetworkConfig(input_dim=4, num_classes=4, feature_dim=4, projection_dim=2,
+                                 f_hidden=(), p_hidden=(4,))
+    params = networks.init_params(cfg, 0)
+    for name, value in (("f.w0", f_w), ("f.b0", 0.0), ("g.w", g_w), ("g.b", 0.0)):
+        params.tensors()[name][:] = value
+    return params
+
+
+class TestReadOuts:
+    def setup_method(self):
+        self.plan = datagen.make_split_plan(range(4), 4, 0, "low", 3)
+        # class means on x: [2,0,0,0], [0,3,0,0], e_2, e_3; pi = 1/2, 1/4, 1/8, 1/8
+        rows = [([1, 0, 0, 0], 0), ([3, 0, 0, 0], 0), ([2, 0, 0, 0], 0), ([0, 2, 0, 0], 1),
+                ([0, 4, 0, 0], 1), ([0, 0, 1, 0], 2), ([2, 0, 0, 0], 0), ([0, 0, 0, 1], 3)]
+        pool = datagen.Dataset(features=np.array([x for x, _ in rows], dtype=float),
+                               labels=np.array([y for _, y in rows]),
+                               domains=np.ones(len(rows), dtype=np.int64),
+                               ids=np.arange(len(rows)))
+        self.pool = (pool.subset(np.arange(6)), pool.subset(np.arange(6, 8)))   # train, val
+        self.target = datagen.Dataset(
+            features=np.array([[1, 0.5, 0, 0], [0, 0, 0.5, 0.5], [3, 2, 0, 0]]),
+            labels=np.array([0, 2, 1]), domains=np.zeros(3, dtype=np.int64), ids=np.arange(3))
+
+    def predictions(self, monkeypatch, snapshots, final):
+        monkeypatch.setattr(evalsel, "score", lambda pred, test_set, plan: pred.tolist())
+        return evalsel.read_outs(final, snapshots, self.pool, self.target, self.plan)
+
+    def test_hand_example(self, monkeypatch):
+        # the y_l snapshot's h drops x's first coordinate, and its logits are h;
+        # overall reads x out as is, final reads it reversed
+        y_l = linear_model(np.diag([0.0, 1, 1, 1]), np.eye(4))
+        overall = linear_model(np.eye(4), np.eye(4))
+        final = linear_model(np.eye(4), np.eye(4)[::-1])
+        preds = self.predictions(monkeypatch, {"y_l": (5, y_l), "overall": (3, overall)}, final)
+        # ties (h or shifted logits equal for 2 and 3, x as near e_2 as e_3,
+        # h as near classes 0, 2 and 3) go to the lowest class code
+        assert preds == {"y_l": [1, 2, 1], "overall": [0, 2, 0], "final": [3, 0, 3],
+                         "y_l+tau0.5": [1, 2, 1], "y_l+tau1": [2, 2, 1], "y_l+tau2": [2, 2, 1],
+                         "ncm_x": [0, 2, 0], "ncm_h": [0, 0, 1]}
+
+    def test_a_class_without_pool_rows_is_never_chosen(self, monkeypatch):
+        # class 3 leaves the pool: log pi and its mean are undefined, and no
+        # RuntimeWarning is raised (warnings are errors here)
+        self.pool = (self.pool[0], self.pool[1].subset([0]))
+        params = linear_model(np.eye(4), np.eye(4))
+        preds = self.predictions(monkeypatch, {"y_l": (1, params), "overall": (1, params)},
+                                 params)
+        assert preds["y_l+tau2"] == [2, 2, 1] and preds["ncm_x"] == preds["ncm_h"] == [0, 2, 0]
+        assert all(3 not in pred for arm, pred in preds.items() if arm.startswith(("y_l+", "ncm")))
+
+    def test_pool_means_span_blocks(self, monkeypatch):
+        # pool blocks, the last with a joined 1-row tail, give the means of
+        # whole-matrix passes
+        params, ds, plan = block_problem(2 * evalsel.POOL_ROWS + 50)
+        self.plan, self.target = plan, ds.subset(np.arange(40))
+        self.pool = (ds.subset(np.arange(40, 49)), ds.subset(np.arange(49, len(ds))))
+        preds = self.predictions(monkeypatch, {"y_l": (1, params), "overall": (1, params)},
+                                 params)
+        pool = ds.subset(np.arange(40, len(ds)))
+        codes = plan.class_codes(pool.labels)
+
+        def nearest(rows, on):
+            means = np.stack([on[codes == k].mean(axis=0) for k in range(5)])
+            return np.argmin(((rows[:, None] - means) ** 2).sum(axis=2), axis=1).tolist()
+
+        def h(x):
+            return networks.forward_pass(params, x, project=False).h
+
+        assert preds["ncm_x"] == nearest(self.target.features, pool.features)
+        assert preds["ncm_h"] == nearest(h(self.target.features), h(pool.features))

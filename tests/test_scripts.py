@@ -40,6 +40,7 @@ def test_bench_step_times_every_piece():
     assert all(us > 0 for us in doc["optimizer_step"].values())
     assert doc["evaluate"]["rows"] > 96
     assert all(doc["evaluate"][key] > 0 for key in ("us", "predict_us", "score_us"))
+    assert doc["read_outs_us"] > 0
     assert doc["float_rows"]["rows"] == doc["evaluate"]["rows"]
     assert doc["float_rows"]["us"] > 0 and doc["float_rows"]["repr_us"] > 0
     assert doc["ingest_csv"]["rows"] == 5 * 4 * 40 and doc["ingest_csv"]["us"] > 0

@@ -335,9 +335,10 @@ def _nodes_by_function(tree):
 
 def test_one_scorer_for_every_report_and_one_loop_for_every_snapshot_rule():
     # evalsel.score alone builds a MetricsReport, so every report, whatever
-    # read-out made its predictions, is counted one way; only trainer.train
-    # and TrainerConfig.__post_init__'s check name selection_metric, so
-    # every rule's snapshot comes from the one training loop, never from a
+    # read-out made its predictions, is counted one way; only trainer.train,
+    # TrainerConfig.__post_init__'s check and the two readers of one training
+    # (fond train's snapshot, a benchmark cell's arm) name selection_metric,
+    # so every rule's snapshot comes from the one training loop, never from a
     # second training with the field set another way
     reports, named = [], []
     for path in sorted((ROOT / "src").rglob("*.py")):
@@ -350,7 +351,9 @@ def test_one_scorer_for_every_report_and_one_loop_for_every_snapshot_rule():
                                       getattr(node, "value", None)):
                 named.append((name, function))
     assert reports == [("fond/evalsel.py", "score")]
-    assert sorted(set(named)) == [("fond/trainer.py", "__post_init__"),
+    assert sorted(set(named)) == [("fond/cli.py", "cmd_train"),
+                                  ("fond/cli.py", "run_benchmark_cell"),
+                                  ("fond/trainer.py", "__post_init__"),
                                   ("fond/trainer.py", "train")]
 
 

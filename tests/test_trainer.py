@@ -46,6 +46,11 @@ def train_on_split(params, pool, plan, loss_cfg, cfg, **kwargs):
     return trainer.train(params, train_set, plan, loss_cfg, cfg, val_set=val_set, **kwargs)
 
 
+def snapshot_steps(log):
+    """Each selection rule's snapshot step in ``log``."""
+    return {rule: step for rule, (step, _) in log.snapshots.items()}
+
+
 def default_loss():
     return losses.LossConfig(temperature=0.2, a=2.0, b=2.0, lambda_xdom=0.5,
                              lambda_fair=0.3, variant="fond")
@@ -245,7 +250,7 @@ class TestTrainLoop:
             assert np.array_equal(ba.tensors()[k], bb.tensors()[k])
         assert [r.__dict__ for r in la.steps] == [r.__dict__ for r in lb.steps]
         assert [r.__dict__ for r in la.evals] == [r.__dict__ for r in lb.evals]
-        assert la.best_step == lb.best_step
+        assert snapshot_steps(la) == snapshot_steps(lb)
 
     def test_dropout_changes_trajectory(self):
         pool, _, plan, net_cfg = make_setup()
@@ -410,7 +415,7 @@ class TestTrainLoop:
         for a, b in zip(logged[:2], unlogged[:2]):
             assert a.flat.tobytes() == b.flat.tobytes()
         assert logged[2].steps and logged[2].evals
-        assert unlogged[2].best_step == logged[2].best_step
+        assert snapshot_steps(unlogged[2]) == snapshot_steps(logged[2])
         assert unlogged[2].steps == [] and unlogged[2].evals == []
 
     # a last step on the schedule is evaluated once, not twice
@@ -435,7 +440,7 @@ class TestTrainLoop:
         runs = [trainer.train(networks.init_params(net_cfg, 1), pool, plan, default_loss(),
                               cfg, val_set=val_set) for val_set in (empty, None)]
         for final, best, log in runs:
-            assert log.evals == [] and log.best_step == 10
+            assert log.evals == [] and log.snapshots[cfg.selection_metric][0] == 10
             assert final.flat.tobytes() == best.flat.tobytes() == runs[0][0].flat.tobytes()
 
 
@@ -684,28 +689,26 @@ class TestSnapshotSelection:
     def test_earliest_strict_maximum_wins(self, monkeypatch):
         log = self.run_with_scores(monkeypatch, [0.2, 0.5, 0.5, 0.4],
                                    [0.9, 0.9, 0.9, 0.9])
-        assert log.best_step == 20
+        assert log.snapshots["y_l"][0] == 20
         assert [e.selected for e in log.evals] == [True, True, False, False]
 
     def test_missing_linked_score_falls_back_to_overall(self, monkeypatch):
         log = self.run_with_scores(monkeypatch, [None, None, None, None],
                                    [0.3, 0.6, 0.1, 0.2])
-        assert log.best_step == 20
+        assert log.snapshots["y_l"][0] == 20
 
     def test_overall_metric_ignores_linked(self, monkeypatch):
         log = self.run_with_scores(monkeypatch, [0.9, 0.1, 0.1, 0.1],
                                    [0.1, 0.2, 0.8, 0.3],
                                    selection_metric="overall")
-        assert log.best_step == 30
+        assert log.snapshots["overall"][0] == 30
 
     @pytest.mark.parametrize("selection_metric", trainer.SELECTION_METRICS)
     def test_one_run_keeps_every_rules_snapshot(self, monkeypatch, selection_metric):
         _, best, log = self.run_with_scores(monkeypatch, [0.2, 0.5, 0.5, 0.4],
                                             [0.1, 0.2, 0.8, 0.3], selection_metric, whole=True)
-        assert {rule: step for rule, (step, _) in log.snapshots.items()} \
-            == {"y_l": 20, "overall": 30}
-        step, snapshot = log.snapshots[selection_metric]
-        assert log.best_step == step and best is snapshot
+        assert snapshot_steps(log) == {"y_l": 20, "overall": 30}
+        assert best is log.snapshots[selection_metric][1]
         assert [e.selected for e in log.evals] == (
             [True, True, False, False] if selection_metric == "y_l" else [True] * 3 + [False])
 
@@ -736,13 +739,15 @@ class TestSnapshotSelection:
         runs = {rule: cli.train_on_split(
                     replace(base, trainer=replace(base.trainer, selection_metric=rule)), base.seed)
                 for rule in trainer.SELECTION_METRICS}
-        plan, _, _, log, _, _ = runs["y_l"]
-        _, _, overall_best, overall_log, overall_report, _ = runs["overall"]
+        plan, _, log, target, _, _ = runs["y_l"]
+        _, _, overall_log, _, _, _ = runs["overall"]
         step, snapshot = log.snapshots["overall"]
-        assert step == overall_log.best_step != log.best_step
-        assert snapshot.flat.tobytes() == overall_best.flat.tobytes()
-        target = datagen.apply_split(cli.build_dataset(base), plan)[1]
-        assert evalsel.evaluate(snapshot, target, plan) == overall_report
+        assert (step, snapshot.flat.tobytes()) \
+            == (overall_log.snapshots["overall"][0],
+                overall_log.snapshots["overall"][1].flat.tobytes())
+        assert step != log.snapshots["y_l"][0]
+        assert target.features.tobytes() \
+            == datagen.apply_split(cli.build_dataset(base), plan)[1].features.tobytes()
         assert log.snapshots["y_l"][1].flat.tobytes() \
             == overall_log.snapshots["y_l"][1].flat.tobytes()
 
